@@ -5,6 +5,15 @@ whole finite group and every generator acts by a permutation of indices.
 In "dirichlet" mode (infinite groups truncated to B_R) vectors that are
 acted on must be supported at word depth <= R-1, so each generator image
 stays inside the ball and every formula is exact, with no boundary leakage.
+
+Every generator operator is read from one table.  A Representation builds
+it once: row k is the ball's translate row of the inverse generator, so
+(pi(g_k) f)[i] = f[table[k, i]], and an OUT_OF_BALL entry points at a
+padding slot at index n that holds zero.  All generators act at once by
+indexing the padded vector with the whole table.  The adjoint of pi(g_k)
+is the row of the inverse generator, table[inverse_index[k]]; in dirichlet
+mode that is exact at the boundary too, since it is the transpose of the
+truncated gather.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ import numpy as np
 
 from .errors import InfiniteGroup, SupportViolation, ValidationError
 from .groups import OUT_OF_BALL, CayleyBall
-from .lpspace import LpVector, DualVector, conjugate_exponent, power_norm, zero_vector
+from .lpspace import LpVector, DualVector, power_norm, zero_vector
 
 
 @dataclass
@@ -26,6 +35,7 @@ class Representation:
     ball: CayleyBall
     p: float
     mode: str = "full"  # "full" | "dirichlet"
+    table: np.ndarray = field(init=False, repr=False)  # (K, n) gather indices
 
     def __post_init__(self):
         if self.mode not in ("full", "dirichlet"):
@@ -38,6 +48,8 @@ class Representation:
             raise ValidationError("dirichlet mode needs radius >= 1")
         if not 1.0 < self.p < np.inf:
             raise ValidationError(f"exponent must lie in (1, inf): {self.p}")
+        table = self.ball.translate[self.handle.inverse_index]
+        self.table = np.where(table == OUT_OF_BALL, self.ball.size, table)
 
     @property
     def handle(self):
@@ -73,14 +85,19 @@ class Representation:
             vals -= vals.mean()
         return LpVector(self.ball, vals, self.p)
 
-    def _gather(self, table: np.ndarray, values: np.ndarray) -> np.ndarray:
-        out = np.where(table >= 0, values[np.where(table >= 0, table, 0)], 0.0)
-        return out
+    def apply_array(self, k, values: np.ndarray) -> np.ndarray:
+        """Raw-array image under generator(s) k; no admissibility check.
 
-    def apply_array(self, k: int, values: np.ndarray) -> np.ndarray:
-        """Raw-array image under the k-th generator; no admissibility check."""
-        ki = int(self.handle.inverse_index[k])
-        return self._gather(self.ball.translate[ki], values)
+        k is one generator index, or a slice or index array of them.  A 1-D
+        `values` is acted on by every selected generator; a 2-D `values`
+        holds one row per selected generator, acted on by that generator.
+        """
+        padded = np.zeros(values.shape[:-1] + (self.ball.size + 1,))
+        padded[..., :-1] = values
+        rows = self.table[k]
+        if values.ndim == 1:
+            return padded[rows]
+        return np.take_along_axis(padded, rows, axis=-1)
 
     def apply_generator(self, k: int, v: LpVector, *, check=True) -> LpVector:
         """Image of v under the k-th generator of K."""
@@ -91,7 +108,8 @@ class Representation:
     def apply(self, gamma, v: LpVector, *, check=True) -> LpVector:
         """Image of v under a group element (use apply_generator for an index
         into K).  Arbitrary elements need full mode; dirichlet mode only acts
-        by generators."""
+        by generators.  A non-generator acts as the product of the generator
+        operators along its BFS word."""
         h = self.handle
         key = h.key(gamma)
         for k, g in enumerate(h.generators):
@@ -103,10 +121,9 @@ class Representation:
             )
         if check:
             self.check_admissible(v)
-        gi = h.invert(key)
-        out = np.empty(self.ball.size)
-        for i, g in enumerate(self.ball.elements):
-            out[i] = v.values[self.ball.index[h.key(h.multiply(gi, g))]]
+        out = v.values.copy()
+        for k in reversed(self.ball.word_for(self.ball.locate(key))):
+            out = self.apply_array(k, out)
         return LpVector(self.ball, out, self.p)
 
 
@@ -188,8 +205,8 @@ class Cocycle:
 def coboundary(rep: Representation, v: LpVector) -> Cocycle:
     """The cocycle g -> pi(g) v - v."""
     rep.check_admissible(v)
-    vals = [rep.apply_generator(k, v, check=False) - v for k in range(rep.handle.n_generators)]
-    return Cocycle(rep, vals)
+    disp = rep.apply_array(slice(None), v.values) - v.values
+    return Cocycle(rep, [LpVector(rep.ball, d, rep.p) for d in disp])
 
 
 def extend_all(c: Cocycle) -> list[LpVector]:
@@ -259,6 +276,7 @@ class AffineAction:
     rep: Representation
     cocycle: Cocycle | None = None
     potential: LpVector | None = None  # f with c = d f, when known
+    shift: np.ndarray | None = field(init=False, repr=False)  # (K, n) cocycle values
 
     def __post_init__(self):
         if self.cocycle is not None and self.cocycle.rep is not self.rep:
@@ -276,6 +294,9 @@ class AffineAction:
                     raise ValidationError(
                         f"declared potential does not match cocycle (residual {resid:.3e})"
                     )
+        self.shift = None
+        if self.cocycle is not None:
+            self.shift = np.stack([c.values for c in self.cocycle.values])
 
     @classmethod
     def linear(cls, rep: Representation) -> "AffineAction":
@@ -290,18 +311,13 @@ class AffineAction:
     def is_linear(self) -> bool:
         return self.cocycle is None or self.cocycle.is_zero()
 
-    def displacements(self, v: LpVector, *, check=True) -> list[np.ndarray]:
-        """The arrays alpha(g) v - v for every generator g in K."""
-        rep = self.rep
-        if check:
-            rep.check_admissible(v)
-        out = []
-        for k in range(rep.handle.n_generators):
-            d = rep.apply_generator(k, v, check=False).values - v.values
-            if self.cocycle is not None:
-                d = d + self.cocycle.values[k].values
-            out.append(d)
-        return out
+    def displacements(self, values: np.ndarray) -> np.ndarray:
+        """(K, n) array whose row k is alpha(g_k) v - v, for v given by its
+        raw values; no admissibility check."""
+        d = self.rep.apply_array(slice(None), values) - values
+        if self.shift is not None:
+            d = d + self.shift
+        return d
 
     def apply(self, k: int, v: LpVector) -> LpVector:
         w = self.rep.apply_generator(k, v)
@@ -317,13 +333,6 @@ def mean_zero_project(v: LpVector) -> LpVector:
 
 # ---------------------------------------------------------------------------
 # cohomology dimensions by rank computation (finite groups)
-
-
-def _permutation_matrices(rep: Representation) -> list[np.ndarray]:
-    """Index arrays sigma_k with (pi(g_k) f)[i] = f[sigma_k[i]]."""
-    b = rep.ball
-    h = rep.handle
-    return [b.translate[int(h.inverse_index[k])] for k in range(h.n_generators)]
 
 
 def cohomology_dims(rep: Representation, *, rank_tol=None, size_cap=64) -> dict:
@@ -343,9 +352,8 @@ def cohomology_dims(rep: Representation, *, rank_tol=None, size_cap=64) -> dict:
     if n > size_cap:
         raise ValidationError(f"cohomology rank computation capped at {size_cap} elements")
 
-    sigmas = _permutation_matrices(rep)
     perms = []
-    for s in sigmas:
+    for s in rep.table:
         P = np.zeros((n, n))
         P[np.arange(n), s] = 1.0
         perms.append(P)
@@ -386,16 +394,14 @@ def potential_from_cocycle(c: Cocycle) -> tuple[LpVector, float]:
     rep = c.rep
     b = rep.ball
     n = b.size
-    sigmas = _permutation_matrices(rep)
     mask = rep.admissible_mask
     cols = np.nonzero(mask)[0]
     blocks = []
     rhs = []
     for k in range(rep.handle.n_generators):
-        P = np.zeros((n, n))
-        valid = sigmas[k] >= 0
-        P[np.nonzero(valid)[0], sigmas[k][valid]] = 1.0
-        blocks.append((P - np.eye(n))[:, cols])
+        P = np.zeros((n, n + 1))  # the last column is the padding slot
+        P[np.arange(n), rep.table[k]] = 1.0
+        blocks.append((P[:, :n] - np.eye(n))[:, cols])
         rhs.append(c.values[k].values)
     A = np.vstack(blocks)
     bvec = np.concatenate(rhs)

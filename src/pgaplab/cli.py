@@ -305,17 +305,15 @@ def cmd_gap(args) -> int:
         }
         write_atomic(out_dir / "gap.json", canonical_json(payload))
         print(canonical_json({"radii": list(radius), "C_lap": [rp.constants["C_lap"] for rp in reports]}))
-        return EXIT_OK
-
-    rep = _representation(handle, radius, p)
-    domain = default_domain(rep, config.get("domain"))
-    report = equivalence_report(rep, r, opts, domain, battery=battery)
-    payload = {"version": __version__, "config": resolved, "report": report.to_dict()}
-    write_atomic(out_dir / "gap.json", canonical_json(payload))
-    print(canonical_json(report.constants))
-    if not all(v for v in report.chain.values() if v is not None):
-        return EXIT_PROPERTY
-    return EXIT_OK
+    else:
+        rep = _representation(handle, radius, p)
+        domain = default_domain(rep, config.get("domain"))
+        reports = [equivalence_report(rep, r, opts, domain, battery=battery)]
+        payload = {"version": __version__, "config": resolved, "report": reports[0].to_dict()}
+        write_atomic(out_dir / "gap.json", canonical_json(payload))
+        print(canonical_json(reports[0].constants))
+    chains_hold = all(v for rp in reports for v in rp.chain.values() if v is not None)
+    return EXIT_OK if chains_hold else EXIT_PROPERTY
 
 
 def _load_cocycle(rep: Representation, spec) -> tuple[Cocycle | None, object]:

@@ -44,8 +44,9 @@ def weighted_r_mean(values: np.ndarray, weights: np.ndarray, r: float) -> float:
 
 def generator_displacements(action: AffineAction, v: LpVector, *, check=True) -> np.ndarray:
     """|alpha(g) v - v|_p per generator, as an array aligned with K."""
-    arrays = action.displacements(v, check=check)
-    return np.array([power_norm(a, action.rep.p) for a in arrays])
+    if check:
+        action.rep.check_admissible(v)
+    return np.array([power_norm(d, action.rep.p) for d in action.displacements(v.values)])
 
 
 def displacement_energy(
@@ -76,16 +77,14 @@ def p_laplacian(rep: Representation, f: LpVector, *, check=True) -> DualVector:
     """Pointwise sum_g |df(g)(x)|^(p-2) df(g)(x) m(g), paired with l^q.
 
     The factor |t|^(p-2) t is evaluated as sign(t) |t|^(p-1), which is zero
-    at t = 0 for every p > 1.
+    at t = 0 for every p > 1.  It is the gradient field of the linear action.
     """
-    if check:
-        rep.check_admissible(f)
-    p = rep.p
-    acc = np.zeros(rep.ball.size)
-    for k in range(rep.handle.n_generators):
-        d = rep.apply_generator(k, f, check=False).values - f.values
-        acc += rep.weights[k] * signed_power(d, p - 1.0)
-    return DualVector(rep.ball, acc, conjugate_exponent(p))
+    return gradient_field(AffineAction.linear(rep), f, check=check)
+
+
+def weighted_sum(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] rows[k], accumulated in generator order from zero."""
+    return np.add.reduce(weights[:, None] * rows, axis=0, initial=0.0)
 
 
 def gradient_field(action: AffineAction, f: LpVector, *, check=True) -> DualVector:
@@ -97,17 +96,13 @@ def gradient_field(action: AffineAction, f: LpVector, *, check=True) -> DualVect
     if check:
         rep.check_admissible(f)
     p = rep.p
-    acc = np.zeros(rep.ball.size)
-    for k, d in enumerate(action.displacements(f, check=False)):
-        acc += rep.weights[k] * signed_power(d, p - 1.0)
-    return DualVector(rep.ball, acc, conjugate_exponent(p))
+    xi = weighted_sum(rep.weights, signed_power(action.displacements(f.values), p - 1.0))
+    return DualVector(rep.ball, xi, conjugate_exponent(p))
 
 
 def markov_operator(rep: Representation, f: LpVector) -> LpVector:
     """Weighted mean of the generator translates, sum_g m(g) pi(g) f."""
-    acc = np.zeros(rep.ball.size)
-    for k in range(rep.handle.n_generators):
-        acc += rep.weights[k] * rep.apply_generator(k, f, check=False).values
+    acc = weighted_sum(rep.weights, rep.apply_array(slice(None), f.values))
     return LpVector(rep.ball, acc, rep.p)
 
 

@@ -49,14 +49,6 @@ class NonsmoothPoint(PgapError):
     """Some generator displacement vanishes; closed-form derivative invalid."""
 
 
-class Stalled(PgapError):
-    """Line search failed repeatedly; carries the descent trace so far."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
-
-
 class FixedVectorPresent(PgapError):
     """Optimization domain contains an invariant vector (exit code 3)."""
 

@@ -26,12 +26,12 @@ from .energy import (
     EnergyParams,
     dirichlet_norm,
     displacement_energy,
-    generator_displacements,
     p_laplacian,
     weighted_r_mean,
+    weighted_sum,
 )
 from .errors import FixedVectorPresent, ValidationError
-from .gradient import abs_gradient, descend, DescentOptions, abs_gradient_sampled
+from .gradient import abs_gradient, descend, DescentOptions
 from .lpspace import LpVector, conjugate_exponent, power_norm, signed_power
 
 
@@ -79,9 +79,7 @@ def ensure_no_fixed_vectors(rep: Representation, domain: Domain, *, probe_iters=
     if nv > 0:
         v = v / nv
         for _ in range(probe_iters):
-            mv = np.zeros_like(v)
-            for k in range(rep.handle.n_generators):
-                mv += rep.weights[k] * rep.apply_array(k, v)
+            mv = weighted_sum(rep.weights, rep.apply_array(slice(None), v))
             v = domain.project(0.5 * (v + mv))  # lazy average kills oscillation
         candidates.append(v)
     for cand in candidates:
@@ -89,10 +87,7 @@ def ensure_no_fixed_vectors(rep: Representation, domain: Domain, *, probe_iters=
         if nc <= 1e-9 * np.sqrt(n):
             continue
         u = cand / nc
-        disp = max(
-            float(np.linalg.norm(rep.apply_array(k, u) - u))
-            for k in range(rep.handle.n_generators)
-        )
+        disp = max(float(np.linalg.norm(w - u)) for w in rep.apply_array(slice(None), u))
         if disp <= 1e-8:
             raise FixedVectorPresent(
                 f"domain {domain.name!r} contains an invariant vector "
@@ -104,16 +99,21 @@ def ensure_no_fixed_vectors(rep: Representation, domain: Domain, *, probe_iters=
 # objective value/gradient pairs (euclidean, 0-homogeneous)
 
 
-def _adjoint_diff(rep: Representation, k: int, y: np.ndarray) -> np.ndarray:
-    """Adjoint of u -> pi(g_k) u - u applied to y."""
-    return rep.apply_array(int(rep.handle.inverse_index[k]), y) - y
-
-
 def _abs_coef(d: np.ndarray, e: float) -> np.ndarray:
     """|d|**e with the zero convention for negative exponents."""
     if e >= 0.0:
         return np.abs(d) ** e
     return np.where(d == 0.0, 0.0, np.abs(np.where(d == 0.0, 1.0, d)) ** e)
+
+
+def _adjoint_sum(rep: Representation, coef: np.ndarray, rows: np.ndarray, gens=slice(None)):
+    """sum_k coef[k] (pi(g_k)^* - 1) rows[k] over the generators `gens`.
+
+    pi(g_k)^* is pi of the inverse generator, so one gather through the
+    table's inverse rows applies every adjoint at once.
+    """
+    adjoint = rep.apply_array(rep.handle.inverse_index[gens], rows) - rows
+    return weighted_sum(coef, adjoint)
 
 
 def make_energy_ratio_objective(action: AffineAction, r: float):
@@ -123,8 +123,7 @@ def make_energy_ratio_objective(action: AffineAction, r: float):
     m = rep.weights
 
     def value_grad(values: np.ndarray):
-        v = LpVector(rep.ball, values, p)
-        disp = action.displacements(v, check=False)
+        disp = action.displacements(values)
         norms = np.array([power_norm(d, p) for d in disp])
         nv = power_norm(values, p)
         if np.isinf(r):
@@ -134,16 +133,17 @@ def make_energy_ratio_objective(action: AffineAction, r: float):
                 gF = np.zeros_like(values)
             else:
                 jv = signed_power(disp[k_star], p - 1.0) / F ** (p - 1.0)
-                gF = _adjoint_diff(rep, k_star, jv)
+                gF = rep.apply_array(rep.handle.inverse_index[k_star], jv) - jv
         else:
             F = weighted_r_mean(norms, m, r)
             gF = np.zeros_like(values)
             if F > 0.0:
-                for k, d in enumerate(disp):
-                    if norms[k] == 0.0:
-                        continue
-                    jd = signed_power(d, p - 1.0) / norms[k] ** (p - 1.0)
-                    gF += m[k] * (norms[k] / F) ** (r - 1.0) * _adjoint_diff(rep, k, jd)
+                live = np.nonzero(norms)[0]  # a zero displacement has no slope
+                # scalar powers: an array ** can round differently in the last bit
+                scale = np.array([norms[k] ** (p - 1.0) for k in live])
+                coef = np.array([m[k] * (norms[k] / F) ** (r - 1.0) for k in live])
+                jd = signed_power(disp[live], p - 1.0) / scale[:, None]
+                gF = _adjoint_sum(rep, coef, jd, live)
         jn = signed_power(values, p - 1.0) / nv ** (p - 1.0)
         val = F / nv
         grad = (gF * nv - F * jn) / nv**2
@@ -160,13 +160,11 @@ def make_gradient_objective(action: AffineAction):
     m = rep.weights
 
     def value_grad(values: np.ndarray):
-        v = LpVector(rep.ball, values, p)
-        disp = action.displacements(v, check=False)
+        disp = action.displacements(values)
         norms = np.array([power_norm(d, p) for d in disp])
         F = weighted_r_mean(norms, m, p)
-        xi = np.zeros_like(values)
-        for k, d in enumerate(disp):
-            xi += m[k] * signed_power(d, p - 1.0)
+        powered = signed_power(disp, p - 1.0)
+        xi = weighted_sum(m, powered)
         N = power_norm(xi, q)
         if F == 0.0:
             return 0.0, np.zeros_like(values)
@@ -175,13 +173,8 @@ def make_gradient_objective(action: AffineAction):
             return val, np.zeros_like(values)
 
         jq = signed_power(xi, q - 1.0) / N ** (q - 1.0)
-        gN = np.zeros_like(values)
-        for k, d in enumerate(disp):
-            coef = _abs_coef(d, p - 2.0)
-            gN += m[k] * (p - 1.0) * _adjoint_diff(rep, k, coef * jq)
-        gF = np.zeros_like(values)
-        for k, d in enumerate(disp):
-            gF += m[k] * _adjoint_diff(rep, k, signed_power(d, p - 1.0))
+        gN = _adjoint_sum(rep, m * (p - 1.0), _abs_coef(disp, p - 2.0) * jq)
+        gF = _adjoint_sum(rep, m, powered)
         gF /= F ** (p - 1.0)
         D = F ** (p - 1.0)
         gD = (p - 1.0) * F ** (p - 2.0) * gF
@@ -284,12 +277,11 @@ def hilbert_gap_constant(rep: Representation, domain: Domain) -> float:
     from scipy.linalg import eigh, null_space
 
     n = rep.ball.size
-    M = np.zeros((n, n))
-    eye = np.eye(n)
+    M = np.zeros((n, n + 1))  # the last column is the table's padding slot
     for k in range(rep.handle.n_generators):
-        for j in range(n):
-            M[:, j] += rep.weights[k] * rep.apply_array(k, eye[:, j])
-    A = np.eye(n) - M
+        M[np.arange(n), rep.table[k]] += rep.weights[k]
+    eye = np.eye(n)
+    A = eye - M[:, :n]
 
     if isinstance(domain, MeanZeroDomain):
         Z = null_space(np.ones((1, n)))

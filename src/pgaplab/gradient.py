@@ -16,7 +16,6 @@ from .action import AffineAction, Domain, default_domain
 from .energy import (
     EnergyParams,
     displacement_energy,
-    generator_displacements,
     gradient_field,
 )
 from .errors import AsymmetricSetup, AtFixedPoint, NonsmoothPoint, ValidationError
@@ -24,10 +23,8 @@ from .groups import check_symmetry
 from .lpspace import (
     DualVector,
     LpVector,
-    conjugate_exponent,
     duality_map,
     norming_vector,
-    pair,
     power_norm,
     signed_power,
 )
@@ -68,11 +65,6 @@ def _require_symmetric(action: AffineAction):
         )
 
 
-def dual_element(action: AffineAction, v: LpVector, *, check=True) -> DualVector:
-    """sum_g |Dv(g)|^(p-1) m(g) j(Dv(g)), identical to the pointwise field."""
-    return gradient_field(action, v, check=check)
-
-
 def abs_gradient(action: AffineAction, v: LpVector, *, check=True) -> GradientResult:
     """Closed-form absolute gradient 2 |xi|_q / F^(p-1) at v (needs F(v) > 0)."""
     _require_symmetric(action)
@@ -87,7 +79,7 @@ def abs_gradient(action: AffineAction, v: LpVector, *, check=True) -> GradientRe
     value = 2.0 * xi.norm() / f_val ** (p - 1.0)
 
     # independent assembly through per-generator duality maps
-    disp = action.displacements(v, check=False)
+    disp = action.displacements(v.values)
     acc = np.zeros(rep.ball.size)
     for k, d in enumerate(disp):
         w = LpVector(rep.ball, d, p)
@@ -137,18 +129,18 @@ def directional_derivative(
     f_val = displacement_energy(action, params, v)
     if f_val == 0.0:
         raise AtFixedPoint("descent quotient undefined where the energy vanishes")
-    disp = action.displacements(v, check=False)
+    disp = action.displacements(v.values)
     norms = [power_norm(d, p) for d in disp]
     if any(n == 0.0 for n in norms):
         if nonsmooth == "raise":
             raise NonsmoothPoint("some generator displacement vanishes at v")
         return finite_difference_quotient(action, params, v, u, h, scheme="one_sided")
 
+    du = rep.apply_array(slice(None), u.values) - u.values
     total = 0.0
     for k, (d, nd) in enumerate(zip(disp, norms)):
-        du = rep.apply_generator(k, u, check=False).values - u.values
-        jd = duality_map(LpVector(rep.ball, d, p))
-        total += rep.weights[k] * (nd / f_val) ** (p - 1.0) * float(np.dot(jd.values, du))
+        jd = signed_power(d / nd, p - 1.0)
+        total += rep.weights[k] * (nd / f_val) ** (p - 1.0) * float(np.dot(jd, du[k]))
     return -total
 
 
@@ -227,10 +219,7 @@ class DescentTrace:
     rows: list = field(default_factory=list)  # (iter, F, grad, step)
     terminal: LpVector | None = None
     reason: str = ""
-
-    @property
-    def final_energy(self) -> float:
-        return self.rows[-1][1] if self.rows else float("nan")
+    final_energy: float = float("nan")  # energy at the terminal
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -297,4 +286,9 @@ def descend(
             break
     trace.terminal = v
     trace.reason = reason
+    # a capped run's last row holds the energy before its last step
+    if reason == "max_iters":
+        trace.final_energy = displacement_energy(action, params, v)
+    else:
+        trace.final_energy = trace.rows[-1][1]
     return trace

@@ -6,6 +6,12 @@ family: cyclic, dihedral, symmetric, integer lattices, free groups, and
 explicit multiplication tables.  The word-metric ball of the Cayley graph
 is enumerated breadth-first with a fixed generator order, which makes every
 downstream artifact bit-reproducible.
+
+The ball carries one translate table: translate[k, i] is the index of
+generators[k] * elements[i], or OUT_OF_BALL when that product leaves the
+ball.  The BFS fills it while it enumerates, so building a ball multiplies
+each (generator, element) pair once; representations on the ball read
+every generator operator from this table (see action.py).
 """
 
 from __future__ import annotations
@@ -574,7 +580,12 @@ class CayleyBall:
 
 
 def ball(handle: GroupHandle, radius: int, cap: int = DEFAULT_BALL_CAP) -> CayleyBall:
-    """Enumerate the word-metric ball B_radius breadth first."""
+    """Enumerate the word-metric ball B_radius breadth first, in one pass.
+
+    Each layer is expanded once, and expanding it fills its translate
+    entries; the layer at depth `radius` is expanded only for the table.
+    So every (generator, element) pair is multiplied exactly once.
+    """
     if radius < 0:
         raise ValidationError("ball radius must be >= 0")
     key = handle.key
@@ -584,36 +595,35 @@ def ball(handle: GroupHandle, radius: int, cap: int = DEFAULT_BALL_CAP) -> Cayle
     depth = [0]
     parent = [-1]
     parent_gen = [-1]
+    rows = [[] for _ in handle.generators]  # translate rows, in element order
     frontier = [0]
-    for r in range(radius):
+    r = 0
+    while frontier:
         nxt = []
         for i in frontier:
             g = elements[i]
             for k, gen in enumerate(handle.generators):
                 h = key(mul(gen, g))
-                if h not in index:
-                    index[h] = len(elements)
+                j = index.get(h, OUT_OF_BALL)
+                if j == OUT_OF_BALL and r < radius:
+                    j = index[h] = len(elements)
                     elements.append(h)
                     depth.append(r + 1)
                     parent.append(i)
                     parent_gen.append(k)
-                    nxt.append(index[h])
+                    nxt.append(j)
                     if len(elements) > cap:
                         raise BallTooLarge(
                             f"ball of radius {radius} exceeds cap of {cap} elements"
                         )
-        if not nxt:
-            break
+                rows[k].append(j)
         frontier = nxt
+        r += 1
 
-    n = len(elements)
-    translate = np.full((handle.n_generators, n), OUT_OF_BALL, dtype=np.int64)
-    for k, gen in enumerate(handle.generators):
-        row = translate[k]
-        for i, g in enumerate(elements):
-            h = key(mul(gen, g))
-            row[i] = index.get(h, OUT_OF_BALL)
-
+    translate = np.empty((handle.n_generators, len(elements)), dtype=np.int64)
+    for k in range(handle.n_generators):
+        translate[k] = rows[k]
+        rows[k] = None  # free each list once copied: keeps the peak near one table
     return CayleyBall(
         handle=handle,
         radius=radius,
@@ -627,22 +637,16 @@ def ball(handle: GroupHandle, radius: int, cap: int = DEFAULT_BALL_CAP) -> Cayle
 
 
 def full_ball(handle: GroupHandle, cap: int = DEFAULT_BALL_CAP) -> CayleyBall:
-    """Ball that saturates a finite group (BFS until no growth)."""
+    """Ball that saturates a finite group; its radius is the deepest layer.
+
+    Runs the BFS of `ball` until the ball closes: no ball within the cap
+    reaches depth `cap`, so an infinite group ends in BallTooLarge.
+    """
     if handle.order is not None and handle.order > cap:
         raise BallTooLarge(f"group order {handle.order} exceeds cap {cap}")
-    radius = 1
-    while True:
-        b = ball(handle, radius, cap=cap)
-        if b.is_full:
-            return b
-        if int(b.depth.max()) < radius:
-            # stopped growing without closing: should not happen for a group
-            raise InfiniteLoopGuard("BFS stopped growing before the ball closed")
-        radius += 1
-
-
-class InfiniteLoopGuard(RuntimeError):
-    pass
+    b = ball(handle, cap, cap=cap)
+    b.radius = int(b.depth.max())
+    return b
 
 
 def check_ball_invariants(b: CayleyBall) -> list[str]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -174,15 +173,20 @@ def vector_to_csv(f: LpVector, path):
 def vector_from_csv(ball: CayleyBall, path, p: float) -> LpVector:
     values = np.zeros(ball.size)
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            i_s, x_s = line.split(",")
-            i = int(i_s)
+            try:
+                i_s, x_s = line.split(",")
+                i, x = int(i_s), float(x_s)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}, line {lineno}: expected 'index,value', got {line!r}"
+                ) from None
             if not 0 <= i < ball.size:
                 raise ValidationError(f"vector index {i} outside ball of size {ball.size}")
-            values[i] = float(x_s)
+            values[i] = x
     return LpVector(ball, values, p)
 
 
@@ -197,11 +201,3 @@ def vector_from_bytes(ball: CayleyBall, blob: bytes, p: float) -> LpVector:
         raise ValidationError(f"binary vector length {n} does not match ball size {ball.size}")
     values = np.frombuffer(blob, dtype="<f8", count=n, offset=8).copy()
     return LpVector(ball, values, p)
-
-
-def vector_to_file(f: LpVector, path):
-    Path(path).write_bytes(vector_to_bytes(f))
-
-
-def vector_from_file(ball: CayleyBall, path, p: float) -> LpVector:
-    return vector_from_bytes(ball, Path(path).read_bytes(), p)

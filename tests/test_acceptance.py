@@ -37,7 +37,7 @@ def smooth_unit(action, rng):
     rep = action.rep
     for _ in range(200):
         v = unit(rep, rng, mean_zero=(rep.mode == "full"))
-        if all(np.any(d != 0.0) for d in action.displacements(v, check=False)):
+        if all(np.any(d != 0.0) for d in action.displacements(v.values)):
             return v
     raise RuntimeError("could not sample a smooth point")
 

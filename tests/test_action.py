@@ -283,3 +283,54 @@ def test_mean_zero_dual_restriction_general_q():
     u = pg.norming_vector(r)
     assert abs(u.values.sum()) <= 1e-9  # attaining direction is mean-zero
     assert np.dot(xi.values, u.values) == pytest.approx(r.norm(), abs=1e-9)
+
+
+def _oracle(rep, g, f):
+    """(pi(g) f)(x) = f(g^-1 x) from the group oracle; zero off the ball."""
+    h, b = rep.handle, rep.ball
+    gi = h.invert(g)
+    out = np.zeros(b.size)
+    for i, x in enumerate(b.elements):
+        j = b.index.get(h.key(h.multiply(gi, x)))
+        if j is not None:
+            out[i] = f[j]
+    return out
+
+
+@pytest.mark.parametrize("case", ["free2-dirichlet", "sym4-full"])
+def test_stacked_operators_match_group_oracle(case):
+    if case == "free2-dirichlet":
+        rep = pg.Representation(pg.ball(pg.free_group(2), 3), 2.5, "dirichlet")
+    else:
+        rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 2.5, "full")
+    h, b = rep.handle, rep.ball
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal(b.size)  # mass on the boundary layer too
+    assert (b.depth == b.radius).any() and np.all(f[b.depth == b.radius] != 0.0)
+    want = np.array([_oracle(rep, g, f) for g in h.generators])
+
+    assert np.array_equal(rep.apply_array(slice(None), f), want)
+    for k in range(h.n_generators):
+        assert np.array_equal(rep.apply_array(k, f), want[k])
+        image = rep.apply_generator(k, pg.LpVector(b, f, rep.p), check=False)
+        assert np.array_equal(image.values, want[k])
+    # a 2-D argument: row j is acted on by the j-th selected generator
+    rows = rng.standard_normal((h.n_generators, b.size))
+    stacked = rep.apply_array(h.inverse_index, rows)
+    for k in range(h.n_generators):
+        assert np.array_equal(stacked[k], _oracle(rep, h.generators[h.inverse_index[k]], rows[k]))
+
+    c = Cocycle(rep, [pg.LpVector(b, rng.standard_normal(b.size), rep.p) for _ in h.generators])
+    act = pg.AffineAction(rep, c)
+    shift = np.array([v.values for v in c.values])
+    assert np.array_equal(act.displacements(f), want - f + shift)
+    assert np.array_equal(pg.AffineAction.linear(rep).displacements(f), want - f)
+
+    mk = pg.markov_operator(rep, pg.LpVector(b, f, rep.p)).values
+    assert np.allclose(mk, rep.weights @ want, rtol=0, atol=1e-14)
+
+    if rep.mode == "full":
+        for i in (0, 7, 13, 23):
+            g = b.elements[i]
+            got = rep.apply(g, pg.LpVector(b, f, rep.p)).values
+            assert np.array_equal(got, _oracle(rep, g, f))

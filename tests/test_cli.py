@@ -139,6 +139,54 @@ def test_gap_sweep_csv(tmp_path):
     assert c_lap[1] < c_lap[0]
 
 
+def test_gap_sweep_exit_1_on_false_chain(tmp_path, monkeypatch):
+    def one_false(handle, p, r, radii, options=None, *, battery=0):
+        return [
+            pg.GapReport(
+                group="integer_lattice(1)",
+                p=p,
+                r=r,
+                domain="dirichlet",
+                radius=int(R),
+                constants={"C_disp": 1.0, "C_r": 1.0, "C_grad": 1.0, "C_lap": 0.5},
+                methods={},
+                chain={"C_grad >= C_r": R != radii[-1], "unset": None},
+                certificates={},
+                battery=[],
+                options={},
+            )
+            for R in radii
+        ]
+
+    monkeypatch.setattr("pgaplab.cli.gap_sweep", one_false)
+    cfg = write_config(
+        tmp_path,
+        "gap.json",
+        {"group": {"family": "integer_lattice", "params": {"d": 1}}, "radius": [4, 8], "p": 2.0},
+    )
+    assert main(["gap", "--config", cfg, "--out", str(tmp_path / "s")]) == 1
+    assert (tmp_path / "s" / "gap_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["0,np.float64(0.4)", "0.5", "1,2,3", "x,1.0"])
+def test_descend_malformed_potential_exit_2(tmp_path, capsys, line):
+    pot_path = tmp_path / "potential.csv"
+    pot_path.write_text(f"0,0.5\n\n{line}\n")
+    cfg = write_config(
+        tmp_path,
+        "descend.json",
+        {
+            "group": {"family": "cyclic", "params": {"n": 4}},
+            "p": 2.0,
+            "cocycle": {"potential": str(pot_path)},
+            "v0": "zero",
+        },
+    )
+    assert main(["descend", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert str(pot_path) in err and "line 3" in err
+
+
 def test_descend_coboundary_from_potential_file(tmp_path, capsys):
     h = pg.cyclic_group(8)
     b = pg.full_ball(h)

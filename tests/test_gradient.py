@@ -172,7 +172,7 @@ def test_nonsmooth_point_falls_back_to_finite_differences(sym3):
     rep = pg.Representation(sym3, 2.0, "full")
     act = pg.AffineAction.linear(rep)
     v = nonsmooth_point(sym3)
-    disp = [np.linalg.norm(d) for d in act.displacements(v)]
+    disp = [np.linalg.norm(d) for d in act.displacements(v.values)]
     assert min(disp) == 0.0 and max(disp) > 0.0  # genuinely nonsmooth, not fixed
     rng = np.random.default_rng(9)
     u = unit_vector(rep, rng)
@@ -312,3 +312,16 @@ def test_descent_trace_csv(tmp_path, cyclic8):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "iter,F,grad,step"
     assert len(lines) == len(trace.rows) + 1
+
+
+def test_capped_descent_reports_energy_at_terminal():
+    rng = np.random.default_rng(19)
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0, "full")
+    f0 = unit_vector(rep, rng, mean_zero=True)
+    act = pg.AffineAction.from_potential(rep, f0)
+    params = pg.EnergyParams(r=3.0, p=3.0)
+    trace = pg.descend(act, rep.zero(), pg.DescentOptions(max_iters=5))
+    assert trace.reason == "max_iters"
+    assert len(trace.rows) == 5  # no extra row for the final evaluation
+    assert trace.final_energy == pg.displacement_energy(act, params, trace.terminal)
+    assert trace.final_energy < trace.rows[-1][1]

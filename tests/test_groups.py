@@ -231,3 +231,58 @@ def test_dihedral_arithmetic():
     assert h.multiply(h.multiply(f, r), f) == h.invert(r)
     assert h.invert(f) == f
     assert pg.full_ball(h).size == 8
+
+
+def _counting(h):
+    """Wrap h.multiply with a call counter; returns the counter list."""
+    calls = [0]
+    multiply = h.multiply
+
+    def counted(a, b):
+        calls[0] += 1
+        return multiply(a, b)
+
+    h.multiply = counted
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make,R",
+    [
+        (lambda: pg.symmetric_group(5), 3),
+        (lambda: pg.dihedral_group(6), 2),
+        (lambda: pg.free_group(2), 4),
+    ],
+    ids=["symmetric5", "dihedral6", "free2"],
+)
+def test_ball_multiplies_once_per_table_entry(make, R):
+    h = make()
+    calls = _counting(h)
+    b = pg.ball(h, R)
+    assert calls[0] == b.translate.size
+    if h.order is not None:
+        calls[0] = 0
+        b = pg.full_ball(h)
+        assert calls[0] == b.translate.size == h.n_generators * h.order
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        pg.cyclic_group(7),
+        pg.dihedral_group(5),
+        pg.symmetric_group(4),
+        pg.table_group(_cyclic_table(6), generators=[1, 5]),
+    ],
+    ids=["cyclic", "dihedral", "symmetric", "table"],
+)
+def test_full_ball_is_ball_at_diameter(h):
+    full = pg.full_ball(h)
+    diameter = int(full.depth.max())
+    b = pg.ball(h, diameter)
+    assert full.radius == b.radius == diameter
+    assert full.elements == b.elements
+    assert full.index == b.index
+    for name in ("depth", "translate", "parent", "parent_gen"):
+        assert np.array_equal(getattr(full, name), getattr(b, name)), name
+    assert full.is_full and full.size == h.order
