@@ -89,5 +89,6 @@ from .moduli import (
     duality_continuity_check,
     hilbert_modulus_convexity,
     hilbert_modulus_smoothness,
+    lp_modulus_smoothness,
 )
 from .verify import run_suites, SUITES

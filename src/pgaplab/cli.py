@@ -32,8 +32,8 @@ from .errors import (
 )
 from .gaps import GapOptions, equivalence_report, gap_sweep
 from .gradient import DescentOptions, abs_gradient_sampled, descend
-from .groups import GroupSpec, ball, build_group, check_symmetry, full_ball, load_group_spec
-from .lpspace import vector_from_csv, vector_to_csv
+from .groups import ball, build_group, check_symmetry, full_ball, load_group_spec
+from .lpspace import vector_from_csv
 from .moduli import (
     duality_continuity_check,
     hilbert_modulus_convexity,
@@ -152,7 +152,6 @@ _SCHEMAS = {
         "smoothnessGrid",
         "budget",
         "trials",
-        "envelope",
         "seed",
         "out",
     },
@@ -186,7 +185,6 @@ _DEFAULTS = {
         "smoothnessGrid": [0.25, 0.5, 1.0, 2.0],
         "budget": 256,
         "trials": 10_000,
-        "envelope": 1.05,
         "seed": 0,
     },
 }
@@ -417,14 +415,7 @@ def cmd_moduli(args) -> int:
     smooth = modulus_smoothness(p, dim, config["smoothnessGrid"], budget=budget, seed=seed)
     conv.to_csv(out_dir / "moduli_convexity.csv")
     smooth.to_csv(out_dir / "moduli_smoothness.csv")
-    continuity = duality_continuity_check(
-        p,
-        dim,
-        int(config["trials"]),
-        seed=seed,
-        envelope=float(config["envelope"]),
-        rho_curve=None if p == 2.0 else smooth,
-    )
+    continuity = duality_continuity_check(p, dim, int(config["trials"]), seed=seed)
     payload = {
         "version": __version__,
         "config": {k: v for k, v in config.items() if k != "out"},

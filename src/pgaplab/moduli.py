@@ -3,9 +3,16 @@
 The convexity modulus at eps is an infimum over constrained pairs, so every
 reported value is an upper bound; the smoothness modulus is a supremum, so
 reported values are lower bounds.  Structured two-dimensional starts seed
-the local solver (they are exact in the Hilbert case) and random starts
-polish.  The duality-map continuity inequality is checked against the
-estimated smoothness curve inflated by a configurable envelope factor.
+the local solver SLSQP (they are exact in the Hilbert case) and random starts
+polish.  Objectives and constraints are p-norms of u, v, u + v and u - v, so
+SLSQP is given their analytic gradients (`_pnorm_grad`) instead of
+differencing them.  A smoothness solution is scaled back into its two balls
+and re-evaluated before it counts, so each reported rho is attained by a
+feasible pair.
+
+The smoothness modulus of l^p is also known in closed form
+(`lp_modulus_smoothness`); the duality-map continuity check measures
+against that exact rho, with no allowance for estimation error.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import BadEpsilon, ValidationError
-from .lpspace import signed_power
+from .lpspace import conjugate_exponent, signed_power
 
 
 # unlike lpspace.power_norm this does not sort, and moduli.json depends on its rounding
@@ -27,13 +34,33 @@ def _pnorm(x: np.ndarray, p: float) -> float:
     return m * float(np.sum((np.abs(x) / m) ** p) ** (1.0 / p))
 
 
+def _pnorm_grad(x: np.ndarray, p: float) -> np.ndarray:
+    """Gradient of |x|_p: signed_power(x / |x|_p, p - 1), and 0 at x = 0."""
+    n = _pnorm(x, p)
+    if n == 0.0:
+        return np.zeros_like(x)
+    return signed_power(x / n, p - 1.0)
+
+
 def hilbert_modulus_convexity(eps: float) -> float:
     # parallelogram law: |u+v|^2 + |u-v|^2 = 2|u|^2 + 2|v|^2
     return 1.0 - np.sqrt(max(0.0, 1.0 - eps**2 / 4.0))
 
 
+def lp_modulus_smoothness(p: float, tau):
+    """Exact rho_p(tau) of l^p_n, n >= 2 (Lindenstrauss-Tzafriri, Classical
+    Banach Spaces II, 1.e); tau may be an array.
+
+    (1 + tau^p)^(1/p) - 1 for p <= 2, ((|1 + tau|^p + |1 - tau|^p)/2)^(1/p) - 1
+    for p >= 2.  Both are attained on two coordinates.
+    """
+    if p <= 2.0:
+        return (1.0 + tau**p) ** (1.0 / p) - 1.0
+    return ((np.abs(1.0 + tau) ** p + np.abs(1.0 - tau) ** p) / 2.0) ** (1.0 / p) - 1.0
+
+
 def hilbert_modulus_smoothness(tau: float) -> float:
-    return np.sqrt(1.0 + tau**2) - 1.0
+    return lp_modulus_smoothness(2.0, tau)
 
 
 @dataclass
@@ -54,44 +81,110 @@ class ModulusCurve:
             for a, e, s in zip(self.args, self.estimates, self.spread):
                 fh.write(f"{float(a)!r},{float(e)!r},{self.starts},{float(s)!r}\n")
 
-    def interpolator(self):
-        """Piecewise-linear evaluation through (0, 0) and the grid knots."""
-        xs = np.concatenate([[0.0], self.args])
-        ys = np.concatenate([[0.0], self.estimates])
-        return lambda t: np.interp(t, xs, ys)
+
+# Problems are posed on x = (u, v), u = x[:dim] and v = x[dim:].
 
 
-def _solve_batch(objective, constraints, starts, *, maximize=False):
-    best = np.inf
+def _norm_bound(p: float, part: slice, bound: float) -> dict:
+    """bound - |x[part]|_p >= 0 as an SLSQP inequality, with its Jacobian."""
+
+    def jac(x):
+        g = np.zeros_like(x)
+        g[part] = -_pnorm_grad(x[part], p)
+        return g
+
+    return {"type": "ineq", "fun": lambda x: bound - _pnorm(x[part], p), "jac": jac}
+
+
+def _into_ball(y: np.ndarray, p: float, radius: float) -> np.ndarray:
+    """y scaled into the p-norm ball of `radius`.  y / |y| can round to just
+    outside, so the scale steps down until the norm is within the radius."""
+    n = _pnorm(y, p)
+    while n > radius:
+        y = y * np.nextafter(radius / n, 0.0)
+        n = _pnorm(y, p)
+    return y
+
+
+def _ball_constraints(p: float, dim: int, tau: float) -> list[dict]:
+    """|u| <= 1 and |v| <= tau."""
+    return [_norm_bound(p, slice(None, dim), 1.0), _norm_bound(p, slice(dim, None), tau)]
+
+
+def _convexity_problem(p: float, dim: int, eps: float):
+    """Objective 1 - |u+v|/2, its gradient, and |u|, |v| <= 1, |u-v| >= eps."""
+
+    def objective(x):
+        return 1.0 - _pnorm(x[:dim] + x[dim:], p) / 2.0
+
+    def gradient(x):
+        g = _pnorm_grad(x[:dim] + x[dim:], p) / -2.0
+        return np.concatenate([g, g])
+
+    def separation_jac(x):
+        g = _pnorm_grad(x[:dim] - x[dim:], p)
+        return np.concatenate([g, -g])
+
+    separation = {
+        "type": "ineq",
+        "fun": lambda x: _pnorm(x[:dim] - x[dim:], p) - eps,
+        "jac": separation_jac,
+    }
+    return objective, gradient, _ball_constraints(p, dim, 1.0) + [separation]
+
+
+def _smoothness_problem(p: float, dim: int, tau: float):
+    """Objective -((|u+v| + |u-v|)/2 - 1), its gradient, and |u| <= 1, |v| <= tau."""
+
+    def objective(x):
+        u, v = x[:dim], x[dim:]
+        return -((_pnorm(u + v, p) + _pnorm(u - v, p)) / 2.0 - 1.0)
+
+    def gradient(x):
+        a = _pnorm_grad(x[:dim] + x[dim:], p)
+        b = _pnorm_grad(x[:dim] - x[dim:], p)
+        return np.concatenate([a + b, a - b]) / -2.0
+
+    return objective, gradient, _ball_constraints(p, dim, tau)
+
+
+def _solve_batch(objective, gradient, constraints, starts, repair=None):
+    """Objective values of the accepted SLSQP solutions from `starts`.
+
+    Without `repair`, a solution counts if it breaks no constraint by more
+    than 1e-9.  With it, the solution is first mapped by `repair` and
+    re-evaluated there, and counts only if it breaks no constraint at all.
+    """
     values = []
     for x0 in starts:
         res = minimize(
             objective,
             x0,
+            jac=gradient,
             method="SLSQP",
             constraints=constraints,
             options={"maxiter": 200, "ftol": 1e-12},
         )
-        if not np.isfinite(res.fun):
-            continue
-        # clamp back to the feasible set before trusting the value
-        ok = all(c["fun"](res.x) >= -1e-9 for c in constraints)
-        if ok:
-            values.append(float(res.fun))
-            best = min(best, float(res.fun))
-    if not values:
-        return None, []
-    return best, values
+        x, fun, slack = res.x, float(res.fun), 1e-9
+        if repair is not None:
+            x = repair(x)
+            fun, slack = float(objective(x)), 0.0
+        if np.isfinite(fun) and all(c["fun"](x) >= -slack for c in constraints):
+            values.append(fun)
+    return values
+
+
+def _check_space(p: float, dim: int) -> None:
+    conjugate_exponent(p)  # rejects p outside (1, inf)
+    if dim < 2:
+        raise ValidationError("modulus estimation needs dim >= 2")
 
 
 def modulus_convexity(
     p: float, dim: int, eps_grid, budget: int = 256, seed: int = 0
 ) -> ModulusCurve:
     """Upper estimates of inf {1 - |u+v|/2 : |u|,|v| <= 1, |u-v| >= eps}."""
-    if not 1.0 < p < np.inf:
-        raise ValidationError(f"exponent must lie in (1, inf): {p}")
-    if dim < 2:
-        raise ValidationError("modulus estimation needs dim >= 2")
+    _check_space(p, dim)
     eps_grid = np.asarray(sorted(float(e) for e in eps_grid))
     if (eps_grid <= 0).any() or (eps_grid > 2).any():
         raise BadEpsilon("convexity arguments must lie in (0, 2]")
@@ -100,15 +193,6 @@ def modulus_convexity(
     estimates = np.empty(len(eps_grid))
     spread = np.empty(len(eps_grid))
     for i, eps in enumerate(eps_grid):
-        def objective(x):
-            u, v = x[:dim], x[dim:]
-            return 1.0 - _pnorm(u + v, p) / 2.0
-
-        constraints = [
-            {"type": "ineq", "fun": lambda x: 1.0 - _pnorm(x[:dim], p)},
-            {"type": "ineq", "fun": lambda x: 1.0 - _pnorm(x[dim:], p)},
-            {"type": "ineq", "fun": lambda x, e=eps: _pnorm(x[:dim] - x[dim:], p) - e},
-        ]
         starts = []
         half = (eps / 2.0) ** p
         if half < 1.0:
@@ -125,10 +209,8 @@ def modulus_convexity(
             x[:dim] /= max(_pnorm(x[:dim], p), 1e-12)
             x[dim:] /= max(_pnorm(x[dim:], p), 1e-12)
             starts.append(x)
-        best, values = _solve_batch(objective, constraints, starts)
-        if best is None:
-            best, values = 1.0, [1.0]
-        estimates[i] = min(max(best, 0.0), 1.0)
+        values = _solve_batch(*_convexity_problem(p, dim, eps), starts) or [1.0]
+        estimates[i] = min(max(min(values), 0.0), 1.0)
         spread[i] = max(values) - min(values)
 
     # a pair feasible at a larger eps is feasible at any smaller one
@@ -142,10 +224,7 @@ def modulus_smoothness(
     p: float, dim: int, tau_grid, budget: int = 256, seed: int = 0
 ) -> ModulusCurve:
     """Lower estimates of sup {(|u+v| + |u-v|)/2 - 1 : |u| <= 1, |v| <= tau}."""
-    if not 1.0 < p < np.inf:
-        raise ValidationError(f"exponent must lie in (1, inf): {p}")
-    if dim < 2:
-        raise ValidationError("modulus estimation needs dim >= 2")
+    _check_space(p, dim)
     tau_grid = np.asarray(sorted(float(t) for t in tau_grid))
     if (tau_grid <= 0).any():
         raise ValidationError("smoothness arguments must be positive")
@@ -154,14 +233,6 @@ def modulus_smoothness(
     estimates = np.empty(len(tau_grid))
     spread = np.empty(len(tau_grid))
     for i, tau in enumerate(tau_grid):
-        def objective(x):
-            u, v = x[:dim], x[dim:]
-            return -((_pnorm(u + v, p) + _pnorm(u - v, p)) / 2.0 - 1.0)
-
-        constraints = [
-            {"type": "ineq", "fun": lambda x: 1.0 - _pnorm(x[:dim], p)},
-            {"type": "ineq", "fun": lambda x, t=tau: t - _pnorm(x[dim:], p)},
-        ]
         starts = []
         s1 = np.zeros(2 * dim)
         s1[0], s1[dim + 1] = 1.0, tau
@@ -179,10 +250,13 @@ def modulus_smoothness(
             x[:dim] /= max(_pnorm(x[:dim], p), 1e-12)
             x[dim:] *= tau / max(_pnorm(x[dim:], p), 1e-12)
             starts.append(x)
-        best, values = _solve_batch(objective, constraints, starts)
-        if best is None:
-            best, values = 0.0, [0.0]
-        estimates[i] = max(-best, 0.0)
+
+        def into_balls(x, t=tau):
+            # both constraints are norm bounds, so scaling is an exact repair
+            return np.concatenate([_into_ball(x[:dim], p, 1.0), _into_ball(x[dim:], p, t)])
+
+        values = _solve_batch(*_smoothness_problem(p, dim, tau), starts, into_balls) or [0.0]
+        estimates[i] = max(-min(values), 0.0)
         spread[i] = max(values) - min(values)
 
     # a witness with |v| <= tau_i works at every larger tau
@@ -202,33 +276,17 @@ def duality_continuity_check(
     trials: int,
     *,
     seed: int = 0,
-    envelope: float = 1.05,
-    rho_curve: ModulusCurve | None = None,
-    rho_budget: int = 32,
-    rho_grid_size: int = 48,
     max_examples: int = 100,
 ) -> dict:
-    """Check |j(v/|v|) - j(u/|u|)|_q <= envelope * 2 rho(2s)/s + 1e-6 on
-    random pairs, s the normalized-gap norm.
+    """Check |j(v) - j(u)|_q <= 2 rho_p(2s)/s + 1e-6 on random pairs of
+    unit vectors of l^p_dim, s = |v - u|_p and j the duality map.
 
-    The Hilbert smoothness modulus is known in closed form, so p = 2 uses
-    it directly; other exponents interpolate an estimated (lower-bound)
-    curve, inflated by `envelope` to absorb the one-sided error.
+    rho_p is the exact smoothness modulus (`lp_modulus_smoothness`), so a
+    violation is a violation of the inequality itself, not of an estimate;
+    the 1e-6 absorbs rounding only.
     """
-    if not 1.0 < p < np.inf:
-        raise ValidationError(f"exponent must lie in (1, inf): {p}")
-    q = p / (p - 1.0)
+    q = conjugate_exponent(p)
     rng = np.random.default_rng(seed)
-
-    if p == 2.0:
-        rho = hilbert_modulus_smoothness
-        rho_source = "hilbert-closed-form"
-    else:
-        if rho_curve is None:
-            grid = np.linspace(4.0 / rho_grid_size, 4.0, rho_grid_size)
-            rho_curve = modulus_smoothness(p, dim, grid, budget=rho_budget, seed=seed + 1)
-        rho = rho_curve.interpolator()
-        rho_source = "estimated-curve"
 
     v = rng.standard_normal((trials, dim))
     u = rng.standard_normal((trials, dim))
@@ -244,7 +302,7 @@ def duality_continuity_check(
     jv = signed_power(v, p - 1.0)  # support functionals of the unit rows
     ju = signed_power(u, p - 1.0)
     lhs = np.sum(np.abs(jv - ju) ** q, axis=1) ** (1.0 / q)
-    rhs = envelope * 2.0 * np.asarray(rho(2.0 * s)) / s + 1e-6
+    rhs = 2.0 * lp_modulus_smoothness(p, 2.0 * s) / s + 1e-6
     bad = lhs > rhs
 
     examples = []
@@ -266,7 +324,5 @@ def duality_continuity_check(
         "skipped": int(trials - checked),
         "violations": int(bad.sum()),
         "violationRate": float(bad.sum()) / max(checked, 1),
-        "envelope": envelope,
-        "rhoSource": rho_source,
         "examples": examples,
     }

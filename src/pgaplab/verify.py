@@ -11,21 +11,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import AffineAction, Cocycle, Representation, coboundary, mean_zero_project
+from .action import AffineAction, Representation, coboundary
 from .energy import (
     EnergyParams,
     cocycle_norm,
     dirichlet_norm,
     displacement_energy,
     gradient_field,
-    markov_operator,
     p_laplacian,
 )
 from .errors import PgapError
 from .gradient import DescentOptions, abs_gradient, abs_gradient_sampled, descend
 from .groups import check_ball_invariants, check_symmetry
 from .lpspace import (
-    LpVector,
     duality_map,
     norming_vector,
     pair,

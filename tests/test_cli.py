@@ -303,6 +303,15 @@ def test_moduli_command(tmp_path, capsys):
     assert (tmp_path / "m" / "moduli_smoothness.csv").exists()
 
 
+@pytest.mark.parametrize("p", [3.0, 1.5])
+def test_moduli_command_continuity_has_no_violations(tmp_path, capsys, p):
+    cfg = write_config(tmp_path, "moduli.json", {"p": p, "dim": 8, "budget": 2})
+    assert main(["moduli", "--config", cfg, "--out", str(tmp_path / "m")]) == 0
+    assert json.loads(capsys.readouterr().out.strip())["violations"] == 0
+    report = json.loads((tmp_path / "m" / "moduli.json").read_text())
+    assert report["continuityCheck"]["violations"] == 0
+
+
 def test_flag_overrides_config(tmp_path, capsys):
     cfg = write_config(
         tmp_path, "ball.json", {"group": {"family": "free", "params": {"k": 2}}, "radius": 2}

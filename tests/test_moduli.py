@@ -3,7 +3,12 @@ import pytest
 
 import pgaplab as pg
 from pgaplab.errors import BadEpsilon, ValidationError
-from pgaplab.moduli import duality_continuity_check
+from pgaplab.moduli import (
+    _convexity_problem,
+    _smoothness_problem,
+    duality_continuity_check,
+    lp_modulus_smoothness,
+)
 
 
 def test_hilbert_convexity_dim2_and_dim8():
@@ -87,26 +92,60 @@ def test_curve_csv(tmp_path):
     assert len(lines) == 3
 
 
-def test_interpolator_through_origin():
-    curve = pg.modulus_smoothness(2.0, 2, [1.0, 2.0], budget=4, seed=8)
-    f = curve.interpolator()
-    assert f(0.0) == 0.0
-    assert f(1.0) == pytest.approx(curve.estimates[0])
-
-
 def test_duality_continuity_hilbert_no_violations():
     report = duality_continuity_check(2.0, 8, 5000, seed=9)
     assert report["violations"] == 0
-    assert report["rhoSource"] == "hilbert-closed-form"
     assert report["examples"] == []
 
 
-def test_duality_continuity_p3_within_envelope():
-    report = duality_continuity_check(3.0, 4, 3000, seed=10, rho_budget=2, rho_grid_size=16)
-    assert report["violationRate"] <= 1e-3
-    assert report["rhoSource"] == "estimated-curve"
+def test_duality_continuity_p3_no_violations():
+    report = duality_continuity_check(3.0, 4, 3000, seed=10)
+    assert report["violations"] == 0
 
 
 def test_duality_continuity_skips_coincident_pairs():
     report = duality_continuity_check(2.0, 4, 500, seed=11)
     assert report["trials"] + report["skipped"] == 500
+
+
+def _central_difference(f, x, h=1e-6):
+    steps = np.eye(x.size) * h
+    return np.array([(f(x + e) - f(x - e)) / (2.0 * h) for e in steps])
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_analytic_jacobians_match_central_differences(p):
+    dim = 8
+    rng = np.random.default_rng(12)
+    problems = [_convexity_problem(p, dim, 0.75), _smoothness_problem(p, dim, 0.5)]
+    for _ in range(5):
+        x = rng.standard_normal(2 * dim)
+        for objective, gradient, constraints in problems:
+            pairs = [(objective, gradient)] + [(c["fun"], c["jac"]) for c in constraints]
+            for fun, jac in pairs:
+                np.testing.assert_allclose(jac(x), _central_difference(fun, x), atol=1e-7)
+
+
+def test_lp_modulus_smoothness_attained_by_two_point_witnesses():
+    tau = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
+    assert lp_modulus_smoothness(2.0, tau) == pytest.approx(np.sqrt(1.0 + tau**2) - 1.0)
+    dim = 4
+    for p in (1.5, 3.0):
+        w = 2.0 ** (-1.0 / p)
+        for t in tau:
+            objective = _smoothness_problem(p, dim, t)[0]
+            x = np.zeros(2 * dim)
+            if p <= 2.0:  # u = e1, v = t e2
+                x[0], x[dim + 1] = 1.0, t
+            else:  # u = (e1 + e2) / 2^(1/p), v = t (e1 - e2) / 2^(1/p)
+                x[0], x[1], x[dim], x[dim + 1] = w, w, t * w, -t * w
+            assert -objective(x) == pytest.approx(lp_modulus_smoothness(p, t), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_smoothness_estimates_never_exceed_exact(p):
+    grid = (0.25, 0.5, 1.0, 2.0)
+    curve = pg.modulus_smoothness(p, 8, grid, budget=2, seed=0)
+    exact = lp_modulus_smoothness(p, np.asarray(grid))
+    assert (curve.estimates <= exact + 1e-12).all()
+    assert (curve.estimates >= exact - 1e-6).all()
