@@ -1,9 +1,15 @@
 """Shared multistart machinery for scale-invariant objectives on sphere domains.
 
 All objectives handled here are 0-homogeneous, so trajectories renormalize
-freely.  Multistart runs are seeded per trajectory and reduced in seed
-order, which makes every estimate reproducible; PGAP_THREADS > 1 runs
-trajectories on a thread pool without changing the result.
+freely.  An objective maps a vector to (value, gradient), where the value
+is a float computed at once and gradient is a zero-argument callable that
+returns the euclidean gradient from the intermediates the value built.  A
+line search therefore evaluates each trial point once and pays for a
+gradient only at the points it accepts.
+
+Multistart runs are seeded per trajectory and reduced in seed order, which
+makes every estimate reproducible; PGAP_THREADS > 1 runs trajectories on a
+thread pool without changing the result.
 """
 
 from __future__ import annotations
@@ -15,6 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lpspace import power_norm
+
+STOP_REASONS = ("iters", "stalled", "zero_gradient")
+# a trajectory reached the best value of its run when within this relative gap
+REACHED_BEST_RTOL = 1e-6
 
 
 def resolve_threads(requested: int | None = None) -> int:
@@ -35,55 +45,105 @@ def _normalize(domain, p, values):
     return vals / n
 
 
-def sphere_minimize(value_grad, domain, p, v0, iters, *, armijo=1e-4, stall_limit=3):
+def _same_bits(a, b) -> bool:
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """How one sphere_minimize run went: line searches, objective values and
+    gradients computed, and the reason it stopped (one of STOP_REASONS)."""
+
+    iterations: int
+    value_evals: int
+    gradient_evals: int
+    stop: str
+
+
+def sphere_minimize(objective, domain, p, v0, iters, *, armijo=1e-4):
     """Projected gradient descent with backtracking on a unit-sphere domain.
 
-    value_grad(values) -> (value, euclidean_gradient).  Returns the best
-    (value, values) pair seen.  Stops early after `stall_limit` rounds in
-    which no backtracked step improves the value.
+    objective(values) -> (value, gradient), gradient() giving the euclidean
+    gradient at values.  Each distinct trial point is evaluated once, and a
+    gradient is taken only at the start and at accepted points, when the
+    next iteration needs it.  Returns (value, values, Trajectory) for the
+    best point seen.  A line search that finds no Armijo step leaves the
+    point, the step and the gradient as they were, so any further round
+    would repeat it exactly: the trajectory stops there as stalled.
     """
     v = _normalize(domain, p, v0)
     if v is None:
         raise ValueError("start vector projects to zero")
-    val, _ = value_grad(v)
+    val, gradient = objective(v)
+    value_evals, gradient_evals, iterations = 1, 0, 0
+    g = None  # raw gradient at v, taken when an iteration first needs it
     t = 1.0
-    stalls = 0
+    stop = "iters"
     for _ in range(iters):
-        _, g = value_grad(v)
-        g = domain.project(g)
-        gn2 = float(np.dot(g, g))
+        if g is None:
+            g = gradient()
+            gradient_evals += 1
+        pg = domain.project(g)
+        gn2 = float(np.dot(pg, pg))
         if gn2 == 0.0:
+            stop = "zero_gradient"
             break
-        improved = False
+        iterations += 1
         step = t
+        last = None  # the last trial evaluated, with its value and gradient
         for _ in range(40):
-            w = _normalize(domain, p, v - step * g)
-            if w is not None:
-                wval, _ = value_grad(w)
-                if wval < val - armijo * step * gn2:
-                    v, val = w, wval
+            w = _normalize(domain, p, v - step * pg)
+            # a trial with the bits of v has the value of v, which no step beats
+            if w is not None and not _same_bits(w, v):
+                if last is None or not _same_bits(w, last):
+                    last = w
+                    last_val, last_gradient = objective(w)
+                    value_evals += 1
+                if last_val < val - armijo * step * gn2:
+                    v, val, gradient, g = last, last_val, last_gradient, None
                     t = step * 2.0
-                    improved = True
                     break
             step *= 0.5
-        if not improved:
-            stalls += 1
-            if stalls >= stall_limit:
-                break
         else:
-            stalls = 0
-    return val, v
+            stop = "stalled"
+            break
+    return val, v, Trajectory(iterations, value_evals, gradient_evals, stop)
+
+
+def trajectory_summary(runs) -> dict:
+    """Deterministic totals over the (final value, Trajectory) pairs of one
+    estimator's runs; pairs without a Trajectory (starts that project to
+    zero) are left out.  `finalSpread` is the range of the finite final
+    values and `reachedBest` counts the runs within REACHED_BEST_RTOL of
+    the best of them."""
+    runs = [(val, tr) for val, tr in runs if tr is not None]
+    finals = [val for val, _ in runs if np.isfinite(val)]
+    best = min(finals, default=0.0)
+    tol = REACHED_BEST_RTOL * max(1.0, abs(best))
+    return {
+        "trajectories": len(runs),
+        "iterations": sum(tr.iterations for _, tr in runs),
+        "valueEvals": sum(tr.value_evals for _, tr in runs),
+        "gradientEvals": sum(tr.gradient_evals for _, tr in runs),
+        "stops": {reason: sum(tr.stop == reason for _, tr in runs) for reason in STOP_REASONS},
+        "finalSpread": float(max(finals) - best) if finals else 0.0,
+        "reachedBest": int(sum(val - best <= tol for val in finals)),
+    }
 
 
 @dataclass
 class MultistartResult:
     value: float
     vector: np.ndarray
-    pool: list  # (tag, value, vector) per trajectory, in deterministic order
+    # (tag, value, vector, Trajectory or None) per trajectory, in deterministic order
+    pool: list
+
+    def summary(self) -> dict:
+        return trajectory_summary((val, tr) for (_tag, val, _vec, tr) in self.pool)
 
 
 def multistart_minimize(
-    value_grad,
+    objective,
     domain,
     p,
     *,
@@ -93,7 +153,11 @@ def multistart_minimize(
     extra_starts=(),
     threads=None,
 ) -> MultistartResult:
-    """Run seeded trajectories plus user starts; reduce deterministically."""
+    """Run seeded trajectories plus user starts; reduce deterministically.
+
+    `objective` follows the (value, gradient callable) contract of
+    sphere_minimize.
+    """
     rng_seeds = np.random.SeedSequence(seed).spawn(max(0, starts))
     jobs = []
     for i, ss in enumerate(rng_seeds):
@@ -106,9 +170,8 @@ def multistart_minimize(
     def run(job):
         tag, v0 = job
         if power_norm(v0, p) == 0.0:
-            return (tag, np.inf, v0)
-        val, vec = sphere_minimize(value_grad, domain, p, v0, iters)
-        return (tag, val, vec)
+            return (tag, np.inf, v0, None)
+        return (tag, *sphere_minimize(objective, domain, p, v0, iters))
 
     n_threads = resolve_threads(threads)
     if n_threads > 1 and len(jobs) > 1:

@@ -423,6 +423,7 @@ class Domain:
     """Linear subspace of admissible vectors for optimization and sampling."""
 
     name = "ambient"
+    fixed_vector_free = False  # set once gaps.ensure_no_fixed_vectors has passed
 
     def __init__(self, rep: Representation):
         self.rep = rep

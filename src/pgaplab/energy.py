@@ -14,7 +14,14 @@ import numpy as np
 
 from .action import AffineAction, Cocycle, Representation, coboundary
 from .errors import ValidationError
-from .lpspace import DualVector, LpVector, conjugate_exponent, power_norm, signed_power
+from .lpspace import (
+    DualVector,
+    LpVector,
+    conjugate_exponent,
+    power_norm,
+    row_power_norms,
+    signed_power,
+)
 
 
 @dataclass(frozen=True)
@@ -46,7 +53,7 @@ def generator_displacements(action: AffineAction, v: LpVector, *, check=True) ->
     """|alpha(g) v - v|_p per generator, as an array aligned with K."""
     if check:
         action.rep.check_admissible(v)
-    return np.array([power_norm(d, action.rep.p) for d in action.displacements(v.values)])
+    return row_power_norms(action.displacements(v.values), action.rep.p)
 
 
 def displacement_energy(
@@ -61,7 +68,7 @@ def displacement_energy(
 
 def cocycle_norm(c: Cocycle, params: EnergyParams) -> float:
     """Weighted r-mean of |c(g)|_p over generators; the Z^1 norm."""
-    disp = np.array([v.norm() for v in c.values])
+    disp = np.array([power_norm(v.values, v.p) for v in c.values])
     return weighted_r_mean(disp, c.rep.weights, params.r)
 
 

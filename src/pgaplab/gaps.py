@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._optimize import MultistartResult, multistart_minimize, sphere_minimize
+from ._optimize import MultistartResult, multistart_minimize, sphere_minimize, trajectory_summary
 from .action import (
     AffineAction,
     Domain,
@@ -32,7 +32,7 @@ from .energy import (
 )
 from .errors import FixedVectorPresent, ValidationError
 from .gradient import abs_gradient, descend, DescentOptions
-from .lpspace import LpVector, conjugate_exponent, power_norm, signed_power
+from .lpspace import LpVector, conjugate_exponent, power_norm, row_power_norms, signed_power
 
 
 @dataclass
@@ -69,8 +69,11 @@ def ensure_no_fixed_vectors(rep: Representation, domain: Domain, *, probe_iters=
     """Raise FixedVectorPresent when the domain contains an invariant vector.
 
     Checks the projected constant vector directly, then runs a lazy
-    averaging iteration from a fixed probe to catch invariant mass.
+    averaging iteration from a fixed probe to catch invariant mass.  A
+    domain that has passed for its own representation is not probed again.
     """
+    if domain.fixed_vector_free and domain.rep is rep:
+        return
     n = rep.ball.size
     candidates = [domain.project(np.ones(n))]
     rng = np.random.default_rng(12345)
@@ -93,10 +96,12 @@ def ensure_no_fixed_vectors(rep: Representation, domain: Domain, *, probe_iters=
                 f"domain {domain.name!r} contains an invariant vector "
                 f"(displacement {disp:.2e}); restrict to a fixed-vector-free domain"
             )
+    if domain.rep is rep:
+        domain.fixed_vector_free = True
 
 
 # ---------------------------------------------------------------------------
-# objective value/gradient pairs (euclidean, 0-homogeneous)
+# objectives (euclidean, 0-homogeneous): values to (value, gradient callable)
 
 
 def _abs_coef(d: np.ndarray, e: float) -> np.ndarray:
@@ -117,71 +122,85 @@ def _adjoint_sum(rep: Representation, coef: np.ndarray, rows: np.ndarray, gens=s
 
 
 def make_energy_ratio_objective(action: AffineAction, r: float):
-    """(value, gradient) of F_r(v) / |v|_p for the multistart engine."""
+    """Objective F_r(v) / |v|_p for the multistart engine.
+
+    Maps values to (value, gradient): the ratio, computed at once, and a
+    zero-argument callable that returns its euclidean gradient from the
+    displacements and norms the value already built.
+    """
     rep = action.rep
     p = rep.p
     m = rep.weights
 
-    def value_grad(values: np.ndarray):
+    def value_and_gradient(values: np.ndarray):
         disp = action.displacements(values)
-        norms = np.array([power_norm(d, p) for d in disp])
+        norms = row_power_norms(disp, p)
         nv = power_norm(values, p)
-        if np.isinf(r):
-            F = float(norms.max(initial=0.0))
-            k_star = int(np.argmax(norms))
-            if F == 0.0:
-                gF = np.zeros_like(values)
-            else:
-                jv = signed_power(disp[k_star], p - 1.0) / F ** (p - 1.0)
-                gF = rep.apply_array(rep.handle.inverse_index[k_star], jv) - jv
-        else:
-            F = weighted_r_mean(norms, m, r)
-            gF = np.zeros_like(values)
-            if F > 0.0:
-                live = np.nonzero(norms)[0]  # a zero displacement has no slope
-                # scalar powers: an array ** can round differently in the last bit
-                scale = np.array([norms[k] ** (p - 1.0) for k in live])
-                coef = np.array([m[k] * (norms[k] / F) ** (r - 1.0) for k in live])
-                jd = signed_power(disp[live], p - 1.0) / scale[:, None]
-                gF = _adjoint_sum(rep, coef, jd, live)
-        jn = signed_power(values, p - 1.0) / nv ** (p - 1.0)
-        val = F / nv
-        grad = (gF * nv - F * jn) / nv**2
-        return val, grad
+        F = float(norms.max(initial=0.0)) if np.isinf(r) else weighted_r_mean(norms, m, r)
 
-    return value_grad
+        def gradient():
+            if np.isinf(r):
+                k_star = int(np.argmax(norms))
+                if F == 0.0:
+                    gF = np.zeros_like(values)
+                else:
+                    jv = signed_power(disp[k_star], p - 1.0) / F ** (p - 1.0)
+                    gF = rep.apply_array(rep.handle.inverse_index[k_star], jv) - jv
+            else:
+                gF = np.zeros_like(values)
+                if F > 0.0:
+                    live = np.nonzero(norms)[0]  # a zero displacement has no slope
+                    # scalar powers: an array ** can round differently in the last bit
+                    scale = np.array([norms[k] ** (p - 1.0) for k in live])
+                    coef = np.array([m[k] * (norms[k] / F) ** (r - 1.0) for k in live])
+                    jd = signed_power(disp[live], p - 1.0) / scale[:, None]
+                    gF = _adjoint_sum(rep, coef, jd, live)
+            jn = signed_power(values, p - 1.0) / nv ** (p - 1.0)
+            return (gF * nv - F * jn) / nv**2
+
+        return F / nv, gradient
+
+    return value_and_gradient
 
 
 def make_gradient_objective(action: AffineAction):
-    """(value, gradient) of the closed-form absolute gradient 2|xi|_q/F^(p-1)."""
+    """Objective 2|xi|_q / F^(p-1), the closed-form absolute gradient.
+
+    Maps values to (value, gradient): the slope, computed at once, and a
+    zero-argument callable that returns its euclidean gradient from the
+    displacements, F, xi and |xi|_q the value already built (zeros where F
+    or |xi|_q vanishes).
+    """
     rep = action.rep
     p = rep.p
     q = conjugate_exponent(p)
     m = rep.weights
 
-    def value_grad(values: np.ndarray):
+    def value_and_gradient(values: np.ndarray):
         disp = action.displacements(values)
-        norms = np.array([power_norm(d, p) for d in disp])
+        norms = row_power_norms(disp, p)
         F = weighted_r_mean(norms, m, p)
+        if F == 0.0:
+            return 0.0, lambda: np.zeros_like(values)
         powered = signed_power(disp, p - 1.0)
         xi = weighted_sum(m, powered)
         N = power_norm(xi, q)
-        if F == 0.0:
-            return 0.0, np.zeros_like(values)
         val = 2.0 * N / F ** (p - 1.0)
         if N == 0.0:
-            return val, np.zeros_like(values)
+            return val, lambda: np.zeros_like(values)
 
-        jq = signed_power(xi, q - 1.0) / N ** (q - 1.0)
-        gN = _adjoint_sum(rep, m * (p - 1.0), _abs_coef(disp, p - 2.0) * jq)
-        gF = _adjoint_sum(rep, m, powered)
-        gF /= F ** (p - 1.0)
-        D = F ** (p - 1.0)
-        gD = (p - 1.0) * F ** (p - 2.0) * gF
-        grad = 2.0 * (gN * D - N * gD) / D**2
-        return val, grad
+        def gradient():
+            jq = signed_power(xi, q - 1.0) / N ** (q - 1.0)
+            gN = _adjoint_sum(rep, m * (p - 1.0), _abs_coef(disp, p - 2.0) * jq)
+            gF = _adjoint_sum(rep, m, powered)
+            gF /= F ** (p - 1.0)
+            D = F ** (p - 1.0)
+            gD = (p - 1.0) * F ** (p - 2.0) * gF
+            return 2.0 * (gN * D - N * gD) / D**2
 
-    return value_grad
+        return val, gradient
+
+    return value_and_gradient
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +352,12 @@ class ConstantEstimate:
     certificate: np.ndarray
     method: str
     pool: list = field(default_factory=list)  # vectors worth re-evaluating
+    # trajectory_summary of the runs behind the estimate; no runs for an exact one
+    diagnostics: dict = field(default_factory=lambda: trajectory_summary([]))
 
 
 def _pool_vectors(result: MultistartResult) -> list:
-    return [vec for (_tag, val, vec) in result.pool if np.isfinite(val)]
+    return [vec for (_tag, val, vec, _traj) in result.pool if np.isfinite(val)]
 
 
 def _normalized_extras(domain, p, extras) -> list:
@@ -410,10 +431,8 @@ def displacement_constant(
 
     # polish toward the true max with the active-generator subgradient
     obj_inf = make_energy_ratio_objective(action, np.inf)
-    polished = []
-    for vec in pool:
-        _, w = sphere_minimize(obj_inf, domain, p, vec, opts.polish_iters)
-        polished.append(w)
+    polish_runs = [sphere_minimize(obj_inf, domain, p, vec, opts.polish_iters) for vec in pool]
+    polished = [w for (_val, w, _traj) in polish_runs]
     pool = pool + polished + _normalized_extras(domain, p, opts.extra_starts)
 
     params_r = EnergyParams(r=r, p=p)
@@ -428,9 +447,12 @@ def displacement_constant(
     i_inf = int(np.argmin(vals_inf))
     i_r = int(np.argmin(vals_r))
     if est_disp is None:
-        est_disp = ConstantEstimate(float(vals_inf[i_inf]), pool[i_inf], "multistart", pool)
+        polish_summary = trajectory_summary((val, traj) for (val, _w, traj) in polish_runs)
+        est_disp = ConstantEstimate(
+            float(vals_inf[i_inf]), pool[i_inf], "multistart", pool, polish_summary
+        )
     if est_r is None:
-        est_r = ConstantEstimate(float(vals_r[i_r]), pool[i_r], "multistart", pool)
+        est_r = ConstantEstimate(float(vals_r[i_r]), pool[i_r], "multistart", pool, result.summary())
     return est_disp, est_r
 
 
@@ -460,7 +482,7 @@ def gradient_constant(
     pool = _pool_vectors(result) + _normalized_extras(domain, rep.p, opts.extra_starts)
     vals = [obj(v)[0] for v in pool]
     i = int(np.argmin(vals))
-    return ConstantEstimate(float(vals[i]), pool[i], "multistart", pool)
+    return ConstantEstimate(float(vals[i]), pool[i], "multistart", pool, result.summary())
 
 
 def laplacian_constant(
@@ -482,8 +504,8 @@ def laplacian_constant(
     obj = make_gradient_objective(action)
 
     def half_obj(values):
-        val, grad = obj(values)
-        return 0.5 * val, 0.5 * grad
+        val, gradient = obj(values)
+        return 0.5 * val, lambda: 0.5 * gradient()
 
     result = multistart_minimize(
         half_obj,
@@ -498,7 +520,7 @@ def laplacian_constant(
     pool = _pool_vectors(result) + _normalized_extras(domain, rep.p, opts.extra_starts)
     vals = [laplacian_ratio(rep, LpVector(rep.ball, v, rep.p)) for v in pool]
     i = int(np.argmin(vals))
-    return ConstantEstimate(float(vals[i]), pool[i], "multistart", pool)
+    return ConstantEstimate(float(vals[i]), pool[i], "multistart", pool, result.summary())
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +540,8 @@ class GapReport:
     certificates: dict
     battery: list
     options: dict
+    # per constant, the trajectory_summary of its runs (counts only, no timings)
+    diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         r = "inf" if np.isinf(self.r) else self.r
@@ -533,6 +557,7 @@ class GapReport:
             "certificates": self.certificates,
             "battery": self.battery,
             "options": self.options,
+            "diagnostics": self.diagnostics,
         }
 
 
@@ -620,7 +645,7 @@ def equivalence_report(
             vr = norm_ratio(vals, params_r)
             if vr < c_r:
                 c_r, cert["C_r"] = vr, vals
-        gval, _ = grad_obj(vals)
+        gval = grad_obj(vals)[0]
         if gval < c_grad:
             c_grad, cert["C_grad"] = gval, vals
         lval = laplacian_ratio(rep, LpVector(rep.ball, vals, p))
@@ -664,6 +689,12 @@ def equivalence_report(
         certificates={k: np.asarray(v).tolist() for k, v in cert.items()},
         battery=battery_rows,
         options=opts.to_dict(),
+        diagnostics={
+            "C_disp": est_disp.diagnostics,
+            "C_r": est_r.diagnostics,
+            "C_grad": est_grad.diagnostics,
+            "C_lap": est_lap.diagnostics,
+        },
     )
 
 

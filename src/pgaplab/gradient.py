@@ -26,6 +26,7 @@ from .lpspace import (
     duality_map,
     norming_vector,
     power_norm,
+    row_power_norms,
     signed_power,
 )
 
@@ -130,7 +131,7 @@ def directional_derivative(
     if f_val == 0.0:
         raise AtFixedPoint("descent quotient undefined where the energy vanishes")
     disp = action.displacements(v.values)
-    norms = [power_norm(d, p) for d in disp]
+    norms = row_power_norms(disp, p)
     if any(n == 0.0 for n in norms):
         if nonsmooth == "raise":
             raise NonsmoothPoint("some generator displacement vanishes at v")

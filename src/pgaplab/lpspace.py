@@ -41,6 +41,23 @@ def power_norm(values: np.ndarray, p: float) -> float:
     return m * float(np.sum((a / m) ** p) ** (1.0 / p))
 
 
+def row_power_norms(rows: np.ndarray, p: float) -> np.ndarray:
+    """power_norm of each row of a (K, n) array, bit for bit; 0 for a zero row.
+
+    One sort and one sum over all rows; each row's root is taken as a
+    scalar, as power_norm takes it.
+    """
+    a = np.abs(rows)
+    m = a.max(axis=1, initial=0.0)
+    out = np.zeros(len(a))
+    live = np.nonzero(m)[0]
+    if live.size:
+        scale = m[live]
+        sums = np.sum((np.sort(a[live], axis=1) / scale[:, None]) ** p, axis=1)
+        out[live] = [mk * float(sk ** (1.0 / p)) for mk, sk in zip(scale, sums)]
+    return out
+
+
 @dataclass(frozen=True)
 class LpVector:
     """Real function on a Cayley ball, regarded as an l^p element."""

@@ -1,13 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import pgaplab as pg
+from pgaplab import gaps
 from pgaplab.action import default_domain
 from pgaplab.errors import FixedVectorPresent, ValidationError
 from pgaplab.gaps import (
     GapOptions,
     ensure_no_fixed_vectors,
     lift_vector,
+    make_energy_ratio_objective,
     make_gradient_objective,
 )
 
@@ -201,12 +205,131 @@ def test_gradient_objective_matches_abs_gradient():
     rng = np.random.default_rng(5)
     for _ in range(10):
         v = rep.random_admissible(rng)
-        val, grad = obj(v.values)
+        val, gradient = obj(v.values)
+        grad = gradient()
         assert val == pytest.approx(pg.abs_gradient(act, v).value, abs=1e-12)
         # finite-difference check of the euclidean gradient
         direction = rng.standard_normal(rep.ball.size)
         h = 1e-6
-        up, _ = obj(v.values + h * direction)
-        down, _ = obj(v.values - h * direction)
+        up = obj(v.values + h * direction)[0]
+        down = obj(v.values - h * direction)[0]
         fd = (up - down) / (2 * h)
         assert fd == pytest.approx(float(np.dot(grad, direction)), rel=5e-4, abs=1e-7)
+
+
+def ratio_instances(p):
+    return {
+        "symmetric(3) full": pg.Representation(pg.full_ball(pg.symmetric_group(3)), p, "full"),
+        "free(2) R=3 dirichlet": pg.Representation(pg.ball(pg.free_group(2), 3), p, "dirichlet"),
+    }
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("r_kind", ["p", "64"])
+@pytest.mark.parametrize("name", ["symmetric(3) full", "free(2) R=3 dirichlet"])
+def test_energy_ratio_objective_gradient_matches_finite_differences(name, r_kind, p):
+    rep = ratio_instances(p)[name]
+    r = p if r_kind == "p" else 64.0
+    act = pg.AffineAction.linear(rep)
+    obj = make_energy_ratio_objective(act, r)
+    domain = default_domain(rep)
+    rng = np.random.default_rng(7)
+    params = pg.EnergyParams(r=r, p=p)
+    for _ in range(5):
+        v = domain.random_unit(rng)
+        val, gradient = obj(v.values)
+        assert val == pytest.approx(pg.displacement_energy(act, params, v) / v.norm(), rel=1e-12)
+        direction = domain.project(rng.standard_normal(rep.ball.size))
+        h = 1e-6
+        fd = (obj(v.values + h * direction)[0] - obj(v.values - h * direction)[0]) / (2 * h)
+        assert fd == pytest.approx(float(np.dot(gradient(), direction)), rel=1e-5, abs=1e-8)
+
+
+def _digest(values):
+    return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+# Constants and sha256 digests of the certificates (little-endian float64)
+# of equivalence_report with 2 starts x 60 iterations at seed 5, as computed
+# by the descent that evaluated every point's value and gradient together.
+GOLDEN = {
+    "symmetric(4) p=3": {
+        "C_disp": (0.5845714697373975, "f9201a5905dff7d74345f83254a627cba8ef586fcb69021db027c5a2ed1227a2"),
+        "C_r": (0.580495504153174, "d7b472301cd477f8e54b80737d8d4a80e3f59a1f28f4ddea90ea7db6f3776d45"),
+        "C_grad": (0.5804981012069318, "d7b472301cd477f8e54b80737d8d4a80e3f59a1f28f4ddea90ea7db6f3776d45"),
+        "C_lap": (0.2902490506034659, "d7b472301cd477f8e54b80737d8d4a80e3f59a1f28f4ddea90ea7db6f3776d45"),
+    },
+    "free(2) R=4 p=1.5": {
+        "C_disp": (0.850511826652111, "3858c434f3c07f40d8e4a34ce0281f15ff03c56a8de961205f2d8cc2c060b44a"),
+        "C_r": (0.8505118266457521, "11de472982d62511009c7d65460c47f9a70e21d8cfd85ad207345702ea0dabb1"),
+        "C_grad": (0.8954759235109268, "3858c434f3c07f40d8e4a34ce0281f15ff03c56a8de961205f2d8cc2c060b44a"),
+        "C_lap": (0.4477379617554634, "3858c434f3c07f40d8e4a34ce0281f15ff03c56a8de961205f2d8cc2c060b44a"),
+    },
+}
+
+
+def golden_rep(name):
+    if name == "symmetric(4) p=3":
+        return pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0, "full")
+    return pg.Representation(pg.ball(pg.free_group(2), 4), 1.5, "dirichlet")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_equivalence_report_golden_constants_and_certificates(name):
+    report = pg.equivalence_report(golden_rep(name), options=GapOptions(starts=2, iters=60, seed=5))
+    for key, (value, digest) in GOLDEN[name].items():
+        assert report.constants[key] == value, key
+        assert _digest(report.certificates[key]) == digest, key
+
+
+def test_fixed_vector_guard_probes_once_per_report(monkeypatch):
+    rep = full_rep(pg.symmetric_group(3), p=3.0)
+    seen = []
+    original = gaps.ensure_no_fixed_vectors
+
+    def recording(rep_, domain, **kwargs):
+        seen.append(domain.fixed_vector_free)
+        return original(rep_, domain, **kwargs)
+
+    monkeypatch.setattr(gaps, "ensure_no_fixed_vectors", recording)
+    pg.equivalence_report(rep, options=GapOptions(starts=1, iters=20))
+    assert seen == [False, True, True]  # the second and third calls return at once
+
+
+def test_fixed_vector_guard_remembers_only_a_pass():
+    rep = full_rep(pg.symmetric_group(3), p=3.0)
+    dom = default_domain(rep)
+    ensure_no_fixed_vectors(rep, dom)
+    assert dom.fixed_vector_free
+    dom.project = None  # a repeated guard on the same domain probes nothing
+    ensure_no_fixed_vectors(rep, dom)
+    assert not default_domain(rep).fixed_vector_free
+    bad = default_domain(full_rep(pg.cyclic_group(6)), "full")
+    for _ in range(2):
+        with pytest.raises(FixedVectorPresent):
+            ensure_no_fixed_vectors(bad.rep, bad)
+    assert not bad.fixed_vector_free
+
+
+def test_report_diagnostics_count_trajectories():
+    rep = full_rep(pg.symmetric_group(3), p=3.0)
+    opts = GapOptions(starts=3, iters=40, seed=4)
+    diag = pg.equivalence_report(rep, options=opts).to_dict()["diagnostics"]
+    assert set(diag) == {"C_disp", "C_r", "C_grad", "C_lap"}
+    for key, d in diag.items():
+        assert d["trajectories"] == 3, key  # C_disp: one polish per multistart point
+        assert sum(d["stops"].values()) == 3
+        # a gradient per line search, plus one where a trajectory stops on a zero gradient
+        assert d["iterations"] <= d["gradientEvals"] <= d["iterations"] + 3
+        assert d["valueEvals"] >= d["iterations"] + 3
+        assert 1 <= d["reachedBest"] <= 3
+        assert d["finalSpread"] >= 0.0
+    for key in ("C_r", "C_grad", "C_lap"):
+        assert diag[key]["iterations"] <= 3 * 40
+
+
+def test_exact_constants_have_no_trajectories():
+    rep = full_rep(pg.cyclic_group(8))
+    diag = pg.equivalence_report(rep, 2.0, GapOptions(starts=2, iters=50)).diagnostics
+    assert diag["C_disp"]["trajectories"] == diag["C_r"]["trajectories"] == 0
+    assert diag["C_grad"]["trajectories"] == 2

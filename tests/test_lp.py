@@ -8,6 +8,8 @@ from pgaplab.errors import ValidationError, ZeroFunctional
 from pgaplab.lpspace import (
     DualVector,
     conjugate_exponent,
+    power_norm,
+    row_power_norms,
     vector_from_bytes,
     vector_from_csv,
     vector_to_bytes,
@@ -203,3 +205,22 @@ def test_nonfinite_entries_rejected(ball8):
     vals[3] = np.nan
     with pytest.raises(ValidationError):
         pg.LpVector(ball8, vals, 2.0)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("n", [1, 7, 300])
+@pytest.mark.parametrize("scale", [1e-300, 1e-3, 1.0, 1e300])
+def test_row_power_norms_equal_power_norm_bit_for_bit(p, n, scale):
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((5, n)) * scale
+    rows[1] = 0.0
+    rows[3, : n // 2] = 0.0
+    got = row_power_norms(rows, p)
+    assert got.shape == (5,)
+    assert got[1] == 0.0
+    assert [float(x) for x in got] == [power_norm(row, p) for row in rows]
+
+
+def test_row_power_norms_all_zero_and_empty():
+    assert list(row_power_norms(np.zeros((3, 4)), 2.0)) == [0.0, 0.0, 0.0]
+    assert row_power_norms(np.zeros((0, 4)), 2.0).shape == (0,)
