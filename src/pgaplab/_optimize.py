@@ -23,6 +23,7 @@ import numpy as np
 from .lpspace import power_norm
 
 STOP_REASONS = ("iters", "stalled", "zero_gradient")
+ARMIJO = 1e-4  # sufficient-decrease fraction of sphere_minimize's line search
 # a trajectory reached the best value of its run when within this relative gap
 REACHED_BEST_RTOL = 1e-6
 
@@ -60,7 +61,7 @@ class Trajectory:
     stop: str
 
 
-def sphere_minimize(objective, domain, p, v0, iters, *, armijo=1e-4):
+def sphere_minimize(objective, domain, p, v0, iters):
     """Projected gradient descent with backtracking on a unit-sphere domain.
 
     objective(values) -> (value, gradient), gradient() giving the euclidean
@@ -99,7 +100,7 @@ def sphere_minimize(objective, domain, p, v0, iters, *, armijo=1e-4):
                     last = w
                     last_val, last_gradient = objective(w)
                     value_evals += 1
-                if last_val < val - armijo * step * gn2:
+                if last_val < val - ARMIJO * step * gn2:
                     v, val, gradient, g = last, last_val, last_gradient, None
                     t = step * 2.0
                     break

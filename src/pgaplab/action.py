@@ -184,12 +184,6 @@ class Cocycle:
             )
         return c
 
-    def value(self, k: int) -> LpVector:
-        return self.values[k]
-
-    def is_zero(self) -> bool:
-        return all(not v.values.any() for v in self.values)
-
     def extend(self, word: Sequence[int]) -> LpVector:
         """Cocycle value on the product of a generator word.
 
@@ -306,10 +300,6 @@ class AffineAction:
     def from_potential(cls, rep: Representation, f: LpVector) -> "AffineAction":
         rep.check_admissible(f)
         return cls(rep, coboundary(rep, f), f)
-
-    @property
-    def is_linear(self) -> bool:
-        return self.cocycle is None or self.cocycle.is_zero()
 
     def displacements(self, values: np.ndarray) -> np.ndarray:
         """(K, n) array whose row k is alpha(g_k) v - v, for v given by its
@@ -431,10 +421,6 @@ class Domain:
     def project(self, values: np.ndarray) -> np.ndarray:
         return values
 
-    def contains(self, v: LpVector, tol=0.0) -> bool:
-        resid = np.abs(v.values - self.project(v.values))
-        return bool((resid <= tol).all())
-
     def random_unit(self, rng: np.random.Generator) -> LpVector:
         for _ in range(100):
             vals = self.project(rng.standard_normal(self.rep.ball.size))
@@ -446,9 +432,6 @@ class Domain:
     def restrict_dual(self, xi: DualVector) -> DualVector:
         """Functional with the same action on the domain, maximal-slope form."""
         return xi
-
-    def dual_norm(self, xi: DualVector) -> float:
-        return self.restrict_dual(xi).norm()
 
 
 class FullDomain(Domain):

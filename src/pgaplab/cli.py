@@ -190,6 +190,10 @@ _DEFAULTS = {
 }
 
 
+# flags that override the config key of the same name, with their types
+_FLAGS = {"seed": int, "radius": int, "p": float, "r": str, "starts": int}
+
+
 def load_config(command: str, args) -> dict:
     config = {}
     if args.config:
@@ -198,14 +202,13 @@ def load_config(command: str, args) -> dict:
     unknown = set(config) - _SCHEMAS[command]
     if unknown:
         raise ValidationError(f"unknown config keys for {command}: {sorted(unknown)}")
+    flags = {f: getattr(args, f) for f in _FLAGS if getattr(args, f) is not None}
+    stray = set(flags) - _SCHEMAS[command]
+    if stray:
+        raise ValidationError(f"{command} takes no {', '.join('--' + f for f in sorted(stray))}")
     resolved = dict(_DEFAULTS.get(command, {}))
     resolved.update(config)
-    for flag in ("seed", "radius", "p", "starts"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            resolved[flag] = value
-    if getattr(args, "r", None) is not None:
-        resolved["r"] = args.r
+    resolved.update(flags)
     if args.out is not None:
         resolved["out"] = args.out
     resolved.setdefault("out", ".")
@@ -213,13 +216,8 @@ def load_config(command: str, args) -> dict:
 
 
 def _parse_r(value, p):
-    if value is None:
-        return float(p)
-    if isinstance(value, str):
-        if value.lower() in ("inf", "infinity"):
-            return np.inf
-        return float(value)
-    return float(value)
+    # float() reads "inf" and "infinity" in any case
+    return float(p) if value is None else float(value)
 
 
 def _build_handle(config) -> tuple:
@@ -406,13 +404,14 @@ def cmd_moduli(args) -> int:
     config = load_config("moduli", args)
     p = float(config.get("p", 2.0))
     dim = int(config["dim"])
-    budget = int(config["budget"])
     seed = int(config["seed"])
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    conv = modulus_convexity(p, dim, config["convexityGrid"], budget=budget, seed=seed)
-    smooth = modulus_smoothness(p, dim, config["smoothnessGrid"], budget=budget, seed=seed)
+    conv = modulus_convexity(p, dim, config["convexityGrid"])
+    smooth = modulus_smoothness(
+        p, dim, config["smoothnessGrid"], budget=int(config["budget"]), seed=seed
+    )
     conv.to_csv(out_dir / "moduli_convexity.csv")
     smooth.to_csv(out_dir / "moduli_smoothness.csv")
     continuity = duality_continuity_check(p, dim, int(config["trials"]), seed=seed)
@@ -453,12 +452,9 @@ def make_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None)
-        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--radius", type=int, default=None)
-        sp.add_argument("--p", type=float, default=None)
-        sp.add_argument("--r", type=str, default=None)
-        sp.add_argument("--starts", type=int, default=None)
+        for flag, kind in _FLAGS.items():
+            sp.add_argument(f"--{flag}", type=kind, default=None)
         sp.set_defaults(func=func)
     return parser
 

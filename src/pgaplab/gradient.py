@@ -203,14 +203,18 @@ def abs_gradient_sampled(
     return max(best, 0.0)
 
 
+# descend's Armijo line search: sufficient-decrease fraction, step shrink
+# factor and the number of rejected steps after which it stalls
+ARMIJO = 0.5
+SHRINK = 0.5
+MAX_HALVINGS = 60
+
+
 @dataclass
 class DescentOptions:
     abs_tol: float = 1e-8
     grad_tol: float = 1e-6
     max_iters: int = 10_000
-    armijo: float = 0.5
-    shrink: float = 0.5
-    max_halvings: int = 60
 
 
 @dataclass
@@ -241,7 +245,7 @@ def descend(
     v_{k+1} = v_k + t_k u_k with u_k the domain-restricted steepest descent
     direction and t_k found by Armijo backtracking from F(v_k)/2.  Stops at
     F <= abs_tol, slope <= grad_tol, the iteration cap, or a stall after
-    max_halvings rejected steps (reported in the trace, not raised).
+    MAX_HALVINGS rejected steps (reported in the trace, not raised).
     """
     opts = options or DescentOptions()
     rep = action.rep
@@ -272,15 +276,15 @@ def descend(
 
         t = f_v / 2.0
         accepted = False
-        for _ in range(opts.max_halvings):
+        for _ in range(MAX_HALVINGS):
             w = v + t * u
             f_w = displacement_energy(action, params, w, check=False)
-            if f_w <= f_v - opts.armijo * t * slope:
+            if f_w <= f_v - ARMIJO * t * slope:
                 trace.rows.append((it, f_v, slope, t))
                 v = w
                 accepted = True
                 break
-            t *= opts.shrink
+            t *= SHRINK
         if not accepted:
             trace.rows.append((it, f_v, slope, 0.0))
             reason = "stalled"

@@ -1,18 +1,23 @@
-"""Moduli of convexity and smoothness of finite-dimensional l^p, estimated.
+"""Moduli of convexity and smoothness of finite-dimensional l^p.
 
-The convexity modulus at eps is an infimum over constrained pairs, so every
-reported value is an upper bound; the smoothness modulus is a supremum, so
-reported values are lower bounds.  Structured two-dimensional starts seed
-the local solver SLSQP (they are exact in the Hilbert case) and random starts
-polish.  Objectives and constraints are p-norms of u, v, u + v and u - v, so
-SLSQP is given their analytic gradients (`_pnorm_grad`) instead of
-differencing them.  A smoothness solution is scaled back into its two balls
-and re-evaluated before it counts, so each reported rho is attained by a
-feasible pair.
+The convexity modulus delta_p is reported exactly (`lp_modulus_convexity`):
+Clarkson's closed form for p >= 2 and the root of Hanner's equation for
+1 < p < 2.  Both are attained on two coordinates, so they hold in l^p_dim
+for every dim >= 2.
 
-The smoothness modulus of l^p is also known in closed form
-(`lp_modulus_smoothness`); the duality-map continuity check measures
-against that exact rho, with no allowance for estimation error.
+The smoothness modulus rho is estimated.  It is a supremum, so reported
+values are lower bounds.  Structured two-dimensional starts seed the local
+solver SLSQP and random starts polish.  Objectives and constraints are
+p-norms of u, v, u + v and u - v, so SLSQP is given their analytic
+gradients (`_pnorm_grad`) instead of differencing them.  A solution is
+scaled back into its two balls and re-evaluated before it counts, so each
+reported rho is attained by a feasible pair.  No such exact repair exists
+for a pair that breaks the separation |u - v| >= eps of delta, which is why
+delta is not estimated this way.
+
+rho_p is also known in closed form (`lp_modulus_smoothness`); the
+duality-map continuity check measures against that exact rho, with no
+allowance for estimation error.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from .errors import BadEpsilon, ValidationError
 from .lpspace import conjugate_exponent, signed_power
@@ -42,11 +47,6 @@ def _pnorm_grad(x: np.ndarray, p: float) -> np.ndarray:
     return signed_power(x / n, p - 1.0)
 
 
-def hilbert_modulus_convexity(eps: float) -> float:
-    # parallelogram law: |u+v|^2 + |u-v|^2 = 2|u|^2 + 2|v|^2
-    return 1.0 - np.sqrt(max(0.0, 1.0 - eps**2 / 4.0))
-
-
 def lp_modulus_smoothness(p: float, tau):
     """Exact rho_p(tau) of l^p_n, n >= 2 (Lindenstrauss-Tzafriri, Classical
     Banach Spaces II, 1.e); tau may be an array.
@@ -63,9 +63,34 @@ def hilbert_modulus_smoothness(tau: float) -> float:
     return lp_modulus_smoothness(2.0, tau)
 
 
+def lp_modulus_convexity(p: float, eps: float) -> float:
+    """Exact delta_p(eps) of l^p_n, n >= 2, for 0 <= eps <= 2 (Hanner, Ark.
+    Mat. 3, 1956; Lindenstrauss-Tzafriri, Classical Banach Spaces II, 1.e).
+
+    1 - (1 - (eps/2)^p)^(1/p) for p >= 2, attained by u, v = (a, +-eps/2);
+    for 1 < p < 2 the root delta of (1 - delta + eps/2)^p + |1 - delta -
+    eps/2|^p = 2, attained by u = (s, t), v = (t, s) with s, t =
+    (1 - delta +- eps/2) / 2^(1/p).
+    """
+    if p >= 2.0:
+        return 1.0 - (1.0 - (eps / 2.0) ** p) ** (1.0 / p)
+    if eps >= 2.0:
+        return 1.0  # the root sits on the end of the bracket
+
+    def excess(delta):  # decreasing from >= 0 at delta = 0 to < 0 at delta = 1
+        return (1.0 - delta + eps / 2.0) ** p + abs(1.0 - delta - eps / 2.0) ** p - 2.0
+
+    return brentq(excess, 0.0, 1.0, xtol=1e-15, maxiter=500)
+
+
+def hilbert_modulus_convexity(eps: float) -> float:
+    return lp_modulus_convexity(2.0, eps)
+
+
 @dataclass
 class ModulusCurve:
-    """Estimated modulus curve on a grid of arguments."""
+    """Modulus curve on a grid of arguments: exact for convexity (no starts,
+    zero spread), an SLSQP estimate for smoothness."""
 
     p: float
     dim: int
@@ -106,33 +131,6 @@ def _into_ball(y: np.ndarray, p: float, radius: float) -> np.ndarray:
     return y
 
 
-def _ball_constraints(p: float, dim: int, tau: float) -> list[dict]:
-    """|u| <= 1 and |v| <= tau."""
-    return [_norm_bound(p, slice(None, dim), 1.0), _norm_bound(p, slice(dim, None), tau)]
-
-
-def _convexity_problem(p: float, dim: int, eps: float):
-    """Objective 1 - |u+v|/2, its gradient, and |u|, |v| <= 1, |u-v| >= eps."""
-
-    def objective(x):
-        return 1.0 - _pnorm(x[:dim] + x[dim:], p) / 2.0
-
-    def gradient(x):
-        g = _pnorm_grad(x[:dim] + x[dim:], p) / -2.0
-        return np.concatenate([g, g])
-
-    def separation_jac(x):
-        g = _pnorm_grad(x[:dim] - x[dim:], p)
-        return np.concatenate([g, -g])
-
-    separation = {
-        "type": "ineq",
-        "fun": lambda x: _pnorm(x[:dim] - x[dim:], p) - eps,
-        "jac": separation_jac,
-    }
-    return objective, gradient, _ball_constraints(p, dim, 1.0) + [separation]
-
-
 def _smoothness_problem(p: float, dim: int, tau: float):
     """Objective -((|u+v| + |u-v|)/2 - 1), its gradient, and |u| <= 1, |v| <= tau."""
 
@@ -145,15 +143,15 @@ def _smoothness_problem(p: float, dim: int, tau: float):
         b = _pnorm_grad(x[:dim] - x[dim:], p)
         return np.concatenate([a + b, a - b]) / -2.0
 
-    return objective, gradient, _ball_constraints(p, dim, tau)
+    balls = [_norm_bound(p, slice(None, dim), 1.0), _norm_bound(p, slice(dim, None), tau)]
+    return objective, gradient, balls
 
 
-def _solve_batch(objective, gradient, constraints, starts, repair=None):
+def _solve_batch(objective, gradient, constraints, starts, repair):
     """Objective values of the accepted SLSQP solutions from `starts`.
 
-    Without `repair`, a solution counts if it breaks no constraint by more
-    than 1e-9.  With it, the solution is first mapped by `repair` and
-    re-evaluated there, and counts only if it breaks no constraint at all.
+    Each solution is first mapped by `repair` and re-evaluated there, and
+    counts only if it breaks no constraint at all.
     """
     values = []
     for x0 in starts:
@@ -165,11 +163,9 @@ def _solve_batch(objective, gradient, constraints, starts, repair=None):
             constraints=constraints,
             options={"maxiter": 200, "ftol": 1e-12},
         )
-        x, fun, slack = res.x, float(res.fun), 1e-9
-        if repair is not None:
-            x = repair(x)
-            fun, slack = float(objective(x)), 0.0
-        if np.isfinite(fun) and all(c["fun"](x) >= -slack for c in constraints):
+        x = repair(res.x)
+        fun = float(objective(x))
+        if np.isfinite(fun) and all(c["fun"](x) >= 0.0 for c in constraints):
             values.append(fun)
     return values
 
@@ -177,47 +173,17 @@ def _solve_batch(objective, gradient, constraints, starts, repair=None):
 def _check_space(p: float, dim: int) -> None:
     conjugate_exponent(p)  # rejects p outside (1, inf)
     if dim < 2:
-        raise ValidationError("modulus estimation needs dim >= 2")
+        raise ValidationError("l^p moduli need dim >= 2")
 
 
-def modulus_convexity(
-    p: float, dim: int, eps_grid, budget: int = 256, seed: int = 0
-) -> ModulusCurve:
-    """Upper estimates of inf {1 - |u+v|/2 : |u|,|v| <= 1, |u-v| >= eps}."""
+def modulus_convexity(p: float, dim: int, eps_grid) -> ModulusCurve:
+    """Exact inf {1 - |u+v|/2 : |u|,|v| <= 1, |u-v| >= eps} on the grid."""
     _check_space(p, dim)
     eps_grid = np.asarray(sorted(float(e) for e in eps_grid))
     if (eps_grid <= 0).any() or (eps_grid > 2).any():
         raise BadEpsilon("convexity arguments must lie in (0, 2]")
-    rng = np.random.default_rng(seed)
-
-    estimates = np.empty(len(eps_grid))
-    spread = np.empty(len(eps_grid))
-    for i, eps in enumerate(eps_grid):
-        starts = []
-        half = (eps / 2.0) ** p
-        if half < 1.0:
-            a = (1.0 - half) ** (1.0 / p)
-            s = np.zeros(2 * dim)
-            s[0], s[1] = a, eps / 2.0
-            s[dim], s[dim + 1] = a, -eps / 2.0
-            starts.append(s)
-        anti = np.zeros(2 * dim)
-        anti[0], anti[dim] = 1.0, -1.0
-        starts.append(anti)
-        for _ in range(budget):
-            x = rng.standard_normal(2 * dim)
-            x[:dim] /= max(_pnorm(x[:dim], p), 1e-12)
-            x[dim:] /= max(_pnorm(x[dim:], p), 1e-12)
-            starts.append(x)
-        values = _solve_batch(*_convexity_problem(p, dim, eps), starts) or [1.0]
-        estimates[i] = min(max(min(values), 0.0), 1.0)
-        spread[i] = max(values) - min(values)
-
-    # a pair feasible at a larger eps is feasible at any smaller one
-    for i in range(len(eps_grid) - 2, -1, -1):
-        estimates[i] = min(estimates[i], estimates[i + 1])
-
-    return ModulusCurve(p, dim, "convexity", eps_grid, estimates, len(starts), spread)
+    estimates = np.array([lp_modulus_convexity(p, e) for e in eps_grid])
+    return ModulusCurve(p, dim, "convexity", eps_grid, estimates, 0, np.zeros(len(eps_grid)))
 
 
 def modulus_smoothness(

@@ -247,7 +247,7 @@ def test_criterion_08_amenable_vs_nonamenable_sweeps():
 
 
 def test_criterion_09_moduli_and_continuity():
-    conv = pg.modulus_convexity(2.0, 8, [1.0], budget=24, seed=11)
+    conv = pg.modulus_convexity(2.0, 8, [1.0])
     smooth = pg.modulus_smoothness(2.0, 8, [1.0], budget=24, seed=11)
     d_err = abs(conv.estimates[0] - (1.0 - np.sqrt(3.0) / 2.0))
     r_err = abs(smooth.estimates[0] - (np.sqrt(2.0) - 1.0))

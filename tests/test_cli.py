@@ -312,6 +312,52 @@ def test_moduli_command_continuity_has_no_violations(tmp_path, capsys, p):
     assert report["continuityCheck"]["violations"] == 0
 
 
+def _hanner_delta(p, eps):
+    """delta_p(eps) by bisection on d = 1 - delta: (d + eps/2)^p + |d - eps/2|^p
+    rises from at most 2 at d = 0 to at least 2 at d = 1."""
+    if p >= 2.0:
+        return 1.0 - (1.0 - (eps / 2.0) ** p) ** (1.0 / p)
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if (mid + eps / 2.0) ** p + abs(mid - eps / 2.0) ** p < 2.0:
+            lo = mid
+        else:
+            hi = mid
+    return 1.0 - lo
+
+
+@pytest.mark.parametrize("p", [3.0, 1.5])
+def test_moduli_command_reports_exact_convexity(tmp_path, capsys, p):
+    cfg = write_config(tmp_path, "moduli.json", {"p": p, "dim": 8, "budget": 2, "seed": 0})
+    assert main(["moduli", "--config", cfg, "--out", str(tmp_path / "m")]) == 0
+    conv = json.loads((tmp_path / "m" / "moduli.json").read_text())["convexity"]
+    assert conv["args"] == [0.25, 0.5, 1.0, 1.5, 2.0]
+    for eps, est in zip(conv["args"], conv["estimates"]):
+        exact = _hanner_delta(p, eps)
+        assert exact - 1e-9 <= est <= exact + 1e-6, (eps, est, exact)
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("moduli", ["--radius", "3"]),
+        ("moduli", ["--starts", "5", "--r", "inf"]),
+        ("ball", ["--p", "3"]),
+        ("descend", ["--starts", "2"]),
+        ("verify", ["--r", "2"]),
+    ],
+)
+def test_flag_the_command_does_not_take_exit_2(tmp_path, capsys, command, flags):
+    config = {"group": {"family": "cyclic", "params": {"n": 4}}}
+    if command == "moduli":
+        config = {"p": 3.0, "budget": 2, "trials": 10}
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), *flags]) == 2
+    assert "takes no --" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_flag_overrides_config(tmp_path, capsys):
     cfg = write_config(
         tmp_path, "ball.json", {"group": {"family": "free", "params": {"k": 2}}, "radius": 2}

@@ -4,17 +4,19 @@ import pytest
 import pgaplab as pg
 from pgaplab.errors import BadEpsilon, ValidationError
 from pgaplab.moduli import (
-    _convexity_problem,
+    _pnorm,
     _smoothness_problem,
     duality_continuity_check,
+    lp_modulus_convexity,
     lp_modulus_smoothness,
 )
 
 
 def test_hilbert_convexity_dim2_and_dim8():
     for dim in (2, 8):
-        curve = pg.modulus_convexity(2.0, dim, [1.0], budget=16, seed=0)
-        assert curve.estimates[0] == pytest.approx(pg.hilbert_modulus_convexity(1.0), abs=1e-3)
+        curve = pg.modulus_convexity(2.0, dim, [1.0])
+        assert curve.estimates[0] == pytest.approx(1.0 - np.sqrt(3.0) / 2.0, rel=1e-14)
+        assert pg.hilbert_modulus_convexity(1.0) == curve.estimates[0]
 
 
 def test_hilbert_smoothness_dim2_and_dim8():
@@ -24,22 +26,21 @@ def test_hilbert_smoothness_dim2_and_dim8():
 
 
 def test_convexity_small_eps_head_vanishes():
-    curve = pg.modulus_convexity(2.5, 4, [0.01, 0.05], budget=8, seed=1)
+    curve = pg.modulus_convexity(2.5, 4, [0.01, 0.05])
     assert curve.estimates[0] <= 5e-3
     assert curve.estimates[1] <= 2e-2
 
 
 def test_convexity_at_two_forces_antipodal():
-    for p in (2.0, 3.0):
-        curve = pg.modulus_convexity(p, 4, [2.0], budget=8, seed=2)
-        assert curve.estimates[0] == pytest.approx(1.0, abs=1e-3)
+    for p in (1.5, 2.0, 3.0):
+        assert pg.modulus_convexity(p, 4, [2.0]).estimates[0] == 1.0
 
 
 def test_bad_epsilon_rejected():
     with pytest.raises(BadEpsilon):
-        pg.modulus_convexity(2.0, 4, [0.0], budget=2)
+        pg.modulus_convexity(2.0, 4, [0.0])
     with pytest.raises(BadEpsilon):
-        pg.modulus_convexity(2.0, 4, [2.5], budget=2)
+        pg.modulus_convexity(2.0, 4, [2.5])
 
 
 def test_dim_guard():
@@ -52,7 +53,7 @@ def test_dim_guard():
 def test_curves_monotone():
     grid = [0.25, 0.5, 1.0, 1.5, 2.0]
     for p in (1.5, 3.0):
-        conv = pg.modulus_convexity(p, 4, grid, budget=6, seed=3)
+        conv = pg.modulus_convexity(p, 4, grid)
         assert (np.diff(conv.estimates) >= -1e-12).all()
         smooth = pg.modulus_smoothness(p, 4, grid, budget=6, seed=3)
         assert (np.diff(smooth.estimates) >= -1e-12).all()
@@ -75,21 +76,21 @@ def test_smoothness_over_tau_vanishing_head():
 
 
 def test_dimension_monotonicity_of_convexity():
-    # higher dimension only adds competitor pairs, so estimates cannot rise
-    for p in (2.0, 3.0):
-        base = pg.modulus_convexity(p, 2, [1.0], budget=16, seed=6).estimates[0]
+    # delta_p is attained on two coordinates, so it is the same in every dim >= 2
+    for p in (1.5, 2.0, 3.0):
+        base = pg.modulus_convexity(p, 2, [1.0]).estimates[0]
         for dim in (4, 8):
-            est = pg.modulus_convexity(p, dim, [1.0], budget=16, seed=6).estimates[0]
-            assert est <= base + 1e-6
+            assert pg.modulus_convexity(p, dim, [1.0]).estimates[0] == base
 
 
 def test_curve_csv(tmp_path):
-    curve = pg.modulus_convexity(2.0, 2, [0.5, 1.0], budget=4, seed=7)
+    curve = pg.modulus_convexity(2.0, 2, [0.5, 1.0])
     path = tmp_path / "curve.csv"
     curve.to_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "argument,estimate,starts,spread"
     assert len(lines) == 3
+    assert all(line.endswith(",0,0.0") for line in lines[1:])  # exact: no starts, no spread
 
 
 def test_duality_continuity_hilbert_no_violations():
@@ -117,13 +118,12 @@ def _central_difference(f, x, h=1e-6):
 def test_analytic_jacobians_match_central_differences(p):
     dim = 8
     rng = np.random.default_rng(12)
-    problems = [_convexity_problem(p, dim, 0.75), _smoothness_problem(p, dim, 0.5)]
+    objective, gradient, constraints = _smoothness_problem(p, dim, 0.5)
+    pairs = [(objective, gradient)] + [(c["fun"], c["jac"]) for c in constraints]
     for _ in range(5):
         x = rng.standard_normal(2 * dim)
-        for objective, gradient, constraints in problems:
-            pairs = [(objective, gradient)] + [(c["fun"], c["jac"]) for c in constraints]
-            for fun, jac in pairs:
-                np.testing.assert_allclose(jac(x), _central_difference(fun, x), atol=1e-7)
+        for fun, jac in pairs:
+            np.testing.assert_allclose(jac(x), _central_difference(fun, x), atol=1e-7)
 
 
 def test_lp_modulus_smoothness_attained_by_two_point_witnesses():
@@ -149,3 +149,50 @@ def test_smoothness_estimates_never_exceed_exact(p):
     exact = lp_modulus_smoothness(p, np.asarray(grid))
     assert (curve.estimates <= exact + 1e-12).all()
     assert (curve.estimates >= exact - 1e-6).all()
+
+
+EPS = (0.01, 0.25, 0.5, 1.0, 1.5, 1.9, 1.999, 2.0)
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 6.0])
+def test_lp_modulus_convexity_attained_by_two_coordinate_witnesses(p):
+    for eps in EPS:
+        delta = lp_modulus_convexity(p, eps)
+        if p >= 2.0:  # u, v = (a, +-eps/2)
+            a = (1.0 - (eps / 2.0) ** p) ** (1.0 / p)
+            u, v = np.array([a, eps / 2.0]), np.array([a, -eps / 2.0])
+        else:  # u = (s, t), v = (t, s) with s, t = (1 - delta +- eps/2) / 2^(1/p)
+            d = 1.0 - delta
+            s, t = (d + eps / 2.0) / 2.0 ** (1.0 / p), (d - eps / 2.0) / 2.0 ** (1.0 / p)
+            u, v = np.array([s, t]), np.array([t, s])
+        assert _pnorm(u, p) == pytest.approx(1.0, abs=1e-12)
+        assert _pnorm(v, p) == pytest.approx(1.0, abs=1e-12)
+        assert _pnorm(u - v, p) == pytest.approx(eps, abs=1e-12)
+        assert 1.0 - _pnorm(u + v, p) / 2.0 == pytest.approx(delta, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_lindenstrauss_duality_between_exact_moduli(p):
+    # rho of the dual l^q is sup over eps in [0, 2] of (tau eps / 2 - delta_p(eps))
+    from scipy.optimize import minimize_scalar
+
+    q = p / (p - 1.0)
+    for tau in (0.1, 0.25, 0.5, 1.0, 2.0):
+        res = minimize_scalar(
+            lambda e: lp_modulus_convexity(p, e) - tau * e / 2.0,
+            bounds=(0.0, 2.0),
+            method="bounded",
+            options={"xatol": 1e-10},
+        )
+        assert -res.fun == pytest.approx(lp_modulus_smoothness(q, tau), abs=1e-9)
+
+
+def test_lp_modulus_convexity_limits():
+    for p in (1.5, 3.0):
+        assert lp_modulus_convexity(p, 0.0) == 0.0
+        assert lp_modulus_convexity(p, 2.0) == 1.0
+        values = [lp_modulus_convexity(p, e) for e in EPS]
+        assert (np.diff(values) > 0).all()
+    # near 0, delta_p(eps) ~ (p - 1) eps^2 / 8 for p < 2 and (eps / 2)^p / p for p >= 2
+    assert lp_modulus_convexity(1.5, 1e-3) == pytest.approx(0.5 * 1e-6 / 8.0, rel=1e-3)
+    assert lp_modulus_convexity(3.0, 1e-3) == pytest.approx((5e-4) ** 3 / 3.0, rel=1e-3)
