@@ -36,7 +36,6 @@ from .groups import ball, build_group, check_symmetry, full_ball, load_group_spe
 from .lpspace import vector_from_csv
 from .moduli import (
     duality_continuity_check,
-    hilbert_modulus_convexity,
     hilbert_modulus_smoothness,
     modulus_convexity,
     modulus_smoothness,
@@ -157,8 +156,11 @@ _SCHEMAS = {
     },
 }
 
+# the ball radius when neither the config, a flag nor the group spec gives one;
+# not a config default, which would override the spec's radius
+DEFAULT_BALL_RADIUS = 3
+
 _DEFAULTS = {
-    "ball": {"radius": 3},
     "gap": {
         "r": None,
         "domain": None,
@@ -250,7 +252,7 @@ def cmd_ball(args) -> int:
     config = load_config("ball", args)
     handle, radius = _build_handle(config)
     if radius is None:
-        radius = _DEFAULTS["ball"]["radius"]
+        radius = DEFAULT_BALL_RADIUS
     b = ball(handle, int(radius))
     sym = check_symmetry(handle)
     report = {
@@ -423,8 +425,8 @@ def cmd_moduli(args) -> int:
         "continuityCheck": continuity,
     }
     if p == 2.0:
+        # delta_2 is already exact in "convexity"; only rho is estimated
         payload["hilbertReference"] = {
-            "convexity": [hilbert_modulus_convexity(e) for e in conv.args],
             "smoothness": [hilbert_modulus_smoothness(t) for t in smooth.args],
         }
     write_atomic(out_dir / "moduli.json", canonical_json(payload))

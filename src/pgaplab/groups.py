@@ -7,6 +7,13 @@ explicit multiplication tables.  The word-metric ball of the Cayley graph
 is enumerated breadth-first with a fixed generator order, which makes every
 downstream artifact bit-reproducible.
 
+Oracle contract: `multiply` maps two canonical elements to the canonical
+element of their product, and `key` canonicalizes and validates outside
+input (user generators, elements passed to `CayleyBall.locate` or
+`Representation.apply`).  `build_group` keys the identity and every
+generator, so every element the BFS reaches is canonical by induction: the
+BFS never calls `key`, and each product is its own dictionary key.
+
 The ball carries one translate table: translate[k, i] is the index of
 generators[k] * elements[i], or OUT_OF_BALL when that product leaves the
 ball.  The BFS fills it while it enumerates, so building a ball multiplies
@@ -19,6 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -86,7 +94,7 @@ def load_group_spec(source) -> tuple[GroupSpec, int | None]:
 
 def _perm_mul(a, b):
     # (a*b)(i) = a[b[i]]
-    return tuple(a[i] for i in b)
+    return tuple(map(a.__getitem__, b))
 
 
 def _perm_inv(a):
@@ -96,14 +104,24 @@ def _perm_inv(a):
     return tuple(out)
 
 
-def _free_mul(a, b):
-    out = list(a)
-    for x in b:
+def _free_reduce(word):
+    """Freely reduce any word, letter by letter (for `key` on outside input)."""
+    out = []
+    for x in word:
         if out and out[-1] == -x:
             out.pop()
         else:
             out.append(x)
     return tuple(out)
+
+
+def _free_mul(a, b):
+    # a and b are reduced, so letters cancel only where the two words meet
+    n = min(len(a), len(b))
+    i = 0
+    while i < n and a[-1 - i] == -b[i]:
+        i += 1
+    return a[: len(a) - i] + b[i:]
 
 
 _FREE_LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -145,7 +163,13 @@ def _perm_name(p):
 
 @dataclass
 class GroupHandle:
-    """Element oracle plus a canonicalized, inverse-closed weighted gen set."""
+    """Element oracle plus a canonicalized, inverse-closed weighted gen set.
+
+    `identity` and `generators` are canonical.  `multiply` of two canonical
+    elements returns the canonical product, so code that only multiplies
+    elements it already holds needs no `key`; `key` is for outside input,
+    which it validates and reduces to canonical form.
+    """
 
     family: str
     identity: Any
@@ -304,7 +328,7 @@ def _canonical_parsers(family, params):
 
         return (
             ident,
-            lambda a, b: tuple(x + y for x, y in zip(a, b)),
+            lambda a, b: tuple(map(operator.add, a, b)),
             lambda a: tuple(-x for x in a),
             key,
             lambda a: "(" + ",".join(str(x) for x in a) + ")",
@@ -320,7 +344,7 @@ def _canonical_parsers(family, params):
             for x in word:
                 if x == 0 or abs(x) > k:
                     raise ValidationError(f"free-group letter out of range: {x}")
-            return _free_mul((), word)  # reduce
+            return _free_reduce(word)
 
         return ((), _free_mul, lambda a: tuple(-x for x in reversed(a)), key, _free_name, None)
     raise ValidationError(f"no oracle for family {family!r}")
@@ -584,14 +608,14 @@ def ball(handle: GroupHandle, radius: int, cap: int = DEFAULT_BALL_CAP) -> Cayle
 
     Each layer is expanded once, and expanding it fills its translate
     entries; the layer at depth `radius` is expanded only for the table.
-    So every (generator, element) pair is multiplied exactly once.
+    So every (generator, element) pair is multiplied exactly once.  By the
+    oracle contract each product is already canonical, so it is its own key.
     """
     if radius < 0:
         raise ValidationError("ball radius must be >= 0")
-    key = handle.key
     mul = handle.multiply
     elements = [handle.identity]
-    index = {key(handle.identity): 0}
+    index = {handle.identity: 0}
     depth = [0]
     parent = [-1]
     parent_gen = [-1]
@@ -603,7 +627,7 @@ def ball(handle: GroupHandle, radius: int, cap: int = DEFAULT_BALL_CAP) -> Cayle
         for i in frontier:
             g = elements[i]
             for k, gen in enumerate(handle.generators):
-                h = key(mul(gen, g))
+                h = mul(gen, g)
                 j = index.get(h, OUT_OF_BALL)
                 if j == OUT_OF_BALL and r < radius:
                     j = index[h] = len(elements)

@@ -296,9 +296,10 @@ def test_moduli_command(tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out.strip())
     assert printed["violations"] == 0
     report = json.loads((tmp_path / "m" / "moduli.json").read_text())
-    assert report["hilbertReference"]["convexity"][0] == pytest.approx(
+    assert report["convexity"]["estimates"][0] == pytest.approx(
         pg.hilbert_modulus_convexity(1.0)
     )
+    assert set(report["hilbertReference"]) == {"smoothness"}
     assert (tmp_path / "m" / "moduli_convexity.csv").exists()
     assert (tmp_path / "m" / "moduli_smoothness.csv").exists()
 
@@ -372,3 +373,23 @@ def test_group_spec_from_file_path(tmp_path, capsys):
     cfg = write_config(tmp_path, "ball.json", {"group": str(spec_path)})
     assert main(["ball", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert json.loads(capsys.readouterr().out.strip())["size"] == 5
+
+
+def test_ball_takes_radius_from_group_spec(tmp_path, capsys):
+    spec_path = tmp_path / "group.json"
+    spec_path.write_text(json.dumps({"family": "free", "params": {"k": 2}, "radius": 1}))
+    cfg = write_config(tmp_path, "ball.json", {"group": str(spec_path)})
+    assert main(["ball", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    assert json.loads(capsys.readouterr().out.strip()) == {"size": 5, "perDepth": [1, 4]}
+    report = json.loads((tmp_path / "a" / "ball.json").read_text())
+    assert report["config"]["radius"] == 1
+    # a config radius, then a --radius flag, win over the spec's
+    cfg = write_config(tmp_path, "ball2.json", {"group": str(spec_path), "radius": 2})
+    assert main(["ball", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    assert json.loads(capsys.readouterr().out.strip())["size"] == 17
+    assert main(["ball", "--config", cfg, "--radius", "3", "--out", str(tmp_path / "c")]) == 0
+    assert json.loads(capsys.readouterr().out.strip())["size"] == 53
+    # with no radius anywhere, the ball has radius 3
+    cfg = write_config(tmp_path, "ball3.json", {"group": {"family": "free", "params": {"k": 2}}})
+    assert main(["ball", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+    assert json.loads(capsys.readouterr().out.strip())["size"] == 53

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pgaplab as pg
 from pgaplab.errors import (
@@ -9,7 +13,14 @@ from pgaplab.errors import (
     NotAGroup,
     ValidationError,
 )
-from pgaplab.groups import GroupSpec, check_ball_invariants, free_ball_size
+from pgaplab.groups import (
+    OUT_OF_BALL,
+    GroupSpec,
+    _free_mul,
+    _free_reduce,
+    check_ball_invariants,
+    free_ball_size,
+)
 
 
 def test_cyclic_generators_closed_under_inversion():
@@ -31,6 +42,11 @@ def test_free_group_reduction():
     assert h.multiply(a, a_inv) == ()
     assert h.multiply((1, 2), (-2,)) == (1,)
     assert h.invert((1, -2)) == (2, -1)
+    # key reduces and validates outside words
+    assert h.key([1, 2, -2, -1, 2]) == (2,)
+    for bad in [(3,), (0, 1)]:
+        with pytest.raises(ValidationError):
+            h.key(bad)
 
 
 def test_auto_closure_adds_inverse():
@@ -286,3 +302,117 @@ def test_full_ball_is_ball_at_diameter(h):
     for name in ("depth", "translate", "parent", "parent_gen"):
         assert np.array_equal(getattr(full, name), getattr(b, name)), name
     assert full.is_full and full.size == h.order
+
+
+def _reference_ball(h, radius):
+    """The BFS that passes every product through key: the element order,
+    index and tables the ball must reproduce bit for bit."""
+    elements = [h.identity]
+    index = {h.key(h.identity): 0}
+    depth, parent, parent_gen = [0], [-1], [-1]
+    rows = [[] for _ in h.generators]
+    frontier, r = [0], 0
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for k, gen in enumerate(h.generators):
+                x = h.key(h.multiply(gen, elements[i]))
+                j = index.get(x, OUT_OF_BALL)
+                if j == OUT_OF_BALL and r < radius:
+                    j = index[x] = len(elements)
+                    elements.append(x)
+                    depth.append(r + 1)
+                    parent.append(i)
+                    parent_gen.append(k)
+                    nxt.append(j)
+                rows[k].append(j)
+        frontier, r = nxt, r + 1
+    return elements, index, depth, rows, parent, parent_gen, r - 1
+
+
+# generators listed with their inverses, so no weight is renormalized
+_FREE3_WORDS = [(1, 2), (-2, -1), (3,), (-3,)]
+_FREE3_OVERLAP = [(1, 2), (-2, -1), (2, 3), (-3, -2), (1, -3), (3, -1)]
+
+
+def _s3_table():
+    perms = list(itertools.permutations(range(3)))
+    return [[perms.index(tuple(a[i] for i in b)) for b in perms] for a in perms]
+
+
+@pytest.mark.parametrize(
+    "make,R",
+    [
+        (lambda: pg.cyclic_group(7), 2),
+        (lambda: pg.cyclic_group(7), None),
+        (lambda: pg.dihedral_group(5), None),
+        (lambda: pg.symmetric_group(5), 3),
+        (lambda: pg.symmetric_group(5), None),
+        (lambda: pg.integer_lattice(2), 4),
+        (lambda: pg.free_group(2), 5),
+        (lambda: pg.table_group(_s3_table(), generators=[1, 2]), None),
+        (lambda: pg.free_group(3, generators=_FREE3_WORDS), 4),
+        (lambda: pg.free_group(3, generators=_FREE3_OVERLAP), 3),
+    ],
+    ids=[
+        "cyclic7-R2",
+        "cyclic7-full",
+        "dihedral5-full",
+        "symmetric5-R3",
+        "symmetric5-full",
+        "lattice2-R4",
+        "free2-R5",
+        "table-s3-full",
+        "free3-words-R4",
+        "free3-overlap-R3",
+    ],
+)
+def test_ball_matches_keyed_reference_bfs(make, R):
+    h = make()
+    b = pg.full_ball(h) if R is None else pg.ball(h, R)
+    elements, index, depth, rows, parent, parent_gen, deepest = _reference_ball(
+        h, R if R is not None else 10**6
+    )
+    assert b.radius == (R if R is not None else deepest)
+    # repr also tells an int from a numpy integer or a list from a tuple
+    assert [repr(g) for g in b.elements] == [repr(g) for g in elements]
+    assert list(b.index.items()) == list(index.items())
+    assert b.depth.tolist() == depth
+    assert b.translate.tolist() == rows
+    assert b.parent.tolist() == parent
+    assert b.parent_gen.tolist() == parent_gen
+
+
+_reduced_words = st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), max_size=12).map(_free_reduce)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reduced_words, _reduced_words, st.integers(0, 12))
+def test_junction_multiply_equals_full_reduction(a, c, cut):
+    # b opens with the inverse of a suffix of a, so long cancellations occur
+    suffix = a[len(a) - min(cut, len(a)) :]
+    b = _free_reduce(tuple(-x for x in reversed(suffix)) + c)
+    assert _free_mul(a, b) == _free_reduce(a + b)
+    a_inv = tuple(-x for x in reversed(a))
+    assert _free_mul(a, a_inv) == () == _free_mul(a_inv, a)
+    assert _free_mul(a, ()) == a == _free_mul((), a)
+
+
+def test_ball_keys_no_products():
+    h = pg.free_group(2)
+    calls = [0]
+    key = h.key
+
+    def counted(a):
+        calls[0] += 1
+        return key(a)
+
+    h.key = counted
+    products = _counting(h)
+    b = pg.ball(h, 5)
+    assert products[0] == b.translate.size == 4 * free_ball_size(2, 5)
+    assert calls[0] <= h.n_generators
+    # outside input still goes through key
+    calls[0] = 0
+    assert b.locate([1, 2, -2]) == b.index[(1,)]
+    assert calls[0] == 1
