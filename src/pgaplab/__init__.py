@@ -72,8 +72,6 @@ from .gaps import (
     GapOptions,
     GapReport,
     displacement_constant,
-    gradient_constant,
-    laplacian_constant,
     equivalence_report,
     gap_sweep,
     hilbert_gap_constant,

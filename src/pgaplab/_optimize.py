@@ -8,14 +8,11 @@ line search therefore evaluates each trial point once and pays for a
 gradient only at the points it accepts.
 
 Multistart runs are seeded per trajectory and reduced in seed order, which
-makes every estimate reproducible; PGAP_THREADS > 1 runs trajectories on a
-thread pool without changing the result.
+makes every estimate reproducible.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,16 +23,6 @@ STOP_REASONS = ("iters", "stalled", "zero_gradient")
 ARMIJO = 1e-4  # sufficient-decrease fraction of sphere_minimize's line search
 # a trajectory reached the best value of its run when within this relative gap
 REACHED_BEST_RTOL = 1e-6
-
-
-def resolve_threads(requested: int | None = None) -> int:
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("PGAP_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def _normalize(domain, p, values):
@@ -152,7 +139,6 @@ def multistart_minimize(
     iters=10_000,
     seed=0,
     extra_starts=(),
-    threads=None,
 ) -> MultistartResult:
     """Run seeded trajectories plus user starts; reduce deterministically.
 
@@ -174,12 +160,7 @@ def multistart_minimize(
             return (tag, np.inf, v0, None)
         return (tag, *sphere_minimize(objective, domain, p, v0, iters))
 
-    n_threads = resolve_threads(threads)
-    if n_threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
+    results = [run(job) for job in jobs]
 
     finite = [r for r in results if np.isfinite(r[1])]
     if not finite:

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .action import AffineAction, Cocycle, Representation, default_domain
-from .energy import EnergyParams
 from .errors import (
     AsymmetricSetup,
     AtFixedPoint,
@@ -31,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .gaps import GapOptions, equivalence_report, gap_sweep
-from .gradient import DescentOptions, abs_gradient_sampled, descend
+from .gradient import DescentOptions, descend, restricted_slope
 from .groups import ball, build_group, check_symmetry, full_ball, load_group_spec
 from .lpspace import vector_from_csv
 from .moduli import (
@@ -168,7 +167,6 @@ _DEFAULTS = {
         "starts": 32,
         "iters": 10_000,
         "battery": 0,
-        "threads": None,
         "exact": "auto",
     },
     "descend": {
@@ -178,7 +176,6 @@ _DEFAULTS = {
         "absTol": 1e-8,
         "gradTol": 1e-6,
         "maxIters": 10_000,
-        "seed": 0,
     },
     "verify": {"suites": list(SUITES), "seed": 0, "p": 2.0},
     "moduli": {
@@ -271,6 +268,9 @@ def cmd_ball(args) -> int:
 
 def cmd_gap(args) -> int:
     config = load_config("gap", args)
+    # multistart runs on one thread; the key stays so that old configs load
+    if config.get("threads") not in (None, 1):
+        raise ValidationError(f"threads must be null or 1, not {config['threads']!r}")
     handle, radius = _build_handle(config)
     p = float(config.get("p", 2.0))
     r = _parse_r(config.get("r"), p)
@@ -278,7 +278,6 @@ def cmd_gap(args) -> int:
         starts=int(config["starts"]),
         iters=int(config["iters"]),
         seed=int(config["seed"]),
-        threads=config["threads"],
         exact=config["exact"],
     )
     battery = int(config["battery"])
@@ -332,6 +331,9 @@ def _load_cocycle(rep: Representation, spec) -> tuple[Cocycle | None, object]:
 
 
 def cmd_descend(args) -> int:
+    """Descend toward a fixed point and report the restricted slope at the
+    terminal.  Descent draws no random numbers: a `seed` in the config is
+    accepted and echoed, and changes nothing."""
     config = load_config("descend", args)
     handle, radius = _build_handle(config)
     p = float(config.get("p", 2.0))
@@ -353,17 +355,14 @@ def cmd_descend(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out_dir / "descend_trace.csv")
 
-    params = EnergyParams(r=p, p=p)
-    sampled = abs_gradient_sampled(
-        action, params, trace.terminal, budget=64, seed=int(config["seed"]), domain=domain
-    )
+    slope, _ = restricted_slope(action, trace.terminal, domain)
     payload = {
         "version": __version__,
         "config": {k: v for k, v in config.items() if k != "out"},
         "reason": trace.reason,
         "iterations": len(trace.rows),
         "finalEnergy": trace.final_energy,
-        "terminalSampledGradient": sampled,
+        "terminalGradient": slope,
         "terminal": trace.terminal.values.tolist(),
     }
     if potential is not None:

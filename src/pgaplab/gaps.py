@@ -3,14 +3,19 @@
 Every estimate of an infimum produced here is an upper bound (optimization
 can miss the global minimum).  Where an exact oracle exists it is used and
 tagged: character diagonalization for cyclic groups at p = 2, and a dense
-eigenvalue solve for any p = 2 instance as a test-side cross-check.  The
-chain inequalities between the constants are kept structurally consistent
-by evaluating every functional on a shared pool of candidate minimizers.
+eigenvalue solve for any p = 2 instance as a test-side cross-check.
+
+Only energy ratios F_r(v)/|v|_p are minimized.  Each energy-ratio estimate
+is then re-evaluated over the pool of every point its runs and the other
+runs produced, so it is the best value any of them found.  The slope is
+taken inside the domain, the space the representation is restricted to;
+there inf slope = C_p and inf Laplacian ratio = C_p/2 (see
+`gradient_constant`), so C_grad and C_lap are read off the C_p estimate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,8 +36,8 @@ from .energy import (
     weighted_sum,
 )
 from .errors import FixedVectorPresent, ValidationError
-from .gradient import abs_gradient, descend, DescentOptions
-from .lpspace import LpVector, conjugate_exponent, power_norm, row_power_norms, signed_power
+from .gradient import abs_gradient, descend, DescentOptions, restricted_slope
+from .lpspace import LpVector, power_norm, row_power_norms, signed_power
 
 
 @dataclass
@@ -44,7 +49,6 @@ class GapOptions:
     seed: int = 0
     smooth_r: float = 64.0  # finite proxy exponent when minimizing the max
     polish_iters: int = 500
-    threads: int | None = None
     exact: str = "auto"  # "auto" | "never"
     extra_starts: tuple = ()
 
@@ -55,7 +59,6 @@ class GapOptions:
             "seed": self.seed,
             "smoothR": self.smooth_r,
             "polishIters": self.polish_iters,
-            "threads": self.threads,
             "exact": self.exact,
             "extraStarts": len(self.extra_starts),
         }
@@ -102,13 +105,6 @@ def ensure_no_fixed_vectors(rep: Representation, domain: Domain, *, probe_iters=
 
 # ---------------------------------------------------------------------------
 # objectives (euclidean, 0-homogeneous): values to (value, gradient callable)
-
-
-def _abs_coef(d: np.ndarray, e: float) -> np.ndarray:
-    """|d|**e with the zero convention for negative exponents."""
-    if e >= 0.0:
-        return np.abs(d) ** e
-    return np.where(d == 0.0, 0.0, np.abs(np.where(d == 0.0, 1.0, d)) ** e)
 
 
 def _adjoint_sum(rep: Representation, coef: np.ndarray, rows: np.ndarray, gens=slice(None)):
@@ -159,46 +155,6 @@ def make_energy_ratio_objective(action: AffineAction, r: float):
             return (gF * nv - F * jn) / nv**2
 
         return F / nv, gradient
-
-    return value_and_gradient
-
-
-def make_gradient_objective(action: AffineAction):
-    """Objective 2|xi|_q / F^(p-1), the closed-form absolute gradient.
-
-    Maps values to (value, gradient): the slope, computed at once, and a
-    zero-argument callable that returns its euclidean gradient from the
-    displacements, F, xi and |xi|_q the value already built (zeros where F
-    or |xi|_q vanishes).
-    """
-    rep = action.rep
-    p = rep.p
-    q = conjugate_exponent(p)
-    m = rep.weights
-
-    def value_and_gradient(values: np.ndarray):
-        disp = action.displacements(values)
-        norms = row_power_norms(disp, p)
-        F = weighted_r_mean(norms, m, p)
-        if F == 0.0:
-            return 0.0, lambda: np.zeros_like(values)
-        powered = signed_power(disp, p - 1.0)
-        xi = weighted_sum(m, powered)
-        N = power_norm(xi, q)
-        val = 2.0 * N / F ** (p - 1.0)
-        if N == 0.0:
-            return val, lambda: np.zeros_like(values)
-
-        def gradient():
-            jq = signed_power(xi, q - 1.0) / N ** (q - 1.0)
-            gN = _adjoint_sum(rep, m * (p - 1.0), _abs_coef(disp, p - 2.0) * jq)
-            gF = _adjoint_sum(rep, m, powered)
-            gF /= F ** (p - 1.0)
-            D = F ** (p - 1.0)
-            gD = (p - 1.0) * F ** (p - 2.0) * gF
-            return 2.0 * (gN * D - N * gD) / D**2
-
-        return val, gradient
 
     return value_and_gradient
 
@@ -314,7 +270,7 @@ def hilbert_gap_constant(rep: Representation, domain: Domain) -> float:
 
 
 def kesten_displacement_bound(rank: int) -> float:
-    """Lower bound sqrt(2 - sqrt(2k-1)/k * 2)... for the free group of rank k.
+    """Lower bound sqrt(2 (1 - sqrt(2k-1)/k)) on C_2 for the free group of rank k.
 
     The averaging operator on the rank-k free group with its 2k standard
     generators and uniform weight has norm sqrt(2k-1)/k, so the r = 2
@@ -335,7 +291,12 @@ def tent_vector(rep: Representation) -> LpVector:
 
 
 def laplacian_ratio(rep: Representation, f: LpVector) -> float:
-    """|Delta_p f|_q / |f|_{D_p}^(p-1); the quantity whose infimum is C_lap."""
+    """Ambient Laplacian ratio |Delta_p f|_q / |f|_{D_p}^(p-1).
+
+    It is half the ambient slope `abs_gradient` at f.  C_lap is the infimum
+    of half the restricted slope instead (`laplacian_constant`), which is
+    at most this ratio on every vector of the domain.
+    """
     dnorm = dirichlet_norm(rep, f)
     if dnorm == 0.0:
         raise ValidationError("Laplacian ratio undefined on constants")
@@ -374,6 +335,20 @@ def _normalized_extras(domain, p, extras) -> list:
         if n > 0.0:
             out.append(arr / n)
     return out
+
+
+def _ratio_multistart(action: AffineAction, r: float, opts: GapOptions, domain: Domain):
+    """Multistart descent on F_r/|.|_p, with a smoothed high exponent for r = inf."""
+    r_run = min(r, opts.smooth_r) if np.isinf(r) else r
+    return multistart_minimize(
+        make_energy_ratio_objective(action, r_run),
+        domain,
+        action.rep.p,
+        starts=opts.starts,
+        iters=opts.iters,
+        seed=opts.seed,
+        extra_starts=opts.extra_starts,
+    )
 
 
 def displacement_constant(
@@ -415,18 +390,7 @@ def displacement_constant(
         est_disp = None
         est_r = None
 
-    r_run = min(r, opts.smooth_r) if np.isinf(r) else r
-    obj_r = make_energy_ratio_objective(action, r_run)
-    result = multistart_minimize(
-        obj_r,
-        domain,
-        p,
-        starts=opts.starts,
-        iters=opts.iters,
-        seed=opts.seed,
-        extra_starts=opts.extra_starts,
-        threads=opts.threads,
-    )
+    result = _ratio_multistart(action, r, opts, domain)
     pool = _pool_vectors(result)
 
     # polish toward the true max with the active-generator subgradient
@@ -457,70 +421,28 @@ def displacement_constant(
 
 
 def gradient_constant(
-    rep: Representation,
-    options: GapOptions | None = None,
-    domain: Domain | None = None,
+    rep: Representation, est_p: ConstantEstimate, domain: Domain
 ) -> ConstantEstimate:
-    """Estimate C_grad: infimum of the closed-form absolute gradient of the
-    linear displacement energy over the unit sphere of the domain."""
-    opts = options or GapOptions()
-    if domain is None:
-        domain = default_domain(rep)
-    ensure_no_fixed_vectors(rep, domain)
-    action = AffineAction.linear(rep)
-    obj = make_gradient_objective(action)
-    result = multistart_minimize(
-        obj,
-        domain,
-        rep.p,
-        starts=opts.starts,
-        iters=opts.iters,
-        seed=opts.seed,
-        extra_starts=opts.extra_starts,
-        threads=opts.threads,
-    )
-    pool = _pool_vectors(result) + _normalized_extras(domain, rep.p, opts.extra_starts)
-    vals = [obj(v)[0] for v in pool]
-    i = int(np.argmin(vals))
-    return ConstantEstimate(float(vals[i]), pool[i], "multistart", pool, result.summary())
+    """C_grad, the infimum of the restricted slope over the domain, read off
+    an estimate of C_p, the infimum of F_p(v)/|v|_p.
 
-
-def laplacian_constant(
-    rep: Representation,
-    options: GapOptions | None = None,
-    domain: Domain | None = None,
-) -> ConstantEstimate:
-    """Estimate C_lap: infimum of |Delta_p f|_q / |f|_D^(p-1) over the domain.
-
-    The optimization reuses the gradient objective (the two ratios agree up
-    to the factor 2) but the reported value is re-evaluated through the
-    Laplacian and Dirichlet-norm formulas.
+    Stepping along -v, which stays in the domain, gives slope(v) >=
+    F_p(v)/|v|_p, with equality at a minimizer of F_p/|.|_p by its Lagrange
+    condition; so inf slope = C_p.  The estimate takes C_p's value,
+    certificate, method and trajectory summary, and records the restricted
+    slope at the certificate: its excess over C_p shows how far the
+    certificate is from stationary.
     """
-    opts = options or GapOptions()
-    if domain is None:
-        domain = default_domain(rep)
-    ensure_no_fixed_vectors(rep, domain)
-    action = AffineAction.linear(rep)
-    obj = make_gradient_objective(action)
+    cert = LpVector(rep.ball, est_p.certificate, rep.p)
+    slope, _ = restricted_slope(AffineAction.linear(rep), cert, domain)
+    diagnostics = {**est_p.diagnostics, "slopeAtCertificate": slope}
+    return ConstantEstimate(est_p.value, est_p.certificate, est_p.method, [], diagnostics)
 
-    def half_obj(values):
-        val, gradient = obj(values)
-        return 0.5 * val, lambda: 0.5 * gradient()
 
-    result = multistart_minimize(
-        half_obj,
-        domain,
-        rep.p,
-        starts=opts.starts,
-        iters=opts.iters,
-        seed=opts.seed + 1,  # decorrelated from the gradient run
-        extra_starts=opts.extra_starts,
-        threads=opts.threads,
-    )
-    pool = _pool_vectors(result) + _normalized_extras(domain, rep.p, opts.extra_starts)
-    vals = [laplacian_ratio(rep, LpVector(rep.ball, v, rep.p)) for v in pool]
-    i = int(np.argmin(vals))
-    return ConstantEstimate(float(vals[i]), pool[i], "multistart", pool, result.summary())
+def laplacian_constant(est_p: ConstantEstimate) -> ConstantEstimate:
+    """C_lap = C_p/2: the restricted Laplacian ratio is half the restricted
+    slope, so its infimum is half of C_grad = C_p."""
+    return ConstantEstimate(est_p.value / 2.0, est_p.certificate, est_p.method, [], est_p.diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +495,9 @@ def equivalence_report(
     """All gap constants on one instance, chain verdicts, and a fixed-point
     battery of random coboundary actions (each has a fixed point by
     construction; descent residuals and observed gradients are recorded).
+
+    C_grad = C_p and C_lap = C_p/2, with C_p = C_r when r = p; otherwise
+    one more energy-ratio multistart at r = p supplies C_p.
     """
     opts = options or GapOptions()
     p = rep.p
@@ -582,18 +507,21 @@ def equivalence_report(
         domain = default_domain(rep)
 
     est_disp, est_r = displacement_constant(rep, r, opts, domain)
-    est_grad = gradient_constant(rep, opts, domain)
-    est_lap = laplacian_constant(rep, opts, domain)
-
     action = AffineAction.linear(rep)
-    params_r = EnergyParams(r=r, p=p)
-    params_inf = EnergyParams(r=np.inf, p=p)
-
-    pool = [est_disp.certificate, est_r.certificate, est_grad.certificate, est_lap.certificate]
-    pool += est_disp.pool + est_r.pool + est_grad.pool + est_lap.pool
+    pool = [est_disp.certificate, est_r.certificate] + est_disp.pool + est_r.pool
+    # C_p, the energy ratio at r = p, supplies C_grad and C_lap
+    estimates = {"C_disp": est_disp, "C_r": est_r}
+    if r != p:
+        if est_disp.method == "exact-fourier":  # a cyclic group at p = 2
+            data = cyclic_exact_constants(rep, p)
+            est_p = ConstantEstimate(data["C_2"], data["cert_2"], "exact-fourier")
+        else:
+            result = _ratio_multistart(action, p, opts, domain)
+            est_p = ConstantEstimate(np.inf, None, "multistart", [], result.summary())
+            pool += _pool_vectors(result)
+        estimates["C_p"] = est_p
 
     battery_rows = []
-    grad_obj = make_gradient_objective(action)
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed).spawn(1)[0])
     for i in range(battery):
         f0 = domain.random_unit(rng)
@@ -619,53 +547,44 @@ def equivalence_report(
             }
         )
 
-    # shared-pool re-evaluation keeps the chain inequalities coherent
-    def norm_ratio(vals, params):
-        lv = LpVector(rep.ball, vals, p)
-        nv = power_norm(vals, p)
-        return displacement_energy(action, params, lv, check=False) / nv
-
-    c_disp, c_r, c_grad, c_lap = est_disp.value, est_r.value, est_grad.value, est_lap.value
-    cert = {
-        "C_disp": est_disp.certificate,
-        "C_r": est_r.certificate,
-        "C_grad": est_grad.certificate,
-        "C_lap": est_lap.certificate,
-    }
-    exact = {"C_disp": est_disp.method, "C_r": est_r.method}
+    # each estimate that no exact oracle gave is the best ratio over the shared pool
+    exponents = {"C_disp": np.inf, "C_r": r, "C_p": p}
+    live = [
+        (key, EnergyParams(r=exponents[key], p=p))
+        for key, est in estimates.items()
+        if est.method != "exact-fourier"
+    ]
     for vals in pool:
         nv = power_norm(vals, p)
         if nv == 0.0:
             continue
-        if exact["C_disp"] != "exact-fourier":
-            vd = norm_ratio(vals, params_inf)
-            if vd < c_disp:
-                c_disp, cert["C_disp"] = vd, vals
-        if exact["C_r"] != "exact-fourier":
-            vr = norm_ratio(vals, params_r)
-            if vr < c_r:
-                c_r, cert["C_r"] = vr, vals
-        gval = grad_obj(vals)[0]
-        if gval < c_grad:
-            c_grad, cert["C_grad"] = gval, vals
-        lval = laplacian_ratio(rep, LpVector(rep.ball, vals, p))
-        if lval < c_lap:
-            c_lap, cert["C_lap"] = lval, vals
+        lv = LpVector(rep.ball, vals, p)
+        for key, params in live:
+            value = displacement_energy(action, params, lv, check=False) / nv
+            if value < estimates[key].value:
+                estimates[key] = replace(estimates[key], value=value, certificate=vals)
+
+    est_p = estimates.pop("C_p", estimates["C_r"])
+    estimates["C_grad"] = gradient_constant(rep, est_p, domain)
+    estimates["C_lap"] = laplacian_constant(est_p)
+    c = {key: float(est.value) for key, est in estimates.items()}
 
     m_min = rep.handle.min_weight()
     slack = 1e-9
     sandwich_lo = m_min ** (1.0 / r) if not np.isinf(r) else 1.0
+    slope = estimates["C_grad"].diagnostics["slopeAtCertificate"]
     chain = {
-        "C_r <= C_disp": bool(c_r <= c_disp + slack),
-        "m_min^(1/r) C_disp <= C_r": bool(sandwich_lo * c_disp <= c_r + slack),
-        "C_grad >= C_r": bool(c_grad >= c_r - slack),
-        "C_lap == C_grad/2 (2e-3)": bool(abs(c_lap - c_grad / 2.0) <= 2e-3)
-        if r == p
-        else None,
+        "C_r <= C_disp": bool(c["C_r"] <= c["C_disp"] + slack),
+        "m_min^(1/r) C_disp <= C_r": bool(sandwich_lo * c["C_disp"] <= c["C_r"] + slack),
+        # F_r <= F_p for r < p (power means); C_grad = C_p
+        "C_grad >= C_r": bool(c["C_grad"] >= c["C_r"] - slack) if r < p else None,
+        "restricted slope at C_grad certificate >= C_grad": bool(
+            slope >= c["C_grad"] * (1.0 - slack)
+        ),
     }
     if battery_rows:
         min_battery = min(row["minGradientObserved"] for row in battery_rows)
-        chain["battery min gradient >= C_grad"] = bool(min_battery >= c_grad - 1e-6)
+        chain["battery min gradient >= C_grad"] = bool(min_battery >= c["C_grad"] - 1e-6)
 
     return GapReport(
         group=rep.handle.label,
@@ -673,28 +592,13 @@ def equivalence_report(
         r=r,
         domain=domain.name,
         radius=rep.ball.radius if rep.mode == "dirichlet" else None,
-        constants={
-            "C_disp": float(c_disp),
-            "C_r": float(c_r),
-            "C_grad": float(c_grad),
-            "C_lap": float(c_lap),
-        },
-        methods={
-            "C_disp": est_disp.method,
-            "C_r": est_r.method,
-            "C_grad": est_grad.method,
-            "C_lap": est_lap.method,
-        },
+        constants=c,
+        methods={key: est.method for key, est in estimates.items()},
         chain=chain,
-        certificates={k: np.asarray(v).tolist() for k, v in cert.items()},
+        certificates={key: np.asarray(est.certificate).tolist() for key, est in estimates.items()},
         battery=battery_rows,
         options=opts.to_dict(),
-        diagnostics={
-            "C_disp": est_disp.diagnostics,
-            "C_r": est_r.diagnostics,
-            "C_grad": est_grad.diagnostics,
-            "C_lap": est_lap.diagnostics,
-        },
+        diagnostics={key: est.diagnostics for key, est in estimates.items()},
     )
 
 
@@ -712,8 +616,6 @@ def gap_sweep(handle, p: float, r: float, radii, options: GapOptions | None = No
     one (zero-padded; BFS ordering makes smaller balls prefixes of larger
     ones), so the reported estimates are nonincreasing in R by construction.
     """
-    from dataclasses import replace
-
     from .groups import ball as make_ball
 
     opts = options or GapOptions()
@@ -734,6 +636,8 @@ def gap_sweep(handle, p: float, r: float, radii, options: GapOptions | None = No
         local = replace(opts, extra_starts=tuple(extra))
         report = equivalence_report(rep, r, local, battery=battery)
         reports.append(report)
-        carried = [np.asarray(report.certificates[k]) for k in ("C_disp", "C_r", "C_grad", "C_lap")]
+        # C_lap's certificate is C_grad's, which is C_r's when r = p
+        keys = ("C_disp", "C_r") if r == p else ("C_disp", "C_r", "C_grad")
+        carried = [np.asarray(report.certificates[k]) for k in keys]
         prev_size = b.size
     return reports

@@ -4,6 +4,13 @@ At a point with positive energy the maximal descent slope of F over unit
 directions has the closed form 2 |xi|_q / F^(p-1), where xi is the weighted
 sum of the generator displacement functionals.  The direction attaining it
 is recovered by inverse duality, which is what the descent loop follows.
+
+Two slopes are in use.  The ambient slope (`abs_gradient`) ranges over every
+unit direction of l^p(G).  The restricted slope (`restricted_slope`) ranges
+over the unit directions of a domain, the space of the representation the
+estimate is restricted to; it replaces xi by `Domain.restrict_dual(xi)`.
+`descend` follows the restricted slope, and the gap constants C_grad and
+C_lap are its infimum and half of it.
 """
 
 from __future__ import annotations
@@ -67,7 +74,9 @@ def _require_symmetric(action: AffineAction):
 
 
 def abs_gradient(action: AffineAction, v: LpVector, *, check=True) -> GradientResult:
-    """Closed-form absolute gradient 2 |xi|_q / F^(p-1) at v (needs F(v) > 0)."""
+    """Closed-form ambient absolute gradient 2 |xi|_q / F^(p-1) at v, over
+    every direction of l^p(G) (needs F(v) > 0); see `restricted_slope` for
+    the slope inside a domain."""
     _require_symmetric(action)
     rep = action.rep
     p = rep.p
@@ -203,6 +212,24 @@ def abs_gradient_sampled(
     return max(best, 0.0)
 
 
+def restricted_slope(
+    action: AffineAction, v: LpVector, domain: Domain, energy: float | None = None
+) -> tuple[float, DualVector | None]:
+    """Restricted absolute gradient 2 |restrict_dual(xi)|_q / F^(p-1) at v.
+
+    Returns the slope and the restricted dual element, whose norming vector
+    is the steepest descent direction inside the domain; (0.0, None) where
+    the energy vanishes.  `energy`, when given, is F_p(v).
+    """
+    p = action.rep.p
+    if energy is None:
+        energy = displacement_energy(action, EnergyParams(r=p, p=p), v, check=False)
+    if energy == 0.0:
+        return 0.0, None
+    xi = domain.restrict_dual(gradient_field(action, v, check=False))
+    return 2.0 * xi.norm() / energy ** (p - 1.0), xi
+
+
 # descend's Armijo line search: sufficient-decrease fraction, step shrink
 # factor and the number of rejected steps after which it stalls
 ARMIJO = 0.5
@@ -263,8 +290,7 @@ def descend(
             trace.rows.append((it, f_v, 0.0, 0.0))
             reason = "f_tol"
             break
-        xi = domain.restrict_dual(gradient_field(action, v, check=False))
-        slope = 2.0 * xi.norm() / f_v ** (p - 1.0)
+        slope, xi = restricted_slope(action, v, domain, f_v)
         if slope <= opts.grad_tol:
             trace.rows.append((it, f_v, slope, 0.0))
             reason = "grad_tol"

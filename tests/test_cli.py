@@ -5,6 +5,7 @@ import pytest
 
 import pgaplab as pg
 from pgaplab.cli import canonical_json, main
+from pgaplab.gradient import restricted_slope
 from pgaplab.lpspace import vector_to_csv
 
 
@@ -119,6 +120,30 @@ def test_gap_full_domain_on_finite_group_exit_3(tmp_path):
     assert main(["gap", "--config", cfg, "--out", str(tmp_path)]) == 3
 
 
+def test_gap_r_inf_exit_0(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "gap.json",
+        {"group": {"family": "symmetric", "params": {"n": 4}}, "p": 3.0, "starts": 2, "iters": 100},
+    )
+    assert main(["gap", "--config", cfg, "--r", "inf", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "gap.json").read_text())["report"]
+    assert report["r"] == "inf"
+    assert report["chain"]["C_grad >= C_r"] is None
+    assert report["chain"]["restricted slope at C_grad certificate >= C_grad"] is True
+    assert "threads" not in report["options"]
+
+
+@pytest.mark.parametrize("threads,code", [(None, 0), (1, 0), (2, 2), (0, 2)])
+def test_gap_threads_must_be_null_or_1(tmp_path, threads, code):
+    cfg = write_config(
+        tmp_path,
+        "gap.json",
+        {"group": {"family": "cyclic", "params": {"n": 4}}, "starts": 1, "iters": 20, "threads": threads},
+    )
+    assert main(["gap", "--config", cfg, "--out", str(tmp_path)]) == code
+
+
 def test_gap_sweep_csv(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -216,6 +241,39 @@ def test_descend_coboundary_from_potential_file(tmp_path, capsys):
     assert trace[0] == "iter,F,grad,step"
 
 
+def test_descend_reports_the_restricted_slope_without_sampling(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("descend sampled the gradient")
+
+    monkeypatch.setattr(pg.gradient, "abs_gradient_sampled", refuse)
+    monkeypatch.setattr(pg, "abs_gradient_sampled", refuse)
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0, "full")
+    vals = np.random.default_rng(3).standard_normal(rep.ball.size)
+    f0 = pg.LpVector(rep.ball, vals - vals.mean(), 3.0)
+    pot_path = tmp_path / "potential.csv"
+    vector_to_csv(f0, pot_path)
+    cfg = write_config(
+        tmp_path,
+        "descend.json",
+        {
+            "group": {"family": "symmetric", "params": {"n": 4}},
+            "p": 3.0,
+            "cocycle": {"potential": str(pot_path)},
+            "maxIters": 5,
+            "seed": 9,
+        },
+    )
+    assert main(["descend", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+    result = json.loads((tmp_path / "d" / "descend.json").read_text())
+    assert "terminalSampledGradient" not in result
+    assert result["config"]["seed"] == 9
+    action = pg.AffineAction.from_potential(rep, f0)
+    terminal = pg.LpVector(rep.ball, np.asarray(result["terminal"]), 3.0)
+    slope, _ = restricted_slope(action, terminal, pg.default_domain(rep))
+    assert slope > 0.0
+    assert result["terminalGradient"] == slope
+
+
 def test_descend_zero_cocycle_immediate(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -230,6 +288,7 @@ def test_descend_zero_cocycle_immediate(tmp_path, capsys):
     assert main(["descend", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
     printed = json.loads(capsys.readouterr().out.strip())
     assert printed == {"finalEnergy": 0, "reason": "f_tol"}
+    assert json.loads((tmp_path / "d" / "descend.json").read_text())["terminalGradient"] == 0.0
 
 
 def test_descend_invalid_cocycle_exit_2(tmp_path):

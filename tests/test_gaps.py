@@ -12,8 +12,8 @@ from pgaplab.gaps import (
     ensure_no_fixed_vectors,
     lift_vector,
     make_energy_ratio_objective,
-    make_gradient_objective,
 )
+from pgaplab.gradient import restricted_slope
 
 
 def full_rep(handle, p=2.0):
@@ -66,20 +66,27 @@ def test_eigen_oracle_matches_characters():
 
 def test_gradient_constant_cyclic4():
     rep = full_rep(pg.cyclic_group(4))
-    opts = GapOptions(starts=8, iters=2000)
-    est = pg.gradient_constant(rep, opts)
+    opts = GapOptions(starts=8, iters=2000, exact="never")
+    report = pg.equivalence_report(rep, options=opts)
+    c_grad = report.constants["C_grad"]
     exact = pg.hilbert_gap_constant(rep, default_domain(rep))
-    assert est.value <= 2.0
-    assert est.value >= exact - 1e-9  # pointwise values never undershoot
-    assert est.value == pytest.approx(exact, abs=1e-6)
+    assert report.methods["C_grad"] == "multistart"
+    assert c_grad <= 2.0
+    assert c_grad >= exact - 1e-9  # pointwise values never undershoot
+    assert c_grad == pytest.approx(exact, abs=1e-6)
 
 
 def test_laplacian_constant_is_half_gradient_constant():
+    # at r != p a separate energy-ratio run at r = p supplies C_grad and C_lap
     rep = full_rep(pg.cyclic_group(4))
-    opts = GapOptions(starts=8, iters=2000)
-    eg = pg.gradient_constant(rep, opts)
-    el = pg.laplacian_constant(rep, opts)
-    assert abs(el.value - eg.value / 2.0) <= 2e-3
+    opts = GapOptions(starts=8, iters=2000, exact="never")
+    report = pg.equivalence_report(rep, np.inf, opts)
+    c = report.constants
+    assert c["C_lap"] == c["C_grad"] / 2.0
+    assert report.certificates["C_lap"] == report.certificates["C_grad"]
+    assert c["C_grad"] == pytest.approx(pg.hilbert_gap_constant(rep, default_domain(rep)), abs=1e-6)
+    assert report.diagnostics["C_grad"]["trajectories"] == 8
+    assert report.chain["C_grad >= C_r"] is None  # not a theorem for r > p
 
 
 def test_fixed_vector_present_on_full_domain():
@@ -137,8 +144,8 @@ def test_equivalence_report_cyclic8():
     c = report.constants
     assert report.chain["C_r <= C_disp"]
     assert report.chain["m_min^(1/r) C_disp <= C_r"]
-    assert report.chain["C_grad >= C_r"]
-    assert report.chain["C_lap == C_grad/2 (2e-3)"]
+    assert report.chain["C_grad >= C_r"] is None  # C_grad = C_r at r = p
+    assert report.chain["restricted slope at C_grad certificate >= C_grad"]
     assert report.chain["battery min gradient >= C_grad"]
     assert c["C_disp"] == pytest.approx(2.0 * np.sin(np.pi / 8), abs=1e-9)
     for row in report.battery:
@@ -162,7 +169,7 @@ def test_equivalence_report_free2():
     assert report.radius == 3
     assert report.constants["C_disp"] >= pg.kesten_displacement_bound(2) - 1e-3
     assert report.chain["C_r <= C_disp"]
-    assert report.chain["C_grad >= C_r"]
+    assert report.chain["restricted slope at C_grad certificate >= C_grad"]
     for row in report.battery:
         assert row["terminalF"] <= 1e-6
 
@@ -198,25 +205,6 @@ def test_lift_vector_prefix():
     )
 
 
-def test_gradient_objective_matches_abs_gradient():
-    rep = full_rep(pg.symmetric_group(3), p=3.0)
-    act = pg.AffineAction.linear(rep)
-    obj = make_gradient_objective(act)
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        v = rep.random_admissible(rng)
-        val, gradient = obj(v.values)
-        grad = gradient()
-        assert val == pytest.approx(pg.abs_gradient(act, v).value, abs=1e-12)
-        # finite-difference check of the euclidean gradient
-        direction = rng.standard_normal(rep.ball.size)
-        h = 1e-6
-        up = obj(v.values + h * direction)[0]
-        down = obj(v.values - h * direction)[0]
-        fd = (up - down) / (2 * h)
-        assert fd == pytest.approx(float(np.dot(grad, direction)), rel=5e-4, abs=1e-7)
-
-
 def ratio_instances(p):
     return {
         "symmetric(3) full": pg.Representation(pg.full_ball(pg.symmetric_group(3)), p, "full"),
@@ -250,20 +238,21 @@ def _digest(values):
 
 
 # Constants and sha256 digests of the certificates (little-endian float64)
-# of equivalence_report with 2 starts x 60 iterations at seed 5, as computed
-# by the descent that evaluated every point's value and gradient together.
+# of equivalence_report with 2 starts x 60 iterations at seed 5.  C_disp and
+# C_r are as computed by the descent that evaluated every point's value and
+# gradient together; C_grad and C_lap are C_r and C_r/2 with C_r's certificate.
 GOLDEN = {
     "symmetric(4) p=3": {
         "C_disp": (0.5845714697373975, "f9201a5905dff7d74345f83254a627cba8ef586fcb69021db027c5a2ed1227a2"),
         "C_r": (0.580495504153174, "d7b472301cd477f8e54b80737d8d4a80e3f59a1f28f4ddea90ea7db6f3776d45"),
-        "C_grad": (0.5804981012069318, "d7b472301cd477f8e54b80737d8d4a80e3f59a1f28f4ddea90ea7db6f3776d45"),
-        "C_lap": (0.2902490506034659, "d7b472301cd477f8e54b80737d8d4a80e3f59a1f28f4ddea90ea7db6f3776d45"),
+        "C_grad": (0.580495504153174, "d7b472301cd477f8e54b80737d8d4a80e3f59a1f28f4ddea90ea7db6f3776d45"),
+        "C_lap": (0.290247752076587, "d7b472301cd477f8e54b80737d8d4a80e3f59a1f28f4ddea90ea7db6f3776d45"),
     },
     "free(2) R=4 p=1.5": {
         "C_disp": (0.850511826652111, "3858c434f3c07f40d8e4a34ce0281f15ff03c56a8de961205f2d8cc2c060b44a"),
         "C_r": (0.8505118266457521, "11de472982d62511009c7d65460c47f9a70e21d8cfd85ad207345702ea0dabb1"),
-        "C_grad": (0.8954759235109268, "3858c434f3c07f40d8e4a34ce0281f15ff03c56a8de961205f2d8cc2c060b44a"),
-        "C_lap": (0.4477379617554634, "3858c434f3c07f40d8e4a34ce0281f15ff03c56a8de961205f2d8cc2c060b44a"),
+        "C_grad": (0.8505118266457521, "11de472982d62511009c7d65460c47f9a70e21d8cfd85ad207345702ea0dabb1"),
+        "C_lap": (0.42525591332287604, "11de472982d62511009c7d65460c47f9a70e21d8cfd85ad207345702ea0dabb1"),
     },
 }
 
@@ -293,7 +282,10 @@ def test_fixed_vector_guard_probes_once_per_report(monkeypatch):
 
     monkeypatch.setattr(gaps, "ensure_no_fixed_vectors", recording)
     pg.equivalence_report(rep, options=GapOptions(starts=1, iters=20))
-    assert seen == [False, True, True]  # the second and third calls return at once
+    pg.equivalence_report(rep, np.inf, GapOptions(starts=1, iters=20), default_domain(rep))
+    # C_grad and C_lap run no optimization, and the run at r = p for r != p
+    # shares the guarded domain
+    assert seen == [False, False]
 
 
 def test_fixed_vector_guard_remembers_only_a_pass():
@@ -332,4 +324,62 @@ def test_exact_constants_have_no_trajectories():
     rep = full_rep(pg.cyclic_group(8))
     diag = pg.equivalence_report(rep, 2.0, GapOptions(starts=2, iters=50)).diagnostics
     assert diag["C_disp"]["trajectories"] == diag["C_r"]["trajectories"] == 0
-    assert diag["C_grad"]["trajectories"] == 2
+    assert diag["C_grad"]["trajectories"] == diag["C_lap"]["trajectories"] == 0
+
+
+IDENTITY_INSTANCES = {
+    "symmetric(4) p=3 mean-zero": (
+        lambda: pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0, "full"),
+        "multistart",
+    ),
+    "free(2) R=4 p=1.5 dirichlet": (
+        lambda: pg.Representation(pg.ball(pg.free_group(2), 4), 1.5, "dirichlet"),
+        "multistart",
+    ),
+    "cyclic(8) p=2 exact": (
+        lambda: pg.Representation(pg.full_ball(pg.cyclic_group(8)), 2.0, "full"),
+        "exact-fourier",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_INSTANCES))
+def test_gradient_and_laplacian_constants_are_read_off_c_p(name):
+    make, method = IDENTITY_INSTANCES[name]
+    rep = make()
+    report = pg.equivalence_report(rep, options=GapOptions(starts=3, iters=200, seed=2))
+    c, cert = report.constants, report.certificates
+    assert c["C_grad"] == c["C_r"]
+    assert c["C_lap"] == c["C_r"] / 2.0
+    assert cert["C_grad"] == cert["C_lap"] == cert["C_r"]
+    assert report.methods["C_grad"] == report.methods["C_lap"] == method
+    assert report.chain["restricted slope at C_grad certificate >= C_grad"] is True
+    assert "C_lap == C_grad/2 (2e-3)" not in report.chain
+    # the recorded slope is the restricted slope at the certificate
+    act = pg.AffineAction.linear(rep)
+    v = pg.LpVector(rep.ball, np.asarray(cert["C_grad"]), rep.p)
+    slope, _ = restricted_slope(act, v, default_domain(rep))
+    assert report.diagnostics["C_grad"]["slopeAtCertificate"] == slope
+    assert slope >= c["C_grad"] * (1.0 - 1e-9)
+
+
+def test_slope_at_certificate_meets_c_grad_when_converged():
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0, "full")
+    report = pg.equivalence_report(rep, options=GapOptions(starts=8, iters=2000))
+    slope = report.diagnostics["C_grad"]["slopeAtCertificate"]
+    assert slope == pytest.approx(report.constants["C_grad"], rel=1e-6)
+
+
+def test_restricted_slope_check_catches_a_wrong_restriction(monkeypatch):
+    # a restriction that drops half of the dual element understates the slope
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0, "full")
+    domain = default_domain(rep)
+    original = domain.restrict_dual
+
+    def halved(xi):
+        kept = original(xi)
+        return pg.DualVector(kept.ball, 0.5 * kept.values, kept.q)
+
+    monkeypatch.setattr(domain, "restrict_dual", halved)
+    report = pg.equivalence_report(rep, options=GapOptions(starts=2, iters=60, seed=5), domain=domain)
+    assert report.chain["restricted slope at C_grad certificate >= C_grad"] is False

@@ -13,7 +13,7 @@ from pgaplab._optimize import (
     trajectory_summary,
 )
 from pgaplab.action import default_domain
-from pgaplab.gaps import make_energy_ratio_objective, make_gradient_objective
+from pgaplab.gaps import make_energy_ratio_objective
 
 
 def instances():
@@ -84,13 +84,12 @@ class CountingObjective:
 
 
 @pytest.mark.parametrize("rep", instances(), ids=["symmetric(3)", "free(2) R=3"])
-@pytest.mark.parametrize("kind", ["ratio-p", "ratio-inf", "gradient"])
+@pytest.mark.parametrize("kind", ["ratio-p", "ratio-inf"])
 def test_one_value_per_point_and_gradients_only_at_accepted_points(rep, kind):
     action = pg.AffineAction.linear(rep)
     objective = {
         "ratio-p": lambda: make_energy_ratio_objective(action, rep.p),
         "ratio-inf": lambda: make_energy_ratio_objective(action, np.inf),
-        "gradient": lambda: make_gradient_objective(action),
     }[kind]()
     domain = default_domain(rep)
     v0 = domain.project(np.random.default_rng(3).standard_normal(rep.ball.size))
