@@ -14,6 +14,12 @@ indexing the padded vector with the whole table.  The adjoint of pi(g_k)
 is the row of the inverse generator, table[inverse_index[k]]; in dirichlet
 mode that is exact at the boundary too, since it is the transpose of the
 truncated gather.
+
+A cocycle is stored in the same layout as the table: one (K, n) array whose
+row k is c(g_k).  An affine action adds these rows to the stacked linear
+displacements, and the cocycle routines (the inverse law, norms, extension
+along words) act on all rows at once through the table; LpVectors appear
+only where a single vector crosses the API.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 
 from .errors import InfiniteGroup, SupportViolation, ValidationError
 from .groups import OUT_OF_BALL, CayleyBall
-from .lpspace import LpVector, DualVector, power_norm, zero_vector
+from .lpspace import LpVector, DualVector, power_norm, row_power_norms, zero_vector
 
 
 @dataclass
@@ -129,21 +135,29 @@ class Representation:
 
 @dataclass
 class Cocycle:
-    """Values of a cocycle on the generating set, one l^p vector per generator."""
+    """A 1-cocycle given by its values on the generating set.
+
+    `values` is a float64 (K, n) array whose row k is c(g_k), a vector on
+    the representation's ball; every cocycle routine works on these rows.
+    """
 
     rep: Representation
-    values: list
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) != self.rep.handle.n_generators:
-            raise ValidationError("cocycle needs one value per generator")
-        for v in self.values:
-            if v.ball is not self.rep.ball or v.p != self.rep.p:
-                raise ValidationError("cocycle values must live on the representation's ball")
+        self.values = np.asarray(self.values, dtype=np.float64)
+        shape = (self.rep.handle.n_generators, self.rep.ball.size)
+        if self.values.shape != shape:
+            raise ValidationError(
+                f"cocycle values need shape {shape} (one row per generator), "
+                f"got {self.values.shape}"
+            )
+        if not np.isfinite(self.values).all():
+            raise ValidationError("cocycle values must be finite")
 
     @classmethod
     def zero(cls, rep: Representation) -> "Cocycle":
-        return cls(rep, [rep.zero() for _ in range(rep.handle.n_generators)])
+        return cls(rep, np.zeros((rep.handle.n_generators, rep.ball.size)))
 
     @classmethod
     def from_generator_values(cls, rep: Representation, assignment: dict, *, tol=1e-9) -> "Cocycle":
@@ -154,28 +168,29 @@ class Cocycle:
         must satisfy c(g) = -pi(g) c(g) up to `tol` or the data is rejected.
         """
         h = rep.handle
-        by_index: dict[int, LpVector] = {}
+        values = np.zeros((h.n_generators, rep.ball.size))
+        given = np.zeros(h.n_generators, dtype=bool)
         for key, vec in assignment.items():
             if isinstance(key, (int, np.integer)):
                 k = int(key)
+                if not 0 <= k < h.n_generators:
+                    raise ValidationError(f"generator index {k} outside 0..{h.n_generators - 1}")
             else:
                 try:
                     k = h.names.index(key)
                 except ValueError:
                     raise ValidationError(f"unknown generator {key!r}") from None
-            by_index[k] = vec
-        values: list = [None] * h.n_generators
-        for k, vec in by_index.items():
-            values[k] = vec
-        for k in range(h.n_generators):
-            if values[k] is not None:
-                continue
-            ki = int(h.inverse_index[k])
-            if values[ki] is None:
+            if vec.ball is not rep.ball or vec.p != rep.p:
+                raise ValidationError("cocycle values must live on the representation's ball")
+            values[k] = vec.values
+            given[k] = True
+        missing = np.nonzero(~given)[0]
+        for k in missing:
+            if not given[h.inverse_index[k]]:
                 raise ValidationError(
                     f"no value given for generator {h.names[k]} or its inverse"
                 )
-            values[k] = -rep.apply_generator(k, values[ki], check=False)
+        values[missing] = -rep.apply_array(missing, values[h.inverse_index[missing]])
         c = cls(rep, values)
         report = validate_cocycle(c, tol=tol)
         if not report["ok"]:
@@ -190,17 +205,31 @@ class Cocycle:
         Peeling the leftmost generator, c(g w) = pi(g) c(w) + c(g); the
         accumulator therefore runs from the right end of the word.
         """
-        acc = self.rep.zero()
+        acc = np.zeros(self.rep.ball.size)
         for k in reversed(list(word)):
-            acc = self.rep.apply_generator(int(k), acc, check=False) + self.values[int(k)]
-        return acc
+            acc = self.rep.apply_array(int(k), acc) + self.values[int(k)]
+        return LpVector(self.rep.ball, acc, self.rep.p)
 
 
 def coboundary(rep: Representation, v: LpVector) -> Cocycle:
     """The cocycle g -> pi(g) v - v."""
     rep.check_admissible(v)
-    disp = rep.apply_array(slice(None), v.values) - v.values
-    return Cocycle(rep, [LpVector(rep.ball, d, rep.p) for d in disp])
+    return Cocycle(rep, rep.apply_array(slice(None), v.values) - v.values)
+
+
+def _extend_rows(c: Cocycle) -> np.ndarray:
+    """(n, n) array whose row i is c at ball element i, along BFS words.
+
+    Row i is pi(g) row(parent) + c(g) with g = parent_gen[i]; a whole depth
+    layer is gathered at once, since its parents are all one layer up.
+    """
+    b = c.rep.ball
+    out = np.zeros((b.size, b.size))
+    for d in range(1, int(b.depth.max(initial=0)) + 1):
+        layer = np.nonzero(b.depth == d)[0]
+        k = b.parent_gen[layer]
+        out[layer] = c.rep.apply_array(k, out[b.parent[layer]]) + c.values[k]
+    return out
 
 
 def extend_all(c: Cocycle) -> list[LpVector]:
@@ -209,13 +238,15 @@ def extend_all(c: Cocycle) -> list[LpVector]:
     Exact in full mode; on truncations the values are exact as long as the
     accumulated supports stay inside the ball.
     """
-    b = c.rep.ball
-    out: list = [None] * b.size
-    out[0] = c.rep.zero()
-    for i in range(1, b.size):
-        k = int(b.parent_gen[i])
-        out[i] = c.rep.apply_generator(k, out[int(b.parent[i])], check=False) + c.values[k]
-    return out
+    return [LpVector(c.rep.ball, row, c.rep.p) for row in _extend_rows(c)]
+
+
+def inverse_law_residual(c: Cocycle) -> float:
+    """max_k |c(g_k^-1) + pi(g_k^-1) c(g_k)|_p; zero for a cocycle, and exact
+    for coboundaries in every mode."""
+    inv = c.rep.handle.inverse_index
+    resid = c.values[inv] + c.rep.apply_array(inv, c.values)
+    return float(row_power_norms(resid, c.rep.p).max(initial=0.0))
 
 
 def validate_cocycle(c: Cocycle, *, tol=1e-9, max_pairs=20000, seed=0) -> dict:
@@ -228,38 +259,27 @@ def validate_cocycle(c: Cocycle, *, tol=1e-9, max_pairs=20000, seed=0) -> dict:
     rep = c.rep
     h = rep.handle
     b = rep.ball
-    worst = 0.0
-    checked = 0
-
-    # inverse law c(g^-1) = -pi(g^-1) c(g); exact for coboundaries
-    for k in range(h.n_generators):
-        ki = int(h.inverse_index[k])
-        resid = (c.values[ki] + rep.apply_generator(ki, c.values[k], check=False)).norm()
-        worst = max(worst, resid)
-        checked += 1
+    worst = inverse_law_residual(c)
+    checked = h.n_generators
 
     if rep.mode == "full":
-        ext = extend_all(c)
+        ext = _extend_rows(c)
         n = b.size
-        pairs: list[tuple[int, int]] = []
         if h.n_generators * n <= max_pairs:
-            pairs = [(k, j) for k in range(h.n_generators) for j in range(n)]
+            ks, js = np.divmod(np.arange(h.n_generators * n), n)
         else:
-            gen_indices = [b.translate[k][0] for k in range(h.n_generators)]
-            pairs = [(k, int(j)) for k in range(h.n_generators) for j in gen_indices]
             rng = np.random.default_rng(seed)
-            pairs += [
-                (int(rng.integers(h.n_generators)), int(rng.integers(n))) for _ in range(100)
-            ]
-        for k, j in pairs:
-            t = int(b.translate[k][j])
-            resid = (
-                ext[t] - rep.apply_generator(k, ext[j], check=False) - c.values[k]
-            ).norm()
-            worst = max(worst, resid)
-            checked += 1
+            pairs = [(k, j) for k in range(h.n_generators) for j in b.translate[:, 0]]
+            pairs += [(rng.integers(h.n_generators), rng.integers(n)) for _ in range(100)]
+            ks, js = np.array(pairs).T
+        # blocks of n pairs keep the residual rows no larger than ext
+        for s in range(0, len(ks), n):
+            k, j = ks[s : s + n], js[s : s + n]
+            resid = ext[b.translate[k, j]] - rep.apply_array(k, ext[j]) - c.values[k]
+            worst = max(worst, float(row_power_norms(resid, rep.p).max()))
+        checked += len(ks)
 
-    scale = max([v.norm() for v in c.values] + [1.0])
+    scale = float(np.max(row_power_norms(c.values, rep.p), initial=1.0))
     return {"ok": worst <= tol * scale, "maxResidual": worst, "pairsChecked": checked}
 
 
@@ -270,7 +290,6 @@ class AffineAction:
     rep: Representation
     cocycle: Cocycle | None = None
     potential: LpVector | None = None  # f with c = d f, when known
-    shift: np.ndarray | None = field(init=False, repr=False)  # (K, n) cocycle values
 
     def __post_init__(self):
         if self.cocycle is not None and self.cocycle.rep is not self.rep:
@@ -280,17 +299,11 @@ class AffineAction:
             if self.cocycle is None:
                 self.cocycle = want
             else:
-                resid = max(
-                    (want.values[k] - self.cocycle.values[k]).norm()
-                    for k in range(self.rep.handle.n_generators)
-                )
+                resid = row_power_norms(want.values - self.cocycle.values, self.rep.p).max()
                 if resid > 1e-12 * max(1.0, self.potential.norm()):
                     raise ValidationError(
                         f"declared potential does not match cocycle (residual {resid:.3e})"
                     )
-        self.shift = None
-        if self.cocycle is not None:
-            self.shift = np.stack([c.values for c in self.cocycle.values])
 
     @classmethod
     def linear(cls, rep: Representation) -> "AffineAction":
@@ -298,22 +311,23 @@ class AffineAction:
 
     @classmethod
     def from_potential(cls, rep: Representation, f: LpVector) -> "AffineAction":
-        rep.check_admissible(f)
-        return cls(rep, coboundary(rep, f), f)
+        """The action whose cocycle is the coboundary of f; -f is a fixed point."""
+        return cls(rep, None, f)
 
     def displacements(self, values: np.ndarray) -> np.ndarray:
         """(K, n) array whose row k is alpha(g_k) v - v, for v given by its
         raw values; no admissibility check."""
         d = self.rep.apply_array(slice(None), values) - values
-        if self.shift is not None:
-            d = d + self.shift
+        if self.cocycle is not None:
+            d = d + self.cocycle.values
         return d
 
     def apply(self, k: int, v: LpVector) -> LpVector:
-        w = self.rep.apply_generator(k, v)
+        self.rep.check_admissible(v)
+        w = self.rep.apply_array(k, v.values)
         if self.cocycle is not None:
             w = w + self.cocycle.values[k]
-        return w
+        return LpVector(self.rep.ball, w, self.rep.p)
 
 
 def mean_zero_project(v: LpVector) -> LpVector:
@@ -387,14 +401,12 @@ def potential_from_cocycle(c: Cocycle) -> tuple[LpVector, float]:
     mask = rep.admissible_mask
     cols = np.nonzero(mask)[0]
     blocks = []
-    rhs = []
     for k in range(rep.handle.n_generators):
         P = np.zeros((n, n + 1))  # the last column is the padding slot
         P[np.arange(n), rep.table[k]] = 1.0
         blocks.append((P[:, :n] - np.eye(n))[:, cols])
-        rhs.append(c.values[k].values)
     A = np.vstack(blocks)
-    bvec = np.concatenate(rhs)
+    bvec = c.values.reshape(-1)
     sol, *_ = np.linalg.lstsq(A, bvec, rcond=None)
     values = np.zeros(n)
     values[cols] = sol
@@ -413,7 +425,6 @@ class Domain:
     """Linear subspace of admissible vectors for optimization and sampling."""
 
     name = "ambient"
-    fixed_vector_free = False  # set once gaps.ensure_no_fixed_vectors has passed
 
     def __init__(self, rep: Representation):
         self.rep = rep

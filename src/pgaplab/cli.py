@@ -313,20 +313,17 @@ def cmd_gap(args) -> int:
     return EXIT_OK if chains_hold else EXIT_PROPERTY
 
 
-def _load_cocycle(rep: Representation, spec) -> tuple[Cocycle | None, object]:
-    """Returns (cocycle, potential-or-None) from a descend config entry."""
+def _load_action(rep: Representation, spec) -> AffineAction:
+    """The affine action of a descend config's `cocycle` entry."""
     if spec is None or spec.get("zero"):
-        return None, None
+        return AffineAction.linear(rep)
     if "potential" in spec:
-        f = vector_from_csv(rep.ball, spec["potential"], rep.p)
-        rep.check_admissible(f)
-        act = AffineAction.from_potential(rep, f)
-        return act.cocycle, f
+        return AffineAction.from_potential(rep, vector_from_csv(rep.ball, spec["potential"], rep.p))
     if "values" in spec:
         mapping = {
             name: vector_from_csv(rep.ball, path, rep.p) for name, path in spec["values"].items()
         }
-        return Cocycle.from_generator_values(rep, mapping), None
+        return AffineAction(rep, Cocycle.from_generator_values(rep, mapping))
     raise ValidationError("cocycle entry needs 'zero', 'potential' or 'values'")
 
 
@@ -339,8 +336,7 @@ def cmd_descend(args) -> int:
     p = float(config.get("p", 2.0))
     rep = _representation(handle, radius, p)
     domain = default_domain(rep, config.get("domain"))
-    cocycle, potential = _load_cocycle(rep, config.get("cocycle"))
-    action = AffineAction(rep, cocycle, potential)
+    action = _load_action(rep, config.get("cocycle"))
     if config["v0"] == "zero":
         v0 = rep.zero()
     else:
@@ -365,8 +361,8 @@ def cmd_descend(args) -> int:
         "terminalGradient": slope,
         "terminal": trace.terminal.values.tolist(),
     }
-    if potential is not None:
-        payload["recoveryError"] = (trace.terminal - (-1.0 * potential)).norm()
+    if action.potential is not None:
+        payload["recoveryError"] = (trace.terminal - (-1.0 * action.potential)).norm()
     write_atomic(out_dir / "descend.json", canonical_json(payload))
     print(canonical_json({"reason": trace.reason, "finalEnergy": trace.final_energy}))
     if trace.reason == "stalled":

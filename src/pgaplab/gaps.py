@@ -68,39 +68,28 @@ class GapOptions:
 # fixed-vector guard
 
 
-def ensure_no_fixed_vectors(rep: Representation, domain: Domain, *, probe_iters=500):
+def ensure_no_fixed_vectors(rep: Representation, domain: Domain):
     """Raise FixedVectorPresent when the domain contains an invariant vector.
 
-    Checks the projected constant vector directly, then runs a lazy
-    averaging iteration from a fixed probe to catch invariant mass.  A
-    domain that has passed for its own representation is not probed again.
+    The ball is a connected Cayley graph, so a vector invariant under every
+    generator is constant on it; and a constant is invariant only when no
+    generator leaves the ball, i.e. on a full ball, since the gather reads
+    zero outside.  The domain therefore holds an invariant vector exactly
+    when its projection of the constant vector is nonzero and invariant,
+    which is the one check made here.
     """
-    if domain.fixed_vector_free and domain.rep is rep:
-        return
     n = rep.ball.size
-    candidates = [domain.project(np.ones(n))]
-    rng = np.random.default_rng(12345)
-    v = domain.project(rng.standard_normal(n))
-    nv = np.linalg.norm(v)
-    if nv > 0:
-        v = v / nv
-        for _ in range(probe_iters):
-            mv = weighted_sum(rep.weights, rep.apply_array(slice(None), v))
-            v = domain.project(0.5 * (v + mv))  # lazy average kills oscillation
-        candidates.append(v)
-    for cand in candidates:
-        nc = np.linalg.norm(cand)
-        if nc <= 1e-9 * np.sqrt(n):
-            continue
-        u = cand / nc
-        disp = max(float(np.linalg.norm(w - u)) for w in rep.apply_array(slice(None), u))
-        if disp <= 1e-8:
-            raise FixedVectorPresent(
-                f"domain {domain.name!r} contains an invariant vector "
-                f"(displacement {disp:.2e}); restrict to a fixed-vector-free domain"
-            )
-    if domain.rep is rep:
-        domain.fixed_vector_free = True
+    cand = domain.project(np.ones(n))
+    nc = np.linalg.norm(cand)
+    if nc <= 1e-9 * np.sqrt(n):
+        return
+    u = cand / nc
+    disp = max(float(np.linalg.norm(w - u)) for w in rep.apply_array(slice(None), u))
+    if disp <= 1e-8:
+        raise FixedVectorPresent(
+            f"domain {domain.name!r} contains an invariant vector "
+            f"(displacement {disp:.2e}); restrict to a fixed-vector-free domain"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,12 @@ def descend(
     direction and t_k found by Armijo backtracking from F(v_k)/2.  Stops at
     F <= abs_tol, slope <= grad_tol, the iteration cap, or a stall after
     MAX_HALVINGS rejected steps (reported in the trace, not raised).
+
+    F is a cone at its fixed points, so the slope does not vanish near one:
+    on a fixed-vector-free domain the restricted slope is at least C_p
+    everywhere, and the grad_tol stop fires only when C_p <= grad_tol.
+    Each accepted trial's energy is carried as the next iterate's, so
+    final_energy is F at the terminal.
     """
     opts = options or DescentOptions()
     rep = action.rep
@@ -282,10 +288,10 @@ def descend(
         domain = default_domain(rep, "full" if rep.mode == "full" else "dirichlet")
 
     v = LpVector(rep.ball, domain.project(v0.values), p)
+    f_v = displacement_energy(action, params, v)
     trace = DescentTrace()
     reason = "max_iters"
     for it in range(opts.max_iters):
-        f_v = displacement_energy(action, params, v)
         if f_v <= opts.abs_tol:
             trace.rows.append((it, f_v, 0.0, 0.0))
             reason = "f_tol"
@@ -307,7 +313,8 @@ def descend(
             f_w = displacement_energy(action, params, w, check=False)
             if f_w <= f_v - ARMIJO * t * slope:
                 trace.rows.append((it, f_v, slope, t))
-                v = w
+                rep.check_admissible(w)  # f_w was taken without the check
+                v, f_v = w, f_w
                 accepted = True
                 break
             t *= SHRINK
@@ -317,9 +324,5 @@ def descend(
             break
     trace.terminal = v
     trace.reason = reason
-    # a capped run's last row holds the energy before its last step
-    if reason == "max_iters":
-        trace.final_energy = displacement_energy(action, params, v)
-    else:
-        trace.final_energy = trace.rows[-1][1]
+    trace.final_energy = f_v
     return trace

@@ -8,10 +8,12 @@ from pgaplab.action import (
     MeanZeroDomain,
     default_domain,
     extend_all,
+    inverse_law_residual,
     potential_from_cocycle,
     validate_cocycle,
 )
 from pgaplab.errors import InfiniteGroup, SupportViolation, ValidationError
+from pgaplab.lpspace import power_norm
 
 from conftest import unit_vector
 
@@ -73,7 +75,7 @@ def test_support_violation_in_dirichlet_mode(rep_free):
 def test_coboundary_of_constant_vanishes(rep_c3):
     ones = pg.LpVector(rep_c3.ball, np.ones(3), 2.0)
     c = pg.coboundary(rep_c3, ones)
-    assert all(v.norm() == 0.0 for v in c.values)
+    assert np.array_equal(c.values, np.zeros((2, 3)))
 
 
 def test_coboundary_of_delta(rep_c3):
@@ -84,7 +86,7 @@ def test_coboundary_of_delta(rep_c3):
     expected = np.zeros(3)
     expected[b.locate(1)] = 1.0
     expected[b.locate(0)] = -1.0
-    assert np.allclose(c.values[k_s].values, expected)
+    assert np.allclose(c.values[k_s], expected)
 
 
 def test_coboundary_linearity(rep_c3):
@@ -96,7 +98,7 @@ def test_coboundary_linearity(rep_c3):
     rhs_v = pg.coboundary(rep_c3, v)
     for k in range(rep_c3.handle.n_generators):
         diff = lhs.values[k] - (2.0 * rhs_u.values[k] + 3.0 * rhs_v.values[k])
-        assert diff.norm() <= 1e-12
+        assert power_norm(diff, 2.0) <= 1e-12
 
 
 def test_extend_empty_word_is_zero(rep_c3):
@@ -145,6 +147,21 @@ def test_cocycle_validation_accepts_coboundaries(rep_c3):
     assert report["maxResidual"] <= 1e-12
 
 
+@pytest.mark.parametrize("max_pairs", [20000, 10])
+def test_cocycle_validation_checks_all_or_sampled_pairs(max_pairs):
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 2.5, "full")
+    rng = np.random.default_rng(6)
+    good = pg.coboundary(rep, rep.random_admissible(rng))
+    bad = Cocycle(rep, rng.standard_normal((rep.handle.n_generators, rep.ball.size)))
+    k = rep.handle.n_generators
+    # every (generator, element) pair, or all generator pairs plus 100 random
+    pairs = k * 24 if max_pairs == 20000 else k * k + 100
+    for c, ok in ((good, True), (bad, False)):
+        report = validate_cocycle(c, max_pairs=max_pairs)
+        assert report["ok"] == ok
+        assert report["pairsChecked"] == k + pairs
+
+
 def test_cocycle_from_values_rejects_inconsistent_assignment(rep_c3):
     b = rep_c3.ball
     with pytest.raises(ValidationError):
@@ -156,6 +173,13 @@ def test_cocycle_from_values_accepts_consistent_assignment(rep_c3):
     vals = pg.delta(b, 0, 2.0).values - 1.0 / 3.0
     c = Cocycle.from_generator_values(rep_c3, {"s^1": pg.LpVector(b, vals, 2.0)})
     assert validate_cocycle(c)["ok"]
+
+
+@pytest.mark.parametrize("key", [-1, 4, "c"])
+def test_cocycle_from_values_rejects_unknown_generator(rep_free, key):
+    v = pg.LpVector(rep_free.ball, rep_free.admissible_mask.astype(float), 2.0)
+    with pytest.raises(ValidationError, match="generator"):
+        Cocycle.from_generator_values(rep_free, {0: v, 2: v, key: v})
 
 
 def test_free_group_assignment_is_unconstrained(rep_free):
@@ -174,10 +198,14 @@ def test_cocycle_inverse_law_for_coboundaries(rep_free):
     v = rep_free.random_admissible(rng)
     c = pg.coboundary(rep_free, v)
     h = rep_free.handle
+    worst = 0.0
     for k in range(h.n_generators):
         ki = int(h.inverse_index[k])
-        resid = c.values[ki] + rep_free.apply_generator(ki, c.values[k], check=False)
-        assert resid.norm() <= 1e-12
+        image = rep_free.apply_generator(ki, pg.LpVector(rep_free.ball, c.values[k], 2.0), check=False)
+        resid = power_norm(c.values[ki] + image.values, 2.0)
+        assert resid <= 1e-12
+        worst = max(worst, resid)
+    assert inverse_law_residual(c) == worst
 
 
 def test_cohomology_dims_cyclic3(rep_c3):
@@ -247,8 +275,41 @@ def test_affine_action_potential_mismatch_rejected():
     f0 = unit_vector(rep, rng, mean_zero=True)
     g0 = unit_vector(rep, rng, mean_zero=True)
     c = pg.coboundary(rep, f0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="declared potential does not match cocycle"):
         pg.AffineAction(rep, c, potential=g0)
+    assert pg.AffineAction(rep, c, potential=f0).cocycle is c
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (3, 3), (6,), (1, 2, 3)])
+def test_cocycle_rejects_wrong_shape(rep_c3, shape):
+    with pytest.raises(ValidationError, match="shape"):
+        Cocycle(rep_c3, np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cocycle_rejects_non_finite_rows(rep_c3, bad):
+    values = np.zeros((2, 3))
+    values[1, 2] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        Cocycle(rep_c3, values)
+
+
+def test_cocycle_routines_build_no_vectors(monkeypatch):
+    rep = pg.Representation(pg.ball(pg.free_group(2), 3), 3.0, "dirichlet")
+    f0 = rep.random_admissible(np.random.default_rng(13))
+    built = []
+    original = pg.LpVector.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(pg.LpVector, "__post_init__", counting)
+    c = pg.coboundary(rep, f0)
+    act = pg.AffineAction.from_potential(rep, f0)
+    pg.cocycle_norm(c, pg.EnergyParams(r=2.0, p=3.0))
+    assert built == []
+    assert np.array_equal(act.cocycle.values, c.values)
 
 
 def test_domain_projections(rep_free):
@@ -320,10 +381,9 @@ def test_stacked_operators_match_group_oracle(case):
     for k in range(h.n_generators):
         assert np.array_equal(stacked[k], _oracle(rep, h.generators[h.inverse_index[k]], rows[k]))
 
-    c = Cocycle(rep, [pg.LpVector(b, rng.standard_normal(b.size), rep.p) for _ in h.generators])
+    c = Cocycle(rep, rng.standard_normal((h.n_generators, b.size)))
     act = pg.AffineAction(rep, c)
-    shift = np.array([v.values for v in c.values])
-    assert np.array_equal(act.displacements(f), want - f + shift)
+    assert np.array_equal(act.displacements(f), want - f + c.values)
     assert np.array_equal(pg.AffineAction.linear(rep).displacements(f), want - f)
 
     mk = pg.markov_operator(rep, pg.LpVector(b, f, rep.p)).values

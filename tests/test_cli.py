@@ -212,7 +212,15 @@ def test_descend_malformed_potential_exit_2(tmp_path, capsys, line):
     assert str(pot_path) in err and "line 3" in err
 
 
-def test_descend_coboundary_from_potential_file(tmp_path, capsys):
+def test_descend_coboundary_from_potential_file(tmp_path, capsys, monkeypatch):
+    built = []
+    original = pg.action.coboundary
+
+    def counting(rep, v):
+        built.append(v)
+        return original(rep, v)
+
+    monkeypatch.setattr(pg.action, "coboundary", counting)
     h = pg.cyclic_group(8)
     b = pg.full_ball(h)
     rng = np.random.default_rng(0)
@@ -233,6 +241,7 @@ def test_descend_coboundary_from_potential_file(tmp_path, capsys):
     )
     code = main(["descend", "--config", cfg, "--out", str(tmp_path / "d")])
     assert code == 0
+    assert len(built) == 1  # the action's cocycle is the potential's one coboundary
     result = json.loads((tmp_path / "d" / "descend.json").read_text())
     assert result["reason"] == "f_tol"
     assert result["finalEnergy"] <= 1e-6

@@ -108,6 +108,31 @@ def test_dirichlet_domain_has_no_fixed_vectors():
     ensure_no_fixed_vectors(rep, default_domain(rep))
 
 
+@pytest.mark.parametrize(
+    "group, radius, kind, invariant",
+    [
+        # radius 5 exceeds the diameter 3 of cyclic(6): the dirichlet mask
+        # keeps every element and the constant vector is invariant
+        (pg.cyclic_group(6), 5, "dirichlet", True),
+        (pg.cyclic_group(6), 5, "full", True),
+        # on a ball that is not full the gather reads zero outside it, so the
+        # constant is not invariant even without the dirichlet mask
+        (pg.free_group(2), 3, "full", False),
+        (pg.cyclic_group(12), 2, "full", False),
+    ],
+    ids=["cyclic6-R5-dirichlet", "cyclic6-R5-full", "free2-R3-full", "cyclic12-R2-full"],
+)
+def test_fixed_vector_guard_on_dirichlet_representations(group, radius, kind, invariant):
+    rep = pg.Representation(pg.ball(group, radius), 2.0, "dirichlet")
+    assert rep.ball.is_full == invariant
+    dom = default_domain(rep, kind)
+    if invariant:
+        with pytest.raises(FixedVectorPresent):
+            ensure_no_fixed_vectors(rep, dom)
+    else:
+        ensure_no_fixed_vectors(rep, dom)
+
+
 def test_tent_vector_ratio():
     for R in (4, 8, 16):
         rep = pg.Representation(pg.ball(pg.integer_lattice(1), R), 2.0, "dirichlet")
@@ -273,34 +298,20 @@ def test_equivalence_report_golden_constants_and_certificates(name):
 
 def test_fixed_vector_guard_probes_once_per_report(monkeypatch):
     rep = full_rep(pg.symmetric_group(3), p=3.0)
-    seen = []
+    calls = []
     original = gaps.ensure_no_fixed_vectors
 
-    def recording(rep_, domain, **kwargs):
-        seen.append(domain.fixed_vector_free)
-        return original(rep_, domain, **kwargs)
+    def counting(rep_, domain):
+        calls.append(domain)
+        return original(rep_, domain)
 
-    monkeypatch.setattr(gaps, "ensure_no_fixed_vectors", recording)
+    monkeypatch.setattr(gaps, "ensure_no_fixed_vectors", counting)
     pg.equivalence_report(rep, options=GapOptions(starts=1, iters=20))
+    assert len(calls) == 1
     pg.equivalence_report(rep, np.inf, GapOptions(starts=1, iters=20), default_domain(rep))
     # C_grad and C_lap run no optimization, and the run at r = p for r != p
     # shares the guarded domain
-    assert seen == [False, False]
-
-
-def test_fixed_vector_guard_remembers_only_a_pass():
-    rep = full_rep(pg.symmetric_group(3), p=3.0)
-    dom = default_domain(rep)
-    ensure_no_fixed_vectors(rep, dom)
-    assert dom.fixed_vector_free
-    dom.project = None  # a repeated guard on the same domain probes nothing
-    ensure_no_fixed_vectors(rep, dom)
-    assert not default_domain(rep).fixed_vector_free
-    bad = default_domain(full_rep(pg.cyclic_group(6)), "full")
-    for _ in range(2):
-        with pytest.raises(FixedVectorPresent):
-            ensure_no_fixed_vectors(bad.rep, bad)
-    assert not bad.fixed_vector_free
+    assert len(calls) == 2
 
 
 def test_report_diagnostics_count_trajectories():

@@ -3,7 +3,7 @@ import pytest
 
 import pgaplab as pg
 from pgaplab.action import default_domain
-from pgaplab.errors import AsymmetricSetup, AtFixedPoint, NonsmoothPoint
+from pgaplab.errors import AsymmetricSetup, AtFixedPoint, NonsmoothPoint, SupportViolation
 from pgaplab.gradient import finite_difference_quotient
 
 from conftest import unit_vector
@@ -325,3 +325,34 @@ def test_capped_descent_reports_energy_at_terminal():
     assert len(trace.rows) == 5  # no extra row for the final evaluation
     assert trace.final_energy == pg.displacement_energy(act, params, trace.terminal)
     assert trace.final_energy < trace.rows[-1][1]
+
+
+def test_descent_evaluates_each_trial_point_once(monkeypatch):
+    rng = np.random.default_rng(20)
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0, "full")
+    act = pg.AffineAction.from_potential(rep, unit_vector(rep, rng, mean_zero=True))
+    calls = []
+    original = pg.gradient.displacement_energy
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pg.gradient, "displacement_energy", counting)
+    for max_iters, reason in ((5, "max_iters"), (10_000, "f_tol")):
+        calls.clear()
+        trace = pg.descend(act, rep.zero(), pg.DescentOptions(max_iters=max_iters))
+        assert trace.reason == reason
+        # the start, then each line-search trial t = F/2, F/4, ... once
+        trials = sum(round(np.log2(f / 2.0 / t)) + 1 for _, f, _, t in trace.rows if t > 0.0)
+        assert len(calls) == 1 + trials
+        assert calls[-1] is trace.terminal
+
+
+def test_descent_off_the_dirichlet_support_raises():
+    # the unrestricted domain steps onto the boundary layer, where the
+    # truncated action is not defined; the accepted step is rejected
+    rep = pg.Representation(pg.ball(pg.free_group(2), 3), 2.0, "dirichlet")
+    act = pg.AffineAction.from_potential(rep, rep.random_admissible(np.random.default_rng(1)))
+    with pytest.raises(SupportViolation):
+        pg.descend(act, rep.zero(), domain=default_domain(rep, "full"))

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 import pgaplab as pg
+from pgaplab import verify
 from pgaplab.errors import PgapError
 from pgaplab.verify import SUITES, run_suites
 
@@ -40,3 +42,33 @@ def test_deterministic_given_seed():
     a = [r.to_dict() for r in run_suites(rep, ["lp", "energy"], seed=9)]
     b = [r.to_dict() for r in run_suites(rep, ["lp", "energy"], seed=9)]
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "group, radius, shift, passes",
+    [
+        (pg.cyclic_group(6), None, "delta", False),
+        (pg.free_group(2), 3, "delta", False),
+        # in full mode the fixed points are -f0 plus the constants
+        (pg.cyclic_group(6), None, "constant", True),
+    ],
+    ids=["cyclic6-off", "free2-off", "cyclic6-constant"],
+)
+def test_descent_check_measures_distance_to_fixed_points(monkeypatch, group, radius, shift, passes):
+    if radius is None:
+        rep = pg.Representation(pg.full_ball(group), 2.0, "full")
+    else:
+        rep = pg.Representation(pg.ball(group, radius), 2.0, "dirichlet")
+    real_descend = verify.descend
+
+    def moved(action, v0, options):
+        trace = real_descend(action, v0, options)
+        step = np.ones(rep.ball.size) if shift == "constant" else pg.delta(rep.ball, 0, 2.0).values
+        trace.terminal = pg.LpVector(rep.ball, trace.terminal.values + 1e-3 * step, 2.0)
+        return trace
+
+    monkeypatch.setattr(verify, "descend", moved)
+    (row,) = [r for r in run_suites(rep, ["gradient"], seed=0) if r.name == "descent_reaches_fixed_point"]
+    assert row.detail["finalF"] <= 1e-6
+    assert row.passed == passes
+    assert (row.detail["terminalDistance"] > 1e-4) == (not passes)
