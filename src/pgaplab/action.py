@@ -460,24 +460,58 @@ class MeanZeroDomain(Domain):
     def restrict_dual(self, xi: DualVector) -> DualVector:
         # On mean-zero vectors, xi and xi - c*1 act identically; the quotient
         # representative of minimal l^q norm gives the exact restricted slope.
-        from scipy.optimize import minimize_scalar
-
         vals = xi.values
         if abs(xi.q - 2.0) < 1e-14:
             c = vals.mean()
         else:
-            lo, hi = float(vals.min()), float(vals.max())
-            if lo == hi:
-                c = lo
-            else:
-                res = minimize_scalar(
-                    lambda c: float(np.sum(np.abs(vals - c) ** xi.q)),
-                    bounds=(lo, hi),
-                    method="bounded",
-                    options={"xatol": 1e-14},
-                )
-                c = float(res.x)
+            c = _norm_minimising_shift(vals, xi.q)
         return DualVector(xi.ball, vals - c, xi.q)
+
+
+def _norm_minimising_shift(vals: np.ndarray, q: float) -> float:
+    """The c minimising sum |vals - c|^q, to rounding.
+
+    c is the root of the strictly decreasing g(c) = sum psi(vals - c),
+    psi(t) = sign(t)|t|^(q-1), which [min, max] brackets.  Newton steps from
+    the mean.  A bisection replaces a step that leaves the bracket, that
+    fails to halve the step before last, or that has no finite derivative
+    (c on an entry, q < 2).  The search ends when g(c) is 0 up to the
+    rounding of its terms, when a Newton step no longer moves c, or when no
+    float is left inside the bracket.
+    No tolerance is absolute, so the shift scales with vals.  That matters
+    near a fixed point, where every dual entry is tiny: an absolute
+    tolerance there returns a shift far from the minimiser, and so an
+    overstated slope.
+    """
+    lo, hi = float(vals.min()), float(vals.max())
+    if lo == hi or not np.isfinite(vals).all():
+        return lo  # a constant, or no bracket to search
+    c = min(max(float(vals.mean()), lo), hi)
+    step_before_last = step = hi - lo
+    while True:
+        d = vals - c
+        a = np.abs(d)
+        psi = a ** (q - 1.0)
+        g = float(np.sum(np.sign(d) * psi))
+        if abs(g) <= np.finfo(float).eps * float(np.sum(psi)):
+            return c  # g is 0 to within the rounding of its own terms
+        if g > 0.0:
+            lo = c
+        else:
+            hi = c
+        with np.errstate(divide="ignore"):
+            slope = (q - 1.0) * float(np.sum(a ** (q - 2.0)))  # -g'(c), > 0
+        newton = c + g / slope
+        if newton == c and slope < np.inf:
+            return c
+        if lo < newton < hi and abs(newton - c) <= step_before_last / 2.0:
+            nxt = newton
+        else:
+            nxt = 0.5 * (lo + hi)
+            if nxt in (lo, hi):
+                return c
+        step_before_last, step = step, abs(nxt - c)
+        c = nxt
 
 
 class DirichletDomain(Domain):

@@ -277,6 +277,10 @@ def descend(
     F is a cone at its fixed points, so the slope does not vanish near one:
     on a fixed-vector-free domain the restricted slope is at least C_p
     everywhere, and the grad_tol stop fires only when C_p <= grad_tol.
+    The slope is exact on every domain, mean-zero included, where
+    `restrict_dual` solves for its shift to rounding at any scale; an
+    overstated slope would make Armijo demand more decrease than the
+    direction gives, and accept only null steps near a fixed point.
     Each accepted trial's energy is carried as the next iterate's, so
     final_energy is F at the terminal.
     """

@@ -25,10 +25,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .errors import BadEpsilon, ValidationError
 from .lpspace import conjugate_exponent, signed_power
+
+
+# scipy is imported at first use, so that commands which never reach the
+# moduli pay nothing for it.  `minimize` stays a module-level name because
+# benchmarks/tracing.py patches moduli.minimize to count and time the SLSQP
+# solves, and _solve_batch looks it up here at each call.
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported at first call."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 # unlike lpspace.power_norm this does not sort, and moduli.json depends on its rounding
@@ -76,6 +86,7 @@ def lp_modulus_convexity(p: float, eps: float) -> float:
         return 1.0 - (1.0 - (eps / 2.0) ** p) ** (1.0 / p)
     if eps >= 2.0:
         return 1.0  # the root sits on the end of the bracket
+    from scipy.optimize import brentq
 
     def excess(delta):  # decreasing from >= 0 at delta = 0 to < 0 at delta = 1
         return (1.0 - delta + eps / 2.0) ** p + abs(1.0 - delta - eps / 2.0) ** p - 2.0

@@ -7,7 +7,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 import pgaplab as pg
 from pgaplab.action import default_domain

@@ -346,6 +346,71 @@ def test_mean_zero_dual_restriction_general_q():
     assert np.dot(xi.values, u.values) == pytest.approx(r.norm(), abs=1e-9)
 
 
+@pytest.fixture(scope="module")
+def mean_zero24():
+    return MeanZeroDomain(pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0, "full"))
+
+
+def _dual(domain, values, q):
+    return pg.DualVector(domain.rep.ball, values, q)
+
+
+@pytest.mark.parametrize("q", [1.2, 1.5, 3.0])
+def test_mean_zero_dual_restriction_is_scale_free(mean_zero24, q):
+    # near a fixed point every dual entry is tiny; the shift must scale with them
+    xi = np.random.default_rng(21).standard_normal(24)
+    base = mean_zero24.restrict_dual(_dual(mean_zero24, xi, q)).values
+    for t in (1e-13, 1e-6, 1.0, 1e6):
+        got = mean_zero24.restrict_dual(_dual(mean_zero24, t * xi, q)).values
+        assert np.max(np.abs(got - t * base)) <= 1e-12 * t * np.max(np.abs(base))
+
+
+@pytest.mark.parametrize("q", [1.2, 1.5, 3.0])
+@pytest.mark.parametrize("seed", range(5))
+def test_mean_zero_dual_restriction_solves_optimality(mean_zero24, q, seed):
+    # the shift c is a root of sum psi(x - c), psi(t) = sign(t)|t|^(q-1), up to
+    # what one ulp of c and the rounding of the sum can move it
+    x = np.random.default_rng(seed).standard_normal(24) * 10.0 ** (3 * seed - 6)
+    d = mean_zero24.restrict_dual(_dual(mean_zero24, x, q)).values
+    c = float(np.mean(x - d))
+    residual = abs(np.sum(np.sign(d) * np.abs(d) ** (q - 1.0)))
+    slope = (q - 1.0) * np.sum(np.abs(d) ** (q - 2.0))
+    rounding = slope * np.spacing(c) + d.size * np.finfo(float).eps * np.sum(np.abs(d) ** (q - 1.0))
+    assert residual <= 4.0 * rounding
+
+
+@pytest.mark.parametrize("q", [1.2, 1.5, 3.0])
+def test_mean_zero_dual_restriction_beats_bounded_brent(mean_zero24, q):
+    from scipy.optimize import minimize_scalar
+
+    rng = np.random.default_rng(22)
+    for t in (1e-13, 1.0, 1e6):
+        for _ in range(20):
+            x = t * rng.standard_normal(24)
+            res = minimize_scalar(
+                lambda c: float(np.sum(np.abs(x - c) ** q)),
+                bounds=(x.min(), x.max()),
+                method="bounded",
+                options={"xatol": 1e-14},
+            )
+            brent = power_norm(x - res.x, q)
+            ours = power_norm(mean_zero24.restrict_dual(_dual(mean_zero24, x, q)).values, q)
+            # both may sit at the minimum, where their norms differ by rounding
+            assert ours <= brent * (1.0 + 4.0 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("q", [1.2, 1.5, 2.0, 3.0])
+def test_mean_zero_dual_restriction_of_a_constant_is_zero(mean_zero24, q):
+    r = mean_zero24.restrict_dual(_dual(mean_zero24, np.full(24, -0.75), q))
+    assert np.array_equal(r.values, np.zeros(24))
+
+
+def test_mean_zero_dual_restriction_q2_subtracts_the_mean(mean_zero24):
+    vals = np.random.default_rng(23).standard_normal(24) * 1e-9
+    r = mean_zero24.restrict_dual(_dual(mean_zero24, vals, 2.0))
+    assert np.array_equal(r.values, vals - vals.mean())
+
+
 def _oracle(rep, g, f):
     """(pi(g) f)(x) = f(g^-1 x) from the group oracle; zero off the ball."""
     h, b = rep.handle, rep.ball

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pgaplab as pg
-from pgaplab.energy import energy_csv_row, generator_displacements, weighted_r_mean
+from pgaplab.energy import energy_csv_row, weighted_r_mean
 from pgaplab.errors import SupportViolation, ValidationError
 from pgaplab.lpspace import conjugate_exponent
 

@@ -356,3 +356,20 @@ def test_descent_off_the_dirichlet_support_raises():
     act = pg.AffineAction.from_potential(rep, rep.random_admissible(np.random.default_rng(1)))
     with pytest.raises(SupportViolation):
         pg.descend(act, rep.zero(), domain=default_domain(rep, "full"))
+
+
+def test_descent_on_symmetric6_takes_no_null_steps():
+    # the benchmark's fixed potential; an inexact restricted dual used to
+    # double the slope near the fixed point, after which Armijo accepted only
+    # steps too small to move v (F stuck at 7.07e-7 until the cap)
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(6)), 3.0, "full")
+    f = np.random.default_rng(0).standard_normal(720)
+    f -= f.mean()
+    f /= pg.lpspace.power_norm(f, 3.0)
+    act = pg.AffineAction.from_potential(rep, pg.LpVector(rep.ball, f, 3.0))
+    trace = pg.descend(
+        act, rep.zero(), pg.DescentOptions(max_iters=350), domain=default_domain(rep, "mean-zero")
+    )
+    assert trace.reason != "stalled"
+    assert min(step for _, _, _, step in trace.rows if step > 0.0) >= 1e-15
+    assert trace.final_energy < 7e-7
