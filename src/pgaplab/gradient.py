@@ -1,9 +1,12 @@
-"""Absolute gradient of the displacement energy: closed form, samplers, descent.
+"""Absolute gradient of the displacement energy: closed form, descent, and a
+sampled lower bound kept as a diagnostic.
 
 At a point with positive energy the maximal descent slope of F over unit
 directions has the closed form 2 |xi|_q / F^(p-1), where xi is the weighted
 sum of the generator displacement functionals.  The direction attaining it
 is recovered by inverse duality, which is what the descent loop follows.
+`directional_derivative` takes the slope along a given direction from the
+forward gather, so it checks the closed form without sampling.
 
 Two slopes are in use.  The ambient slope (`abs_gradient`) ranges over every
 unit direction of l^p(G).  The restricted slope (`restricted_slope`) ranges
@@ -24,13 +27,13 @@ from .energy import (
     EnergyParams,
     displacement_energy,
     gradient_field,
+    weighted_r_mean,
 )
 from .errors import AsymmetricSetup, AtFixedPoint, NonsmoothPoint, ValidationError
 from .groups import check_symmetry
 from .lpspace import (
     DualVector,
     LpVector,
-    duality_map,
     norming_vector,
     power_norm,
     row_power_norms,
@@ -42,14 +45,13 @@ from .lpspace import (
 class GradientResult:
     """Closed-form absolute gradient at a point.
 
-    value uses the pointwise field form; value_dual_form re-derives it from
-    per-generator duality maps as a cross-check.  steepest_direction is the
-    unit vector attaining the descent slope (norming vector of the dual
-    element); stepping along it with a positive step decreases the energy.
+    value is 2 |dual_element|_q / F^(p-1), with dual_element the pointwise
+    gradient field.  steepest_direction is the unit vector attaining the
+    descent slope (norming vector of the dual element); stepping along it
+    with a positive step decreases the energy.
     """
 
     value: float
-    value_dual_form: float
     energy: float
     dual_element: DualVector
     steepest_direction: LpVector
@@ -57,7 +59,6 @@ class GradientResult:
     def to_dict(self) -> dict:
         return {
             "value": self.value,
-            "valueDualForm": self.value_dual_form,
             "energy": self.energy,
             "dualElement": self.dual_element.values.tolist(),
             "steepestDirection": self.steepest_direction.values.tolist(),
@@ -87,22 +88,9 @@ def abs_gradient(action: AffineAction, v: LpVector, *, check=True) -> GradientRe
 
     xi = gradient_field(action, v, check=False)
     value = 2.0 * xi.norm() / f_val ** (p - 1.0)
-
-    # independent assembly through per-generator duality maps
-    disp = action.displacements(v.values)
-    acc = np.zeros(rep.ball.size)
-    for k, d in enumerate(disp):
-        w = LpVector(rep.ball, d, p)
-        nw = w.norm()
-        if nw == 0.0:
-            continue
-        acc += rep.weights[k] * nw ** (p - 1.0) * duality_map(w).values
-    value_dual = 2.0 * power_norm(acc, xi.q) / f_val ** (p - 1.0)
-
     steepest = norming_vector(xi)
     return GradientResult(
         value=value,
-        value_dual_form=value_dual,
         energy=f_val,
         dual_element=xi,
         steepest_direction=steepest,
@@ -135,23 +123,21 @@ def directional_derivative(
     """
     rep = action.rep
     p = rep.p
-    params = EnergyParams(r=p, p=p)
-    f_val = displacement_energy(action, params, v)
-    if f_val == 0.0:
-        raise AtFixedPoint("descent quotient undefined where the energy vanishes")
+    rep.check_admissible(v)
     disp = action.displacements(v.values)
     norms = row_power_norms(disp, p)
-    if any(n == 0.0 for n in norms):
+    f_val = weighted_r_mean(norms, rep.weights, p)  # F_p(v), as displacement_energy takes it
+    if f_val == 0.0:
+        raise AtFixedPoint("descent quotient undefined where the energy vanishes")
+    if (norms == 0.0).any():
         if nonsmooth == "raise":
             raise NonsmoothPoint("some generator displacement vanishes at v")
-        return finite_difference_quotient(action, params, v, u, h, scheme="one_sided")
+        return finite_difference_quotient(action, EnergyParams(r=p, p=p), v, u, h, scheme="one_sided")
 
     du = rep.apply_array(slice(None), u.values) - u.values
-    total = 0.0
-    for k, (d, nd) in enumerate(zip(disp, norms)):
-        jd = signed_power(d / nd, p - 1.0)
-        total += rep.weights[k] * (nd / f_val) ** (p - 1.0) * float(np.dot(jd, du[k]))
-    return -total
+    jd = signed_power(disp / norms[:, None], p - 1.0)
+    coef = rep.weights * (norms / f_val) ** (p - 1.0)
+    return -float(np.dot(coef, np.einsum("kn,kn->k", jd, du)))
 
 
 def abs_gradient_sampled(
@@ -170,6 +156,8 @@ def abs_gradient_sampled(
     Samples random unit directions at radii {1e-3, 1e-2, 0.1, 1} times |v|,
     plus the ray toward a known fixed point and the closed-form steepest
     direction when available.  Always a valid lower bound for the true value.
+    A diagnostic only: `verify` checks the closed-form slope exactly, through
+    `directional_derivative` and central differences, and never calls it.
     """
     if budget < 1:
         raise ValidationError("sampling budget must be >= 1")
@@ -228,6 +216,15 @@ def restricted_slope(
         return 0.0, None
     xi = domain.restrict_dual(gradient_field(action, v, check=False))
     return 2.0 * xi.norm() / energy ** (p - 1.0), xi
+
+
+def steepest_direction(domain: Domain, xi: DualVector) -> LpVector:
+    """Unit steepest descent direction inside the domain for the restricted
+    dual element xi: its norming vector, projected onto the domain (which
+    removes rounding off it) and renormalised."""
+    p = domain.rep.p
+    vals = domain.project(norming_vector(xi).values)
+    return LpVector(domain.rep.ball, vals / power_norm(vals, p), p)
 
 
 # descend's Armijo line search: sufficient-decrease fraction, step shrink
@@ -305,10 +302,7 @@ def descend(
             trace.rows.append((it, f_v, slope, 0.0))
             reason = "grad_tol"
             break
-        u = norming_vector(xi)
-        uvals = domain.project(u.values)
-        uvals /= power_norm(uvals, p)
-        u = LpVector(rep.ball, uvals, p)
+        u = steepest_direction(domain, xi)
 
         t = f_v / 2.0
         accepted = False

@@ -127,9 +127,14 @@ def test_holder_on_random_pairs(ball8):
             assert abs(pg.pair(g, f)) <= g.norm() * f.norm() + 1e-12
 
 
+# coordinates that stay normal floats after scaling by t in [0.01, 100]: a
+# subnormal one loses relative precision, and 5e-324 * 0.5 rounds to 0
+scalable_coords = st.floats(-100, 100, allow_subnormal=False).filter(lambda x: x == 0.0 or abs(x) >= 1e-300)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    coords=st.lists(st.floats(-100, 100), min_size=8, max_size=8),
+    coords=st.lists(scalable_coords, min_size=8, max_size=8),
     p=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
     t=st.floats(0.01, 100.0),
 )

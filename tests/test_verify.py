@@ -72,3 +72,74 @@ def test_descent_check_measures_distance_to_fixed_points(monkeypatch, group, rad
     assert row.detail["finalF"] <= 1e-6
     assert row.passed == passes
     assert (row.detail["terminalDistance"] > 1e-4) == (not passes)
+
+
+SLOPE_CASES = [
+    pytest.param(lambda: pg.Representation(pg.full_ball(pg.cyclic_group(6)), 1.5, "full"), id="cyclic6-p1.5"),
+    pytest.param(lambda: pg.Representation(pg.ball(pg.free_group(2), 3), 3.0, "dirichlet"), id="free2-p3"),
+]
+
+
+def skewed_gradient_rows(monkeypatch, rep, factor):
+    real_slope = verify.restricted_slope
+
+    def skewed(*args, **kwargs):
+        slope, xi = real_slope(*args, **kwargs)
+        return slope * factor, xi
+
+    monkeypatch.setattr(verify, "restricted_slope", skewed)
+    return {r.name: r for r in run_suites(rep, ["gradient"], seed=0)}
+
+
+@pytest.mark.parametrize("make_rep", SLOPE_CASES)
+def test_slope_checks_catch_an_overstated_slope(monkeypatch, make_rep):
+    rows = skewed_gradient_rows(monkeypatch, make_rep(), 1.0 + 1e-6)
+    assert not rows["steepest_attains_slope"].passed
+    assert not rows["central_difference_meets_slope"].passed
+    assert rows["steepest_attains_slope"].detail["worst"] >= 9e-7
+
+
+@pytest.mark.parametrize("make_rep", SLOPE_CASES)
+def test_slope_checks_catch_an_understated_slope(monkeypatch, make_rep):
+    rows = skewed_gradient_rows(monkeypatch, make_rep(), 1.0 - 1e-6)
+    assert not (rows["random_directions_below_slope"].passed and rows["steepest_attains_slope"].passed)
+
+
+@pytest.mark.parametrize("make_rep", SLOPE_CASES)
+def test_slope_checks_pass_on_the_exact_slope(make_rep):
+    rows = {r.name: r for r in run_suites(make_rep(), ["gradient"], seed=0)}
+    assert rows["steepest_attains_slope"].detail["worst"] <= 1e-14
+    assert rows["central_difference_meets_slope"].detail["worst"] <= 1e-8
+    assert rows["random_directions_below_slope"].detail["excess"] < 0.0
+    assert all(r.passed for r in rows.values())
+
+
+def test_gradient_suite_never_samples(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify sampled the gradient")
+
+    monkeypatch.setattr(pg.gradient, "abs_gradient_sampled", refuse)
+    monkeypatch.setattr(pg, "abs_gradient_sampled", refuse)
+    monkeypatch.setattr(verify, "abs_gradient_sampled", refuse, raising=False)
+    rep = pg.Representation(pg.ball(pg.free_group(2), 3), 3.0, "dirichlet")
+    rows = run_suites(rep, ["gradient"], seed=0)
+    assert all(r.passed for r in rows), [f"{r.name}: {r.detail}" for r in rows if not r.passed]
+
+
+def test_gradient_suite_energy_evaluation_count(monkeypatch):
+    # 185: 15 trial points of 6 energies each (the point, abs_gradient and
+    # two central differences of two energies; a directional derivative
+    # reads F off its own row norms), then the descent check's 95.  The
+    # suite took 2115 while it ran the sampler.
+    calls = []
+    for module in (verify, pg.gradient):
+        original = module.displacement_energy
+
+        def counting(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "displacement_energy", counting)
+    rep = pg.Representation(pg.ball(pg.free_group(2), 3), 3.0, "dirichlet")
+    run_suites(rep, ["gradient"], seed=0)
+    assert len(calls) <= 200
