@@ -4,8 +4,8 @@ Builds word-metric balls of Cayley graphs, realizes the regular
 representation on l^p truncations, evaluates displacement energies and
 their absolute gradients in closed form, runs subgradient descent to fixed
 points of affine actions, estimates gap constants (displacement, gradient
-infimum, p-Laplacian inequality), and reports the exact convexity modulus
-and estimates the smoothness modulus of finite-dimensional l^p spaces.
+infimum, p-Laplacian inequality), and reports the exact convexity and
+smoothness moduli of finite-dimensional l^p spaces.
 """
 
 __version__ = "0.1.0"

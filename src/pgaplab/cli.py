@@ -33,12 +33,7 @@ from .gaps import GapOptions, equivalence_report, gap_sweep
 from .gradient import DescentOptions, descend, restricted_slope
 from .groups import ball, build_group, check_symmetry, full_ball, load_group_spec
 from .lpspace import vector_from_csv
-from .moduli import (
-    duality_continuity_check,
-    hilbert_modulus_smoothness,
-    modulus_convexity,
-    modulus_smoothness,
-)
+from .moduli import duality_continuity_check, modulus_convexity, modulus_smoothness
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -148,6 +143,8 @@ _SCHEMAS = {
         "dim",
         "convexityGrid",
         "smoothnessGrid",
+        # the moduli are exact, so nothing reads budget; it is accepted so
+        # that old configs load
         "budget",
         "trials",
         "seed",
@@ -182,7 +179,6 @@ _DEFAULTS = {
         "dim": 8,
         "convexityGrid": [0.25, 0.5, 1.0, 1.5, 2.0],
         "smoothnessGrid": [0.25, 0.5, 1.0, 2.0],
-        "budget": 256,
         "trials": 10_000,
         "seed": 0,
     },
@@ -191,6 +187,59 @@ _DEFAULTS = {
 
 # flags that override the config key of the same name, with their types
 _FLAGS = {"seed": int, "radius": int, "p": float, "r": str, "starts": int}
+
+
+def _integer(value) -> int:
+    n = int(value)
+    if n != float(value):
+        raise ValueError(f"{value!r} is not an integer")
+    return n
+
+
+def _floats(value) -> list:
+    return [float(x) for x in value]
+
+
+def _float_or_floats(value):
+    return _floats(value) if isinstance(value, list) else float(value)
+
+
+def _float_or_none(value):
+    # float() reads "inf" and "infinity" in any case
+    return None if value is None else float(value)
+
+
+# config values of a fixed type, converted here and nowhere else, so that a
+# value of the wrong type is a validation error that names its key
+_CONVERSIONS = {
+    "p": float,
+    "r": _float_or_none,
+    "dim": _integer,
+    "trials": _integer,
+    "seed": _integer,
+    "starts": _integer,
+    "iters": _integer,
+    "battery": _integer,
+    "maxIters": _integer,
+    "absTol": float,
+    "gradTol": float,
+    "convexityGrid": _floats,
+    "smoothnessGrid": _floats,
+}
+
+
+def _convert(command: str, config: dict) -> None:
+    conversions = _CONVERSIONS
+    if command == "verify":  # verify takes a list of p
+        conversions = {**_CONVERSIONS, "p": _float_or_floats}
+    for key in config.keys() & conversions.keys():
+        try:
+            config[key] = conversions[key](config[key])
+        except (TypeError, ValueError, OverflowError):  # int(inf) overflows
+            message = f"{command} config key {key!r} has a bad value: {config[key]!r}"
+            raise ValidationError(message) from None
+    if config.get("trials", 0) < 0:
+        raise ValidationError(f"{command} config key 'trials' must be >= 0, not {config['trials']}")
 
 
 def load_config(command: str, args) -> dict:
@@ -211,12 +260,8 @@ def load_config(command: str, args) -> dict:
     if args.out is not None:
         resolved["out"] = args.out
     resolved.setdefault("out", ".")
+    _convert(command, resolved)
     return resolved
-
-
-def _parse_r(value, p):
-    # float() reads "inf" and "infinity" in any case
-    return float(p) if value is None else float(value)
 
 
 def _build_handle(config) -> tuple:
@@ -272,15 +317,12 @@ def cmd_gap(args) -> int:
     if config.get("threads") not in (None, 1):
         raise ValidationError(f"threads must be null or 1, not {config['threads']!r}")
     handle, radius = _build_handle(config)
-    p = float(config.get("p", 2.0))
-    r = _parse_r(config.get("r"), p)
+    p = config.get("p", 2.0)
+    r = p if config.get("r") is None else config["r"]
     opts = GapOptions(
-        starts=int(config["starts"]),
-        iters=int(config["iters"]),
-        seed=int(config["seed"]),
-        exact=config["exact"],
+        starts=config["starts"], iters=config["iters"], seed=config["seed"], exact=config["exact"]
     )
-    battery = int(config["battery"])
+    battery = config["battery"]
     resolved = {k: v for k, v in config.items() if k != "out"}
     resolved["p"] = p
     resolved["r"] = "inf" if np.isinf(r) else r
@@ -333,7 +375,7 @@ def cmd_descend(args) -> int:
     accepted and echoed, and changes nothing."""
     config = load_config("descend", args)
     handle, radius = _build_handle(config)
-    p = float(config.get("p", 2.0))
+    p = config.get("p", 2.0)
     rep = _representation(handle, radius, p)
     domain = default_domain(rep, config.get("domain"))
     action = _load_action(rep, config.get("cocycle"))
@@ -342,9 +384,7 @@ def cmd_descend(args) -> int:
     else:
         v0 = vector_from_csv(rep.ball, config["v0"], p)
     options = DescentOptions(
-        abs_tol=float(config["absTol"]),
-        grad_tol=float(config["gradTol"]),
-        max_iters=int(config["maxIters"]),
+        abs_tol=config["absTol"], grad_tol=config["gradTol"], max_iters=config["maxIters"]
     )
     trace = descend(action, v0, options, domain=domain)
     out_dir = Path(config["out"])
@@ -377,11 +417,11 @@ def cmd_verify(args) -> int:
     suites = config["suites"]
     all_rows = []
     for p in ps:
-        rep = _representation(handle, radius, float(p))
-        rows = run_suites(rep, suites, seed=int(config["seed"]))
+        rep = _representation(handle, radius, p)
+        rows = run_suites(rep, suites, seed=config["seed"])
         for row in rows:
             d = row.to_dict()
-            d["p"] = float(p)
+            d["p"] = p
             all_rows.append(d)
     n_failed = sum(1 for row in all_rows if not row["passed"])
     payload = {
@@ -399,19 +439,15 @@ def cmd_verify(args) -> int:
 
 def cmd_moduli(args) -> int:
     config = load_config("moduli", args)
-    p = float(config.get("p", 2.0))
-    dim = int(config["dim"])
-    seed = int(config["seed"])
+    p, dim = config.get("p", 2.0), config["dim"]
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     conv = modulus_convexity(p, dim, config["convexityGrid"])
-    smooth = modulus_smoothness(
-        p, dim, config["smoothnessGrid"], budget=int(config["budget"]), seed=seed
-    )
+    smooth = modulus_smoothness(p, dim, config["smoothnessGrid"])
     conv.to_csv(out_dir / "moduli_convexity.csv")
     smooth.to_csv(out_dir / "moduli_smoothness.csv")
-    continuity = duality_continuity_check(p, dim, int(config["trials"]), seed=seed)
+    continuity = duality_continuity_check(p, dim, config["trials"], seed=config["seed"])
     payload = {
         "version": __version__,
         "config": {k: v for k, v in config.items() if k != "out"},
@@ -419,11 +455,6 @@ def cmd_moduli(args) -> int:
         "smoothness": {"args": smooth.args, "estimates": smooth.estimates},
         "continuityCheck": continuity,
     }
-    if p == 2.0:
-        # delta_2 is already exact in "convexity"; only rho is estimated
-        payload["hilbertReference"] = {
-            "smoothness": [hilbert_modulus_smoothness(t) for t in smooth.args],
-        }
     write_atomic(out_dir / "moduli.json", canonical_json(payload))
     print(canonical_json({"violations": continuity["violations"], "trials": continuity["trials"]}))
     return EXIT_OK

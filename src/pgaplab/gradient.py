@@ -56,14 +56,6 @@ class GradientResult:
     dual_element: DualVector
     steepest_direction: LpVector
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "energy": self.energy,
-            "dualElement": self.dual_element.values.tolist(),
-            "steepestDirection": self.steepest_direction.values.tolist(),
-        }
-
 
 def _require_symmetric(action: AffineAction):
     report = check_symmetry(action.rep.handle)

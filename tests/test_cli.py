@@ -367,7 +367,8 @@ def test_moduli_command(tmp_path, capsys):
     assert report["convexity"]["estimates"][0] == pytest.approx(
         pg.hilbert_modulus_convexity(1.0)
     )
-    assert set(report["hilbertReference"]) == {"smoothness"}
+    assert report["smoothness"]["estimates"] == [np.sqrt(2.0) - 1.0]
+    assert "hilbertReference" not in report  # it would repeat the exact curves
     assert (tmp_path / "m" / "moduli_convexity.csv").exists()
     assert (tmp_path / "m" / "moduli_smoothness.csv").exists()
 
@@ -405,6 +406,32 @@ def test_moduli_command_reports_exact_convexity(tmp_path, capsys, p):
     for eps, est in zip(conv["args"], conv["estimates"]):
         exact = _hanner_delta(p, eps)
         assert exact - 1e-9 <= est <= exact + 1e-6, (eps, est, exact)
+
+
+_CYCLIC4 = {"family": "cyclic", "params": {"n": 4}}
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("moduli", {"p": "abc"}, "p"),
+        ("moduli", {"dim": "x"}, "dim"),
+        ("moduli", {"dim": 8.5}, "dim"),
+        ("moduli", {"trials": float("inf")}, "trials"),
+        ("moduli", {"convexityGrid": 5}, "convexityGrid"),
+        ("moduli", {"trials": -5}, "trials"),
+        ("gap", {"group": _CYCLIC4, "starts": "x"}, "starts"),
+        ("gap", {"group": _CYCLIC4, "r": "x"}, "r"),
+        ("descend", {"group": _CYCLIC4, "maxIters": "x"}, "maxIters"),
+        ("verify", {"group": _CYCLIC4, "p": "x"}, "p"),
+    ],
+)
+def test_config_value_of_a_bad_type_exits_2(tmp_path, capsys, command, config, key):
+    cfg = write_config(tmp_path, "config.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and repr(key) in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -79,8 +79,9 @@ def test_no_module_body_imports_scipy(path):
     assert not scipy, f"{path.name} imports scipy at import time: {scipy}"
 
 
-# Runs in a fresh interpreter: a mean-zero descent on symmetric(4) and a gap
-# report on a dirichlet ball of free(2), then lists the scipy modules loaded.
+# Runs in a fresh interpreter: a mean-zero descent on symmetric(4), a gap
+# report on a dirichlet ball of free(2) and the l^p moduli at p = 1.5 and 3,
+# then lists the scipy modules loaded.
 _NO_SCIPY_SCRIPT = """
 import json, sys
 from pathlib import Path
@@ -98,12 +99,14 @@ configs = {
                 "cocycle": {"potential": str(tmp / "f.csv")}, "maxIters": 30},
     "gap": {"group": {"family": "free", "params": {"k": 2}}, "radius": 3, "p": 3.0,
             "starts": 1, "iters": 20},
+    "moduli-1.5": {"p": 1.5, "dim": 8, "budget": 2},
+    "moduli-3": {"p": 3.0, "dim": 8, "budget": 2},
 }
 codes = {}
-for command, config in configs.items():
-    (tmp / f"{command}.json").write_text(json.dumps(config))
-    argv = [command, "--config", str(tmp / f"{command}.json"), "--out", str(tmp / command)]
-    codes[command] = cli.main(argv)
+for name, config in configs.items():
+    (tmp / f"{name}.json").write_text(json.dumps(config))
+    argv = [name.split("-")[0], "--config", str(tmp / f"{name}.json"), "--out", str(tmp / name)]
+    codes[name] = cli.main(argv)
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 print(json.dumps({"codes": codes, "scipy": loaded}))
 """
@@ -117,7 +120,7 @@ def test_descend_and_gap_never_load_scipy(tmp_path):
         capture_output=True, text=True, env=env, timeout=300, check=True,
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["codes"] == {"descend": 0, "gap": 0}
+    assert result["codes"] == {"descend": 0, "gap": 0, "moduli-1.5": 0, "moduli-3": 0}
     descent = json.loads((tmp_path / "descend" / "descend.json").read_text())
     assert descent["iterations"] > 1  # slopes on the mean-zero domain were taken
     assert result["scipy"] == []
@@ -128,14 +131,8 @@ def test_moduli_minimize_is_a_module_name_that_reaches_slsqp(monkeypatch):
         lambda x: float(np.sum((x - 1.0) ** 2)), np.zeros(3), method="SLSQP"
     )
     assert res.success and np.allclose(res.x, 1.0, atol=1e-6)
-    # the estimators look the name up in the module, where it can be wrapped
+    # the smoothness modulus is exact, so it makes no solve
     solves = []
-    original = pgaplab.moduli.minimize
-
-    def counting(*args, **kwargs):
-        solves.append(kwargs["method"])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(pgaplab.moduli, "minimize", counting)
-    pgaplab.moduli.modulus_smoothness(3.0, 2, [0.5], budget=1, seed=0)
-    assert solves and set(solves) == {"SLSQP"}
+    monkeypatch.setattr(pgaplab.moduli, "minimize", lambda *args, **kwargs: solves.append(args))
+    pgaplab.moduli.modulus_smoothness(3.0, 2, [0.5])
+    assert solves == []

@@ -106,6 +106,15 @@ def test_slope_checks_catch_an_understated_slope(monkeypatch, make_rep):
 
 
 @pytest.mark.parametrize("make_rep", SLOPE_CASES)
+def test_random_directions_catch_an_understated_slope(monkeypatch, make_rep):
+    # the directions are tilted off the steepest one, so they come within
+    # about 1e-7 of the slope and beat one understated by 1e-6
+    rows = skewed_gradient_rows(monkeypatch, make_rep(), 1.0 - 1e-6)
+    assert not rows["random_directions_below_slope"].passed
+    assert rows["random_directions_below_slope"].detail["excess"] >= 9e-7
+
+
+@pytest.mark.parametrize("make_rep", SLOPE_CASES)
 def test_slope_checks_pass_on_the_exact_slope(make_rep):
     rows = {r.name: r for r in run_suites(make_rep(), ["gradient"], seed=0)}
     assert rows["steepest_attains_slope"].detail["worst"] <= 1e-14
