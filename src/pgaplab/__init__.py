@@ -6,6 +6,11 @@ their absolute gradients in closed form, runs subgradient descent to fixed
 points of affine actions, estimates gap constants (displacement, gradient
 infimum, p-Laplacian inequality), and reports the exact convexity and
 smoothness moduli of finite-dimensional l^p spaces.
+
+A vector on a ball is a float64 array of shape (n,), and so is a
+functional, given by its l^q coefficients; the exponent is the
+`Representation`'s p (q = p/(p-1)), or an explicit argument, as in
+`power_norm(values, p)`.
 """
 
 __version__ = "0.1.0"
@@ -28,15 +33,10 @@ from .groups import (
     load_group_spec,
 )
 from .lpspace import (
-    LpVector,
-    DualVector,
     conjugate_exponent,
-    norm_p,
-    dual_norm_q,
+    power_norm,
     duality_map,
     norming_vector,
-    pair,
-    zero_vector,
     delta,
 )
 from .action import (
@@ -44,7 +44,6 @@ from .action import (
     Cocycle,
     AffineAction,
     coboundary,
-    mean_zero_project,
     cohomology_dims,
     potential_from_cocycle,
     validate_cocycle,

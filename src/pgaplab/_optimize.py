@@ -26,6 +26,8 @@ REACHED_BEST_RTOL = 1e-6
 
 
 def _normalize(domain, p, values):
+    """values projected onto the domain and scaled to unit l^p norm; None
+    when the projection is zero."""
     vals = domain.project(values)
     n = power_norm(vals, p)
     if n == 0.0:
@@ -151,8 +153,7 @@ def multistart_minimize(
         rng = np.random.default_rng(ss)
         jobs.append((f"seed{i}", domain.project(rng.standard_normal(domain.rep.ball.size))))
     for i, vec in enumerate(extra_starts):
-        arr = vec.values if hasattr(vec, "values") else np.asarray(vec, dtype=float)
-        jobs.append((f"start{i}", domain.project(arr.copy())))
+        jobs.append((f"start{i}", domain.project(np.array(vec, dtype=float))))
 
     def run(job):
         tag, v0 = job

@@ -18,8 +18,8 @@ truncated gather.
 A cocycle is stored in the same layout as the table: one (K, n) array whose
 row k is c(g_k).  An affine action adds these rows to the stacked linear
 displacements, and the cocycle routines (the inverse law, norms, extension
-along words) act on all rows at once through the table; LpVectors appear
-only where a single vector crosses the API.
+along words) act on all rows at once through the table.  A single vector
+is a float64 (n,) array, and its exponent is the representation's p.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InfiniteGroup, SupportViolation, ValidationError
 from .groups import OUT_OF_BALL, CayleyBall
-from .lpspace import LpVector, DualVector, power_norm, row_power_norms, zero_vector
+from .lpspace import conjugate_exponent, power_norm, row_power_norms
 
 
 @dataclass
@@ -71,25 +71,33 @@ class Representation:
             return np.ones(self.ball.size, dtype=bool)
         return self.ball.depth <= self.ball.radius - 1
 
-    def check_admissible(self, v: LpVector):
+    def check_admissible(self, values: np.ndarray):
+        """Raise ValidationError unless values is an (n,) array of finite
+        entries, and SupportViolation on mass outside the dirichlet support."""
+        if np.shape(values) != (self.ball.size,):
+            raise ValidationError(
+                f"vector length {np.shape(values)} does not match ball size {self.ball.size}"
+            )
+        if not np.isfinite(values).all():
+            raise ValidationError("vector entries must be finite")
         if self.mode == "dirichlet":
             outside = ~self.admissible_mask
-            if np.any(v.values[outside] != 0.0):
-                bad = int(np.nonzero(outside & (v.values != 0.0))[0][0])
+            if np.any(values[outside] != 0.0):
+                bad = int(np.nonzero(outside & (values != 0.0))[0][0])
                 raise SupportViolation(
                     f"vector has mass at depth {int(self.ball.depth[bad])} "
                     f"> {self.ball.radius - 1} (index {bad})"
                 )
 
-    def zero(self) -> LpVector:
-        return zero_vector(self.ball, self.p)
+    def zero(self) -> np.ndarray:
+        return np.zeros(self.ball.size)
 
-    def random_admissible(self, rng: np.random.Generator, *, mean_zero=False) -> LpVector:
+    def random_admissible(self, rng: np.random.Generator, *, mean_zero=False) -> np.ndarray:
         vals = rng.standard_normal(self.ball.size)
         vals[~self.admissible_mask] = 0.0
         if mean_zero:
             vals -= vals.mean()
-        return LpVector(self.ball, vals, self.p)
+        return vals
 
     def apply_array(self, k, values: np.ndarray) -> np.ndarray:
         """Raw-array image under generator(s) k; no admissibility check.
@@ -105,13 +113,13 @@ class Representation:
             return padded[rows]
         return np.take_along_axis(padded, rows, axis=-1)
 
-    def apply_generator(self, k: int, v: LpVector, *, check=True) -> LpVector:
+    def apply_generator(self, k: int, v: np.ndarray, *, check=True) -> np.ndarray:
         """Image of v under the k-th generator of K."""
         if check:
             self.check_admissible(v)
-        return LpVector(self.ball, self.apply_array(k, v.values), self.p)
+        return self.apply_array(k, v)
 
-    def apply(self, gamma, v: LpVector, *, check=True) -> LpVector:
+    def apply(self, gamma, v: np.ndarray, *, check=True) -> np.ndarray:
         """Image of v under a group element (use apply_generator for an index
         into K).  Arbitrary elements need full mode; dirichlet mode only acts
         by generators.  A non-generator acts as the product of the generator
@@ -127,10 +135,10 @@ class Representation:
             )
         if check:
             self.check_admissible(v)
-        out = v.values.copy()
+        out = v.copy()
         for k in reversed(self.ball.word_for(self.ball.locate(key))):
             out = self.apply_array(k, out)
-        return LpVector(self.ball, out, self.p)
+        return out
 
 
 @dataclass
@@ -163,7 +171,7 @@ class Cocycle:
     def from_generator_values(cls, rep: Representation, assignment: dict, *, tol=1e-9) -> "Cocycle":
         """Build a cocycle from values on part of K, deriving inverses.
 
-        `assignment` maps generator names or indices to LpVectors.  Missing
+        `assignment` maps generator names or indices to (n,) arrays.  Missing
         inverse generators get the forced value -pi(g^-1) c(g); an involution
         must satisfy c(g) = -pi(g) c(g) up to `tol` or the data is rejected.
         """
@@ -180,9 +188,12 @@ class Cocycle:
                     k = h.names.index(key)
                 except ValueError:
                     raise ValidationError(f"unknown generator {key!r}") from None
-            if vec.ball is not rep.ball or vec.p != rep.p:
-                raise ValidationError("cocycle values must live on the representation's ball")
-            values[k] = vec.values
+            if np.shape(vec) != (rep.ball.size,):
+                raise ValidationError(
+                    f"cocycle value of {h.names[k]} has shape {np.shape(vec)}, "
+                    f"not the ball's ({rep.ball.size},)"
+                )
+            values[k] = vec
             given[k] = True
         missing = np.nonzero(~given)[0]
         for k in missing:
@@ -199,7 +210,7 @@ class Cocycle:
             )
         return c
 
-    def extend(self, word: Sequence[int]) -> LpVector:
+    def extend(self, word: Sequence[int]) -> np.ndarray:
         """Cocycle value on the product of a generator word.
 
         Peeling the leftmost generator, c(g w) = pi(g) c(w) + c(g); the
@@ -208,20 +219,22 @@ class Cocycle:
         acc = np.zeros(self.rep.ball.size)
         for k in reversed(list(word)):
             acc = self.rep.apply_array(int(k), acc) + self.values[int(k)]
-        return LpVector(self.rep.ball, acc, self.rep.p)
+        return acc
 
 
-def coboundary(rep: Representation, v: LpVector) -> Cocycle:
+def coboundary(rep: Representation, v: np.ndarray) -> Cocycle:
     """The cocycle g -> pi(g) v - v."""
     rep.check_admissible(v)
-    return Cocycle(rep, rep.apply_array(slice(None), v.values) - v.values)
+    return Cocycle(rep, rep.apply_array(slice(None), v) - v)
 
 
-def _extend_rows(c: Cocycle) -> np.ndarray:
+def extend_all(c: Cocycle) -> np.ndarray:
     """(n, n) array whose row i is c at ball element i, along BFS words.
 
     Row i is pi(g) row(parent) + c(g) with g = parent_gen[i]; a whole depth
     layer is gathered at once, since its parents are all one layer up.
+    Exact in full mode; on truncations the values are exact as long as the
+    accumulated supports stay inside the ball.
     """
     b = c.rep.ball
     out = np.zeros((b.size, b.size))
@@ -230,15 +243,6 @@ def _extend_rows(c: Cocycle) -> np.ndarray:
         k = b.parent_gen[layer]
         out[layer] = c.rep.apply_array(k, out[b.parent[layer]]) + c.values[k]
     return out
-
-
-def extend_all(c: Cocycle) -> list[LpVector]:
-    """Extend a cocycle to every ball element along canonical BFS words.
-
-    Exact in full mode; on truncations the values are exact as long as the
-    accumulated supports stay inside the ball.
-    """
-    return [LpVector(c.rep.ball, row, c.rep.p) for row in _extend_rows(c)]
 
 
 def inverse_law_residual(c: Cocycle) -> float:
@@ -263,7 +267,7 @@ def validate_cocycle(c: Cocycle, *, tol=1e-9, max_pairs=20000, seed=0) -> dict:
     checked = h.n_generators
 
     if rep.mode == "full":
-        ext = _extend_rows(c)
+        ext = extend_all(c)
         n = b.size
         if h.n_generators * n <= max_pairs:
             ks, js = np.divmod(np.arange(h.n_generators * n), n)
@@ -289,7 +293,7 @@ class AffineAction:
 
     rep: Representation
     cocycle: Cocycle | None = None
-    potential: LpVector | None = None  # f with c = d f, when known
+    potential: np.ndarray | None = None  # f with c = d f, when known
 
     def __post_init__(self):
         if self.cocycle is not None and self.cocycle.rep is not self.rep:
@@ -300,7 +304,7 @@ class AffineAction:
                 self.cocycle = want
             else:
                 resid = row_power_norms(want.values - self.cocycle.values, self.rep.p).max()
-                if resid > 1e-12 * max(1.0, self.potential.norm()):
+                if resid > 1e-12 * max(1.0, power_norm(self.potential, self.rep.p)):
                     raise ValidationError(
                         f"declared potential does not match cocycle (residual {resid:.3e})"
                     )
@@ -310,7 +314,7 @@ class AffineAction:
         return cls(rep, None, None)
 
     @classmethod
-    def from_potential(cls, rep: Representation, f: LpVector) -> "AffineAction":
+    def from_potential(cls, rep: Representation, f: np.ndarray) -> "AffineAction":
         """The action whose cocycle is the coboundary of f; -f is a fixed point."""
         return cls(rep, None, f)
 
@@ -322,17 +326,12 @@ class AffineAction:
             d = d + self.cocycle.values
         return d
 
-    def apply(self, k: int, v: LpVector) -> LpVector:
+    def apply(self, k: int, v: np.ndarray) -> np.ndarray:
         self.rep.check_admissible(v)
-        w = self.rep.apply_array(k, v.values)
+        w = self.rep.apply_array(k, v)
         if self.cocycle is not None:
             w = w + self.cocycle.values[k]
-        return LpVector(self.rep.ball, w, self.rep.p)
-
-
-def mean_zero_project(v: LpVector) -> LpVector:
-    """Subtract the mean; idempotent, kills constants, preserved by the action."""
-    return LpVector(v.ball, v.values - v.values.mean(), v.p)
+        return w
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +389,7 @@ def cohomology_dims(rep: Representation, *, rank_tol=None, size_cap=64) -> dict:
     return {"dimZ1": dim_z1, "dimB1": dim_b1, "dimH1": dim_z1 - dim_b1}
 
 
-def potential_from_cocycle(c: Cocycle) -> tuple[LpVector, float]:
+def potential_from_cocycle(c: Cocycle) -> tuple[np.ndarray, float]:
     """Least-squares potential f with d f = c; returns (f, residual).
 
     The mean-zero representative is returned (uniqueness up to constants).
@@ -412,9 +411,8 @@ def potential_from_cocycle(c: Cocycle) -> tuple[LpVector, float]:
     values[cols] = sol
     if rep.mode == "full":
         values -= values.mean()
-    f = LpVector(b, values, rep.p)
     resid = float(np.linalg.norm(A @ sol - bvec))
-    return f, resid
+    return values, resid
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +430,17 @@ class Domain:
     def project(self, values: np.ndarray) -> np.ndarray:
         return values
 
-    def random_unit(self, rng: np.random.Generator) -> LpVector:
+    def random_unit(self, rng: np.random.Generator) -> np.ndarray:
         for _ in range(100):
             vals = self.project(rng.standard_normal(self.rep.ball.size))
             nrm = power_norm(vals, self.rep.p)
             if nrm > 0:
-                return LpVector(self.rep.ball, vals / nrm, self.rep.p)
+                return vals / nrm
         raise ValidationError("could not sample a nonzero domain vector")
 
-    def restrict_dual(self, xi: DualVector) -> DualVector:
-        """Functional with the same action on the domain, maximal-slope form."""
+    def restrict_dual(self, xi: np.ndarray) -> np.ndarray:
+        """Functional (l^q coefficients) with the same action on the domain,
+        maximal-slope form."""
         return xi
 
 
@@ -457,18 +456,18 @@ class MeanZeroDomain(Domain):
     def project(self, values: np.ndarray) -> np.ndarray:
         return values - values.mean()
 
-    def restrict_dual(self, xi: DualVector) -> DualVector:
+    def restrict_dual(self, xi: np.ndarray) -> np.ndarray:
         # On mean-zero vectors, xi and xi - c*1 act identically; the quotient
         # representative of minimal l^q norm gives the exact restricted slope.
-        vals = xi.values
-        if abs(xi.q - 2.0) < 1e-14:
-            c = vals.mean()
+        q = conjugate_exponent(self.rep.p)
+        if abs(q - 2.0) < 1e-14:
+            c = xi.mean()
         else:
-            c = _norm_minimising_shift(vals, xi.q)
-        return DualVector(xi.ball, vals - c, xi.q)
+            c = norm_minimising_shift(xi, q)
+        return xi - c
 
 
-def _norm_minimising_shift(vals: np.ndarray, q: float) -> float:
+def norm_minimising_shift(vals: np.ndarray, q: float) -> float:
     """The c minimising sum |vals - c|^q, to rounding.
 
     c is the root of the strictly decreasing g(c) = sum psi(vals - c),
@@ -528,8 +527,8 @@ class DirichletDomain(Domain):
         out[~self.mask] = 0.0
         return out
 
-    def restrict_dual(self, xi: DualVector) -> DualVector:
-        return DualVector(xi.ball, self.project(xi.values), xi.q)
+    def restrict_dual(self, xi: np.ndarray) -> np.ndarray:
+        return self.project(xi)
 
 
 def default_domain(rep: Representation, kind: str | None = None) -> Domain:

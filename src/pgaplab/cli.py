@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .action import AffineAction, Cocycle, Representation, default_domain
+from .action import AffineAction, Cocycle, Representation, default_domain, norm_minimising_shift
 from .errors import (
     AsymmetricSetup,
     AtFixedPoint,
@@ -32,7 +32,7 @@ from .errors import (
 from .gaps import GapOptions, equivalence_report, gap_sweep
 from .gradient import DescentOptions, descend, restricted_slope
 from .groups import ball, build_group, check_symmetry, full_ball, load_group_spec
-from .lpspace import vector_from_csv
+from .lpspace import power_norm, vector_from_csv
 from .moduli import duality_continuity_check, modulus_convexity, modulus_smoothness
 from .verify import SUITES, run_suites
 
@@ -360,11 +360,9 @@ def _load_action(rep: Representation, spec) -> AffineAction:
     if spec is None or spec.get("zero"):
         return AffineAction.linear(rep)
     if "potential" in spec:
-        return AffineAction.from_potential(rep, vector_from_csv(rep.ball, spec["potential"], rep.p))
+        return AffineAction.from_potential(rep, vector_from_csv(rep.ball, spec["potential"]))
     if "values" in spec:
-        mapping = {
-            name: vector_from_csv(rep.ball, path, rep.p) for name, path in spec["values"].items()
-        }
+        mapping = {name: vector_from_csv(rep.ball, path) for name, path in spec["values"].items()}
         return AffineAction(rep, Cocycle.from_generator_values(rep, mapping))
     raise ValidationError("cocycle entry needs 'zero', 'potential' or 'values'")
 
@@ -372,7 +370,12 @@ def _load_action(rep: Representation, spec) -> AffineAction:
 def cmd_descend(args) -> int:
     """Descend toward a fixed point and report the restricted slope at the
     terminal.  Descent draws no random numbers: a `seed` in the config is
-    accepted and echoed, and changes nothing."""
+    accepted and echoed, and changes nothing.
+
+    With a potential f0, `recoveryError` is the l^p distance from the
+    terminal to the fixed-point set of the action: -f0 + c 1 for every c in
+    full mode, where constants are invariant, and -f0 alone in dirichlet
+    mode."""
     config = load_config("descend", args)
     handle, radius = _build_handle(config)
     p = config.get("p", 2.0)
@@ -382,7 +385,7 @@ def cmd_descend(args) -> int:
     if config["v0"] == "zero":
         v0 = rep.zero()
     else:
-        v0 = vector_from_csv(rep.ball, config["v0"], p)
+        v0 = vector_from_csv(rep.ball, config["v0"])
     options = DescentOptions(
         abs_tol=config["absTol"], grad_tol=config["gradTol"], max_iters=config["maxIters"]
     )
@@ -399,10 +402,13 @@ def cmd_descend(args) -> int:
         "iterations": len(trace.rows),
         "finalEnergy": trace.final_energy,
         "terminalGradient": slope,
-        "terminal": trace.terminal.values.tolist(),
+        "terminal": trace.terminal.tolist(),
     }
     if action.potential is not None:
-        payload["recoveryError"] = (trace.terminal - (-1.0 * action.potential)).norm()
+        offset = trace.terminal + action.potential
+        if rep.mode == "full":
+            offset = offset - norm_minimising_shift(offset, p)
+        payload["recoveryError"] = power_norm(offset, p)
     write_atomic(out_dir / "descend.json", canonical_json(payload))
     print(canonical_json({"reason": trace.reason, "finalEnergy": trace.final_energy}))
     if trace.reason == "stalled":

@@ -4,6 +4,10 @@ The displacement energy of an affine isometric action alpha at v is the
 weighted r-mean over generators of |alpha(g) v - v|_p (max over K at
 r = inf).  It vanishes exactly at fixed points, is convex, 2-Lipschitz,
 and for linear actions positively homogeneous.
+
+Vectors are float64 (n,) arrays whose exponent is the representation's p;
+the p-Laplacian and the gradient field return the l^q coefficient array of
+a functional, q = p/(p-1).
 """
 
 from __future__ import annotations
@@ -15,13 +19,7 @@ import numpy as np
 from . import lpspace
 from .action import AffineAction, Cocycle, Representation, coboundary
 from .errors import ValidationError
-from .lpspace import (
-    DualVector,
-    LpVector,
-    conjugate_exponent,
-    row_power_norms,
-    signed_power,
-)
+from .lpspace import row_power_norms, signed_power
 
 # nothing here calls it: benchmarks/test_oracles.py checks that the tracer
 # restores the alias energy.power_norm
@@ -53,15 +51,15 @@ def weighted_r_mean(values: np.ndarray, weights: np.ndarray, r: float) -> float:
     return m * float(np.sum(weights * (values / m) ** r) ** (1.0 / r))
 
 
-def generator_displacements(action: AffineAction, v: LpVector, *, check=True) -> np.ndarray:
+def generator_displacements(action: AffineAction, v: np.ndarray, *, check=True) -> np.ndarray:
     """|alpha(g) v - v|_p per generator, as an array aligned with K."""
     if check:
         action.rep.check_admissible(v)
-    return row_power_norms(action.displacements(v.values), action.rep.p)
+    return row_power_norms(action.displacements(v), action.rep.p)
 
 
 def displacement_energy(
-    action: AffineAction, params: EnergyParams, v: LpVector, *, check=True
+    action: AffineAction, params: EnergyParams, v: np.ndarray, *, check=True
 ) -> float:
     """Weighted r-mean of the generator displacements of v."""
     if params.p != action.rep.p:
@@ -75,7 +73,7 @@ def cocycle_norm(c: Cocycle, params: EnergyParams) -> float:
     return weighted_r_mean(row_power_norms(c.values, c.rep.p), c.rep.weights, params.r)
 
 
-def dirichlet_norm(rep: Representation, f: LpVector, *, check=True) -> float:
+def dirichlet_norm(rep: Representation, f: np.ndarray, *, check=True) -> float:
     """(sum_g |df(g)|_p^p m(g))^(1/p); vanishes exactly on constants."""
     if check:
         rep.check_admissible(f)
@@ -83,7 +81,7 @@ def dirichlet_norm(rep: Representation, f: LpVector, *, check=True) -> float:
     return cocycle_norm(c, EnergyParams(r=rep.p, p=rep.p))
 
 
-def p_laplacian(rep: Representation, f: LpVector, *, check=True) -> DualVector:
+def p_laplacian(rep: Representation, f: np.ndarray, *, check=True) -> np.ndarray:
     """Pointwise sum_g |df(g)(x)|^(p-2) df(g)(x) m(g), paired with l^q.
 
     The factor |t|^(p-2) t is evaluated as sign(t) |t|^(p-1), which is zero
@@ -97,7 +95,7 @@ def weighted_sum(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.add.reduce(weights[:, None] * rows, axis=0, initial=0.0)
 
 
-def gradient_field(action: AffineAction, f: LpVector, *, check=True) -> DualVector:
+def gradient_field(action: AffineAction, f: np.ndarray, *, check=True) -> np.ndarray:
     """Pointwise sum_g |Dv(g)(x)|^(p-2) Dv(g)(x) m(g) with Dv(g) = alpha(g)v - v.
 
     Coincides with the p-Laplacian when the cocycle part vanishes.
@@ -105,15 +103,12 @@ def gradient_field(action: AffineAction, f: LpVector, *, check=True) -> DualVect
     rep = action.rep
     if check:
         rep.check_admissible(f)
-    p = rep.p
-    xi = weighted_sum(rep.weights, signed_power(action.displacements(f.values), p - 1.0))
-    return DualVector(rep.ball, xi, conjugate_exponent(p))
+    return weighted_sum(rep.weights, signed_power(action.displacements(f), rep.p - 1.0))
 
 
-def markov_operator(rep: Representation, f: LpVector) -> LpVector:
+def markov_operator(rep: Representation, f: np.ndarray) -> np.ndarray:
     """Weighted mean of the generator translates, sum_g m(g) pi(g) f."""
-    acc = weighted_sum(rep.weights, rep.apply_array(slice(None), f.values))
-    return LpVector(rep.ball, acc, rep.p)
+    return weighted_sum(rep.weights, rep.apply_array(slice(None), f))
 
 
 def energy_csv_row(tag: str, params: EnergyParams, value: float) -> str:

@@ -19,7 +19,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._optimize import MultistartResult, multistart_minimize, sphere_minimize, trajectory_summary
+from ._optimize import (
+    MultistartResult,
+    _normalize,
+    multistart_minimize,
+    sphere_minimize,
+    trajectory_summary,
+)
 from .action import (
     AffineAction,
     Domain,
@@ -27,17 +33,10 @@ from .action import (
     Representation,
     default_domain,
 )
-from .energy import (
-    EnergyParams,
-    dirichlet_norm,
-    displacement_energy,
-    p_laplacian,
-    weighted_r_mean,
-    weighted_sum,
-)
+from .energy import dirichlet_norm, p_laplacian, weighted_r_mean, weighted_sum
 from .errors import FixedVectorPresent, ValidationError
 from .gradient import abs_gradient, descend, DescentOptions, restricted_slope
-from .lpspace import LpVector, power_norm, row_power_norms, signed_power
+from .lpspace import conjugate_exponent, power_norm, row_power_norms, signed_power
 
 
 @dataclass
@@ -269,17 +268,16 @@ def kesten_displacement_bound(rank: int) -> float:
     return float(np.sqrt(2.0 * (1.0 - np.sqrt(2.0 * k - 1.0) / k)))
 
 
-def tent_vector(rep: Representation) -> LpVector:
+def tent_vector(rep: Representation) -> np.ndarray:
     """Tent profile max(0, 1 - |x|/R) on a rank-1 lattice ball; admissible."""
     h = rep.handle
     if h.family != "integer_lattice" or len(rep.ball.elements[0]) != 1:
         raise ValidationError("tent profile is defined for integer_lattice(1)")
     R = rep.ball.radius
-    vals = np.array([max(0.0, 1.0 - abs(g[0]) / R) for g in rep.ball.elements])
-    return LpVector(rep.ball, vals, rep.p)
+    return np.array([max(0.0, 1.0 - abs(g[0]) / R) for g in rep.ball.elements])
 
 
-def laplacian_ratio(rep: Representation, f: LpVector) -> float:
+def laplacian_ratio(rep: Representation, f: np.ndarray) -> float:
     """Ambient Laplacian ratio |Delta_p f|_q / |f|_{D_p}^(p-1).
 
     It is half the ambient slope `abs_gradient` at f.  C_lap is the infimum
@@ -289,7 +287,8 @@ def laplacian_ratio(rep: Representation, f: LpVector) -> float:
     dnorm = dirichlet_norm(rep, f)
     if dnorm == 0.0:
         raise ValidationError("Laplacian ratio undefined on constants")
-    return p_laplacian(rep, f).norm() / dnorm ** (rep.p - 1.0)
+    lap = p_laplacian(rep, f)
+    return power_norm(lap, conjugate_exponent(rep.p)) / dnorm ** (rep.p - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -308,22 +307,6 @@ class ConstantEstimate:
 
 def _pool_vectors(result: MultistartResult) -> list:
     return [vec for (_tag, val, vec, _traj) in result.pool if np.isfinite(val)]
-
-
-def _normalized_extras(domain, p, extras) -> list:
-    """Project and normalize warm-start vectors for direct pool evaluation.
-
-    Evaluating the raw starts (not just the trajectories they seed) makes
-    sweep estimates nonincreasing under warm starting by construction.
-    """
-    out = []
-    for vec in extras:
-        arr = np.asarray(vec.values if hasattr(vec, "values") else vec, dtype=float)
-        arr = domain.project(arr)
-        n = power_norm(arr, p)
-        if n > 0.0:
-            out.append(arr / n)
-    return out
 
 
 def _ratio_multistart(action: AffineAction, r: float, opts: GapOptions, domain: Domain):
@@ -386,17 +369,14 @@ def displacement_constant(
     obj_inf = make_energy_ratio_objective(action, np.inf)
     polish_runs = [sphere_minimize(obj_inf, domain, p, vec, opts.polish_iters) for vec in pool]
     polished = [w for (_val, w, _traj) in polish_runs]
-    pool = pool + polished + _normalized_extras(domain, p, opts.extra_starts)
+    # the raw warm starts too, not just the trajectories they seed: that makes
+    # sweep estimates nonincreasing under warm starting by construction
+    extras = [_normalize(domain, p, np.asarray(v, dtype=float)) for v in opts.extra_starts]
+    pool = pool + polished + [w for w in extras if w is not None]
 
-    params_r = EnergyParams(r=r, p=p)
-    params_inf = EnergyParams(r=np.inf, p=p)
-
-    def ratio(v, params):
-        lv = LpVector(rep.ball, v, p)
-        return displacement_energy(action, params, lv, check=False) / power_norm(v, p)
-
-    vals_inf = [ratio(v, params_inf) for v in pool]
-    vals_r = [ratio(v, params_r) for v in pool]
+    obj_r = make_energy_ratio_objective(action, r)
+    vals_inf = [obj_inf(v)[0] for v in pool]
+    vals_r = [obj_r(v)[0] for v in pool]
     i_inf = int(np.argmin(vals_inf))
     i_r = int(np.argmin(vals_r))
     if est_disp is None:
@@ -422,8 +402,7 @@ def gradient_constant(
     slope at the certificate: its excess over C_p shows how far the
     certificate is from stationary.
     """
-    cert = LpVector(rep.ball, est_p.certificate, rep.p)
-    slope, _ = restricted_slope(AffineAction.linear(rep), cert, domain)
+    slope, _ = restricted_slope(AffineAction.linear(rep), est_p.certificate, domain)
     diagnostics = {**est_p.diagnostics, "slopeAtCertificate": slope}
     return ConstantEstimate(est_p.value, est_p.certificate, est_p.method, [], diagnostics)
 
@@ -497,7 +476,11 @@ def equivalence_report(
 
     est_disp, est_r = displacement_constant(rep, r, opts, domain)
     action = AffineAction.linear(rep)
-    pool = [est_disp.certificate, est_r.certificate] + est_disp.pool + est_r.pool
+    # (vector, whether displacement_constant reduced C_disp and C_r over it),
+    # each vector once; est_disp.pool is est_r.pool or empty
+    certs = [est_disp.certificate, est_r.certificate]
+    pool = [(v, any(v is w for w in est_r.pool)) for v in certs]
+    pool += [(v, True) for v in est_r.pool if all(v is not c for c in certs)]
     # C_p, the energy ratio at r = p, supplies C_grad and C_lap
     estimates = {"C_disp": est_disp, "C_r": est_r}
     if r != p:
@@ -507,7 +490,7 @@ def equivalence_report(
         else:
             result = _ratio_multistart(action, p, opts, domain)
             est_p = ConstantEstimate(np.inf, None, "multistart", [], result.summary())
-            pool += _pool_vectors(result)
+            pool += [(v, False) for v in _pool_vectors(result)]
         estimates["C_p"] = est_p
 
     battery_rows = []
@@ -516,7 +499,7 @@ def equivalence_report(
         f0 = domain.random_unit(rng)
         cob = AffineAction.from_potential(rep, f0)
         trace = descend(cob, rep.zero(), DescentOptions(), domain=domain)
-        recovery = (trace.terminal - (-1.0 * f0)).norm()
+        recovery = power_norm(trace.terminal + f0, p)
         min_grad = np.inf
         for _ in range(battery_samples):
             # the affine gradient at v equals the linear one at v + f0, so
@@ -524,7 +507,7 @@ def equivalence_report(
             w = domain.random_unit(rng)
             v_sample = w - f0
             min_grad = min(min_grad, abs_gradient(cob, v_sample).value)
-            pool.append(w.values)
+            pool.append((w, False))
         battery_rows.append(
             {
                 "index": i,
@@ -536,20 +519,19 @@ def equivalence_report(
             }
         )
 
-    # each estimate that no exact oracle gave is the best ratio over the shared pool
+    # each estimate that no exact oracle gave is the best ratio over the shared
+    # pool, in pool order; C_disp and C_r only need the vectors they have not seen
     exponents = {"C_disp": np.inf, "C_r": r, "C_p": p}
-    live = [
-        (key, EnergyParams(r=exponents[key], p=p))
+    live = {
+        key: make_energy_ratio_objective(action, exponents[key])
         for key, est in estimates.items()
         if est.method != "exact-fourier"
-    ]
-    for vals in pool:
-        nv = power_norm(vals, p)
-        if nv == 0.0:
-            continue
-        lv = LpVector(rep.ball, vals, p)
-        for key, params in live:
-            value = displacement_energy(action, params, lv, check=False) / nv
+    }
+    for vals, seen in pool:
+        for key, objective in live.items():
+            if seen and key != "C_p":
+                continue
+            value = objective(vals)[0]
             if value < estimates[key].value:
                 estimates[key] = replace(estimates[key], value=value, certificate=vals)
 
@@ -619,7 +601,7 @@ def gap_sweep(handle, p: float, r: float, radii, options: GapOptions | None = No
             extra.append(lift_vector(vals, prev_size, b.size))
         if handle.family == "integer_lattice":
             try:
-                extra.append(tent_vector(rep).values)
+                extra.append(tent_vector(rep))
             except ValidationError:
                 pass
         local = replace(opts, extra_starts=tuple(extra))

@@ -13,7 +13,12 @@ unit direction of l^p(G).  The restricted slope (`restricted_slope`) ranges
 over the unit directions of a domain, the space of the representation the
 estimate is restricted to; it replaces xi by `Domain.restrict_dual(xi)`.
 `descend` follows the restricted slope, and the gap constants C_grad and
-C_lap are its infimum and half of it.
+C_lap are its infimum and half of it; `abs_gradient` is the restricted
+slope on the ambient `FullDomain`.
+
+Points and directions are float64 (n,) arrays in l^p, p the
+representation's exponent; xi and the other dual elements are l^q
+coefficient arrays, q = p/(p-1).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import AffineAction, Domain, default_domain
+from .action import AffineAction, Domain, FullDomain, default_domain
 from .energy import (
     EnergyParams,
     displacement_energy,
@@ -32,8 +37,7 @@ from .energy import (
 from .errors import AsymmetricSetup, AtFixedPoint, NonsmoothPoint, ValidationError
 from .groups import check_symmetry
 from .lpspace import (
-    DualVector,
-    LpVector,
+    conjugate_exponent,
     norming_vector,
     power_norm,
     row_power_norms,
@@ -45,16 +49,17 @@ from .lpspace import (
 class GradientResult:
     """Closed-form absolute gradient at a point.
 
-    value is 2 |dual_element|_q / F^(p-1), with dual_element the pointwise
-    gradient field.  steepest_direction is the unit vector attaining the
-    descent slope (norming vector of the dual element); stepping along it
-    with a positive step decreases the energy.
+    value is 2 |dual_element|_q / F^(p-1), with dual_element the l^q
+    coefficient array of the pointwise gradient field.  steepest_direction
+    is the unit l^p array attaining the descent slope (norming vector of the
+    dual element); stepping along it with a positive step decreases the
+    energy.
     """
 
     value: float
     energy: float
-    dual_element: DualVector
-    steepest_direction: LpVector
+    dual_element: np.ndarray
+    steepest_direction: np.ndarray
 
 
 def _require_symmetric(action: AffineAction):
@@ -66,31 +71,32 @@ def _require_symmetric(action: AffineAction):
         )
 
 
-def abs_gradient(action: AffineAction, v: LpVector, *, check=True) -> GradientResult:
+def abs_gradient(action: AffineAction, v: np.ndarray, *, check=True) -> GradientResult:
     """Closed-form ambient absolute gradient 2 |xi|_q / F^(p-1) at v, over
-    every direction of l^p(G) (needs F(v) > 0); see `restricted_slope` for
-    the slope inside a domain."""
+    every direction of l^p(G) (needs F(v) > 0): the restricted slope on the
+    ambient `FullDomain`."""
     _require_symmetric(action)
     rep = action.rep
     p = rep.p
-    params = EnergyParams(r=p, p=p)
-    f_val = displacement_energy(action, params, v, check=check)
+    f_val = displacement_energy(action, EnergyParams(r=p, p=p), v, check=check)
     if f_val == 0.0:
         raise AtFixedPoint("energy vanishes at v; the gradient is 0 by convention")
-
-    xi = gradient_field(action, v, check=False)
-    value = 2.0 * xi.norm() / f_val ** (p - 1.0)
-    steepest = norming_vector(xi)
+    value, xi = restricted_slope(action, v, FullDomain(rep), f_val)
     return GradientResult(
         value=value,
         energy=f_val,
         dual_element=xi,
-        steepest_direction=steepest,
+        steepest_direction=norming_vector(xi, conjugate_exponent(p)),
     )
 
 
 def finite_difference_quotient(
-    action: AffineAction, params: EnergyParams, v: LpVector, u: LpVector, h: float, scheme="central"
+    action: AffineAction,
+    params: EnergyParams,
+    v: np.ndarray,
+    u: np.ndarray,
+    h: float,
+    scheme="central",
 ) -> float:
     """Finite-difference value of the descent quotient (F(v) - F(v+eps u))/eps."""
     f = lambda w: displacement_energy(action, params, w, check=False)
@@ -101,8 +107,8 @@ def finite_difference_quotient(
 
 def directional_derivative(
     action: AffineAction,
-    v: LpVector,
-    u: LpVector,
+    v: np.ndarray,
+    u: np.ndarray,
     *,
     h: float = 1e-5,
     nonsmooth: str = "fallback",
@@ -116,7 +122,7 @@ def directional_derivative(
     rep = action.rep
     p = rep.p
     rep.check_admissible(v)
-    disp = action.displacements(v.values)
+    disp = action.displacements(v)
     norms = row_power_norms(disp, p)
     f_val = weighted_r_mean(norms, rep.weights, p)  # F_p(v), as displacement_energy takes it
     if f_val == 0.0:
@@ -126,7 +132,7 @@ def directional_derivative(
             raise NonsmoothPoint("some generator displacement vanishes at v")
         return finite_difference_quotient(action, EnergyParams(r=p, p=p), v, u, h, scheme="one_sided")
 
-    du = rep.apply_array(slice(None), u.values) - u.values
+    du = rep.apply_array(slice(None), u) - u
     jd = signed_power(disp / norms[:, None], p - 1.0)
     coef = rep.weights * (norms / f_val) ** (p - 1.0)
     return -float(np.dot(coef, np.einsum("kn,kn->k", jd, du)))
@@ -135,12 +141,12 @@ def directional_derivative(
 def abs_gradient_sampled(
     action: AffineAction,
     params: EnergyParams,
-    v: LpVector,
+    v: np.ndarray,
     budget: int = 64,
     *,
     seed: int = 0,
     domain: Domain | None = None,
-    fixed_point: LpVector | None = None,
+    fixed_point: np.ndarray | None = None,
     include_steepest: bool = True,
 ) -> float:
     """Lower-bound estimate of the absolute gradient by difference quotients.
@@ -156,24 +162,25 @@ def abs_gradient_sampled(
     rep = action.rep
     if domain is None:
         domain = default_domain(rep, "full" if rep.mode == "full" else "dirichlet")
+    p = rep.p
+    q = conjugate_exponent(p)
     rng = np.random.default_rng(seed)
     f_v = displacement_energy(action, params, v)
-    scale = v.norm() or 1.0
+    scale = power_norm(v, p) or 1.0
     radii = np.array([1e-3, 1e-2, 0.1, 1.0]) * scale
 
     directions = [domain.random_unit(rng) for _ in range(budget)]
     if include_steepest and params.r == params.p and f_v > 0.0:
         xi = domain.restrict_dual(gradient_field(action, v, check=False))
-        if xi.norm() > 0.0:
-            u = norming_vector(xi)
-            vals = domain.project(u.values)
-            nrm = power_norm(vals, rep.p)
+        if power_norm(xi, q) > 0.0:
+            vals = domain.project(norming_vector(xi, q))
+            nrm = power_norm(vals, p)
             if nrm > 0.0:
-                directions.append(LpVector(rep.ball, vals / nrm, rep.p))
+                directions.append(vals / nrm)
     candidates = []
     if fixed_point is not None:
         diff = fixed_point - v
-        nd = diff.norm()
+        nd = power_norm(diff, p)
         if nd > 0.0:
             directions.append((1.0 / nd) * diff)
             candidates.append(fixed_point)
@@ -185,7 +192,7 @@ def abs_gradient_sampled(
             f_w = displacement_energy(action, params, w, check=False)
             best = max(best, (f_v - f_w) / float(s))
     for w in candidates:
-        dist = (v - w).norm()
+        dist = power_norm(v - w, p)
         if dist > 0.0:
             f_w = displacement_energy(action, params, w, check=False)
             best = max(best, (f_v - f_w) / dist)
@@ -193,8 +200,8 @@ def abs_gradient_sampled(
 
 
 def restricted_slope(
-    action: AffineAction, v: LpVector, domain: Domain, energy: float | None = None
-) -> tuple[float, DualVector | None]:
+    action: AffineAction, v: np.ndarray, domain: Domain, energy: float | None = None
+) -> tuple[float, np.ndarray | None]:
     """Restricted absolute gradient 2 |restrict_dual(xi)|_q / F^(p-1) at v.
 
     Returns the slope and the restricted dual element, whose norming vector
@@ -207,16 +214,16 @@ def restricted_slope(
     if energy == 0.0:
         return 0.0, None
     xi = domain.restrict_dual(gradient_field(action, v, check=False))
-    return 2.0 * xi.norm() / energy ** (p - 1.0), xi
+    return 2.0 * power_norm(xi, conjugate_exponent(p)) / energy ** (p - 1.0), xi
 
 
-def steepest_direction(domain: Domain, xi: DualVector) -> LpVector:
+def steepest_direction(domain: Domain, xi: np.ndarray) -> np.ndarray:
     """Unit steepest descent direction inside the domain for the restricted
     dual element xi: its norming vector, projected onto the domain (which
     removes rounding off it) and renormalised."""
     p = domain.rep.p
-    vals = domain.project(norming_vector(xi).values)
-    return LpVector(domain.rep.ball, vals / power_norm(vals, p), p)
+    vals = domain.project(norming_vector(xi, conjugate_exponent(p)))
+    return vals / power_norm(vals, p)
 
 
 # descend's Armijo line search: sufficient-decrease fraction, step shrink
@@ -238,7 +245,7 @@ class DescentTrace:
     """Record of a subgradient descent run toward a fixed point."""
 
     rows: list = field(default_factory=list)  # (iter, F, grad, step)
-    terminal: LpVector | None = None
+    terminal: np.ndarray | None = None
     reason: str = ""
     final_energy: float = float("nan")  # energy at the terminal
 
@@ -251,7 +258,7 @@ class DescentTrace:
 
 def descend(
     action: AffineAction,
-    v0: LpVector,
+    v0: np.ndarray,
     options: DescentOptions | None = None,
     *,
     domain: Domain | None = None,
@@ -262,6 +269,8 @@ def descend(
     direction and t_k found by Armijo backtracking from F(v_k)/2.  Stops at
     F <= abs_tol, slope <= grad_tol, the iteration cap, or a stall after
     MAX_HALVINGS rejected steps (reported in the trace, not raised).
+    v0 must pass `check_admissible`; the descent starts from its projection
+    onto the domain.
 
     F is a cone at its fixed points, so the slope does not vanish near one:
     on a fixed-vector-free domain the restricted slope is at least C_p
@@ -280,8 +289,9 @@ def descend(
     if domain is None:
         domain = default_domain(rep, "full" if rep.mode == "full" else "dirichlet")
 
-    v = LpVector(rep.ball, domain.project(v0.values), p)
-    f_v = displacement_energy(action, params, v)
+    rep.check_admissible(v0)
+    v = domain.project(v0)
+    f_v = displacement_energy(action, params, v, check=False)
     trace = DescentTrace()
     reason = "max_iters"
     for it in range(opts.max_iters):

@@ -1,5 +1,11 @@
 """Real l^p vectors on a Cayley ball: norms, duality maps, norming vectors.
 
+A vector, and a functional given by its l^q coefficients, is a float64
+array of shape (n,) in the ball's order.  The array carries no exponent:
+the caller reads p from its `Representation` (q = p/(p-1) for a
+functional), and every function here takes the exponent it needs
+explicitly, as `power_norm` does.
+
 Exponents live in (1, inf) so norms are smooth away from zero and the
 duality map is single valued.  The pointwise convention sign(x)*|x|^(p-1)
 for |x|^(p-2)*x extends continuously through x = 0 for every p > 1.
@@ -60,7 +66,11 @@ def row_power_norms(rows: np.ndarray, p: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LpVector:
-    """Real function on a Cayley ball, regarded as an l^p element."""
+    """Real function on a Cayley ball with an l^p exponent.
+
+    Nothing in the program builds one: vectors are plain arrays.  The class
+    stays because benchmarks/tracing.py patches its __post_init__ at install.
+    """
 
     ball: CayleyBall
     values: np.ndarray
@@ -77,118 +87,53 @@ class LpVector:
         if not 1.0 < self.p < np.inf:
             raise ValidationError(f"l^p exponent must lie in (1, inf): {self.p}")
 
-    def norm(self) -> float:
-        return power_norm(self.values, self.p)
 
-    def _wrap(self, values) -> "LpVector":
-        return LpVector(self.ball, values, self.p)
-
-    def _check_mate(self, other: "LpVector"):
-        if other.ball is not self.ball:
-            raise ValidationError("vectors live on different balls")
-        if other.p != self.p:
-            raise ValidationError(f"exponent mismatch: {self.p} vs {other.p}")
-
-    def __add__(self, other):
-        self._check_mate(other)
-        return self._wrap(self.values + other.values)
-
-    def __sub__(self, other):
-        self._check_mate(other)
-        return self._wrap(self.values - other.values)
-
-    def __mul__(self, t: float):
-        return self._wrap(self.values * float(t))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self._wrap(-self.values)
-
-
-@dataclass(frozen=True)
-class DualVector:
-    """Functional on l^p represented by its l^q coefficient array."""
-
-    ball: CayleyBall
-    values: np.ndarray
-    q: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.values.shape != (self.ball.size,):
-            raise ValidationError("dual vector length does not match ball size")
-        if not 1.0 < self.q < np.inf:
-            raise ValidationError(f"dual exponent must lie in (1, inf): {self.q}")
-
-    def norm(self) -> float:
-        return power_norm(self.values, self.q)
-
-
-def zero_vector(ball: CayleyBall, p: float) -> LpVector:
-    return LpVector(ball, np.zeros(ball.size), p)
-
-
-def delta(ball: CayleyBall, element, p: float) -> LpVector:
+def delta(ball: CayleyBall, element) -> np.ndarray:
     """Indicator of a single group element."""
     i = element if isinstance(element, (int, np.integer)) else ball.locate(element)
     v = np.zeros(ball.size)
     v[i] = 1.0
-    return LpVector(ball, v, p)
+    return v
 
 
-def norm_p(f: LpVector) -> float:
-    return f.norm()
-
-
-def dual_norm_q(g: DualVector) -> float:
-    return g.norm()
-
-
-def pair(g: DualVector, f: LpVector) -> float:
-    """Dual pairing <g, f> = sum g(x) f(x)."""
-    if g.ball is not f.ball:
-        raise ValidationError("pairing across different balls")
-    if abs(g.q - conjugate_exponent(f.p)) > 1e-12 * max(1.0, g.q):
-        raise ValidationError(f"exponents not conjugate: q={g.q}, p={f.p}")
-    return float(np.dot(g.values, f.values))
-
-
-def duality_map(f: LpVector) -> DualVector:
-    """Support functional of f: the unit functional attaining <j(f), f> = |f|_p.
+def duality_map(values: np.ndarray, p: float) -> np.ndarray:
+    """Support functional of f in l^p: the unit l^q element j(f) with
+    <j(f), f> = |f|_p.
 
     The zero vector maps to the zero functional by convention.
     """
-    q = conjugate_exponent(f.p)
-    nf = f.norm()
+    nf = power_norm(values, p)
     if nf == 0.0:
-        return DualVector(f.ball, np.zeros(f.ball.size), q)
-    vals = signed_power(f.values / nf, f.p - 1.0)
-    return DualVector(f.ball, vals, q)
+        return np.zeros(len(values))
+    return signed_power(values / nf, p - 1.0)
 
 
-def norming_vector(g: DualVector) -> LpVector:
-    """Unit l^p vector u with <g, u> = |g|_q (inverse duality)."""
-    p = conjugate_exponent(g.q)
-    ng = g.norm()
+def norming_vector(values: np.ndarray, q: float) -> np.ndarray:
+    """Unit l^p vector u with <g, u> = |g|_q for g in l^q (inverse duality)."""
+    ng = power_norm(values, q)
     if ng == 0.0:
         raise ZeroFunctional("no norming vector for the zero functional")
-    vals = signed_power(g.values / ng, g.q - 1.0)
-    return LpVector(g.ball, vals, p)
+    return signed_power(values / ng, q - 1.0)
 
 
 # ---------------------------------------------------------------------------
 # serialization: CSV (index,value) and a little-endian binary column
 
 
-def vector_to_csv(f: LpVector, path):
+def vector_to_csv(values: np.ndarray, path):
     with open(path, "w") as fh:
-        for i, x in enumerate(f.values):
+        for i, x in enumerate(values):
             fh.write(f"{i},{float(x)!r}\n")
 
 
-def vector_from_csv(ball: CayleyBall, path, p: float) -> LpVector:
+def vector_from_csv(ball: CayleyBall, path) -> np.ndarray:
+    """Vector on the ball from 'index,value' lines; unlisted entries are 0.
+
+    An index outside the ball, an index listed twice or a non-finite value
+    is a ValidationError.
+    """
     values = np.zeros(ball.size)
+    seen = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -203,18 +148,25 @@ def vector_from_csv(ball: CayleyBall, path, p: float) -> LpVector:
                 ) from None
             if not 0 <= i < ball.size:
                 raise ValidationError(f"vector index {i} outside ball of size {ball.size}")
+            if i in seen:
+                raise ValidationError(f"{path}, line {lineno}: index {i} repeats line {seen[i]}")
+            if not np.isfinite(x):
+                raise ValidationError(f"{path}, line {lineno}: value {x!r} is not finite")
+            seen[i] = lineno
             values[i] = x
-    return LpVector(ball, values, p)
+    return values
 
 
-def vector_to_bytes(f: LpVector) -> bytes:
-    payload = np.ascontiguousarray(f.values, dtype="<f8").tobytes()
-    return struct.pack("<Q", f.ball.size) + payload
+def vector_to_bytes(values: np.ndarray) -> bytes:
+    payload = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    return struct.pack("<Q", len(values)) + payload
 
 
-def vector_from_bytes(ball: CayleyBall, blob: bytes, p: float) -> LpVector:
+def vector_from_bytes(ball: CayleyBall, blob: bytes) -> np.ndarray:
     (n,) = struct.unpack_from("<Q", blob, 0)
     if n != ball.size:
         raise ValidationError(f"binary vector length {n} does not match ball size {ball.size}")
     values = np.frombuffer(blob, dtype="<f8", count=n, offset=8).copy()
-    return LpVector(ball, values, p)
+    if not np.isfinite(values).all():
+        raise ValidationError("binary vector entries must be finite")
+    return values

@@ -26,11 +26,11 @@ def free2_r3():
 
 def unit_vector(rep, rng, *, mean_zero=False):
     v = rep.random_admissible(rng, mean_zero=mean_zero)
-    return (1.0 / v.norm()) * v
+    return (1.0 / pg.power_norm(v, rep.p)) * v
 
 
-def embed(ball, coords, p):
+def embed(ball, coords):
     """Vector with the given leading coordinates, zero elsewhere."""
     vals = np.zeros(ball.size)
     vals[: len(coords)] = coords
-    return pg.LpVector(ball, vals, p)
+    return vals

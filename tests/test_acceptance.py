@@ -29,14 +29,14 @@ def finite_battery():
 
 def unit(rep, rng, *, mean_zero=False):
     v = rep.random_admissible(rng, mean_zero=mean_zero)
-    return (1.0 / v.norm()) * v
+    return (1.0 / pg.power_norm(v, rep.p)) * v
 
 
 def smooth_unit(action, rng):
     rep = action.rep
     for _ in range(200):
         v = unit(rep, rng, mean_zero=(rep.mode == "full"))
-        if all(np.any(d != 0.0) for d in action.displacements(v.values)):
+        if all(np.any(d != 0.0) for d in action.displacements(v)):
             return v
     raise RuntimeError("could not sample a smooth point")
 
@@ -105,7 +105,8 @@ def test_criterion_03_gradient_equals_laplacian_ratio():
         if pg.dirichlet_norm(rep, shifted) == 0.0:
             continue
         lhs = pg.abs_gradient(action, v).value
-        rhs = 2.0 * pg.p_laplacian(rep, shifted).norm() / pg.dirichlet_norm(rep, shifted) ** (p - 1.0)
+        lap = pg.power_norm(pg.p_laplacian(rep, shifted), pg.conjugate_exponent(p))
+        rhs = 2.0 * lap / pg.dirichlet_norm(rep, shifted) ** (p - 1.0)
         worst = max(worst, abs(lhs - rhs))
     verdict(3, worst <= 1e-10, f"100 instances, worst |closed - 2|Dp|_q/|.|_D^(p-1)| = {worst:.2e}")
 
@@ -120,7 +121,7 @@ def test_criterion_04_dirichlet_identity_p2():
         for _ in range(5):
             f = unit(rep, rng)
             lhs = pg.dirichlet_norm(rep, f) ** 2
-            rhs = -2.0 * pg.pair(pg.p_laplacian(rep, f), f)
+            rhs = -2.0 * np.dot(pg.p_laplacian(rep, f), f)
             worst = max(worst, abs(lhs - rhs))
     verdict(4, worst <= 1e-10, f"{len(groups)} groups, worst identity residual {worst:.2e}")
 
@@ -145,7 +146,7 @@ def test_criterion_05_universal_and_scaling_bounds():
                 continue
             g = pg.abs_gradient(action, v).value
             worst_upper = max(worst_upper, g - 2.0)
-            worst_lower = max(worst_lower, f / v.norm() - g)
+            worst_lower = max(worst_lower, f / pg.power_norm(v, rep.p) - g)
     ok = worst_upper <= 1e-12 and worst_lower <= 1e-9
     verdict(5, ok, f"10^4 points, bound excess {worst_upper:.2e}, scaling defect {worst_lower:.2e}")
 
@@ -169,7 +170,7 @@ def test_criterion_06_fixed_point_descent():
         f_init = pg.displacement_energy(action, params, rep.zero())
         trace = pg.descend(action, rep.zero(), domain=dom)
         worst_f = max(worst_f, trace.final_energy / max(1.0, f_init))
-        worst_rec = max(worst_rec, (trace.terminal - (-1.0 * f0)).norm())
+        worst_rec = max(worst_rec, pg.power_norm(trace.terminal - (-1.0 * f0), rep.p))
         worst_grad = max(
             worst_grad,
             pg.abs_gradient_sampled(action, params, trace.terminal, budget=64, seed=6, domain=dom),
@@ -204,7 +205,7 @@ def test_criterion_08_amenable_vs_nonamenable_sweeps():
     lat_detail = []
     for R in radii:
         rep = pg.Representation(pg.ball(lat, R), 2.0, "dirichlet")
-        extras = [pg.tent_vector(rep).values]
+        extras = [pg.tent_vector(rep)]
         if carried is not None:
             lifted = np.zeros(rep.ball.size)
             lifted[:prev_size] = carried

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pgaplab as pg
+from pgaplab import lpspace
 from pgaplab.cli import canonical_json, main
 from pgaplab.gradient import restricted_slope
 from pgaplab.lpspace import vector_to_csv
@@ -212,6 +213,35 @@ def test_descend_malformed_potential_exit_2(tmp_path, capsys, line):
     assert str(pot_path) in err and "line 3" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a repeated index used to keep its last value and descend from f(0) = 5
+        ("0,1.0\n1,-1.0\n0,5.0\n", "line 3: index 0 repeats line 1"),
+        ("0,1.0\n1,nan\n", "line 2: value nan is not finite"),
+        ("0,1.0\n\n1,-inf\n", "line 3: value -inf is not finite"),
+    ],
+    ids=["repeated-index", "nan", "inf"],
+)
+def test_descend_potential_csv_rejected_exit_2(tmp_path, capsys, text, message):
+    pot_path = tmp_path / "potential.csv"
+    pot_path.write_text(text)
+    cfg = write_config(
+        tmp_path,
+        "descend.json",
+        {
+            "group": {"family": "cyclic", "params": {"n": 4}},
+            "p": 2.0,
+            "cocycle": {"potential": str(pot_path)},
+            "v0": "zero",
+        },
+    )
+    assert main(["descend", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and f"{pot_path}, {message}" in err
+    assert not (tmp_path / "d" / "descend.json").exists()
+
+
 def test_descend_coboundary_from_potential_file(tmp_path, capsys, monkeypatch):
     built = []
     original = pg.action.coboundary
@@ -226,7 +256,7 @@ def test_descend_coboundary_from_potential_file(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(0)
     vals = rng.standard_normal(8)
     vals -= vals.mean()
-    f0 = pg.LpVector(b, vals / np.abs(vals).max(), 2.0)
+    f0 = vals / np.abs(vals).max()
     pot_path = tmp_path / "potential.csv"
     vector_to_csv(f0, pot_path)
     cfg = write_config(
@@ -258,7 +288,7 @@ def test_descend_reports_the_restricted_slope_without_sampling(tmp_path, monkeyp
     monkeypatch.setattr(pg, "abs_gradient_sampled", refuse)
     rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0, "full")
     vals = np.random.default_rng(3).standard_normal(rep.ball.size)
-    f0 = pg.LpVector(rep.ball, vals - vals.mean(), 3.0)
+    f0 = vals - vals.mean()
     pot_path = tmp_path / "potential.csv"
     vector_to_csv(f0, pot_path)
     cfg = write_config(
@@ -277,10 +307,82 @@ def test_descend_reports_the_restricted_slope_without_sampling(tmp_path, monkeyp
     assert "terminalSampledGradient" not in result
     assert result["config"]["seed"] == 9
     action = pg.AffineAction.from_potential(rep, f0)
-    terminal = pg.LpVector(rep.ball, np.asarray(result["terminal"]), 3.0)
+    terminal = np.asarray(result["terminal"])
     slope, _ = restricted_slope(action, terminal, pg.default_domain(rep))
     assert slope > 0.0
     assert result["terminalGradient"] == slope
+
+
+@pytest.mark.parametrize("mode", ["full", "dirichlet"])
+def test_descend_recovery_error_is_the_distance_to_the_fixed_points(tmp_path, mode):
+    # in full mode the fixed points are -f0 + c 1; a potential whose mean is
+    # not zero used to read |mean| * 24^(1/3) = 0.357 from a converged run
+    if mode == "full":
+        ball = {"group": {"family": "symmetric", "params": {"n": 4}}}
+        n = 24
+    else:
+        ball = {"group": {"family": "free", "params": {"k": 2}}, "radius": 3}
+        n = 53
+    vals = np.random.default_rng(5).standard_normal(n)
+    vals = vals - vals.mean() + 0.124
+    if mode == "dirichlet":
+        vals[17:] = 0.0  # the interior of the radius-3 ball is its first 17 elements
+    pot_path = tmp_path / "potential.csv"
+    vector_to_csv(vals, pot_path)
+    cfg = write_config(
+        tmp_path, "descend.json", {**ball, "p": 3.0, "cocycle": {"potential": str(pot_path)}}
+    )
+    assert main(["descend", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+    result = json.loads((tmp_path / "d" / "descend.json").read_text())
+    assert result["reason"] == "f_tol"
+    offset = np.asarray(result["terminal"]) + vals
+    if mode == "full":
+        # the minimum over c of |offset - c|_3, at most its value at the mean
+        assert result["recoveryError"] <= pg.power_norm(offset - offset.mean(), 3.0)
+        assert result["recoveryError"] <= 1e-6
+        assert pg.power_norm(offset, 3.0) == pytest.approx(0.124 * 24 ** (1 / 3), rel=1e-6)
+    else:
+        assert result["recoveryError"] == pg.power_norm(offset, 3.0)
+        assert result["recoveryError"] <= 1e-6
+
+
+def test_descend_start_off_the_dirichlet_support_exit_3(tmp_path, capsys):
+    # the start used to be projected onto the support, dropping its mass there
+    v0 = np.zeros(53)
+    v0[40] = 7.0  # depth 3 on the radius-3 ball of free(2)
+    vector_to_csv(v0, tmp_path / "v0.csv")
+    cfg = write_config(
+        tmp_path,
+        "descend.json",
+        {"group": {"family": "free", "params": {"k": 2}}, "radius": 3, "p": 3.0, "v0": str(tmp_path / "v0.csv")},
+    )
+    assert main(["descend", "--config", cfg, "--out", str(tmp_path / "d")]) == 3
+    assert "depth 3 > 2 (index 40)" in capsys.readouterr().err
+
+
+def test_commands_build_no_lp_vectors(tmp_path, monkeypatch):
+    built = []
+    original = lpspace.LpVector.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(lpspace.LpVector, "__post_init__", counting)
+    vals = np.random.default_rng(1).standard_normal(53)
+    vals[17:] = 0.0  # supported inside the radius-3 ball of free(2)
+    vector_to_csv(vals, tmp_path / "potential.csv")
+    configs = {
+        "gap": {"group": {"family": "symmetric", "params": {"n": 4}}, "p": 3.0,
+                "starts": 2, "iters": 50, "battery": 1},
+        "descend": {"group": {"family": "free", "params": {"k": 2}}, "radius": 3, "p": 3.0,
+                    "cocycle": {"potential": str(tmp_path / "potential.csv")}, "maxIters": 50},
+        "verify": {"group": {"family": "free", "params": {"k": 2}}, "radius": 3, "p": [1.5, 3.0]},
+    }
+    for command, config in configs.items():
+        cfg = write_config(tmp_path, f"{command}.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        assert built == [], command
 
 
 def test_descend_zero_cocycle_immediate(tmp_path, capsys):
@@ -303,7 +405,7 @@ def test_descend_zero_cocycle_immediate(tmp_path, capsys):
 def test_descend_invalid_cocycle_exit_2(tmp_path):
     h = pg.cyclic_group(3)
     b = pg.full_ball(h)
-    bad = pg.delta(b, 0, 2.0)  # does not satisfy the relation constraint
+    bad = pg.delta(b, 0)  # does not satisfy the relation constraint
     path = tmp_path / "c.csv"
     vector_to_csv(bad, path)
     cfg = write_config(

@@ -14,6 +14,7 @@ from pgaplab.gaps import (
     make_energy_ratio_objective,
 )
 from pgaplab.gradient import restricted_slope
+from pgaplab.lpspace import power_norm
 
 
 def full_rep(handle, p=2.0):
@@ -39,8 +40,8 @@ def test_certificate_attains_reported_value():
     rep = full_rep(pg.cyclic_group(6))
     est_disp, est_r = pg.displacement_constant(rep, 2.0)
     act = pg.AffineAction.linear(rep)
-    v = pg.LpVector(rep.ball, np.asarray(est_disp.certificate), 2.0)
-    ratio = pg.displacement_energy(act, pg.EnergyParams(np.inf, 2.0), v) / v.norm()
+    v = np.asarray(est_disp.certificate)
+    ratio = pg.displacement_energy(act, pg.EnergyParams(np.inf, 2.0), v) / power_norm(v, 2.0)
     assert ratio == pytest.approx(est_disp.value, abs=1e-10)
 
 
@@ -159,7 +160,7 @@ def test_kesten_bound_holds_pointwise_on_truncation():
     bound = pg.kesten_displacement_bound(2)
     for _ in range(50):
         v = rep.random_admissible(rng)
-        assert pg.displacement_energy(act, params, v) >= bound * v.norm() - 1e-12
+        assert pg.displacement_energy(act, params, v) >= bound * power_norm(v, 2.0) - 1e-12
 
 
 def test_equivalence_report_cyclic8():
@@ -222,8 +223,8 @@ def test_lift_vector_prefix():
     rep_b = pg.Representation(big, 2.0, "dirichlet")
     act_s = pg.AffineAction.linear(rep_s)
     act_b = pg.AffineAction.linear(rep_b)
-    v_s = pg.LpVector(small, np.where(rep_s.admissible_mask, vals, 0.0), 2.0)
-    v_b = pg.LpVector(big, lift_vector(v_s.values, small.size, big.size), 2.0)
+    v_s = np.where(rep_s.admissible_mask, vals, 0.0)
+    v_b = lift_vector(v_s, small.size, big.size)
     params = pg.EnergyParams(2.0, 2.0)
     assert pg.displacement_energy(act_s, params, v_s) == pytest.approx(
         pg.displacement_energy(act_b, params, v_b), abs=1e-14
@@ -250,11 +251,11 @@ def test_energy_ratio_objective_gradient_matches_finite_differences(name, r_kind
     params = pg.EnergyParams(r=r, p=p)
     for _ in range(5):
         v = domain.random_unit(rng)
-        val, gradient = obj(v.values)
-        assert val == pytest.approx(pg.displacement_energy(act, params, v) / v.norm(), rel=1e-12)
+        val, gradient = obj(v)
+        assert val == pytest.approx(pg.displacement_energy(act, params, v) / power_norm(v, p), rel=1e-12)
         direction = domain.project(rng.standard_normal(rep.ball.size))
         h = 1e-6
-        fd = (obj(v.values + h * direction)[0] - obj(v.values - h * direction)[0]) / (2 * h)
+        fd = (obj(v + h * direction)[0] - obj(v - h * direction)[0]) / (2 * h)
         assert fd == pytest.approx(float(np.dot(gradient(), direction)), rel=1e-5, abs=1e-8)
 
 
@@ -294,6 +295,51 @@ def test_equivalence_report_golden_constants_and_certificates(name):
     for key, (value, digest) in GOLDEN[name].items():
         assert report.constants[key] == value, key
         assert _digest(report.certificates[key]) == digest, key
+
+
+@pytest.mark.parametrize(
+    "r, want",
+    [
+        # r = p: C_disp and C_r over the 4 battery samples only (28 at the parent)
+        (3.0, {np.inf: 4, 3.0: 4}),
+        # r != p: C_disp and C_r over the 2 vectors of the run at r = p and the
+        # 4 samples; C_p over those and the 4 vectors displacement_constant saw
+        (2.0, {np.inf: 6, 2.0: 6, 3.0: 10}),
+    ],
+)
+def test_equivalence_report_evaluates_each_pool_vector_once(monkeypatch, r, want):
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0, "full")
+    evals = []
+    busy = []  # open displacement_constant and multistart calls
+    original = gaps.make_energy_ratio_objective
+
+    def counting(action, r_obj):
+        objective = original(action, r_obj)
+
+        def counted(values):
+            if not busy:
+                evals.append(r_obj)
+            return objective(values)
+
+        return counted
+
+    def marking(fn):
+        def marked(*args, **kwargs):
+            busy.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                busy.pop()
+
+        return marked
+
+    monkeypatch.setattr(gaps, "make_energy_ratio_objective", counting)
+    monkeypatch.setattr(gaps, "displacement_constant", marking(gaps.displacement_constant))
+    monkeypatch.setattr(gaps, "_ratio_multistart", marking(gaps._ratio_multistart))
+    opts = GapOptions(starts=2, iters=150, seed=11)
+    report = pg.equivalence_report(rep, r, opts, battery=1)
+    assert {e: evals.count(e) for e in set(evals)} == want
+    assert False not in report.chain.values()
 
 
 def test_fixed_vector_guard_probes_once_per_report(monkeypatch):
@@ -368,8 +414,7 @@ def test_gradient_and_laplacian_constants_are_read_off_c_p(name):
     assert "C_lap == C_grad/2 (2e-3)" not in report.chain
     # the recorded slope is the restricted slope at the certificate
     act = pg.AffineAction.linear(rep)
-    v = pg.LpVector(rep.ball, np.asarray(cert["C_grad"]), rep.p)
-    slope, _ = restricted_slope(act, v, default_domain(rep))
+    slope, _ = restricted_slope(act, np.asarray(cert["C_grad"]), default_domain(rep))
     assert report.diagnostics["C_grad"]["slopeAtCertificate"] == slope
     assert slope >= c["C_grad"] * (1.0 - 1e-9)
 
@@ -388,8 +433,7 @@ def test_restricted_slope_check_catches_a_wrong_restriction(monkeypatch):
     original = domain.restrict_dual
 
     def halved(xi):
-        kept = original(xi)
-        return pg.DualVector(kept.ball, 0.5 * kept.values, kept.q)
+        return 0.5 * original(xi)
 
     monkeypatch.setattr(domain, "restrict_dual", halved)
     report = pg.equivalence_report(rep, options=GapOptions(starts=2, iters=60, seed=5), domain=domain)

@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 import pgaplab as pg
-from pgaplab.action import default_domain
-from pgaplab.errors import AsymmetricSetup, AtFixedPoint, NonsmoothPoint, SupportViolation
+from pgaplab.action import MeanZeroDomain, default_domain
+from pgaplab.errors import (
+    AsymmetricSetup,
+    AtFixedPoint,
+    NonsmoothPoint,
+    SupportViolation,
+    ValidationError,
+)
 from pgaplab.gradient import finite_difference_quotient
+from pgaplab.lpspace import power_norm
 
 from conftest import unit_vector
 from test_energy import alternating_vector
@@ -22,7 +29,7 @@ def test_alternating_vector_saturates_bound(linear_c4, cyclic4):
     assert res.value == pytest.approx(2.0, abs=1e-12)
     assert pg.directional_derivative(linear_c4, v, res.steepest_direction) == pytest.approx(2.0, abs=1e-12)
     # steepest direction points toward the fixed point at the origin
-    assert np.allclose(res.steepest_direction.values, -v.values / v.norm(), atol=1e-12)
+    assert np.allclose(res.steepest_direction, -v / power_norm(v, 2.0), atol=1e-12)
 
 
 def test_gradient_scale_invariant_for_linear_actions(linear_c4, cyclic4):
@@ -55,7 +62,7 @@ def test_gradient_p2_matches_laplacian_ratio(cyclic8):
     for _ in range(10):
         v = unit_vector(rep, rng, mean_zero=True)
         res = pg.abs_gradient(act, v)
-        expected = 2.0 * pg.p_laplacian(rep, v).norm() / pg.dirichlet_norm(rep, v)
+        expected = 2.0 * power_norm(pg.p_laplacian(rep, v), 2.0) / pg.dirichlet_norm(rep, v)
         assert res.value == pytest.approx(expected, abs=1e-12)
 
 
@@ -75,14 +82,13 @@ def test_gradient_eigen_oracle_cyclic5():
     assert min(values) >= oracle - 1e-9
     # a pure character mode attains it
     mode = np.cos(2 * np.pi * np.array([int(g) for g in rep.ball.elements]) / 5)
-    v = pg.mean_zero_project(pg.LpVector(rep.ball, mode, 2.0))
+    v = MeanZeroDomain(rep).project(mode)
     assert pg.abs_gradient(act, v).value == pytest.approx(oracle, abs=1e-10)
 
 
 def test_at_fixed_point_raises(linear_c4, cyclic4):
-    ones = pg.LpVector(cyclic4, np.ones(4), 2.0)
     with pytest.raises(AtFixedPoint):
-        pg.abs_gradient(linear_c4, ones)
+        pg.abs_gradient(linear_c4, np.ones(4))
 
 
 def test_asymmetric_setup_raises():
@@ -106,7 +112,7 @@ def test_universal_and_scaling_bounds(sym3):
             res = pg.abs_gradient(act, v)
             f = pg.displacement_energy(act, params, v)
             assert res.value <= 2.0 + 1e-12
-            assert res.value >= f / v.norm() - 1e-9
+            assert res.value >= f / power_norm(v, p) - 1e-9
 
 
 # --- directional derivatives ----------------------------------------------
@@ -133,9 +139,9 @@ def test_directional_derivative_toward_origin(cyclic8):
     act = pg.AffineAction.linear(rep)
     params = pg.EnergyParams(2, 2)
     v = 1.7 * unit_vector(rep, rng)
-    u = (-1.0 / v.norm()) * v
+    u = (-1.0 / power_norm(v, 2.0)) * v
     dd = pg.directional_derivative(act, v, u)
-    assert dd == pytest.approx(pg.displacement_energy(act, params, v) / v.norm(), rel=1e-12)
+    assert dd == pytest.approx(pg.displacement_energy(act, params, v) / power_norm(v, 2.0), rel=1e-12)
 
 
 def test_directional_derivative_along_steepest_attains_gradient(sym3):
@@ -157,9 +163,8 @@ def test_directional_derivative_orthogonal_direction_p2(cyclic8):
     v = unit_vector(rep, rng)
     xi = pg.gradient_field(act, v)
     u_raw = rng.standard_normal(cyclic8.size)
-    u_raw -= np.dot(u_raw, xi.values) / np.dot(xi.values, xi.values) * xi.values
-    u = pg.LpVector(cyclic8, u_raw, 2.0)
-    u = (1.0 / u.norm()) * u
+    u_raw -= np.dot(u_raw, xi) / np.dot(xi, xi) * xi
+    u = (1.0 / power_norm(u_raw, 2.0)) * u_raw
     assert abs(pg.directional_derivative(act, v, u)) <= 1e-10
 
 
@@ -168,14 +173,14 @@ def nonsmooth_point(sym3):
     vals = np.zeros(sym3.size)
     vals[sym3.locate((0, 1, 2))] = 1.0
     vals[sym3.locate((1, 0, 2))] = 1.0
-    return pg.LpVector(sym3, vals, 2.0)
+    return vals
 
 
 def test_nonsmooth_point_falls_back_to_finite_differences(sym3):
     rep = pg.Representation(sym3, 2.0, "full")
     act = pg.AffineAction.linear(rep)
     v = nonsmooth_point(sym3)
-    disp = [np.linalg.norm(d) for d in act.displacements(v.values)]
+    disp = [np.linalg.norm(d) for d in act.displacements(v)]
     assert min(disp) == 0.0 and max(disp) > 0.0  # genuinely nonsmooth, not fixed
     rng = np.random.default_rng(9)
     u = unit_vector(rep, rng)
@@ -242,7 +247,7 @@ def test_sampled_gradient_uses_known_fixed_point(cyclic8):
         act, params, v, budget=4, seed=2, fixed_point=-1.0 * f0, include_steepest=False
     )
     f_v = pg.displacement_energy(act, params, v)
-    assert with_fp >= f_v / (v - (-1.0 * f0)).norm() - 1e-12
+    assert with_fp >= f_v / power_norm(v - (-1.0 * f0), 2.0) - 1e-12
 
 
 # --- descent -----------------------------------------------------------------
@@ -258,7 +263,7 @@ def test_descent_recovers_constructed_fixed_point(p, cyclic8):
     trace = pg.descend(act, rep.zero(), domain=dom)
     assert trace.reason == "f_tol"
     assert trace.final_energy <= 1e-6
-    assert (trace.terminal - (-1.0 * f0)).norm() <= 1e-4
+    assert power_norm(trace.terminal - (-1.0 * f0), p) <= 1e-4
 
 
 def test_descent_on_linear_action_slides_to_origin(cyclic8):
@@ -270,7 +275,7 @@ def test_descent_on_linear_action_slides_to_origin(cyclic8):
     trace = pg.descend(act, v0, domain=dom)
     assert trace.reason == "f_tol"
     assert trace.final_energy <= 1e-8
-    assert trace.terminal.norm() <= 1e-6  # only the origin is fixed
+    assert power_norm(trace.terminal, 2.0) <= 1e-6  # only the origin is fixed
 
 
 def test_descent_free_group_dirichlet_p3():
@@ -281,7 +286,7 @@ def test_descent_free_group_dirichlet_p3():
     trace = pg.descend(act, rep.zero(), pg.DescentOptions(abs_tol=1e-7))
     assert trace.reason == "f_tol"
     assert trace.final_energy <= 1e-6
-    assert (trace.terminal - (-1.0 * f0)).norm() <= 1e-4
+    assert power_norm(trace.terminal - (-1.0 * f0), 3.0) <= 1e-4
     assert len(trace.rows) <= 10_000
 
 
@@ -361,6 +366,18 @@ def test_descent_off_the_dirichlet_support_raises():
         pg.descend(act, rep.zero(), domain=default_domain(rep, "full"))
 
 
+def test_descent_rejects_a_malformed_start():
+    rep = pg.Representation(pg.ball(pg.free_group(2), 3), 3.0, "dirichlet")
+    act = pg.AffineAction.linear(rep)
+    for v0 in (np.zeros(52), np.zeros((1, 53)), np.full(53, np.nan)):
+        with pytest.raises(ValidationError):
+            pg.descend(act, v0)
+    v0 = np.zeros(53)
+    v0[40] = 7.0  # on the boundary layer, which the dirichlet projection would drop
+    with pytest.raises(SupportViolation):
+        pg.descend(act, v0)
+
+
 def test_descent_on_symmetric6_takes_no_null_steps():
     # the benchmark's fixed potential; an inexact restricted dual used to
     # double the slope near the fixed point, after which Armijo accepted only
@@ -368,8 +385,8 @@ def test_descent_on_symmetric6_takes_no_null_steps():
     rep = pg.Representation(pg.full_ball(pg.symmetric_group(6)), 3.0, "full")
     f = np.random.default_rng(0).standard_normal(720)
     f -= f.mean()
-    f /= pg.lpspace.power_norm(f, 3.0)
-    act = pg.AffineAction.from_potential(rep, pg.LpVector(rep.ball, f, 3.0))
+    f /= power_norm(f, 3.0)
+    act = pg.AffineAction.from_potential(rep, f)
     trace = pg.descend(
         act, rep.zero(), pg.DescentOptions(max_iters=350), domain=default_domain(rep, "mean-zero")
     )

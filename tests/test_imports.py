@@ -59,6 +59,36 @@ def test_no_environment_reads(path):
     assert not reads, f"{path.name} reads the environment: {reads}"
 
 
+def _names(tree):
+    """Every identifier the module uses: names, attributes and imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, alias.name
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_vectors_are_arrays(path):
+    """Only lpspace.py, which keeps the uncalled LpVector class, names a
+    vector type (LpVector, or the l^q functional type that was deleted)."""
+    tree = ast.parse(path.read_text())
+    found = [
+        f"line {line}: {name}"
+        for line, name in _names(tree)
+        if name.endswith("Vector") and path.name != "lpspace.py"
+    ]
+    found += [
+        f"line {node.lineno}: hasattr"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "hasattr"
+    ]
+    assert not found, f"{path.name} names a vector type or calls hasattr: {found}"
+
+
 def _import_time_imports(node):
     """Import statements that run when the module is imported: everything
     outside function bodies."""

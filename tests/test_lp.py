@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import pgaplab as pg
 from pgaplab.errors import ValidationError, ZeroFunctional
 from pgaplab.lpspace import (
-    DualVector,
     conjugate_exponent,
     power_norm,
     row_power_norms,
@@ -25,25 +24,25 @@ def ball8():
 
 
 def test_norm_euclidean(ball8):
-    f = embed(ball8, [3.0, -4.0], 2.0)
-    assert pg.norm_p(f) == pytest.approx(5.0, abs=1e-14)
+    f = embed(ball8, [3.0, -4.0])
+    assert power_norm(f, 2.0) == pytest.approx(5.0, abs=1e-14)
 
 
 def test_norm_p4(ball8):
-    f = embed(ball8, [1.0, 1.0, 1.0, 1.0], 4.0)
-    assert pg.norm_p(f) == pytest.approx(np.sqrt(2.0), abs=1e-14)
+    f = embed(ball8, [1.0, 1.0, 1.0, 1.0])
+    assert power_norm(f, 4.0) == pytest.approx(np.sqrt(2.0), abs=1e-14)
 
 
 def test_norm_zero(ball8):
-    assert pg.zero_vector(ball8, 2.0).norm() == 0.0
+    assert power_norm(np.zeros(ball8.size), 2.0) == 0.0
 
 
 def test_dual_norm_values(ball8):
-    g = DualVector(ball8, np.concatenate([[1.0, 1.0], np.zeros(6)]), 2.0)
-    assert pg.dual_norm_q(g) == pytest.approx(np.sqrt(2.0), abs=1e-14)
-    g = DualVector(ball8, np.concatenate([[1.0, -1.0], np.zeros(6)]), 1.5)
-    assert pg.dual_norm_q(g) == pytest.approx(2.0 ** (2.0 / 3.0), abs=1e-14)
-    assert DualVector(ball8, np.zeros(8), 1.5).norm() == 0.0
+    g = embed(ball8, [1.0, 1.0])
+    assert power_norm(g, 2.0) == pytest.approx(np.sqrt(2.0), abs=1e-14)
+    g = embed(ball8, [1.0, -1.0])
+    assert power_norm(g, 1.5) == pytest.approx(2.0 ** (2.0 / 3.0), abs=1e-14)
+    assert power_norm(np.zeros(8), 1.5) == 0.0
 
 
 def test_conjugate_exponent():
@@ -54,51 +53,49 @@ def test_conjugate_exponent():
 
 
 def test_duality_map_hilbert(ball8):
-    f = embed(ball8, [3.0, -4.0], 2.0)
-    j = pg.duality_map(f)
-    assert np.allclose(j.values[:2], [0.6, -0.8], atol=1e-14)
-    assert np.all(j.values[2:] == 0.0)
+    f = embed(ball8, [3.0, -4.0])
+    j = pg.duality_map(f, 2.0)
+    assert np.allclose(j[:2], [0.6, -0.8], atol=1e-14)
+    assert np.all(j[2:] == 0.0)
 
 
 def test_duality_map_p3(ball8):
-    f = embed(ball8, [1.0, -1.0], 3.0)
-    j = pg.duality_map(f)
+    f = embed(ball8, [1.0, -1.0])
+    j = pg.duality_map(f, 3.0)
     expected = 2.0 ** (-2.0 / 3.0)
-    assert np.allclose(j.values[:2], [expected, -expected], atol=1e-14)
-    assert pg.pair(j, f) == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-12)
-    assert pg.pair(j, f) == pytest.approx(f.norm(), abs=1e-12)
-    assert j.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(j[:2], [expected, -expected], atol=1e-14)
+    assert np.dot(j, f) == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-12)
+    assert np.dot(j, f) == pytest.approx(power_norm(f, 3.0), abs=1e-12)
+    assert power_norm(j, 1.5) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_duality_map_of_zero_is_zero_functional(ball8):
-    j = pg.duality_map(pg.zero_vector(ball8, 2.5))
-    assert not j.values.any()
+    j = pg.duality_map(np.zeros(ball8.size), 2.5)
+    assert j.shape == (ball8.size,) and not j.any()
 
 
 def test_norming_vector_hilbert(ball8):
-    g = DualVector(ball8, np.concatenate([[1.0, 1.0], np.zeros(6)]), 2.0)
-    u = pg.norming_vector(g)
-    assert np.allclose(u.values[:2], [1 / np.sqrt(2)] * 2, atol=1e-14)
+    u = pg.norming_vector(embed(ball8, [1.0, 1.0]), 2.0)
+    assert np.allclose(u[:2], [1 / np.sqrt(2)] * 2, atol=1e-14)
 
 
 def test_norming_vector_attains_dual_norm(ball8):
-    g = DualVector(ball8, np.concatenate([[1.0, -1.0], np.zeros(6)]), 1.5)
-    u = pg.norming_vector(g)
-    assert u.norm() == pytest.approx(1.0, abs=1e-12)
-    assert pg.pair(g, u) == pytest.approx(2.0 ** (2.0 / 3.0), abs=1e-12)
+    g = embed(ball8, [1.0, -1.0])
+    u = pg.norming_vector(g, 1.5)
+    assert power_norm(u, 3.0) == pytest.approx(1.0, abs=1e-12)
+    assert np.dot(g, u) == pytest.approx(2.0 ** (2.0 / 3.0), abs=1e-12)
 
 
 def test_norming_vector_single_support(ball8):
     for t in (2.5, -0.3):
-        g = DualVector(ball8, np.concatenate([[t], np.zeros(7)]), 1.25)
-        u = pg.norming_vector(g)
-        assert u.values[0] == pytest.approx(np.sign(t), abs=1e-14)
-        assert np.all(u.values[1:] == 0.0)
+        u = pg.norming_vector(embed(ball8, [t]), 1.25)
+        assert u[0] == pytest.approx(np.sign(t), abs=1e-14)
+        assert np.all(u[1:] == 0.0)
 
 
 def test_norming_vector_zero_raises(ball8):
     with pytest.raises(ZeroFunctional):
-        pg.norming_vector(DualVector(ball8, np.zeros(8), 2.0))
+        pg.norming_vector(np.zeros(8), 2.0)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
@@ -109,11 +106,10 @@ def test_support_functional_identities_bulk(ball8, p):
     worst_val = 0.0
     worst_unit = 0.0
     for _ in range(10_000):
-        vals = rng.standard_normal(ball8.size)
-        f = pg.LpVector(ball8, vals, p)
-        j = pg.duality_map(f)
-        worst_val = max(worst_val, abs(pg.pair(j, f) - f.norm()))
-        worst_unit = max(worst_unit, abs(j.norm() - 1.0))
+        f = rng.standard_normal(ball8.size)
+        j = pg.duality_map(f, p)
+        worst_val = max(worst_val, abs(np.dot(j, f) - power_norm(f, p)))
+        worst_unit = max(worst_unit, abs(power_norm(j, q) - 1.0))
     assert worst_val <= 1e-9
     assert worst_unit <= 1e-9
 
@@ -121,10 +117,11 @@ def test_support_functional_identities_bulk(ball8, p):
 def test_holder_on_random_pairs(ball8):
     rng = np.random.default_rng(7)
     for p in (1.5, 2.0, 3.0):
+        q = conjugate_exponent(p)
         for _ in range(200):
-            f = pg.LpVector(ball8, rng.standard_normal(8), p)
-            g = DualVector(ball8, rng.standard_normal(8), conjugate_exponent(p))
-            assert abs(pg.pair(g, f)) <= g.norm() * f.norm() + 1e-12
+            f = rng.standard_normal(8)
+            g = rng.standard_normal(8)
+            assert abs(np.dot(g, f)) <= power_norm(g, q) * power_norm(f, p) + 1e-12
 
 
 # coordinates that stay normal floats after scaling by t in [0.01, 100]: a
@@ -139,16 +136,12 @@ scalable_coords = st.floats(-100, 100, allow_subnormal=False).filter(lambda x: x
     t=st.floats(0.01, 100.0),
 )
 def test_duality_map_scale_invariant(coords, p, t):
-    ball = test_duality_map_scale_invariant.ball
-    f = pg.LpVector(ball, np.array(coords), p)
-    if f.norm() == 0.0:
+    f = np.array(coords)
+    if power_norm(f, p) == 0.0:
         return
-    j1 = pg.duality_map(f)
-    j2 = pg.duality_map(t * f)
-    assert np.abs(j1.values - j2.values).max() <= 1e-12
-
-
-test_duality_map_scale_invariant.ball = pg.full_ball(pg.cyclic_group(8))
+    j1 = pg.duality_map(f, p)
+    j2 = pg.duality_map(t * f, p)
+    assert np.abs(j1 - j2).max() <= 1e-12
 
 
 @settings(max_examples=150, deadline=None)
@@ -157,59 +150,72 @@ test_duality_map_scale_invariant.ball = pg.full_ball(pg.cyclic_group(8))
     p=st.sampled_from([1.5, 2.0, 3.0]),
 )
 def test_duality_round_trip(coords, p):
-    ball = test_duality_map_scale_invariant.ball
-    f = pg.LpVector(ball, np.array(coords), p)
-    if f.norm() < 1e-6:
+    f = np.array(coords)
+    nf = power_norm(f, p)
+    if nf < 1e-6:
         return
-    u = pg.norming_vector(pg.duality_map(f))
-    assert (u - (1.0 / f.norm()) * f).norm() <= 1e-10
-
-
-def test_vectors_from_different_balls_never_combine(ball8):
-    other = pg.full_ball(pg.cyclic_group(8))
-    f = pg.zero_vector(ball8, 2.0)
-    g = pg.zero_vector(other, 2.0)
-    with pytest.raises(ValidationError):
-        _ = f + g
-
-
-def test_exponent_mismatch_rejected(ball8):
-    f = pg.zero_vector(ball8, 2.0)
-    g = pg.zero_vector(ball8, 3.0)
-    with pytest.raises(ValidationError):
-        _ = f + g
-
-
-def test_pairing_requires_conjugate_exponents(ball8):
-    f = pg.zero_vector(ball8, 2.0)
-    g = DualVector(ball8, np.zeros(8), 1.5)
-    with pytest.raises(ValidationError):
-        pg.pair(g, f)
+    u = pg.norming_vector(pg.duality_map(f, p), conjugate_exponent(p))
+    assert power_norm(u - (1.0 / nf) * f, p) <= 1e-10
 
 
 def test_csv_round_trip(ball8, tmp_path):
     rng = np.random.default_rng(3)
-    f = pg.LpVector(ball8, rng.standard_normal(8), 2.0)
+    f = rng.standard_normal(8)
     path = tmp_path / "vec.csv"
     vector_to_csv(f, path)
-    g = vector_from_csv(ball8, path, 2.0)
-    assert (g.values == f.values).all()
+    g = vector_from_csv(ball8, path)
+    assert g.dtype == np.float64 and (g == f).all()
 
 
 def test_binary_round_trip(ball8):
     rng = np.random.default_rng(4)
-    f = pg.LpVector(ball8, rng.standard_normal(8), 3.0)
+    f = rng.standard_normal(8)
     blob = vector_to_bytes(f)
     assert blob[:8] == (8).to_bytes(8, "little")
-    g = vector_from_bytes(ball8, blob, 3.0)
-    assert (g.values == f.values).all()
+    g = vector_from_bytes(ball8, blob)
+    assert (g == f).all()
 
 
-def test_nonfinite_entries_rejected(ball8):
-    vals = np.zeros(8)
-    vals[3] = np.nan
-    with pytest.raises(ValidationError):
-        pg.LpVector(ball8, vals, 2.0)
+def test_readers_reject_a_wrong_length(ball8, tmp_path):
+    with pytest.raises(ValidationError, match="does not match ball size"):
+        vector_from_bytes(ball8, vector_to_bytes(np.zeros(7)))
+    path = tmp_path / "vec.csv"
+    path.write_text("8,1.0\n")
+    with pytest.raises(ValidationError, match="outside ball"):
+        vector_from_csv(ball8, path)
+
+
+def test_csv_reader_rejects_a_repeated_index(ball8, tmp_path):
+    path = tmp_path / "vec.csv"
+    path.write_text("0,1.0\n1,-1.0\n\n0,5.0\n")
+    with pytest.raises(ValidationError, match="line 4: index 0 repeats line 1"):
+        vector_from_csv(ball8, path)
+
+
+def test_nonfinite_entries_rejected(ball8, tmp_path):
+    reps = [pg.Representation(ball8, 2.0), pg.Representation(pg.ball(pg.free_group(2), 2), 2.0, "dirichlet")]
+    for bad in (np.nan, np.inf, -np.inf):
+        vals = np.zeros(8)
+        vals[3] = bad
+        path = tmp_path / "vec.csv"
+        vector_to_csv(vals, path)
+        with pytest.raises(ValidationError, match="line 4: value .* is not finite"):
+            vector_from_csv(ball8, path)
+        with pytest.raises(ValidationError, match="must be finite"):
+            vector_from_bytes(ball8, vector_to_bytes(vals))
+        for rep in reps:
+            vals = np.zeros(rep.ball.size)
+            vals[0] = bad  # inside the dirichlet support, so only finiteness fails
+            with pytest.raises(ValidationError, match="finite"):
+                rep.check_admissible(vals)
+
+
+def test_check_admissible_rejects_a_wrong_shape(ball8):
+    rep = pg.Representation(ball8, 2.0)
+    for shape in [(7,), (9,), (1, 8), ()]:
+        with pytest.raises(ValidationError, match="does not match ball size"):
+            rep.check_admissible(np.zeros(shape))
+    rep.check_admissible(np.zeros(8))
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

@@ -63,8 +63,8 @@ def test_descent_check_measures_distance_to_fixed_points(monkeypatch, group, rad
 
     def moved(action, v0, options):
         trace = real_descend(action, v0, options)
-        step = np.ones(rep.ball.size) if shift == "constant" else pg.delta(rep.ball, 0, 2.0).values
-        trace.terminal = pg.LpVector(rep.ball, trace.terminal.values + 1e-3 * step, 2.0)
+        step = np.ones(rep.ball.size) if shift == "constant" else pg.delta(rep.ball, 0)
+        trace.terminal = trace.terminal + 1e-3 * step
         return trace
 
     monkeypatch.setattr(verify, "descend", moved)
