@@ -333,6 +333,15 @@ class AffineAction:
             w = w + self.cocycle.values[k]
         return w
 
+    def fixed_point_distance(self, v: np.ndarray) -> float:
+        """The l^p distance from v to the fixed points of an action with a
+        potential f0: -f0 + c 1 for every c in full mode, where constants
+        are invariant, and -f0 alone in dirichlet mode."""
+        offset = v + self.potential
+        if self.rep.mode == "full":
+            offset = offset - norm_minimising_shift(offset, self.rep.p)
+        return power_norm(offset, self.rep.p)
+
 
 # ---------------------------------------------------------------------------
 # cohomology dimensions by rank computation (finite groups)

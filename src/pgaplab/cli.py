@@ -1,16 +1,29 @@
 """Command-line front door: ball | gap | descend | verify | moduli.
 
 One JSON config file drives each run; a handful of flags override config
-fields.  Reports are emitted as canonical JSON (sorted keys, floats at 17
-significant digits) and written atomically, so identical config plus seed
-gives byte-identical output.  Exit codes: 0 ok, 1 property failure,
-2 validation, 3 domain precondition, 4 solver stall.
+fields.  One table, `_CONFIG`, lists for each command the keys it takes,
+each key's converter (type and range) and its default; `load_config` reads,
+converts and defaults every value through it, the ball radius included,
+whether it comes from a flag, the config or the group spec.  Reports are
+emitted as canonical JSON (sorted keys, floats at 17 significant digits)
+and written atomically, so identical config plus seed gives byte-identical
+output.
+
+Exit codes: 0 ok, 1 property failure, 2 validation, 3 domain
+precondition, 4 solver stall.  Exit 2 covers every config value, flag,
+group-spec entry and input file (config, group spec, multiplication table,
+v0 and cocycle CSVs) that the run cannot use: the `validation error:` line
+names the key, parameter or path.  Three keys are accepted only so that
+old configs load, and change nothing: gap's `threads` (null or 1; the
+multistart runs on one thread), moduli's `budget` (the moduli are exact)
+and descend's `seed` (descent draws no random numbers).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -19,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .action import AffineAction, Cocycle, Representation, default_domain, norm_minimising_shift
+from .action import AffineAction, Cocycle, Representation, default_domain
 from .errors import (
     AsymmetricSetup,
     AtFixedPoint,
@@ -28,11 +41,14 @@ from .errors import (
     PgapError,
     SupportViolation,
     ValidationError,
+    integer,
+    number,
+    read_json_object,
 )
 from .gaps import GapOptions, equivalence_report, gap_sweep
 from .gradient import DescentOptions, descend, restricted_slope
-from .groups import ball, build_group, check_symmetry, full_ball, load_group_spec
-from .lpspace import power_norm, vector_from_csv
+from .groups import GroupHandle, ball, build_group, check_symmetry, full_ball, load_group_spec
+from .lpspace import vector_from_csv
 from .moduli import duality_continuity_check, modulus_convexity, modulus_smoothness
 from .verify import SUITES, run_suites
 
@@ -108,182 +124,167 @@ def write_atomic(path: Path, text: str):
 # config handling
 
 
-_SCHEMAS = {
-    "ball": {"group", "radius", "out"},
-    "gap": {
-        "group",
-        "radius",
-        "p",
-        "r",
-        "domain",
-        "seed",
-        "starts",
-        "iters",
-        "battery",
-        "threads",
-        "exact",
-        "out",
-    },
-    "descend": {
-        "group",
-        "radius",
-        "p",
-        "domain",
-        "cocycle",
-        "v0",
-        "absTol",
-        "gradTol",
-        "maxIters",
-        "seed",
-        "out",
-    },
-    "verify": {"group", "radius", "p", "suites", "seed", "out"},
-    "moduli": {
-        "p",
-        "dim",
-        "convexityGrid",
-        "smoothnessGrid",
-        # the moduli are exact, so nothing reads budget; it is accepted so
-        # that old configs load
-        "budget",
-        "trials",
-        "seed",
-        "out",
-    },
-}
-
-# the ball radius when neither the config, a flag nor the group spec gives one;
-# not a config default, which would override the spec's radius
+# the ball radius when neither a flag, the config nor the group spec gives one
 DEFAULT_BALL_RADIUS = 3
 
-_DEFAULTS = {
+# a config entry's converter takes the value and the name to report it by
+
+
+def _count(low):
+    return lambda value, name: integer(value, name, low)
+
+
+def _within(low, high, closed=False):
+    return lambda value, name: number(value, name, low, high, closed=closed)
+
+
+def _of_type(*kinds):
+    def converted(value, name):
+        if not isinstance(value, kinds):
+            raise ValidationError(f"{name} must be {' or '.join(k.__name__ for k in kinds)}, not {value!r}")
+        return value
+
+    return converted
+
+
+def _one_of(*choices):
+    def converted(value, name):
+        if value not in choices:
+            raise ValidationError(f"{name} must be one of {list(choices)}, not {value!r}")
+        return value
+
+    return converted
+
+
+def _list_of(convert):
+    return lambda value, name: [convert(item, name) for item in _of_type(list)(value, name)]
+
+
+def _optional(convert):
+    return lambda value, name: None if value is None else convert(value, name)
+
+
+def _one_or_list(convert, entry):
+    # a list runs the command once for each entry
+    return lambda value, name: (_list_of(entry) if isinstance(value, list) else convert)(value, name)
+
+
+_UNSET = object()  # no default: the key is absent unless given
+_GROUP = (_of_type(str, dict), _UNSET)
+_RADIUS = (_optional(_count(0)), _UNSET)
+_OUT = (_of_type(str), ".")
+_SEED = (_count(0), 0)
+_EXPONENT = _within(1.0, math.inf)
+_P = (_EXPONENT, 2.0)
+_DOMAIN = (_optional(_of_type(str)), None)
+_TOLERANCE = _within(0.0, math.inf, closed=True)
+
+# command -> config key -> (converter, default).  load_config reads every
+# config value through this table and nowhere else.  Converter None: the
+# value is accepted as it is and nothing reads it; such keys, and descend's
+# seed, are accepted so that old configs load.
+_CONFIG = {
+    "ball": {"group": _GROUP, "radius": _RADIUS, "out": _OUT},
     "gap": {
-        "r": None,
-        "domain": None,
-        "seed": 0,
-        "starts": 32,
-        "iters": 10_000,
-        "battery": 0,
-        "exact": "auto",
+        "group": _GROUP,
+        "radius": (_one_or_list(_optional(_count(0)), _count(0)), _UNSET),  # a list runs a sweep
+        "p": _P,
+        "r": (_optional(_within(1.0, math.inf, closed=True)), None),  # null: r = p
+        "domain": _DOMAIN,
+        "seed": _SEED,
+        "starts": (_count(1), 32),
+        "iters": (_count(0), 10_000),
+        "battery": (_count(0), 0),
+        "threads": (_one_of(None, 1), _UNSET),  # multistart runs on one thread
+        "exact": (_one_of("auto", "never"), "auto"),
+        "out": _OUT,
     },
     "descend": {
-        "domain": None,
-        "cocycle": {"zero": True},
-        "v0": "zero",
-        "absTol": 1e-8,
-        "gradTol": 1e-6,
-        "maxIters": 10_000,
+        "group": _GROUP,
+        "radius": _RADIUS,
+        "p": _P,
+        "domain": _DOMAIN,
+        "cocycle": (_optional(_of_type(dict)), {"zero": True}),
+        "v0": (_of_type(str), "zero"),  # "zero" or the path of a CSV vector
+        "absTol": (_TOLERANCE, 1e-8),
+        "gradTol": (_TOLERANCE, 1e-6),
+        "maxIters": (_count(0), 10_000),
+        "seed": (_count(0), _UNSET),  # descent draws no random numbers
+        "out": _OUT,
     },
-    "verify": {"suites": list(SUITES), "seed": 0, "p": 2.0},
+    "verify": {
+        "group": _GROUP,
+        "radius": _RADIUS,
+        "p": (_one_or_list(_EXPONENT, _EXPONENT), 2.0),
+        "suites": (_list_of(_one_of(*SUITES)), list(SUITES)),
+        "seed": _SEED,
+        "out": _OUT,
+    },
     "moduli": {
-        "dim": 8,
-        "convexityGrid": [0.25, 0.5, 1.0, 1.5, 2.0],
-        "smoothnessGrid": [0.25, 0.5, 1.0, 2.0],
-        "trials": 10_000,
-        "seed": 0,
+        "p": _P,
+        "dim": (_count(2), 8),
+        "convexityGrid": (_list_of(number), [0.25, 0.5, 1.0, 1.5, 2.0]),
+        "smoothnessGrid": (_list_of(number), [0.25, 0.5, 1.0, 2.0]),
+        "budget": (None, _UNSET),  # the moduli are exact
+        "trials": (_count(0), 10_000),
+        "seed": _SEED,
+        "out": _OUT,
     },
 }
 
-
-# flags that override the config key of the same name, with their types
-_FLAGS = {"seed": int, "radius": int, "p": float, "r": str, "starts": int}
-
-
-def _integer(value) -> int:
-    n = int(value)
-    if n != float(value):
-        raise ValueError(f"{value!r} is not an integer")
-    return n
+# flags that override the config key of the same name; the table converts them
+_FLAGS = ("seed", "radius", "p", "r", "starts", "out")
 
 
-def _floats(value) -> list:
-    return [float(x) for x in value]
+def load_config(command: str, args) -> tuple[dict, GroupHandle | None, int | list | None]:
+    """The command's config, its group and its ball radius.
 
-
-def _float_or_floats(value):
-    return _floats(value) if isinstance(value, list) else float(value)
-
-
-def _float_or_none(value):
-    # float() reads "inf" and "infinity" in any case
-    return None if value is None else float(value)
-
-
-# config values of a fixed type, converted here and nowhere else, so that a
-# value of the wrong type is a validation error that names its key
-_CONVERSIONS = {
-    "p": float,
-    "r": _float_or_none,
-    "dim": _integer,
-    "trials": _integer,
-    "seed": _integer,
-    "starts": _integer,
-    "iters": _integer,
-    "battery": _integer,
-    "maxIters": _integer,
-    "absTol": float,
-    "gradTol": float,
-    "convexityGrid": _floats,
-    "smoothnessGrid": _floats,
-}
-
-
-def _convert(command: str, config: dict) -> None:
-    conversions = _CONVERSIONS
-    if command == "verify":  # verify takes a list of p
-        conversions = {**_CONVERSIONS, "p": _float_or_floats}
-    for key in config.keys() & conversions.keys():
-        try:
-            config[key] = conversions[key](config[key])
-        except (TypeError, ValueError, OverflowError):  # int(inf) overflows
-            message = f"{command} config key {key!r} has a bad value: {config[key]!r}"
-            raise ValidationError(message) from None
-    if config.get("trials", 0) < 0:
-        raise ValidationError(f"{command} config key 'trials' must be >= 0, not {config['trials']}")
-
-
-def load_config(command: str, args) -> dict:
-    config = {}
-    if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
-    unknown = set(config) - _SCHEMAS[command]
+    A flag wins over the config file, and the file over the table's
+    default.  The radius comes from a flag, the config or the group spec,
+    in that order, else it is DEFAULT_BALL_RADIUS for ball and None (the
+    whole group) for the other commands.  Each value goes through its
+    table converter, so a bad one is a ValidationError that names it."""
+    entries = _CONFIG[command]
+    given = read_json_object(args.config, "config") if args.config else {}
+    unknown = set(given) - set(entries)
     if unknown:
         raise ValidationError(f"unknown config keys for {command}: {sorted(unknown)}")
     flags = {f: getattr(args, f) for f in _FLAGS if getattr(args, f) is not None}
-    stray = set(flags) - _SCHEMAS[command]
+    stray = set(flags) - set(entries)
     if stray:
         raise ValidationError(f"{command} takes no {', '.join('--' + f for f in sorted(stray))}")
-    resolved = dict(_DEFAULTS.get(command, {}))
-    resolved.update(config)
-    resolved.update(flags)
-    if args.out is not None:
-        resolved["out"] = args.out
-    resolved.setdefault("out", ".")
-    _convert(command, resolved)
-    return resolved
-
-
-def _build_handle(config) -> tuple:
+    given.update(flags)
+    config = {}
+    for key, (convert, default) in entries.items():
+        if key in given:
+            value = given[key]
+            config[key] = value if convert is None else convert(value, f"{command} config key {key!r}")
+        elif default is not _UNSET:
+            config[key] = default
+    if "r" in config and config["r"] is None:
+        config["r"] = config["p"]  # r = p, the energy's own exponent
+    if "group" not in entries:
+        return config, None, None
     if "group" not in config:
         raise ValidationError("config needs a 'group' entry (inline spec or path)")
-    spec_source = config["group"]
-    spec, radius = load_group_spec(spec_source)
+    spec, radius = load_group_spec(config["group"])
     if config.get("radius") is not None:
         radius = config["radius"]
-    handle = build_group(spec)
-    return handle, radius
+    elif radius is not None:
+        radius = entries["radius"][0](radius, "group spec key 'radius'")
+    elif command == "ball":
+        radius = DEFAULT_BALL_RADIUS
+    return config, build_group(spec), radius
 
 
-def _representation(handle, radius, p) -> Representation:
-    if handle.order is not None:
-        b = full_ball(handle) if radius is None else ball(handle, int(radius))
-        if b.is_full:
-            return Representation(b, p, "full")
-        return Representation(b, p, "dirichlet")
-    if radius is None:
+def _representations(handle, radius, ps) -> list[Representation]:
+    """One representation per exponent, all on one ball: the whole group
+    when the radius is None, in full mode when the ball is the whole group."""
+    if handle.order is None and radius is None:
         raise ValidationError("infinite groups need an explicit radius")
-    return Representation(ball(handle, int(radius)), p, "dirichlet")
+    b = full_ball(handle) if radius is None else ball(handle, radius)
+    mode = "full" if b.is_full else "dirichlet"
+    return [Representation(b, p, mode) for p in ps]
 
 
 # ---------------------------------------------------------------------------
@@ -291,15 +292,12 @@ def _representation(handle, radius, p) -> Representation:
 
 
 def cmd_ball(args) -> int:
-    config = load_config("ball", args)
-    handle, radius = _build_handle(config)
-    if radius is None:
-        radius = DEFAULT_BALL_RADIUS
-    b = ball(handle, int(radius))
+    config, handle, radius = load_config("ball", args)
+    b = ball(handle, radius)
     sym = check_symmetry(handle)
     report = {
         "version": __version__,
-        "config": {"group": config["group"], "radius": int(radius)},
+        "config": {"group": config["group"], "radius": radius},
         "group": handle.label,
         "size": b.size,
         "perDepth": b.per_depth(),
@@ -312,59 +310,46 @@ def cmd_ball(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    config = load_config("gap", args)
-    # multistart runs on one thread; the key stays so that old configs load
-    if config.get("threads") not in (None, 1):
-        raise ValidationError(f"threads must be null or 1, not {config['threads']!r}")
-    handle, radius = _build_handle(config)
-    p = config.get("p", 2.0)
-    r = p if config.get("r") is None else config["r"]
+    config, handle, radius = load_config("gap", args)
+    p, r = config["p"], config["r"]
     opts = GapOptions(
         starts=config["starts"], iters=config["iters"], seed=config["seed"], exact=config["exact"]
     )
     battery = config["battery"]
-    resolved = {k: v for k, v in config.items() if k != "out"}
-    resolved["p"] = p
-    resolved["r"] = "inf" if np.isinf(r) else r
 
     out_dir = Path(config["out"])
-    if isinstance(radius, (list, tuple)):
+    if isinstance(radius, list):
         reports = gap_sweep(handle, p, r, radius, opts, battery=battery)
         rows = ["R,C_disp,C_r,C_grad,C_lap"]
         for R, rep_ in zip(radius, reports):
             c = rep_.constants
-            rows.append(
-                f"{int(R)},{c['C_disp']!r},{c['C_r']!r},{c['C_grad']!r},{c['C_lap']!r}"
-            )
+            rows.append(f"{R},{c['C_disp']!r},{c['C_r']!r},{c['C_grad']!r},{c['C_lap']!r}")
         write_atomic(out_dir / "gap_sweep.csv", "\n".join(rows) + "\n")
-        payload = {
-            "version": __version__,
-            "config": resolved,
-            "reports": [rp.to_dict() for rp in reports],
-        }
-        write_atomic(out_dir / "gap.json", canonical_json(payload))
-        print(canonical_json({"radii": list(radius), "C_lap": [rp.constants["C_lap"] for rp in reports]}))
+        payload = {"reports": [rp.to_dict() for rp in reports]}
+        summary = {"radii": radius, "C_lap": [rp.constants["C_lap"] for rp in reports]}
     else:
-        rep = _representation(handle, radius, p)
-        domain = default_domain(rep, config.get("domain"))
+        [rep] = _representations(handle, radius, [p])
+        domain = default_domain(rep, config["domain"])
         reports = [equivalence_report(rep, r, opts, domain, battery=battery)]
-        payload = {"version": __version__, "config": resolved, "report": reports[0].to_dict()}
-        write_atomic(out_dir / "gap.json", canonical_json(payload))
-        print(canonical_json(reports[0].constants))
+        payload = {"report": reports[0].to_dict()}
+        summary = reports[0].constants
+    payload.update(version=__version__, config={k: v for k, v in config.items() if k != "out"})
+    write_atomic(out_dir / "gap.json", canonical_json(payload))
+    print(canonical_json(summary))
     chains_hold = all(v for rp in reports for v in rp.chain.values() if v is not None)
     return EXIT_OK if chains_hold else EXIT_PROPERTY
 
 
-def _load_action(rep: Representation, spec) -> AffineAction:
+def _load_action(rep: Representation, cocycle) -> AffineAction:
     """The affine action of a descend config's `cocycle` entry."""
-    if spec is None or spec.get("zero"):
+    if cocycle is None or cocycle.get("zero"):
         return AffineAction.linear(rep)
-    if "potential" in spec:
-        return AffineAction.from_potential(rep, vector_from_csv(rep.ball, spec["potential"]))
-    if "values" in spec:
-        mapping = {name: vector_from_csv(rep.ball, path) for name, path in spec["values"].items()}
+    if "potential" in cocycle:
+        return AffineAction.from_potential(rep, vector_from_csv(rep.ball, cocycle["potential"]))
+    if isinstance(cocycle.get("values"), dict):
+        mapping = {name: vector_from_csv(rep.ball, path) for name, path in cocycle["values"].items()}
         return AffineAction(rep, Cocycle.from_generator_values(rep, mapping))
-    raise ValidationError("cocycle entry needs 'zero', 'potential' or 'values'")
+    raise ValidationError("descend config key 'cocycle' needs 'zero', 'potential' or 'values'")
 
 
 def cmd_descend(args) -> int:
@@ -372,16 +357,12 @@ def cmd_descend(args) -> int:
     terminal.  Descent draws no random numbers: a `seed` in the config is
     accepted and echoed, and changes nothing.
 
-    With a potential f0, `recoveryError` is the l^p distance from the
-    terminal to the fixed-point set of the action: -f0 + c 1 for every c in
-    full mode, where constants are invariant, and -f0 alone in dirichlet
-    mode."""
-    config = load_config("descend", args)
-    handle, radius = _build_handle(config)
-    p = config.get("p", 2.0)
-    rep = _representation(handle, radius, p)
-    domain = default_domain(rep, config.get("domain"))
-    action = _load_action(rep, config.get("cocycle"))
+    With a potential, `recoveryError` is the l^p distance from the terminal
+    to the fixed-point set of the action (`AffineAction.fixed_point_distance`)."""
+    config, handle, radius = load_config("descend", args)
+    [rep] = _representations(handle, radius, [config["p"]])
+    domain = default_domain(rep, config["domain"])
+    action = _load_action(rep, config["cocycle"])
     if config["v0"] == "zero":
         v0 = rep.zero()
     else:
@@ -405,10 +386,7 @@ def cmd_descend(args) -> int:
         "terminal": trace.terminal.tolist(),
     }
     if action.potential is not None:
-        offset = trace.terminal + action.potential
-        if rep.mode == "full":
-            offset = offset - norm_minimising_shift(offset, p)
-        payload["recoveryError"] = power_norm(offset, p)
+        payload["recoveryError"] = action.fixed_point_distance(trace.terminal)
     write_atomic(out_dir / "descend.json", canonical_json(payload))
     print(canonical_json({"reason": trace.reason, "finalEnergy": trace.final_energy}))
     if trace.reason == "stalled":
@@ -417,15 +395,11 @@ def cmd_descend(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = load_config("verify", args)
-    handle, radius = _build_handle(config)
+    config, handle, radius = load_config("verify", args)
     ps = config["p"] if isinstance(config["p"], list) else [config["p"]]
-    suites = config["suites"]
     all_rows = []
-    for p in ps:
-        rep = _representation(handle, radius, p)
-        rows = run_suites(rep, suites, seed=config["seed"])
-        for row in rows:
+    for p, rep in zip(ps, _representations(handle, radius, ps)):
+        for row in run_suites(rep, config["suites"], seed=config["seed"]):
             d = row.to_dict()
             d["p"] = p
             all_rows.append(d)
@@ -444,8 +418,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_moduli(args) -> int:
-    config = load_config("moduli", args)
-    p, dim = config.get("p", 2.0), config["dim"]
+    config, _, _ = load_config("moduli", args)
+    p, dim = config["p"], config["dim"]
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -486,9 +460,8 @@ def make_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None)
-        sp.add_argument("--out", type=str, default=None)
-        for flag, kind in _FLAGS.items():
-            sp.add_argument(f"--{flag}", type=kind, default=None)
+        for flag in _FLAGS:
+            sp.add_argument(f"--{flag}", default=None)
         sp.set_defaults(func=func)
     return parser
 

@@ -19,12 +19,22 @@ generators[k] * elements[i], or OUT_OF_BALL when that product leaves the
 ball.  The BFS fills it while it enumerates, so building a ball multiplies
 each (generator, element) pair once; representations on the ball read
 every generator operator from this table (see action.py).
+
+Families: FAMILIES declares each family with one integer parameter
+(cyclic, dihedral and symmetric take n, integer_lattice d, free k): the
+parameter's name, its least and greatest value, and the builder that maps
+the value to the family's oracle and default generating set.
+`build_group` converts the parameter once, through `errors.integer`, and
+labels the group with the converted value, as in "cyclic(4)".  The
+`table` family takes an explicit multiplication table, inline or as a CSV
+file, and needs explicit generators.  Every integer read from a spec
+(parameter, generator coordinate, table entry) goes through
+`errors.integer`, so a bad one is a ValidationError that names it.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 import operator
 import warnings
@@ -40,12 +50,14 @@ from .errors import (
     NonSymmetricGenerators,
     NotAGroup,
     ValidationError,
+    integer,
+    number,
+    read_json_object,
+    read_text,
 )
 
 DEFAULT_BALL_CAP = 10**6
 OUT_OF_BALL = -1
-
-FAMILIES = ("cyclic", "dihedral", "symmetric", "integer_lattice", "free", "table")
 
 
 # ---------------------------------------------------------------------------
@@ -62,26 +74,25 @@ class GroupSpec:
     weights: list | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in (*FAMILIES, "table"):
             raise ValidationError(f"unknown group family {self.family!r}")
 
 
 def load_group_spec(source) -> tuple[GroupSpec, int | None]:
     """Read a GroupSpec (and optional radius) from a JSON file or dict."""
-    if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            data = json.load(fh)
-    else:
-        data = dict(source)
+    data = read_json_object(source, "group spec") if isinstance(source, (str, Path)) else dict(source)
     allowed = {"family", "params", "generators", "weights", "radius"}
     unknown = set(data) - allowed
     if unknown:
         raise ValidationError(f"unknown group spec keys: {sorted(unknown)}")
     if "family" not in data:
         raise ValidationError("group spec needs a 'family' field")
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise ValidationError(f"group spec 'params' must be an object, not {params!r}")
     spec = GroupSpec(
         family=data["family"],
-        params=dict(data.get("params", {})),
+        params=params,
         generators=data.get("generators"),
         weights=data.get("weights"),
     )
@@ -259,104 +270,119 @@ def check_symmetry(handle: GroupHandle) -> SymmetryReport:
 
 
 # ---------------------------------------------------------------------------
-# family constructors
+# families
 
 
-def _canonical_parsers(family, params):
-    """Return (identity, multiply, invert, key, namer, order) for a family."""
-    if family == "cyclic":
-        n = int(params["n"])
-        if n < 1:
-            raise ValidationError("cyclic order must be >= 1")
-        return (
-            0,
-            lambda a, b: (a + b) % n,
-            lambda a: (-a) % n,
-            lambda a: int(a) % n,
-            lambda a: "e" if a % n == 0 else f"s^{a % n}",
-            n,
-        )
-    if family == "dihedral":
-        n = int(params["n"])
-        if n < 1:
-            raise ValidationError("dihedral parameter must be >= 1")
-
-        def mul(a, b):
-            (x, s), (y, t) = a, b
-            return ((x + y) % n if s == 0 else (x - y) % n, s ^ t)
-
-        def inv(a):
-            x, s = a
-            return ((-x) % n, 0) if s == 0 else (x, 1)
-
-        def key(a):
-            x, s = a
-            return (int(x) % n, int(s) % 2)
-
-        def name(a):
-            x, s = key(a)
-            rot = "e" if x == 0 else (f"r^{x}" if x > 1 else "r")
-            if s == 0:
-                return rot
-            return "f" if x == 0 else rot + "*f"
-
-        return ((0, 0), mul, inv, key, name, 2 * n)
-    if family == "symmetric":
-        n = int(params["n"])
-        if n < 1:
-            raise ValidationError("symmetric degree must be >= 1")
-        ident = tuple(range(n))
-
-        def key(a):
-            t = tuple(int(x) for x in a)
-            if sorted(t) != list(range(n)):
-                raise ValidationError(f"not a permutation of 0..{n - 1}: {a}")
-            return t
-
-        return (ident, _perm_mul, _perm_inv, key, _perm_name, math.factorial(n))
-    if family == "integer_lattice":
-        d = int(params["d"])
-        if d < 1:
-            raise ValidationError("lattice dimension must be >= 1")
-        ident = (0,) * d
-
-        def key(a):
-            t = tuple(int(x) for x in a)
-            if len(t) != d:
-                raise ValidationError(f"lattice element needs {d} coordinates: {a}")
-            return t
-
-        return (
-            ident,
-            lambda a, b: tuple(map(operator.add, a, b)),
-            lambda a: tuple(-x for x in a),
-            key,
-            lambda a: "(" + ",".join(str(x) for x in a) + ")",
-            None,
-        )
-    if family == "free":
-        k = int(params["k"])
-        if k < 1 or k > len(_FREE_LETTERS):
-            raise ValidationError("free rank must be between 1 and 26")
-
-        def key(a):
-            word = tuple(int(x) for x in a)
-            for x in word:
-                if x == 0 or abs(x) > k:
-                    raise ValidationError(f"free-group letter out of range: {x}")
-            return _free_reduce(word)
-
-        return ((), _free_mul, lambda a: tuple(-x for x in reversed(a)), key, _free_name, None)
-    raise ValidationError(f"no oracle for family {family!r}")
+def _coordinates(a, what: str, length: int | None = None) -> tuple:
+    """The integer coordinates of an outside element given as a list."""
+    if not isinstance(a, (list, tuple)) or length is not None and len(a) != length:
+        size = "a list of" if length is None else f"a list of {length}"
+        raise ValidationError(f"{what} must be {size} integers, not {a!r}")
+    return tuple(integer(x, f"{what} coordinate") for x in a)
 
 
-def _load_table(params):
+def _rotations(n):
+    # s and s^-1 of the cyclic group of order n, once each
+    return sorted({1 % n, -1 % n})
+
+
+def _cyclic(n):
+    return (
+        0,
+        lambda a, b: (a + b) % n,
+        lambda a: (-a) % n,
+        lambda a: integer(a, "a cyclic element") % n,
+        lambda a: "e" if a % n == 0 else f"s^{a % n}",
+        n,
+        _rotations(n),
+    )
+
+
+def _dihedral(n):
+    def mul(a, b):
+        (x, s), (y, t) = a, b
+        return ((x + y) % n if s == 0 else (x - y) % n, s ^ t)
+
+    def inv(a):
+        x, s = a
+        return ((-x) % n, 0) if s == 0 else (x, 1)
+
+    def key(a):
+        x, s = _coordinates(a, "a dihedral element", 2)
+        return (x % n, s % 2)
+
+    def name(a):
+        x, s = key(a)
+        rot = "e" if x == 0 else (f"r^{x}" if x > 1 else "r")
+        if s == 0:
+            return rot
+        return "f" if x == 0 else rot + "*f"
+
+    return ((0, 0), mul, inv, key, name, 2 * n, [(x, 0) for x in _rotations(n)] + [(0, 1)])
+
+
+def _symmetric(n):
+    ident = tuple(range(n))
+
+    def key(a):
+        t = _coordinates(a, "a permutation")
+        if sorted(t) != list(ident):
+            raise ValidationError(f"not a permutation of 0..{n - 1}: {a}")
+        return t
+
+    swaps = [ident[:i] + (i + 1, i) + ident[i + 2 :] for i in range(n - 1)]
+    return (ident, _perm_mul, _perm_inv, key, _perm_name, math.factorial(n), swaps or [ident])
+
+
+def _integer_lattice(d):
+    ident = (0,) * d
+    return (
+        ident,
+        lambda a, b: tuple(map(operator.add, a, b)),
+        lambda a: tuple(-x for x in a),
+        lambda a: _coordinates(a, "a lattice element", d),
+        lambda a: "(" + ",".join(str(x) for x in a) + ")",
+        None,
+        [ident[:i] + (s,) + ident[i + 1 :] for i in range(d) for s in (1, -1)],
+    )
+
+
+def _free(k):
+    def key(a):
+        word = _coordinates(a, "a free-group word")
+        for x in word:
+            if x == 0 or abs(x) > k:
+                raise ValidationError(f"free-group letter out of range: {x}")
+        return _free_reduce(word)
+
+    letters = [(s * i,) for i in range(1, k + 1) for s in (1, -1)]
+    return ((), _free_mul, lambda a: tuple(-x for x in reversed(a)), key, _free_name, None, letters)
+
+
+# family -> (its one parameter, the parameter's least and greatest value,
+# the builder that maps the parameter's value to the oracle)
+FAMILIES = {
+    "cyclic": ("n", 1, math.inf, _cyclic),
+    "dihedral": ("n", 1, math.inf, _dihedral),
+    "symmetric": ("n", 1, math.inf, _symmetric),
+    "integer_lattice": ("d", 1, math.inf, _integer_lattice),
+    "free": ("k", 1, len(_FREE_LETTERS), _free),
+}
+
+
+def _table(params):
+    """The oracle of a multiplication table given inline (`table`, a list
+    of rows) or as a CSV file (`path`), with index 0 as the identity.  A
+    table has no default generators."""
     if "table" in params:
-        rows = [list(map(int, row)) for row in params["table"]]
+        rows = params["table"]
+    elif "path" in params:
+        rows = [row for row in csv.reader(read_text(params["path"], "table").splitlines()) if row]
     else:
-        path = params["path"]
-        with open(path, newline="") as fh:
-            rows = [list(map(int, row)) for row in csv.reader(fh) if row]
+        raise ValidationError("table family needs parameter 'table' or 'path'")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValidationError(f"table parameter 'table' must be a list of rows, not {rows!r}")
+    rows = [[integer(x, "a table entry") for x in row] for row in rows]
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise NotAGroup("multiplication table is not square")
@@ -377,53 +403,15 @@ def _load_table(params):
     inv = np.empty(n, dtype=np.int64)
     for a in range(n):
         inv[a] = int(np.nonzero(T[a] == 0)[0][0])
-    return T, inv
-
-
-def _default_generators(family, params):
-    if family == "cyclic":
-        n = int(params["n"])
-        if n == 1:
-            return [0]
-        if n == 2:
-            return [1]
-        return [1, n - 1]
-    if family == "dihedral":
-        n = int(params["n"])
-        if n <= 2:
-            return [(1 % n, 0), (0, 1)]
-        return [(1, 0), (n - 1, 0), (0, 1)]
-    if family == "symmetric":
-        n = int(params["n"])
-        if n == 1:
-            return [tuple(range(n))]
-        gens = []
-        for i in range(n - 1):
-            p = list(range(n))
-            p[i], p[i + 1] = p[i + 1], p[i]
-            gens.append(tuple(p))
-        return gens
-    if family == "integer_lattice":
-        d = int(params["d"])
-        gens = []
-        for i in range(d):
-            e = [0] * d
-            e[i] = 1
-            gens.append(tuple(e))
-            e2 = [0] * d
-            e2[i] = -1
-            gens.append(tuple(e2))
-        return gens
-    if family == "free":
-        k = int(params["k"])
-        gens = []
-        for i in range(1, k + 1):
-            gens.append((i,))
-            gens.append((-i,))
-        return gens
-    if family == "table":
-        raise ValidationError("table groups need an explicit generator list")
-    raise ValidationError(f"unknown family {family!r}")
+    return (
+        0,
+        lambda a, b: int(T[a, b]),
+        lambda a: int(inv[a]),
+        lambda a: integer(a, "a table element", 0, n - 1),
+        lambda a: f"g{a}",
+        n,
+        None,
+    )
 
 
 def build_group(
@@ -434,37 +422,44 @@ def build_group(
 ) -> GroupHandle:
     """Construct the element oracle for a GroupSpec.
 
-    The generating set is canonicalized, deduplicated, closed under inverses
-    (or NonSymmetricGenerators is raised when auto_close=False), and the
-    weight is normalized to sum to one.  With strict_weights=True an
+    The family's parameter is converted once, and a missing, non-integral,
+    out-of-range or unknown parameter is a ValidationError.  The generating
+    set is canonicalized, deduplicated, closed under inverses (or
+    NonSymmetricGenerators is raised when auto_close=False), and the weight
+    is normalized to sum to one.  With strict_weights=True an
     inverse-asymmetric weight raises BadWeights; passing False keeps the
     handle buildable so check_symmetry can report the violation.
     """
     family = spec.family
+    known = ("table", "path") if family == "table" else FAMILIES[family][:1]
+    for name in spec.params:
+        if name not in known:
+            raise ValidationError(f"{family} takes no parameter {name!r}")
     if family == "table":
-        T, inv_table = _load_table(spec.params)
-        n = T.shape[0]
-        identity = 0
-        multiply = lambda a, b: int(T[a, b])
-        invert = lambda a: int(inv_table[a])
-        key = lambda a: int(a)
-        namer = lambda a: f"g{a}"
-        order = n
-        label = f"table({n})"
+        oracle = _table(spec.params)
+        label = f"table({oracle[5]})"
     else:
-        identity, multiply, invert, key, namer, order = _canonical_parsers(family, spec.params)
-        pname = next(iter(spec.params.values()))
-        label = f"{family}({pname})"
+        param, low, high, builder = FAMILIES[family]
+        if param not in spec.params:
+            raise ValidationError(f"{family} needs parameter {param!r}")
+        value = integer(spec.params[param], f"{family} parameter {param!r}", low, high)
+        oracle = builder(value)
+        label = f"{family}({value})"
+    identity, multiply, invert, key, namer, order, default_generators = oracle
 
-    raw_gens = spec.generators if spec.generators is not None else _default_generators(family, spec.params)
-    if not raw_gens:
-        raise ValidationError("empty generator list")
-    gens = [key(g) for g in raw_gens]
+    # a table has no default generators
+    raw_gens = default_generators if spec.generators is None else spec.generators
+    if not isinstance(raw_gens, (list, tuple)) or not raw_gens:
+        raise ValidationError(f"group spec 'generators' must be a nonempty list, not {raw_gens!r}")
+    try:
+        gens = [key(g) for g in raw_gens]
+    except ValidationError as exc:
+        raise ValidationError(f"group spec 'generators': {exc}") from None
 
     if spec.weights is not None:
-        if len(spec.weights) != len(gens):
-            raise ValidationError("weights must align with generators")
-        weights = [float(w) for w in spec.weights]
+        if not isinstance(spec.weights, (list, tuple)) or len(spec.weights) != len(gens):
+            raise ValidationError("group spec 'weights' must be a list aligned with generators")
+        weights = [number(w, "group spec 'weights'") for w in spec.weights]
     else:
         weights = [1.0 / len(gens)] * len(gens)
     if any(w <= 0 for w in weights):

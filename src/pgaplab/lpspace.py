@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, ZeroFunctional
+from .errors import ValidationError, ZeroFunctional, read_text
 from .groups import CayleyBall
 
 
@@ -129,31 +129,30 @@ def vector_to_csv(values: np.ndarray, path):
 def vector_from_csv(ball: CayleyBall, path) -> np.ndarray:
     """Vector on the ball from 'index,value' lines; unlisted entries are 0.
 
-    An index outside the ball, an index listed twice or a non-finite value
-    is a ValidationError.
+    A file it cannot read, an index outside the ball, an index listed twice
+    or a non-finite value is a ValidationError.
     """
     values = np.zeros(ball.size)
     seen = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                i_s, x_s = line.split(",")
-                i, x = int(i_s), float(x_s)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}, line {lineno}: expected 'index,value', got {line!r}"
-                ) from None
-            if not 0 <= i < ball.size:
-                raise ValidationError(f"vector index {i} outside ball of size {ball.size}")
-            if i in seen:
-                raise ValidationError(f"{path}, line {lineno}: index {i} repeats line {seen[i]}")
-            if not np.isfinite(x):
-                raise ValidationError(f"{path}, line {lineno}: value {x!r} is not finite")
-            seen[i] = lineno
-            values[i] = x
+    for lineno, line in enumerate(read_text(path, "vector").split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            i_s, x_s = line.split(",")
+            i, x = int(i_s), float(x_s)
+        except ValueError:
+            raise ValidationError(
+                f"{path}, line {lineno}: expected 'index,value', got {line!r}"
+            ) from None
+        if not 0 <= i < ball.size:
+            raise ValidationError(f"vector index {i} outside ball of size {ball.size}")
+        if i in seen:
+            raise ValidationError(f"{path}, line {lineno}: index {i} repeats line {seen[i]}")
+        if not np.isfinite(x):
+            raise ValidationError(f"{path}, line {lineno}: value {x!r} is not finite")
+        seen[i] = lineno
+        values[i] = x
     return values
 
 

@@ -19,7 +19,8 @@ instance's default domain:
   restricted steepest one (tilted at random by RANDOM_TILT) descends
   faster than the restricted slope;
 - descent_reaches_fixed_point: `descend` from 0 ends within 1e-6 of the
-  fixed-point set.
+  fixed-point set, in the distance `descend`'s CLI report also reads
+  (`AffineAction.fixed_point_distance`).
 """
 
 from __future__ import annotations
@@ -279,13 +280,10 @@ def suite_gradient(rep: Representation, rng, trials=15) -> list[CheckResult]:
         CheckResult("gradient", "random_directions_below_slope", worst_random <= 1e-12, {"excess": worst_random})
     )
 
-    # the fixed points are -f0, plus the constants in full mode, where the
-    # descent runs on the whole space: there the terminal's mean is removed
-    # (f0 is mean-zero) before its distance to -f0 is taken
     f0 = _rand_vec(rep, rng, mean_zero=(rep.mode == "full"))
-    trace = descend(AffineAction.from_potential(rep, f0), rep.zero(), DescentOptions())
-    t = trace.terminal
-    dist = power_norm((t - t.mean() if rep.mode == "full" else t) + f0, p)
+    cob = AffineAction.from_potential(rep, f0)
+    trace = descend(cob, rep.zero(), DescentOptions())
+    dist = cob.fixed_point_distance(trace.terminal)
     rows.append(
         CheckResult(
             "gradient",

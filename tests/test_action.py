@@ -463,3 +463,38 @@ def test_stacked_operators_match_group_oracle(case):
             g = b.elements[i]
             got = rep.apply(g, f)
             assert np.array_equal(got, _oracle(rep, g, f))
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_fixed_point_distance_minimises_over_the_constants_in_full_mode(p):
+    from scipy.optimize import minimize_scalar
+
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), p, "full")
+    rng = np.random.default_rng(7)
+    f0 = rng.standard_normal(24)
+    f0 -= f0.mean()
+    action = pg.AffineAction.from_potential(rep, f0)
+    v = -f0 + 0.3 + rng.standard_normal(24) * 1e-2
+    offset = v + f0
+    best = minimize_scalar(
+        lambda c: power_norm(offset - c, p),
+        bounds=(offset.min(), offset.max()),
+        method="bounded",
+        options={"xatol": 1e-13},
+    )
+    assert action.fixed_point_distance(v) == pytest.approx(best.fun, rel=1e-12)
+    # the terminal's mean is not the best shift at p != 2
+    assert action.fixed_point_distance(v) < power_norm(offset - offset.mean(), p)
+
+
+def test_fixed_point_distance_of_a_basis_vector():
+    rep = pg.Representation(pg.full_ball(pg.cyclic_group(4)), 3.0, "full")
+    x = np.array([1.0, 0.0, 0.0, 0.0])
+    action = pg.AffineAction.from_potential(rep, np.zeros(4))
+    # min_c (|1 - c|^3 + 3|c|^3)^(1/3), at c = 1/(1 + sqrt 3); |x - mean(x)|_3 reads 0.777
+    assert action.fixed_point_distance(x) == pytest.approx(0.738, abs=5e-4)
+    assert power_norm(x - x.mean(), 3.0) == pytest.approx(0.777, abs=5e-4)
+    dirichlet = pg.Representation(pg.ball(pg.free_group(2), 2), 3.0, "dirichlet")
+    f0 = np.zeros(dirichlet.ball.size)
+    f0[0] = 0.5
+    assert pg.AffineAction.from_potential(dirichlet, f0).fixed_point_distance(np.zeros_like(f0)) == 0.5

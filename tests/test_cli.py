@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pgaplab as pg
-from pgaplab import lpspace
+from pgaplab import cli, lpspace
 from pgaplab.cli import canonical_json, main
 from pgaplab.gradient import restricted_slope
 from pgaplab.lpspace import vector_to_csv
@@ -590,3 +590,194 @@ def test_ball_takes_radius_from_group_spec(tmp_path, capsys):
     cfg = write_config(tmp_path, "ball3.json", {"group": {"family": "free", "params": {"k": 2}}})
     assert main(["ball", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
     assert json.loads(capsys.readouterr().out.strip())["size"] == 53
+
+
+# a list holding an object: no config key takes one, whatever its type
+_WRONG_TYPE = [{}]
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        (command, key)
+        for command, entries in cli._CONFIG.items()
+        for key, (convert, _) in entries.items()
+        if convert is not None
+    ],
+)
+def test_every_typed_config_key_rejects_a_value_of_the_wrong_type(tmp_path, monkeypatch, capsys, command, key):
+    monkeypatch.chdir(tmp_path)  # where a run that got through would write
+    config = {"group": _CYCLIC4} if "group" in cli._CONFIG[command] else {}
+    config[key] = _WRONG_TYPE
+    cfg = write_config(tmp_path, "config.json", config)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and repr(key) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["missing", "x", 4.5, "extra"])
+@pytest.mark.parametrize(
+    "family, param",
+    [(family, entry[0]) for family, entry in pg.groups.FAMILIES.items()] + [("table", "table")],
+)
+def test_every_family_rejects_a_bad_parameter(tmp_path, capsys, family, param, value):
+    params = {} if value == "missing" else {param: value}
+    if value == "extra":
+        params = {param: [[0]] if family == "table" else 3, "bogus": 1}
+        param = "bogus"
+    group = {"family": family, "params": params, "generators": [0] if family == "table" else None}
+    cfg = write_config(tmp_path, "ball.json", {"group": group, "radius": 1})
+    assert main(["ball", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and repr(param) in err
+    assert not (tmp_path / "o").exists()
+
+
+_FREE2 = {"family": "free", "params": {"k": 2}}
+_RUN = {"starts": 1, "iters": 20}
+
+
+@pytest.mark.parametrize(
+    "command, config, named",
+    [
+        # r must be null or in [1, inf]
+        ("gap", {"group": _CYCLIC4, "r": 0, **_RUN}, "'r'"),
+        ("gap", {"group": _CYCLIC4, "r": "nan", **_RUN}, "'r'"),
+        ("gap", {"group": _CYCLIC4, "r": 0.5, **_RUN}, "'r'"),
+        ("gap", {"group": _CYCLIC4, "r": -1, **_RUN}, "'r'"),
+        ("gap", {"group": _CYCLIC4, "starts": 0}, "'starts'"),
+        ("gap", {"group": _CYCLIC4, "seed": -1, **_RUN}, "'seed'"),
+        ("verify", {"group": _CYCLIC4, "seed": -1, "suites": []}, "'seed'"),
+        ("moduli", {"seed": -1, "trials": 10}, "'seed'"),
+        ("gap", {"group": _FREE2, "radius": "abc", **_RUN}, "'radius'"),
+        ("ball", {"group": _FREE2, "radius": "abc"}, "'radius'"),
+        ("ball", {"group": _FREE2, "radius": 2.5}, "'radius'"),
+        ("gap", {"group": _CYCLIC4, "exact": "bogus", **_RUN}, "'exact'"),
+        ("verify", {"group": _CYCLIC4, "suites": ["bogus"]}, "'suites'"),
+        ("descend", {"group": _CYCLIC4, "cocycle": {"values": ["c.csv"]}}, "'cocycle'"),
+        ("ball", {"group": {"family": "cyclic", "params": {}}}, "'n'"),
+        ("ball", {"group": {"family": "cyclic", "params": {"n": "x"}}}, "'n'"),
+        ("ball", {"group": {"family": "cyclic", "params": {"n": 4.7}}}, "'n'"),
+        # used to build C4 and label it cyclic(3)
+        ("ball", {"group": {"family": "cyclic", "params": {"m": 3, "n": 4}}}, "'m'"),
+        ("ball", {"group": {**_CYCLIC4, "generators": [1, 3], "weights": ["a", "b"]}}, "'weights'"),
+        ("ball", {"group": {**_CYCLIC4, "generators": ["x"]}}, "'generators'"),
+        ("ball", {"group": {"family": "dihedral", "params": {"n": 4}, "generators": [[1]]}}, "'generators'"),
+        (
+            "ball",
+            {"group": {"family": "integer_lattice", "params": {"d": 2}, "generators": [["a", 1]]}},
+            "'generators'",
+        ),
+        # used to be read as 1
+        ("ball", {"group": {**_CYCLIC4, "generators": [1.5]}}, "'generators'"),
+        (
+            "ball",
+            {"group": {"family": "table", "params": {"table": [[0, "a"], [1, 0]]}, "generators": [1]}},
+            "table entry",
+        ),
+    ],
+)
+def test_config_value_out_of_range_exits_2(tmp_path, capsys, command, config, named):
+    cfg = write_config(tmp_path, "config.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_radius_from_the_group_spec_is_checked(tmp_path, capsys):
+    spec_path = tmp_path / "group.json"
+    spec_path.write_text(json.dumps({**_FREE2, "radius": 2.5}))
+    cfg = write_config(tmp_path, "ball.json", {"group": str(spec_path)})
+    assert main(["ball", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "group spec key 'radius'" in capsys.readouterr().err
+
+
+def test_gap_seed_flag_is_checked(tmp_path, capsys):
+    cfg = write_config(tmp_path, "gap.json", {"group": _CYCLIC4, **_RUN})
+    assert main(["gap", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+    assert "'seed' must lie in [0, inf], not -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, path",
+    [
+        (None, "missing.json"),
+        ('{"group": ', "config.json"),
+        ("[1, 2]", "config.json"),
+        ({"group": "missing-group.json"}, "missing-group.json"),
+        ({"group": _CYCLIC4, "v0": "missing.csv"}, "missing.csv"),
+        ({"group": _CYCLIC4, "cocycle": {"potential": "missing.csv"}}, "missing.csv"),
+        ({"group": _CYCLIC4, "cocycle": {"values": {"s^1": "missing.csv"}}}, "missing.csv"),
+    ],
+    ids=[
+        "config-missing",
+        "config-malformed",
+        "config-not-an-object",
+        "group-spec-missing",
+        "v0-missing",
+        "potential-missing",
+        "values-missing",
+    ],
+)
+def test_an_input_file_the_run_cannot_read_exits_2(tmp_path, monkeypatch, capsys, config, path):
+    monkeypatch.chdir(tmp_path)  # the paths above are relative
+    if config is not None:
+        (tmp_path / "config.json").write_text(config if isinstance(config, str) else json.dumps(config))
+    cfg = "missing.json" if config is None else "config.json"
+    assert main(["descend", "--config", cfg, "--out", "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and repr(path) in err
+    assert "Traceback" not in err
+
+
+def test_verify_builds_its_ball_once(tmp_path, monkeypatch):
+    calls = []
+    original = cli.ball
+
+    def counting(handle, radius, *args, **kwargs):
+        calls.append(radius)
+        return original(handle, radius, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "ball", counting)
+    cfg = write_config(
+        tmp_path, "verify.json", {"group": _FREE2, "radius": 3, "p": [1.5, 3.0], "suites": ["ball"]}
+    )
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    assert calls == [3]
+    report = json.loads((tmp_path / "v" / "verify.json").read_text())
+    assert sorted({row["p"] for row in report["checks"]}) == [1.5, 3.0]
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_descend_and_verify_read_one_distance_to_the_fixed_points(tmp_path, monkeypatch, p):
+    # a terminal at -f0 + 0.3 1 + 1e-3 e_0: its distance to the fixed points
+    # -f0 + c 1 is min_c |1e-3 e_0 - c 1|_p, whatever f0 is
+    def fake_descend(action, v0, options=None, *, domain=None):
+        terminal = -action.potential + 0.3
+        terminal[0] += 1e-3
+        return pg.gradient.DescentTrace([], terminal, "f_tol", 0.0)
+
+    monkeypatch.setattr(cli, "descend", fake_descend)
+    monkeypatch.setattr(pg.verify, "descend", fake_descend)
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), p, "full")
+    e0 = np.zeros(24)
+    e0[0] = 1e-3
+    expected = pg.AffineAction.from_potential(rep, np.zeros(24)).fixed_point_distance(e0 + 0.3)
+    assert expected < 1e-3
+
+    vals = np.random.default_rng(2).standard_normal(24)
+    vector_to_csv(vals - vals.mean(), tmp_path / "potential.csv")
+    group = {"family": "symmetric", "params": {"n": 4}}
+    cocycle = {"potential": str(tmp_path / "potential.csv")}
+    cfg = write_config(tmp_path, "descend.json", {"group": group, "p": p, "cocycle": cocycle})
+    assert main(["descend", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+    recovery = json.loads((tmp_path / "d" / "descend.json").read_text())["recoveryError"]
+    cfg = write_config(tmp_path, "verify.json", {"group": group, "p": p, "suites": ["gradient"]})
+    main(["verify", "--config", cfg, "--out", str(tmp_path / "v")])
+    rows = json.loads((tmp_path / "v" / "verify.json").read_text())["checks"]
+    [row] = [row for row in rows if row["name"] == "descent_reaches_fixed_point"]
+    assert recovery == pytest.approx(expected, rel=1e-10)
+    assert row["detail"]["terminalDistance"] == pytest.approx(expected, rel=1e-10)
