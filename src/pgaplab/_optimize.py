@@ -7,8 +7,8 @@ returns the euclidean gradient from the intermediates the value built.  A
 line search therefore evaluates each trial point once and pays for a
 gradient only at the points it accepts.
 
-Multistart runs are seeded per trajectory and reduced in seed order, which
-makes every estimate reproducible.
+Multistart runs are seeded per trajectory and pooled in seed order, which
+makes every estimate reproducible; the caller reduces the pool.
 """
 
 from __future__ import annotations
@@ -123,8 +123,6 @@ def trajectory_summary(runs) -> dict:
 
 @dataclass
 class MultistartResult:
-    value: float
-    vector: np.ndarray
     # (tag, value, vector, Trajectory or None) per trajectory, in deterministic order
     pool: list
 
@@ -142,7 +140,8 @@ def multistart_minimize(
     seed=0,
     extra_starts=(),
 ) -> MultistartResult:
-    """Run seeded trajectories plus user starts; reduce deterministically.
+    """Run seeded trajectories, then the user starts, and pool them in that
+    order; a ValueError when none ends at a finite value.
 
     `objective` follows the (value, gradient callable) contract of
     sphere_minimize.
@@ -162,9 +161,6 @@ def multistart_minimize(
         return (tag, *sphere_minimize(objective, domain, p, v0, iters))
 
     results = [run(job) for job in jobs]
-
-    finite = [r for r in results if np.isfinite(r[1])]
-    if not finite:
+    if not any(np.isfinite(r[1]) for r in results):
         raise ValueError("no multistart trajectory produced a usable point")
-    best = min(finite, key=lambda r: (r[1], r[0]))
-    return MultistartResult(value=best[1], vector=best[2], pool=results)
+    return MultistartResult(pool=results)

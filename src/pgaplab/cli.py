@@ -13,10 +13,18 @@ Exit codes: 0 ok, 1 property failure, 2 validation, 3 domain
 precondition, 4 solver stall.  Exit 2 covers every config value, flag,
 group-spec entry and input file (config, group spec, multiplication table,
 v0 and cocycle CSVs) that the run cannot use: the `validation error:` line
-names the key, parameter or path.  Three keys are accepted only so that
-old configs load, and change nothing: gap's `threads` (null or 1; the
-multistart runs on one thread), moduli's `budget` (the moduli are exact)
-and descend's `seed` (descent draws no random numbers).
+names the key, parameter or path; a list-valued key (gap's `radius`,
+verify's `p`) must hold at least one entry.  Exit 3 covers a fixed vector
+in the domain, mass outside a truncated domain, a finite-group operation
+on an infinite group and a gradient asked for at a fixed point.  An
+asymmetric generating set is not among them: `build_group` closes the set
+under inverses and gives each inverse pair one weight, or rejects the
+weights with exit 2.
+
+Three keys are accepted only so that old configs load, and change
+nothing: gap's `threads` (null or 1; the multistart runs on one thread),
+moduli's `budget` (the moduli are exact) and descend's `seed` (descent
+draws no random numbers).
 """
 
 from __future__ import annotations
@@ -34,7 +42,6 @@ import numpy as np
 from . import __version__
 from .action import AffineAction, Cocycle, Representation, default_domain
 from .errors import (
-    AsymmetricSetup,
     AtFixedPoint,
     FixedVectorPresent,
     InfiniteGroup,
@@ -165,8 +172,15 @@ def _optional(convert):
 
 
 def _one_or_list(convert, entry):
-    # a list runs the command once for each entry
-    return lambda value, name: (_list_of(entry) if isinstance(value, list) else convert)(value, name)
+    # a list runs the command once for each entry, so it needs one
+    def converted(value, name):
+        if not isinstance(value, list):
+            return convert(value, name)
+        if not value:
+            raise ValidationError(f"{name} must hold at least one entry, not []")
+        return _list_of(entry)(value, name)
+
+    return converted
 
 
 _UNSET = object()  # no default: the key is absent unless given
@@ -473,7 +487,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (FixedVectorPresent, SupportViolation, InfiniteGroup, AtFixedPoint, AsymmetricSetup) as exc:
+    except (FixedVectorPresent, SupportViolation, InfiniteGroup, AtFixedPoint) as exc:
         print(f"domain precondition failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except PgapError as exc:

@@ -15,10 +15,6 @@ class ValidationError(PgapError):
     """Bad input data or configuration (CLI exit code 2)."""
 
 
-class NonSymmetricGenerators(ValidationError):
-    """Generating set is not closed under inversion and auto-closure is off."""
-
-
 class BadWeights(ValidationError):
     """Generator weights are nonpositive or not inverse-symmetric."""
 
@@ -45,10 +41,6 @@ class InfiniteGroup(PgapError):
 
 class AtFixedPoint(PgapError):
     """Closed-form gradient requested where the displacement energy vanishes."""
-
-
-class AsymmetricSetup(PgapError):
-    """Closed-form gradient requires a symmetric generating set and weight."""
 
 
 class NonsmoothPoint(PgapError):

@@ -463,6 +463,8 @@ def equivalence_report(
     """All gap constants on one instance, chain verdicts, and a fixed-point
     battery of random coboundary actions (each has a fixed point by
     construction; descent residuals and observed gradients are recorded).
+    A battery row's `recoveryError` is the l^p distance from the descent's
+    terminal to the fixed-point set (`AffineAction.fixed_point_distance`).
 
     C_grad = C_p and C_lap = C_p/2, with C_p = C_r when r = p; otherwise
     one more energy-ratio multistart at r = p supplies C_p.
@@ -499,7 +501,6 @@ def equivalence_report(
         f0 = domain.random_unit(rng)
         cob = AffineAction.from_potential(rep, f0)
         trace = descend(cob, rep.zero(), DescentOptions(), domain=domain)
-        recovery = power_norm(trace.terminal + f0, p)
         min_grad = np.inf
         for _ in range(battery_samples):
             # the affine gradient at v equals the linear one at v + f0, so
@@ -512,7 +513,7 @@ def equivalence_report(
             {
                 "index": i,
                 "terminalF": trace.final_energy,
-                "recoveryError": recovery,
+                "recoveryError": cob.fixed_point_distance(trace.terminal),
                 "iterations": len(trace.rows),
                 "reason": trace.reason,
                 "minGradientObserved": float(min_grad),

@@ -34,8 +34,7 @@ from .energy import (
     gradient_field,
     weighted_r_mean,
 )
-from .errors import AsymmetricSetup, AtFixedPoint, NonsmoothPoint, ValidationError
-from .groups import check_symmetry
+from .errors import AtFixedPoint, NonsmoothPoint, ValidationError
 from .lpspace import (
     conjugate_exponent,
     norming_vector,
@@ -62,20 +61,10 @@ class GradientResult:
     steepest_direction: np.ndarray
 
 
-def _require_symmetric(action: AffineAction):
-    report = check_symmetry(action.rep.handle)
-    if not report.ok:
-        raise AsymmetricSetup(
-            "closed-form gradient needs a symmetric generating set and weight: "
-            f"{report.to_dict()}"
-        )
-
-
 def abs_gradient(action: AffineAction, v: np.ndarray, *, check=True) -> GradientResult:
     """Closed-form ambient absolute gradient 2 |xi|_q / F^(p-1) at v, over
     every direction of l^p(G) (needs F(v) > 0): the restricted slope on the
     ambient `FullDomain`."""
-    _require_symmetric(action)
     rep = action.rep
     p = rep.p
     f_val = displacement_energy(action, EnergyParams(r=p, p=p), v, check=check)

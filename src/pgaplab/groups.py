@@ -14,6 +14,13 @@ input (user generators, elements passed to `CayleyBall.locate` or
 generator, so every element the BFS reaches is canonical by induction: the
 BFS never calls `key`, and each product is its own dictionary key.
 
+The weighted generating set is symmetric by construction: `build_group`
+closes it under inverses, records each generator's inverse in the
+handle's `inverse_index`, and gives both members of each inverse pair one
+weight.  It is the only code that computes `key(invert(g))`; everything
+downstream (the adjoint, the closed-form slope, `check_symmetry`) reads
+`inverse_index` instead.
+
 The ball carries one translate table: translate[k, i] is the index of
 generators[k] * elements[i], or OUT_OF_BALL when that product leaves the
 ball.  The BFS fills it while it enumerates, so building a ball multiplies
@@ -47,7 +54,6 @@ import numpy as np
 from .errors import (
     BadWeights,
     BallTooLarge,
-    NonSymmetricGenerators,
     NotAGroup,
     ValidationError,
     integer,
@@ -176,10 +182,13 @@ def _perm_name(p):
 class GroupHandle:
     """Element oracle plus a canonicalized, inverse-closed weighted gen set.
 
-    `identity` and `generators` are canonical.  `multiply` of two canonical
-    elements returns the canonical product, so code that only multiplies
-    elements it already holds needs no `key`; `key` is for outside input,
-    which it validates and reduces to canonical form.
+    Built only by `build_group`, which pairs each generator with its
+    inverse: generators[inverse_index[k]] is the inverse of generators[k],
+    and the two carry the same weight.  `identity` and `generators` are
+    canonical.  `multiply` of two canonical elements returns the canonical
+    product, so code that only multiplies elements it already holds needs
+    no `key`; `key` is for outside input, which it validates and reduces to
+    canonical form.
     """
 
     family: str
@@ -190,22 +199,9 @@ class GroupHandle:
     generators: tuple
     weights: np.ndarray
     names: tuple[str, ...]
+    inverse_index: np.ndarray = field(repr=False)
     order: int | None = None  # |group| when finite and known a priori
-    inverse_index: np.ndarray = field(default=None, repr=False)
     label: str = ""
-
-    def __post_init__(self):
-        if self.inverse_index is None:
-            lookup = {self.key(g): i for i, g in enumerate(self.generators)}
-            inv = np.empty(len(self.generators), dtype=np.int64)
-            for i, g in enumerate(self.generators):
-                gi = self.key(self.invert(g))
-                if gi not in lookup:
-                    raise NonSymmetricGenerators(
-                        f"generator {self.names[i]} has no inverse in the set"
-                    )
-                inv[i] = lookup[gi]
-            self.inverse_index = inv
 
     @property
     def n_generators(self) -> int:
@@ -243,24 +239,19 @@ class SymmetryReport:
 
 
 def check_symmetry(handle: GroupHandle) -> SymmetryReport:
-    """Verify the generating set is symmetric and the weight is a symmetric
-    probability on it; violations are listed rather than raised."""
+    """Check that inverse_index pairs the generators off (an involution),
+    that both members of each pair carry the same weight, and that the
+    weights sum to one; violations are listed rather than raised.  One pass
+    over the handle's pairing: `build_group` makes all three hold, and this
+    re-reads what it recorded without calling `key` or `invert`."""
+    pairing, w, names = handle.inverse_index.tolist(), handle.weights, handle.names
     missing = []
     pairs = []
-    for i, g in enumerate(handle.generators):
-        gi = handle.key(handle.invert(g))
-        j = None
-        for k, h in enumerate(handle.generators):
-            if handle.key(h) == gi:
-                j = k
-                break
-        if j is None:
-            missing.append(handle.names[i])
-            continue
-        if abs(handle.weights[i] - handle.weights[j]) > 1e-12 and i < j:
-            pairs.append(
-                (handle.names[i], handle.names[j], float(handle.weights[i]), float(handle.weights[j]))
-            )
+    for i, j in enumerate(pairing):
+        if not (0 <= j < len(pairing) and pairing[j] == i):
+            missing.append(names[i])
+        elif i < j and w[i] != w[j]:
+            pairs.append((names[i], names[j], float(w[i]), float(w[j])))
     return SymmetryReport(
         closed_under_inverse=not missing,
         weight_sum=float(handle.weights.sum()),
@@ -414,21 +405,17 @@ def _table(params):
     )
 
 
-def build_group(
-    spec: GroupSpec,
-    *,
-    auto_close: bool = True,
-    strict_weights: bool = True,
-) -> GroupHandle:
+def build_group(spec: GroupSpec) -> GroupHandle:
     """Construct the element oracle for a GroupSpec.
 
     The family's parameter is converted once, and a missing, non-integral,
     out-of-range or unknown parameter is a ValidationError.  The generating
-    set is canonicalized, deduplicated, closed under inverses (or
-    NonSymmetricGenerators is raised when auto_close=False), and the weight
-    is normalized to sum to one.  With strict_weights=True an
-    inverse-asymmetric weight raises BadWeights; passing False keeps the
-    handle buildable so check_symmetry can report the violation.
+    set is canonicalized, deduplicated and closed under inverses; a weight
+    that is nonpositive, or that differs from its inverse's by more than
+    1e-12 relative, raises BadWeights.  Each generator is paired with its
+    inverse here and nowhere else: both members of a pair get one weight,
+    their mean, so the stored weights are exactly symmetric (a symmetric
+    input keeps its bits), and the weight is normalized to sum to one.
     """
     family = spec.family
     known = ("table", "path") if family == "table" else FAMILIES[family][:1]
@@ -476,31 +463,32 @@ def build_group(
             merged[g] = w
             order_seen.append(g)
 
-    # close under inversion
+    # close under inversion, recording each generator's inverse
+    inverse = {}
     for g in list(order_seen):
-        gi = key(invert(g))
+        gi = inverse[g] = key(invert(g))
         if gi not in merged:
-            if not auto_close:
-                raise NonSymmetricGenerators(
-                    f"generator set not closed under inversion: missing {namer(gi)}"
-                )
+            inverse[gi] = g
             merged[gi] = merged[g]
             order_seen.append(gi)
 
-    # weight symmetry
-    if strict_weights:
-        for g in order_seen:
-            gi = key(invert(g))
-            if abs(merged[g] - merged[gi]) > 1e-12 * max(1.0, abs(merged[g])):
-                raise BadWeights(
-                    f"weight asymmetric on pair ({namer(g)}, {namer(gi)}): "
-                    f"{merged[g]} vs {merged[gi]}"
-                )
+    # weight symmetry, then one weight per inverse pair
+    for g in order_seen:
+        gi = inverse[g]
+        if abs(merged[g] - merged[gi]) > 1e-12 * max(1.0, abs(merged[g])):
+            raise BadWeights(
+                f"weight asymmetric on pair ({namer(g)}, {namer(gi)}): "
+                f"{merged[g]} vs {merged[gi]}"
+            )
+    for g in order_seen:
+        w, wi = merged[g], merged[inverse[g]]
+        merged[g] = merged[inverse[g]] = w + (wi - w) / 2  # their mean, w when wi == w
 
     total = sum(merged.values())
     if abs(total - 1.0) > 1e-12:
         warnings.warn(f"generator weights sum to {total}; normalizing", stacklevel=2)
     final_weights = np.array([merged[g] / total for g in order_seen], dtype=np.float64)
+    position = {g: i for i, g in enumerate(order_seen)}
 
     return GroupHandle(
         family=family,
@@ -511,6 +499,7 @@ def build_group(
         generators=tuple(order_seen),
         weights=final_weights,
         names=tuple(namer(g) for g in order_seen),
+        inverse_index=np.array([position[inverse[g]] for g in order_seen], dtype=np.int64),
         order=order,
         label=label,
     )
@@ -519,29 +508,29 @@ def build_group(
 # convenience constructors used throughout the test batteries
 
 
-def cyclic_group(n, generators=None, weights=None, **kw):
-    return build_group(GroupSpec("cyclic", {"n": n}, generators, weights), **kw)
+def cyclic_group(n, generators=None, weights=None):
+    return build_group(GroupSpec("cyclic", {"n": n}, generators, weights))
 
 
-def dihedral_group(n, generators=None, weights=None, **kw):
-    return build_group(GroupSpec("dihedral", {"n": n}, generators, weights), **kw)
+def dihedral_group(n, generators=None, weights=None):
+    return build_group(GroupSpec("dihedral", {"n": n}, generators, weights))
 
 
-def symmetric_group(n, generators=None, weights=None, **kw):
-    return build_group(GroupSpec("symmetric", {"n": n}, generators, weights), **kw)
+def symmetric_group(n, generators=None, weights=None):
+    return build_group(GroupSpec("symmetric", {"n": n}, generators, weights))
 
 
-def integer_lattice(d, generators=None, weights=None, **kw):
-    return build_group(GroupSpec("integer_lattice", {"d": d}, generators, weights), **kw)
+def integer_lattice(d, generators=None, weights=None):
+    return build_group(GroupSpec("integer_lattice", {"d": d}, generators, weights))
 
 
-def free_group(k, generators=None, weights=None, **kw):
-    return build_group(GroupSpec("free", {"k": k}, generators, weights), **kw)
+def free_group(k, generators=None, weights=None):
+    return build_group(GroupSpec("free", {"k": k}, generators, weights))
 
 
-def table_group(table, generators, weights=None, **kw):
+def table_group(table, generators, weights=None):
     params = {"path": table} if isinstance(table, (str, Path)) else {"table": table}
-    return build_group(GroupSpec("table", params, generators, weights), **kw)
+    return build_group(GroupSpec("table", params, generators, weights))
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,56 @@ def test_asymmetric_weights_exit_2(tmp_path, capsys):
     assert "s^1" in err and "s^3" in err  # names the violating pair
 
 
+# accepted by build_group's 1e-12 relative tolerance, but 5e-13 apart after
+# normalizing; build_group gives the pair its mean weight
+_NEAR_SYMMETRIC = {
+    "family": "cyclic",
+    "params": {"n": 8},
+    "generators": [1, 7],
+    "weights": [1e-3, 1.0000000005e-3],
+}
+
+
+def test_ball_near_symmetric_weights_pass_the_symmetry_check(tmp_path):
+    cfg = write_config(tmp_path, "ball.json", {"group": _NEAR_SYMMETRIC})
+    with pytest.warns(UserWarning, match="normalizing"):
+        assert main(["ball", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    symmetry = json.loads((tmp_path / "o" / "ball.json").read_text())["symmetry"]
+    assert symmetry["ok"] and symmetry["asymmetricPairs"] == []
+
+
+def test_verify_near_symmetric_weights_exit_0(tmp_path, capsys):
+    cfg = write_config(tmp_path, "verify.json", {"group": _NEAR_SYMMETRIC, "p": 3.0})
+    with pytest.warns(UserWarning, match="normalizing"):
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_gap_battery_near_symmetric_weights_exit_0(tmp_path):
+    config = {"group": _NEAR_SYMMETRIC, "p": 3.0, "starts": 1, "iters": 20, "battery": 1}
+    cfg = write_config(tmp_path, "gap.json", config)
+    with pytest.warns(UserWarning, match="normalizing"):
+        assert main(["gap", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "gap.json").read_text())["report"]
+    assert len(report["battery"]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, config, named",
+    [
+        ("gap", {"group": {"family": "cyclic", "params": {"n": 4}}, "radius": []}, "gap config key 'radius'"),
+        ("verify", {"group": {"family": "cyclic", "params": {"n": 4}}, "p": []}, "verify config key 'p'"),
+    ],
+    ids=["gap-radius", "verify-p"],
+)
+def test_an_empty_list_of_runs_exits_2(tmp_path, capsys, command, config, named):
+    cfg = write_config(tmp_path, "config.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and named in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_config_key_exit_2(tmp_path):
     cfg = write_config(tmp_path, "bad.json", {"group": {"family": "cyclic", "params": {"n": 4}}, "bogus": 1})
     assert main(["gap", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -180,6 +180,24 @@ def test_equivalence_report_cyclic8():
         assert row["reason"] == "f_tol"
 
 
+def test_battery_recovery_error_is_the_distance_to_the_fixed_points(monkeypatch):
+    descents = []
+
+    def recorded(action, v0, options, domain):
+        trace = pg.descend(action, v0, options, domain=domain)
+        descents.append((action, trace))
+        return trace
+
+    monkeypatch.setattr(gaps, "descend", recorded)
+    rep = full_rep(pg.symmetric_group(4), 3.0)
+    report = pg.equivalence_report(rep, 3.0, GapOptions(starts=2, iters=150, seed=3), battery=1)
+    [(cob, trace)] = descents
+    [row] = report.battery
+    assert row["recoveryError"] == cob.fixed_point_distance(trace.terminal)
+    # |terminal + f0|_3 reads 1.610896824e-08: the nearest fixed point is -f0 + c 1, not -f0
+    assert row["recoveryError"] == pytest.approx(1.610870826e-08, rel=1e-9)
+
+
 def test_equivalence_report_empty_battery():
     rep = full_rep(pg.cyclic_group(4))
     report = pg.equivalence_report(rep, 2.0, GapOptions(starts=4, iters=1000), battery=0)

@@ -4,7 +4,6 @@ import pytest
 import pgaplab as pg
 from pgaplab.action import MeanZeroDomain, default_domain
 from pgaplab.errors import (
-    AsymmetricSetup,
     AtFixedPoint,
     NonsmoothPoint,
     SupportViolation,
@@ -89,15 +88,6 @@ def test_gradient_eigen_oracle_cyclic5():
 def test_at_fixed_point_raises(linear_c4, cyclic4):
     with pytest.raises(AtFixedPoint):
         pg.abs_gradient(linear_c4, np.ones(4))
-
-
-def test_asymmetric_setup_raises():
-    h = pg.cyclic_group(4, generators=[1, 3], weights=[0.7, 0.3], strict_weights=False)
-    rep = pg.Representation(pg.full_ball(h), 2.0, "full")
-    act = pg.AffineAction.linear(rep)
-    v = alternating_vector(rep.ball)
-    with pytest.raises(AsymmetricSetup):
-        pg.abs_gradient(act, v)
 
 
 def test_universal_and_scaling_bounds(sym3):

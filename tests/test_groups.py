@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,7 +10,6 @@ import pgaplab as pg
 from pgaplab.errors import (
     BadWeights,
     BallTooLarge,
-    NonSymmetricGenerators,
     NotAGroup,
     ValidationError,
 )
@@ -55,11 +55,6 @@ def test_auto_closure_adds_inverse():
     assert np.allclose(h.weights, [0.5, 0.5])
 
 
-def test_auto_closure_disabled_raises():
-    with pytest.raises(NonSymmetricGenerators):
-        pg.cyclic_group(4, generators=[1], weights=[1.0], auto_close=False)
-
-
 def test_bad_weights():
     with pytest.raises(BadWeights):
         pg.cyclic_group(4, generators=[1, 3], weights=[0.7, 0.3])
@@ -73,13 +68,69 @@ def test_weight_normalization_warns():
     assert np.isclose(h.weights.sum(), 1.0)
 
 
-def test_check_symmetry_reports_asymmetric_pair():
-    h = pg.cyclic_group(4, generators=[1, 3], weights=[0.7, 0.3], strict_weights=False)
-    report = pg.check_symmetry(h)
+def test_near_symmetric_weights_become_one_weight_per_pair():
+    # within build_group's 1e-12 relative tolerance, but 5e-13 apart after
+    # normalizing: each pair now carries the mean of its two weights
+    with pytest.warns(UserWarning, match="normalizing"):
+        h = pg.cyclic_group(8, generators=[1, 7], weights=[1e-3, 1.0000000005e-3])
+    assert h.weights[0].tobytes() == h.weights[1].tobytes()
+    assert h.weights.sum() == 1.0
+    assert pg.check_symmetry(h).ok
+
+
+def test_symmetric_weights_keep_their_bits():
+    weights = [0.1, 0.1, 0.3, 0.3, 0.3]
+    with pytest.warns(UserWarning, match="normalizing"):
+        h = pg.cyclic_group(8, generators=[1, 7, 2, 6, 4], weights=weights)
+    assert h.weights.tolist() == [w / sum(weights) for w in weights]
+
+
+@pytest.mark.parametrize(
+    "handle",
+    [
+        pg.cyclic_group(2, generators=[1], weights=[1.0]),
+        pg.cyclic_group(7, generators=[1, 3], weights=[0.25, 0.25]),
+        pg.dihedral_group(5),
+        pg.symmetric_group(4),
+        pg.integer_lattice(3),
+        pg.free_group(3),
+        pg.free_group(2, generators=[[1], [1, 2]], weights=[0.25, 0.25]),
+        pg.table_group([[0, 1, 2], [1, 2, 0], [2, 0, 1]], generators=[1], weights=[0.5]),
+    ],
+    ids=lambda h: h.label,
+)
+def test_inverse_index_pairs_each_generator_with_its_inverse(handle):
+    inv = handle.inverse_index
+    assert inv.dtype == np.int64
+    assert inv[inv].tolist() == list(range(handle.n_generators))
+    for k, g in enumerate(handle.generators):
+        assert handle.generators[inv[k]] == handle.key(handle.invert(g))
+        assert handle.weights[inv[k]] == handle.weights[k]
+
+
+def test_check_symmetry_calls_neither_key_nor_invert():
+    h = pg.free_group(3)
+    calls = []
+
+    def counted(f):
+        return lambda *args: calls.append(f) or f(*args)
+
+    h.key, h.invert = counted(h.key), counted(h.invert)
+    assert pg.check_symmetry(h).ok
+    assert calls == []
+
+
+def test_check_symmetry_reads_the_recorded_pairing():
+    h = pg.cyclic_group(4, generators=[1, 3, 2], weights=[0.25, 0.25, 0.5])
+    assert pg.check_symmetry(h).ok
+    lopsided = dataclasses.replace(h, weights=np.array([0.3, 0.2, 0.5]))
+    report = pg.check_symmetry(lopsided)
     assert not report.ok
-    assert report.asymmetric_pairs
-    names = report.asymmetric_pairs[0][:2]
-    assert set(names) == {"s^1", "s^3"}
+    assert report.asymmetric_pairs == [("s^1", "s^3", 0.3, 0.2)]
+    unpaired = dataclasses.replace(h, inverse_index=np.array([1, 1, 2]))
+    report = pg.check_symmetry(unpaired)
+    assert not report.closed_under_inverse
+    assert report.missing_inverses == ["s^1"]
 
 
 def test_symmetric_group_transpositions_pass_symmetry():

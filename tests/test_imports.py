@@ -1,5 +1,6 @@
 """Every name a module imports is used in that module, no module reads the
-environment, and only the commands that need scipy load it."""
+environment, every exception type is raised somewhere, and only the
+commands that need scipy load it."""
 
 import ast
 import json
@@ -57,6 +58,29 @@ def _environment_reads(tree):
 def test_no_environment_reads(path):
     reads = list(_environment_reads(ast.parse(path.read_text())))
     assert not reads, f"{path.name} reads the environment: {reads}"
+
+
+def _raised(tree):
+    """The names of the exception types the module's raise statements make."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+            elif isinstance(exc, ast.Attribute):
+                yield exc.attr
+
+
+def test_every_exception_type_is_raised():
+    defined = [
+        node.name
+        for node in ast.parse((PACKAGE / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+    ]
+    raised = {name for path in PACKAGE.glob("*.py") for name in _raised(ast.parse(path.read_text()))}
+    assert defined and raised & set(defined)
+    dead = [name for name in defined if name not in raised]
+    assert not dead, f"errors.py defines exception types that nothing raises: {dead}"
 
 
 def _names(tree):

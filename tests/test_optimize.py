@@ -166,6 +166,19 @@ def test_multistart_pool_carries_trajectories_and_summary():
     assert 1 <= summary["reachedBest"] <= 3
 
 
+def test_multistart_with_no_usable_start_raises():
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(3)), 3.0, "full")
+    action = pg.AffineAction.linear(rep)
+    with pytest.raises(ValueError, match="no multistart trajectory"):
+        multistart_minimize(
+            make_energy_ratio_objective(action, 3.0),
+            default_domain(rep),
+            3.0,
+            starts=0,
+            extra_starts=(np.ones(rep.ball.size),),  # projects to zero on the mean-zero domain
+        )
+
+
 def test_trajectory_summary_of_no_runs():
     assert trajectory_summary([]) == {
         "trajectories": 0,
