@@ -152,13 +152,12 @@ def make_energy_ratio_objective(action: AffineAction, r: float):
 
 
 def character_displacements(handle, mode: int) -> np.ndarray:
-    """Per-generator displacement factors |exp(2 pi i k a / n) - 1| on mode k."""
+    """Per-generator displacement factors |exp(2 pi i k a / n) - 1| on mode k,
+    computed as 2 sin(pi j / n) with j = (k a) mod n folded to min(j, n - j),
+    so that modes k and n - k, and generators a and -a, give equal bits."""
     n = handle.order
-    out = []
-    for g in handle.generators:
-        a = int(g)
-        out.append(abs(np.exp(2j * np.pi * mode * a / n) - 1.0))
-    return np.array(out)
+    j = np.array([mode * int(g) % n for g in handle.generators])
+    return 2.0 * np.sin(np.pi * np.minimum(j, n - j) / n)
 
 
 def cyclic_exact_constants(rep: Representation, r: float) -> dict:

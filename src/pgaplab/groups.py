@@ -11,21 +11,31 @@ Oracle contract: `multiply` maps two canonical elements to the canonical
 element of their product, and `key` canonicalizes and validates outside
 input (user generators, elements passed to `CayleyBall.locate` or
 `Representation.apply`).  `build_group` keys the identity and every
-generator, so every element the BFS reaches is canonical by induction: the
-BFS never calls `key`, and each product is its own dictionary key.
+generator, so every element rebuilt by multiplying canonical elements is
+canonical by induction.  `multiply` and `key` are the exact oracle: the
+ball's element list, `locate`, `check_ball_invariants` and the tests use
+them, while the BFS that builds the ball calls neither.
 
 The weighted generating set is symmetric by construction: `build_group`
 closes it under inverses, records each generator's inverse in the
 handle's `inverse_index`, and gives both members of each inverse pair one
 weight.  It is the only code that computes `key(invert(g))`; everything
-downstream (the adjoint, the closed-form slope, `check_symmetry`) reads
-`inverse_index` instead.
+downstream (the adjoint, the closed-form slope, `check_symmetry`, the
+BFS's two-layer lookup) reads `inverse_index` or relies on the pairing.
+
+Element codes: each family also encodes its elements as rows of small
+integers (a residue; a rotation and a flip; the image row of a
+permutation; lattice coordinates; the letters of a reduced word, padded
+with zeros to the longest word in the block; a table index) and multiplies
+a whole block of rows on the left by one generator in numpy.  The ball is built on these codes one
+BFS layer at a time: each row is packed into one integer key in a mixed
+radix taken from the codes reached (or into its bytes when 63 bits cannot
+hold that radix), and looked up with a sorted search.
 
 The ball carries one translate table: translate[k, i] is the index of
 generators[k] * elements[i], or OUT_OF_BALL when that product leaves the
-ball.  The BFS fills it while it enumerates, so building a ball multiplies
-each (generator, element) pair once; representations on the ball read
-every generator operator from this table (see action.py).
+ball.  The BFS fills it layer by layer while it enumerates; representations
+on the ball read every generator operator from this table (see action.py).
 
 Families: FAMILIES declares each family with one integer parameter
 (cyclic, dihedral and symmetric take n, integer_lattice d, free k): the
@@ -42,10 +52,12 @@ file, and needs explicit generators.  Every integer read from a spec
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import operator
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable
 
@@ -64,6 +76,7 @@ from .errors import (
 
 DEFAULT_BALL_CAP = 10**6
 OUT_OF_BALL = -1
+INVARIANT_SAMPLE = 64  # elements whose translate entries check_ball_invariants multiplies
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +201,9 @@ class GroupHandle:
     canonical.  `multiply` of two canonical elements returns the canonical
     product, so code that only multiplies elements it already holds needs
     no `key`; `key` is for outside input, which it validates and reduces to
-    canonical form.
+    canonical form.  `identity_code` is the identity's code row, and
+    `left_multiply(k, X)` maps the (m, w) code rows X to the rows of
+    generators[k] * X (the width may change for free groups).
     """
 
     family: str
@@ -200,6 +215,8 @@ class GroupHandle:
     weights: np.ndarray
     names: tuple[str, ...]
     inverse_index: np.ndarray = field(repr=False)
+    identity_code: np.ndarray = field(repr=False)
+    left_multiply: Callable[[int, np.ndarray], np.ndarray] = field(repr=False)
     order: int | None = None  # |group| when finite and known a priori
     label: str = ""
 
@@ -278,6 +295,10 @@ def _rotations(n):
 
 
 def _cyclic(n):
+    def coder(gens):
+        g = np.array(gens, dtype=np.int64)
+        return np.zeros(1, dtype=np.int64), lambda k, X: (X + g[k]) % n
+
     return (
         0,
         lambda a, b: (a + b) % n,
@@ -286,6 +307,7 @@ def _cyclic(n):
         lambda a: "e" if a % n == 0 else f"s^{a % n}",
         n,
         _rotations(n),
+        coder,
     )
 
 
@@ -309,7 +331,19 @@ def _dihedral(n):
             return rot
         return "f" if x == 0 else rot + "*f"
 
-    return ((0, 0), mul, inv, key, name, 2 * n, [(x, 0) for x in _rotations(n)] + [(0, 1)])
+    def coder(gens):
+        g = np.array(gens, dtype=np.int64)
+
+        def left(k, X):
+            x, s = g[k]
+            out = np.empty_like(X)
+            out[:, 0] = (x + X[:, 0] if s == 0 else x - X[:, 0]) % n
+            out[:, 1] = X[:, 1] ^ s
+            return out
+
+        return np.zeros(2, dtype=np.int64), left
+
+    return ((0, 0), mul, inv, key, name, 2 * n, [(x, 0) for x in _rotations(n)] + [(0, 1)], coder)
 
 
 def _symmetric(n):
@@ -321,12 +355,32 @@ def _symmetric(n):
             raise ValidationError(f"not a permutation of 0..{n - 1}: {a}")
         return t
 
+    def coder(gens):
+        # (g * x)(i) = g[x[i]]: one gather of the generator's row per code row
+        G = np.array(gens, dtype=np.min_scalar_type(n - 1))
+        return np.arange(n, dtype=G.dtype), lambda k, X: G[k][X]
+
     swaps = [ident[:i] + (i + 1, i) + ident[i + 2 :] for i in range(n - 1)]
-    return (ident, _perm_mul, _perm_inv, key, _perm_name, math.factorial(n), swaps or [ident])
+    return (ident, _perm_mul, _perm_inv, key, _perm_name, math.factorial(n), swaps or [ident], coder)
+
+
+# lattice generator coordinates are at most this in absolute value, so the
+# int64 codes of any ball that fits in memory cannot overflow
+_LATTICE_STEP = 2**32
 
 
 def _integer_lattice(d):
     ident = (0,) * d
+
+    def coder(gens):
+        for g in gens:
+            if max(map(abs, g)) > _LATTICE_STEP:
+                raise ValidationError(
+                    f"lattice generator {list(g)} has a coordinate beyond 2**32 in absolute value"
+                )
+        g = np.array(gens, dtype=np.int64)
+        return np.zeros(d, dtype=np.int64), lambda k, X: X + g[k]
+
     return (
         ident,
         lambda a, b: tuple(map(operator.add, a, b)),
@@ -335,7 +389,22 @@ def _integer_lattice(d):
         lambda a: "(" + ",".join(str(x) for x in a) + ")",
         None,
         [ident[:i] + (s,) + ident[i + 1 :] for i in range(d) for s in (1, -1)],
+        coder,
     )
+
+
+def _prepend(letter, X):
+    """Left multiply reduced words, coded as zero-padded letter rows, by one
+    letter: it cancels a leading inverse letter, else it goes in front."""
+    m, w = X.shape
+    out = np.zeros((m, w + 1), dtype=X.dtype)
+    out[:, 0] = letter
+    out[:, 1:] = X
+    if w:
+        cancel = X[:, 0] == -letter
+        out[cancel, : w - 1] = X[cancel, 1:]
+        out[cancel, w - 1 :] = 0
+    return out
 
 
 def _free(k):
@@ -346,15 +415,26 @@ def _free(k):
                 raise ValidationError(f"free-group letter out of range: {x}")
         return _free_reduce(word)
 
+    def coder(gens):
+        def left(j, X):
+            for letter in reversed(gens[j]):  # a generator word acts letter by letter
+                X = _prepend(letter, X)
+                while X.shape[1] and not X[:, -1].any():  # padding in every row
+                    X = X[:, :-1]
+            return X
+
+        return np.zeros(0, dtype=np.int8), left
+
     letters = [(s * i,) for i in range(1, k + 1) for s in (1, -1)]
-    return ((), _free_mul, lambda a: tuple(-x for x in reversed(a)), key, _free_name, None, letters)
+    return ((), _free_mul, lambda a: tuple(-x for x in reversed(a)), key, _free_name, None, letters, coder)
 
 
 # family -> (its one parameter, the parameter's least and greatest value,
-# the builder that maps the parameter's value to the oracle)
+# the builder that maps the parameter's value to the oracle); residues mod
+# n <= 2**62 add without overflow in int64 codes
 FAMILIES = {
-    "cyclic": ("n", 1, math.inf, _cyclic),
-    "dihedral": ("n", 1, math.inf, _dihedral),
+    "cyclic": ("n", 1, 2**62, _cyclic),
+    "dihedral": ("n", 1, 2**62, _dihedral),
     "symmetric": ("n", 1, math.inf, _symmetric),
     "integer_lattice": ("d", 1, math.inf, _integer_lattice),
     "free": ("k", 1, len(_FREE_LETTERS), _free),
@@ -394,6 +474,11 @@ def _table(params):
     inv = np.empty(n, dtype=np.int64)
     for a in range(n):
         inv[a] = int(np.nonzero(T[a] == 0)[0][0])
+
+    def coder(gens):
+        g = np.array(gens, dtype=np.int64)
+        return np.zeros(1, dtype=np.int64), lambda k, X: T[g[k]][X]
+
     return (
         0,
         lambda a, b: int(T[a, b]),
@@ -402,6 +487,7 @@ def _table(params):
         lambda a: f"g{a}",
         n,
         None,
+        coder,
     )
 
 
@@ -432,7 +518,7 @@ def build_group(spec: GroupSpec) -> GroupHandle:
         value = integer(spec.params[param], f"{family} parameter {param!r}", low, high)
         oracle = builder(value)
         label = f"{family}({value})"
-    identity, multiply, invert, key, namer, order, default_generators = oracle
+    identity, multiply, invert, key, namer, order, default_generators, coder = oracle
 
     # a table has no default generators
     raw_gens = default_generators if spec.generators is None else spec.generators
@@ -485,10 +571,13 @@ def build_group(spec: GroupSpec) -> GroupHandle:
         merged[g] = merged[inverse[g]] = w + (wi - w) / 2  # their mean, w when wi == w
 
     total = sum(merged.values())
+    if not math.isfinite(total):
+        raise BadWeights(f"generator weights {weights} sum to {total}, not a finite number")
     if abs(total - 1.0) > 1e-12:
         warnings.warn(f"generator weights sum to {total}; normalizing", stacklevel=2)
     final_weights = np.array([merged[g] / total for g in order_seen], dtype=np.float64)
     position = {g: i for i, g in enumerate(order_seen)}
+    identity_code, left_multiply = coder(tuple(order_seen))
 
     return GroupHandle(
         family=family,
@@ -500,6 +589,8 @@ def build_group(spec: GroupSpec) -> GroupHandle:
         weights=final_weights,
         names=tuple(namer(g) for g in order_seen),
         inverse_index=np.array([position[inverse[g]] for g in order_seen], dtype=np.int64),
+        identity_code=identity_code,
+        left_multiply=left_multiply,
         order=order,
         label=label,
     )
@@ -541,27 +632,37 @@ def table_group(table, generators, weights=None):
 class CayleyBall:
     """Indexed word-metric ball B_R with per-generator translation tables.
 
-    elements[i] is the i-th element in BFS discovery order (identity first,
-    generator order breaking ties).  translate[k, i] is the index of the left
-    product generators[k] * elements[i], or OUT_OF_BALL when it leaves B_R.
+    Elements are numbered in BFS discovery order (identity first, generator
+    order breaking ties); element i is generators[parent_gen[i]] times
+    element parent[i], at word length depth[i].  translate[k, i] is the
+    index of the left product generators[k] * elements[i], or OUT_OF_BALL
+    when it leaves B_R.  `elements` (canonical elements, as the oracle makes
+    them) and `index` (element -> i) are built on first read, with one
+    `multiply` per element.
     """
 
     handle: GroupHandle
     radius: int
-    elements: list
     depth: np.ndarray
     translate: np.ndarray
     parent: np.ndarray
     parent_gen: np.ndarray
-    index: dict = field(repr=False, default_factory=dict)
 
-    def __post_init__(self):
-        if not self.index:
-            self.index = {self.handle.key(g): i for i, g in enumerate(self.elements)}
+    @cached_property
+    def elements(self) -> list:
+        mul, gens = self.handle.multiply, self.handle.generators
+        out = [self.handle.identity]
+        for i, k in zip(self.parent[1:].tolist(), self.parent_gen[1:].tolist()):
+            out.append(mul(gens[k], out[i]))
+        return out
+
+    @cached_property
+    def index(self) -> dict:
+        return {g: i for i, g in enumerate(self.elements)}
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.depth)
 
     @property
     def is_full(self) -> bool:
@@ -587,60 +688,156 @@ class CayleyBall:
         return self.index[k]
 
 
-def ball(handle: GroupHandle, radius: int, cap: int = DEFAULT_BALL_CAP) -> CayleyBall:
-    """Enumerate the word-metric ball B_radius breadth first, in one pass.
+def _widen(X: np.ndarray, w: int) -> np.ndarray:
+    """Code rows X padded with zero columns to width w."""
+    if X.shape[1] == w:
+        return X
+    out = np.zeros((len(X), w), dtype=X.dtype)
+    out[:, : X.shape[1]] = X
+    return out
 
-    Each layer is expanded once, and expanding it fills its translate
-    entries; the layer at depth `radius` is expanded only for the table.
-    So every (generator, element) pair is multiplied exactly once.  By the
-    oracle contract each product is already canonical, so it is its own key.
+
+def _radix(X: np.ndarray) -> tuple:
+    """Per-column least and greatest code over the code rows X, and the
+    spans between them; the spans are None when their mixed radix needs
+    64 bits."""
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    span = (hi.astype(np.int64) - lo + 1).tolist()
+    return lo, hi, (span if math.prod(span) < 2**63 else None)
+
+
+def _pack(X: np.ndarray, radix) -> np.ndarray:
+    """Sortable keys of the code rows X (of the radix's width), equal
+    exactly when the rows are: one int64 per row in the mixed radix, packed
+    column by column, or the row's bytes when the radix needs 64 bits.  The
+    key of a row outside the radix is meaningless (see `_fit`)."""
+    lo, hi, span = radix
+    if span is None:
+        X = np.ascontiguousarray(X)
+        return X.view(np.dtype((np.void, X.dtype.itemsize * len(lo))))[:, 0]
+    key = np.zeros(len(X), dtype=np.int64)
+    for c in reversed(range(len(lo))):  # Horner: sum_c (X[:, c] - lo[c]) * prod(span[:c])
+        key *= span[c]
+        key += X[:, c]
+        key -= lo[c]
+    return key
+
+
+def _fit(X: np.ndarray, radix) -> tuple[np.ndarray, np.ndarray]:
+    """Code rows X cut or padded to the radix's width, and a mask of the
+    rows outside the radix: a code beyond its range, or a nonzero code in a
+    column beyond its width (those columns are padding)."""
+    lo, hi, _ = radix
+    w = len(lo)
+    fitted = _widen(X[:, :w], w)
+    return fitted, X[:, w:].any(axis=1) | ((fitted < lo) | (fitted > hi)).any(axis=1)
+
+
+def _searcher(keys: np.ndarray, base: int):
+    """Finder of packed code rows among the distinct elements whose keys
+    are `keys`, numbered from `base` on: it returns each row's number, or
+    OUT_OF_BALL when the row is not among them."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+
+    def find(x, outside=None):
+        pos = np.minimum(np.searchsorted(keys, x), len(keys) - 1)
+        hit = keys[pos] == x
+        if outside is not None:
+            hit &= ~outside
+        return np.where(hit, base + order[pos], OUT_OF_BALL)
+
+    return find
+
+
+def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct keys in the order of their first occurrence:
+    each key's number, and the positions of the first occurrences (one per
+    distinct key, ascending).  Only a stable sort, as in the rest of the BFS."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    first = order[starts]  # per distinct key, in key order
+    is_first = np.zeros(len(keys), dtype=bool)
+    is_first[first] = True
+    number = np.empty(len(keys), dtype=np.int64)
+    number[order] = (np.cumsum(is_first) - 1)[first][np.cumsum(starts) - 1]
+    return number, np.flatnonzero(is_first)
+
+
+def ball(handle: GroupHandle, radius: int, cap: int = DEFAULT_BALL_CAP) -> CayleyBall:
+    """Enumerate the word-metric ball B_radius breadth first, a layer at a
+    time, on the family's element codes (see the module docstring).
+
+    The generating set is symmetric, so a generator moves an element of
+    layer r into layer r - 1, r or r + 1; each product is looked up among
+    layers r - 1 and r, and the misses, numbered by first occurrence in
+    (element, generator) order, make layer r + 1.  That is the order in
+    which a BFS that multiplies one pair at a time meets them, so every
+    table keeps its bits.  The layer at depth `radius` is expanded one
+    generator at a time, for the table only.  Widths and radices come from
+    the layers reached, so nothing is sized by `radius` or `cap`; neither
+    `multiply` nor `key` is called.  BallTooLarge when B_radius has more
+    than `cap` elements.
     """
     if radius < 0:
         raise ValidationError("ball radius must be >= 0")
-    mul = handle.multiply
-    elements = [handle.identity]
-    index = {handle.identity: 0}
-    depth = [0]
-    parent = [-1]
-    parent_gen = [-1]
-    rows = [[] for _ in handle.generators]  # translate rows, in element order
-    frontier = [0]
+    K, left = handle.n_generators, handle.left_multiply
+    cur = handle.identity_code[None, :]
+    prev = cur[:0]
+    start = 0  # number of cur's first element; prev's numbers end there
+    root = np.array([-1])
+    depth, parent, parent_gen = [np.zeros(1, dtype=np.int64)], [root], [root]
+    table = []  # (K, len(layer)) blocks of translate
     r = 0
-    while frontier:
-        nxt = []
-        for i in frontier:
-            g = elements[i]
-            for k, gen in enumerate(handle.generators):
-                h = mul(gen, g)
-                j = index.get(h, OUT_OF_BALL)
-                if j == OUT_OF_BALL and r < radius:
-                    j = index[h] = len(elements)
-                    elements.append(h)
-                    depth.append(r + 1)
-                    parent.append(i)
-                    parent_gen.append(k)
-                    nxt.append(j)
-                    if len(elements) > cap:
-                        raise BallTooLarge(
-                            f"ball of radius {radius} exceeds cap of {cap} elements"
-                        )
-                rows[k].append(j)
-        frontier = nxt
+    while len(cur):
+        m = len(cur)
+        w = max(prev.shape[1], cur.shape[1])
+        if r < radius:
+            products = [left(k, cur) for k in range(K)]
+            w = max(w, *(P.shape[1] for P in products))
+            rows = np.zeros((m, K, w), dtype=cur.dtype)
+            for k, P in enumerate(products):
+                rows[:, k, : P.shape[1]] = P
+            rows = rows.reshape(m * K, w)  # (element, generator) order
+            # layers r - 1 and r, then the products, keyed in one radix
+            codes = np.concatenate([_widen(prev, w), _widen(cur, w), rows])
+            keys = _pack(codes, _radix(codes))
+            n = len(codes) - len(rows)
+            j = _searcher(keys[:n], start - len(prev))(keys[n:])
+            miss = np.flatnonzero(j == OUT_OF_BALL)
+            number, first = _first_occurrences(keys[n:][miss])
+            if start + m + len(first) > cap:
+                raise BallTooLarge(f"ball of radius {radius} exceeds cap of {cap} elements")
+            j[miss] = start + m + number
+            at = miss[first]  # the new elements' (element, generator) positions
+            new = rows[at]
+            depth.append(np.full(len(at), r + 1, dtype=np.int64))
+            parent.append(start + at // K)
+            parent_gen.append(at % K)
+            table.append(j.reshape(m, K).T)
+        else:
+            known = np.concatenate([_widen(prev, w), _widen(cur, w)])
+            radix = _radix(known)
+            find = _searcher(_pack(known, radix), start - len(prev))
+            block = np.empty((K, m), dtype=np.int64)
+            for k in range(K):
+                X, outside = _fit(left(k, cur), radix)
+                block[k] = find(_pack(X, radix), outside)
+            table.append(block)
+            new = cur[:0]
+        prev, cur, start = cur, new, start + m
         r += 1
-
-    translate = np.empty((handle.n_generators, len(elements)), dtype=np.int64)
-    for k in range(handle.n_generators):
-        translate[k] = rows[k]
-        rows[k] = None  # free each list once copied: keeps the peak near one table
     return CayleyBall(
         handle=handle,
         radius=radius,
-        elements=elements,
-        depth=np.asarray(depth, dtype=np.int64),
-        translate=translate,
-        parent=np.asarray(parent, dtype=np.int64),
-        parent_gen=np.asarray(parent_gen, dtype=np.int64),
-        index=index,
+        depth=np.concatenate(depth),
+        # C order, so that each generator's row is contiguous for the gathers
+        translate=np.ascontiguousarray(np.concatenate(table, axis=1)),
+        parent=np.concatenate(parent),
+        parent_gen=np.concatenate(parent_gen),
     )
 
 
@@ -658,7 +855,12 @@ def full_ball(handle: GroupHandle, cap: int = DEFAULT_BALL_CAP) -> CayleyBall:
 
 
 def check_ball_invariants(b: CayleyBall) -> list[str]:
-    """Return a list of human-readable invariant violations (empty = pass)."""
+    """Return a list of human-readable invariant violations (empty = pass).
+
+    Besides the table's own consistency, a seeded sample of at most
+    INVARIANT_SAMPLE elements has every translate entry compared with the
+    oracle: the index of key(multiply(generator, element)), or OUT_OF_BALL
+    when that product is not in the ball."""
     problems = []
     h = b.handle
     if b.elements[0] != h.key(h.identity) or b.depth[0] != 0:
@@ -687,10 +889,22 @@ def check_ball_invariants(b: CayleyBall) -> list[str]:
         for k in range(h.n_generators):
             if not np.array_equal(np.sort(b.translate[k]), target):
                 problems.append(f"translate({h.names[k]}) is not a permutation on the full group")
-    for g, i in list(b.index.items())[:100]:
+    if len(b.index) != b.size:
+        problems.append(f"{b.size - len(b.index)} elements are listed more than once")
+    for g, i in itertools.islice(b.index.items(), 100):
         if h.key(b.elements[i]) != g:
             problems.append(f"index map inconsistent at {g!r}")
             break
+    rng = np.random.default_rng(0)
+    sample = np.sort(rng.choice(b.size, min(b.size, INVARIANT_SAMPLE), replace=False))
+    for k, gen in enumerate(h.generators):
+        for i, j in zip(sample.tolist(), b.translate[k, sample].tolist()):
+            want = b.index.get(h.key(h.multiply(gen, b.elements[i])), OUT_OF_BALL)
+            if j != want:
+                problems.append(
+                    f"translate({h.names[k]}) at index {i} reads {j}, but the product is {want}"
+                )
+                break
     return problems
 
 

@@ -63,6 +63,14 @@ def test_asymmetric_weights_exit_2(tmp_path, capsys):
     assert "s^1" in err and "s^3" in err  # names the violating pair
 
 
+def test_weights_whose_total_overflows_exit_2(tmp_path, capsys):
+    group = {"family": "cyclic", "params": {"n": 4}, "generators": [1, 3], "weights": [1e308, 1e308]}
+    cfg = write_config(tmp_path, "ball.json", {"group": group, "radius": 2})
+    assert main(["ball", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "[1e+308, 1e+308] sum to inf" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "ball.json").exists()
+
+
 # accepted by build_group's 1e-12 relative tolerance, but 5e-13 apart after
 # normalizing; build_group gives the pair its mean weight
 _NEAR_SYMMETRIC = {

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,17 @@ def test_exact_displacement_constant_cyclic(n):
     assert est_disp.method == "exact-fourier"
     assert est_disp.value == pytest.approx(2.0 * np.sin(np.pi / n), abs=1e-12)
     assert est_r.value == pytest.approx(2.0 * np.sin(np.pi / n), abs=1e-12)
+
+
+def test_cyclic12_exact_constants_within_one_ulp():
+    # modes 1 and 11 displace by the same amount; the factor used to be
+    # |exp(2 pi i k a / n) - 1|, whose rounding picked mode 11 and read
+    # 0.5176380902050386 for C_r and C_grad
+    report = pg.equivalence_report(full_rep(pg.cyclic_group(12)))
+    exact = 2.0 * math.sin(math.pi / 12)
+    for name in ("C_disp", "C_r", "C_grad"):
+        assert report.methods[name] == "exact-fourier"
+        assert abs(report.constants[name] - exact) <= math.ulp(exact), name
 
 
 def test_exact_displacement_cyclic2():

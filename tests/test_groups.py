@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from pgaplab.errors import (
 from pgaplab.groups import (
     OUT_OF_BALL,
     GroupSpec,
+    _first_occurrences,
     _free_mul,
     _free_reduce,
     check_ball_invariants,
@@ -60,6 +62,12 @@ def test_bad_weights():
         pg.cyclic_group(4, generators=[1, 3], weights=[0.7, 0.3])
     with pytest.raises(BadWeights):
         pg.cyclic_group(4, generators=[1, 3], weights=[-0.5, 1.5])
+
+
+def test_weight_total_that_overflows_is_rejected():
+    # each weight is finite, but their sum is not: normalizing by it made [0, 0]
+    with pytest.raises(BadWeights, match=r"\[1e\+308, 1e\+308\] sum to inf"):
+        pg.cyclic_group(4, generators=[1, 3], weights=[1e308, 1e308])
 
 
 def test_weight_normalization_warns():
@@ -192,6 +200,22 @@ def test_ball_invariants_catch_corruption():
     assert "sentinel" in problems[0]
 
 
+def test_ball_invariants_compare_the_table_with_the_oracle():
+    # swap the numbers of two elements of one depth throughout the table:
+    # it stays a consistent table of permutations, but of the wrong elements
+    b = pg.full_ball(pg.symmetric_group(4))
+    assert check_ball_invariants(b) == []
+    i, j = np.flatnonzero(b.depth == 2)[:2]
+    swap = np.arange(b.size)
+    swap[[i, j]] = [j, i]
+    b.translate = swap[b.translate][:, swap]
+    assert check_ball_invariants(b) == [
+        "translate((1 2)) at index 3 reads 4, but the product is 5",
+        "translate((2 3)) at index 1 reads 5, but the product is 4",
+        "translate((3 4)) at index 1 reads 4, but the product is 5",
+    ]
+
+
 def test_translation_tables_are_permutations_when_full():
     b = pg.full_ball(pg.dihedral_group(5))
     n = b.size
@@ -202,6 +226,31 @@ def test_translation_tables_are_permutations_when_full():
 def test_ball_cap():
     with pytest.raises(BallTooLarge):
         pg.ball(pg.free_group(2), 8, cap=1000)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: pg.free_group(2), lambda: pg.integer_lattice(2)], ids=["free2", "lattice2"]
+)
+def test_full_ball_of_infinite_group_stops_at_cap_in_small_memory(make):
+    # full_ball asks for radius = cap; nothing may be sized by that radius
+    h = make()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BallTooLarge):
+            pg.full_ball(h, cap=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
+
+
+def test_groups_whose_int64_codes_could_overflow_are_rejected():
+    # the largest accepted ones are reference-checked below
+    for make in (pg.cyclic_group, pg.dihedral_group):
+        with pytest.raises(ValidationError, match="'n' must lie in"):
+            make(2**62 + 1)
+    with pytest.raises(ValidationError, match="2\\*\\*32"):
+        pg.integer_lattice(1, generators=[[2**32 + 1], [-(2**32) - 1]])
 
 
 def test_bfs_prefix_property():
@@ -313,24 +362,41 @@ def _counting(h):
     return calls
 
 
+def _counting_key(h):
+    """Wrap h.key with a call counter; returns the counter list."""
+    calls = [0]
+    key = h.key
+
+    def counted(a):
+        calls[0] += 1
+        return key(a)
+
+    h.key = counted
+    return calls
+
+
 @pytest.mark.parametrize(
     "make,R",
     [
         (lambda: pg.symmetric_group(5), 3),
         (lambda: pg.dihedral_group(6), 2),
         (lambda: pg.free_group(2), 4),
+        (lambda: pg.integer_lattice(2), 3),
+        (lambda: pg.table_group(_cyclic_table(6), generators=[1, 5]), 2),
     ],
-    ids=["symmetric5", "dihedral6", "free2"],
+    ids=["symmetric5", "dihedral6", "free2", "lattice2", "table6"],
 )
-def test_ball_multiplies_once_per_table_entry(make, R):
+def test_ball_calls_neither_multiply_nor_key(make, R):
     h = make()
-    calls = _counting(h)
-    b = pg.ball(h, R)
-    assert calls[0] == b.translate.size
-    if h.order is not None:
-        calls[0] = 0
-        b = pg.full_ball(h)
-        assert calls[0] == b.translate.size == h.n_generators * h.order
+    products, keys = _counting(h), _counting_key(h)
+    balls = [pg.ball(h, R)] + ([pg.full_ball(h)] if h.order is not None else [])
+    assert products[0] == keys[0] == 0
+    for b in balls:
+        # the elements are rebuilt on first read, one multiply each
+        products[0] = 0
+        assert len(b.elements) == b.size
+        assert products[0] == b.size - 1
+        assert keys[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -386,6 +452,17 @@ _FREE3_WORDS = [(1, 2), (-2, -1), (3,), (-3,)]
 _FREE3_OVERLAP = [(1, 2), (-2, -1), (2, 3), (-3, -2), (1, -3), (3, -1)]
 
 
+# a 3-cycle and a 5-cycle with their inverses: they generate A5, a ball
+# that closes at half of S5
+_S5_CYCLES = [(1, 2, 0, 3, 4), (2, 0, 1, 3, 4), (1, 2, 3, 4, 0), (4, 0, 1, 2, 3)]
+_LATTICE3_DIAGONAL = [
+    (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (1, 1, 0), (-1, -1, 0)
+]
+# codes spread so far apart that a packed key would need 64 bits, so the
+# ball is keyed by the bytes of its code rows
+_LATTICE2_FAR = [(2**32, 0), (-(2**32), 0), (0, 2**32), (0, -(2**32)), (1, 1), (-1, -1)]
+
+
 def _s3_table():
     perms = list(itertools.permutations(range(3)))
     return [[perms.index(tuple(a[i] for i in b)) for b in perms] for a in perms]
@@ -404,6 +481,16 @@ def _s3_table():
         (lambda: pg.table_group(_s3_table(), generators=[1, 2]), None),
         (lambda: pg.free_group(3, generators=_FREE3_WORDS), 4),
         (lambda: pg.free_group(3, generators=_FREE3_OVERLAP), 3),
+        (lambda: pg.symmetric_group(5, generators=_S5_CYCLES), None),
+        (lambda: pg.integer_lattice(3, generators=_LATTICE3_DIAGONAL), 3),
+        (lambda: pg.integer_lattice(2, generators=_LATTICE2_FAR), 3),
+        (lambda: pg.dihedral_group(6), 2),
+        (lambda: pg.symmetric_group(4), 0),
+        (lambda: pg.cyclic_group(2**62), 3),
+        (lambda: pg.dihedral_group(2**62), 2),
+        (lambda: pg.integer_lattice(1, generators=[[2**32], [-(2**32)], [1], [-1]]), 3),
+        (lambda: pg.free_group(1), 30),
+        (lambda: pg.free_group(2), 7),
     ],
     ids=[
         "cyclic7-R2",
@@ -416,6 +503,16 @@ def _s3_table():
         "table-s3-full",
         "free3-words-R4",
         "free3-overlap-R3",
+        "symmetric5-cycles-full",
+        "lattice3-diagonal-R3",
+        "lattice2-far-R3",
+        "dihedral6-R2",
+        "symmetric4-R0",
+        "cyclic-2^62-R3",
+        "dihedral-2^62-R2",
+        "lattice1-2^32-R3",
+        "free1-R30",
+        "free2-R7",
     ],
 )
 def test_ball_matches_keyed_reference_bfs(make, R):
@@ -430,6 +527,7 @@ def test_ball_matches_keyed_reference_bfs(make, R):
     assert list(b.index.items()) == list(index.items())
     assert b.depth.tolist() == depth
     assert b.translate.tolist() == rows
+    assert b.translate.flags.c_contiguous
     assert b.parent.tolist() == parent
     assert b.parent_gen.tolist() == parent_gen
 
@@ -449,21 +547,21 @@ def test_junction_multiply_equals_full_reduction(a, c, cut):
     assert _free_mul(a, ()) == a == _free_mul((), a)
 
 
-def test_ball_keys_no_products():
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=30))
+def test_first_occurrences_number_keys_like_a_dict(values):
+    numbers = {}
+    for x in values:
+        numbers.setdefault(x, len(numbers))
+    number, first = _first_occurrences(np.array(values, dtype=np.int64))
+    assert number.tolist() == [numbers[x] for x in values]
+    assert first.tolist() == [values.index(x) for x in numbers]
+
+
+def test_locate_keys_outside_input_once():
     h = pg.free_group(2)
-    calls = [0]
-    key = h.key
-
-    def counted(a):
-        calls[0] += 1
-        return key(a)
-
-    h.key = counted
-    products = _counting(h)
     b = pg.ball(h, 5)
-    assert products[0] == b.translate.size == 4 * free_ball_size(2, 5)
-    assert calls[0] <= h.n_generators
-    # outside input still goes through key
-    calls[0] = 0
+    b.index  # built before counting
+    calls = _counting_key(h)
     assert b.locate([1, 2, -2]) == b.index[(1,)]
     assert calls[0] == 1
