@@ -371,8 +371,10 @@ def cmd_descend(args) -> int:
     terminal.  Descent draws no random numbers: a `seed` in the config is
     accepted and echoed, and changes nothing.
 
-    With a potential, `recoveryError` is the l^p distance from the terminal
-    to the fixed-point set of the action (`AffineAction.fixed_point_distance`)."""
+    `energyEvals` counts the energies descent took: its start's and one per
+    line-search trial.  With a potential, `recoveryError` is the l^p distance
+    from the terminal to the fixed-point set of the action
+    (`AffineAction.fixed_point_distance`)."""
     config, handle, radius = load_config("descend", args)
     [rep] = _representations(handle, radius, [config["p"]])
     domain = default_domain(rep, config["domain"])
@@ -389,12 +391,13 @@ def cmd_descend(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out_dir / "descend_trace.csv")
 
-    slope, _ = restricted_slope(action, trace.terminal, domain)
+    slope, _ = restricted_slope(action, trace.terminal, domain, trace.final_energy)
     payload = {
         "version": __version__,
         "config": {k: v for k, v in config.items() if k != "out"},
         "reason": trace.reason,
         "iterations": len(trace.rows),
+        "energyEvals": trace.energy_evals,
         "finalEnergy": trace.final_energy,
         "terminalGradient": slope,
         "terminal": trace.terminal.tolist(),

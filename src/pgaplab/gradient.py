@@ -237,6 +237,7 @@ class DescentTrace:
     terminal: np.ndarray | None = None
     reason: str = ""
     final_energy: float = float("nan")  # energy at the terminal
+    energy_evals: int = 0  # energies taken: the start's and each trial's
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -255,7 +256,9 @@ def descend(
     """Backtracking steepest descent on the displacement energy.
 
     v_{k+1} = v_k + t_k u_k with u_k the domain-restricted steepest descent
-    direction and t_k found by Armijo backtracking from F(v_k)/2.  Stops at
+    direction and t_k found by Armijo backtracking: the first trial is
+    F(v_0)/2 at the start and min(2 t_{k-1}, F(v_k)/2) after an accepted
+    step t_{k-1}, and each rejected trial is halved.  Stops at
     F <= abs_tol, slope <= grad_tol, the iteration cap, or a stall after
     MAX_HALVINGS rejected steps (reported in the trace, not raised).
     v0 must pass `check_admissible`; the descent starts from its projection
@@ -281,8 +284,9 @@ def descend(
     rep.check_admissible(v0)
     v = domain.project(v0)
     f_v = displacement_energy(action, params, v, check=False)
-    trace = DescentTrace()
+    trace = DescentTrace(energy_evals=1)
     reason = "max_iters"
+    t = np.inf  # the last accepted step
     for it in range(opts.max_iters):
         if f_v <= opts.abs_tol:
             trace.rows.append((it, f_v, 0.0, 0.0))
@@ -295,11 +299,12 @@ def descend(
             break
         u = steepest_direction(domain, xi)
 
-        t = f_v / 2.0
+        t = min(2.0 * t, f_v / 2.0)
         accepted = False
         for _ in range(MAX_HALVINGS):
             w = v + t * u
             f_w = displacement_energy(action, params, w, check=False)
+            trace.energy_evals += 1
             if f_w <= f_v - ARMIJO * t * slope:
                 trace.rows.append((it, f_v, slope, t))
                 rep.check_admissible(w)  # f_w was taken without the check

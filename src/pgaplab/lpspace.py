@@ -38,29 +38,39 @@ def power_norm(values: np.ndarray, p: float) -> float:
 
     Terms are accumulated in ascending order, so the result is invariant
     under permutations of the entries (isometries stay exact isometries).
+    The sorted |v| is the only array made: its last entry is the scale, and
+    it is divided and raised to p in place.
     """
-    a = np.abs(values)
-    m = float(a.max(initial=0.0))
+    a = np.abs(values, dtype=np.float64)
+    a.sort()
+    m = float(a[-1]) if a.size else 0.0
     if m == 0.0:
         return 0.0
-    a = np.sort(a)
-    return m * float(np.sum((a / m) ** p) ** (1.0 / p))
+    a /= m
+    a **= p
+    return m * float(np.add.reduce(a) ** (1.0 / p))
 
 
 def row_power_norms(rows: np.ndarray, p: float) -> np.ndarray:
     """power_norm of each row of a (K, n) array, bit for bit; 0 for a zero row.
 
-    One sort and one sum over all rows; each row's root is taken as a
-    scalar, as power_norm takes it.
+    One in-place sort and one sum over all rows, with each row's scale read
+    off its last sorted entry; zero rows are dropped only when there are
+    any.  Each row's root is taken as a scalar, as power_norm takes it.
     """
-    a = np.abs(rows)
-    m = a.max(axis=1, initial=0.0)
+    a = np.abs(rows, dtype=np.float64, order="C")  # rows summed in power_norm's order
     out = np.zeros(len(a))
-    live = np.nonzero(m)[0]
-    if live.size:
-        scale = m[live]
-        sums = np.sum((np.sort(a[live], axis=1) / scale[:, None]) ** p, axis=1)
-        out[live] = [mk * float(sk ** (1.0 / p)) for mk, sk in zip(scale, sums)]
+    if not a.size:
+        return out
+    a.sort(axis=-1)
+    scale = a[:, -1].copy()
+    live = scale != 0.0
+    if not live.all():
+        a, scale = a[live], scale[live]
+    a /= scale[:, None]
+    a **= p
+    sums = np.add.reduce(a, axis=-1)
+    out[live] = [mk * float(sk ** (1.0 / p)) for mk, sk in zip(scale, sums)]
     return out
 
 

@@ -289,7 +289,12 @@ def suite_gradient(rep: Representation, rng, trials=15) -> list[CheckResult]:
             "gradient",
             "descent_reaches_fixed_point",
             trace.final_energy <= 1e-6 and dist <= 1e-6,
-            {"finalF": trace.final_energy, "terminalDistance": dist, "reason": trace.reason},
+            {
+                "finalF": trace.final_energy,
+                "terminalDistance": dist,
+                "reason": trace.reason,
+                "energyEvals": trace.energy_evals,
+            },
         )
     )
     return rows

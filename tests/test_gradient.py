@@ -341,9 +341,15 @@ def test_descent_evaluates_each_trial_point_once(monkeypatch):
         calls.clear()
         trace = pg.descend(act, rep.zero(), pg.DescentOptions(max_iters=max_iters))
         assert trace.reason == reason
-        # the start, then each line-search trial t = F/2, F/4, ... once
-        trials = sum(round(np.log2(f / 2.0 / t)) + 1 for _, f, _, t in trace.rows if t > 0.0)
-        assert len(calls) == 1 + trials
+        # the start, then each line-search trial once: the first trial is F/2
+        # at iteration 0 and min(2 t_prev, F/2) after an accepted step t_prev,
+        # and each rejected trial is half the one before
+        trials, t_prev = 0, np.inf
+        for _, f, _, t in trace.rows:
+            if t > 0.0:
+                trials += round(np.log2(min(2.0 * t_prev, f / 2.0) / t)) + 1
+                t_prev = t
+        assert len(calls) == 1 + trials == trace.energy_evals
         assert calls[-1] is trace.terminal
 
 
@@ -383,3 +389,17 @@ def test_descent_on_symmetric6_takes_no_null_steps():
     assert trace.reason != "stalled"
     assert min(step for _, _, _, step in trace.rows if step > 0.0) >= 1e-15
     assert trace.final_energy < 7e-7
+
+
+def test_descent_on_symmetric6_reaches_f_tol_in_few_evaluations():
+    # the benchmark's fixed potential again: restarting every line search at
+    # F/2 took 1344 energy evaluations over 460 iterations to reach f_tol;
+    # starting from twice the last accepted step takes about half as many
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(6)), 3.0, "full")
+    f = np.random.default_rng(0).standard_normal(720)
+    f -= f.mean()
+    f /= power_norm(f, 3.0)
+    act = pg.AffineAction.from_potential(rep, f)
+    trace = pg.descend(act, rep.zero(), domain=default_domain(rep, "mean-zero"))
+    assert trace.reason == "f_tol"
+    assert trace.energy_evals <= 750

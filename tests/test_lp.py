@@ -235,3 +235,78 @@ def test_row_power_norms_equal_power_norm_bit_for_bit(p, n, scale):
 def test_row_power_norms_all_zero_and_empty():
     assert list(row_power_norms(np.zeros((3, 4)), 2.0)) == [0.0, 0.0, 0.0]
     assert row_power_norms(np.zeros((0, 4)), 2.0).shape == (0,)
+
+
+def _reference_power_norm(values, p):
+    """power_norm as a max pass, a sorted copy and out-of-place powers."""
+    a = np.abs(values)
+    m = float(a.max(initial=0.0))
+    if m == 0.0:
+        return 0.0
+    a = np.sort(a)
+    return m * float(np.sum((a / m) ** p) ** (1.0 / p))
+
+
+def _reference_row_power_norms(rows, p):
+    a = np.abs(rows)
+    m = a.max(axis=1, initial=0.0)
+    out = np.zeros(len(a))
+    live = np.nonzero(m)[0]
+    if live.size:
+        scale = m[live]
+        sums = np.sum((np.sort(a[live], axis=1) / scale[:, None]) ** p, axis=1)
+        out[live] = [mk * float(sk ** (1.0 / p)) for mk, sk in zip(scale, sums)]
+    return out
+
+
+def _same_bits(got, want):
+    """Equal entries, or NaN in both."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and bool(np.all((got == want) | (np.isnan(got) & np.isnan(want))))
+
+
+_exponents = st.one_of(st.sampled_from([1.5, 2.0, 3.0]), st.floats(1.05, 8.0))
+_specials = st.sampled_from([0.0, -0.0, 5e-324, -3e-310, 2.2250738585072014e-308, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def _blocks(draw):
+    """A (K, n) block at a scale from 1e-300 to 1e300, with zero entries,
+    zero rows, a few subnormal, infinite or NaN entries, in C or F order."""
+    k, n = draw(st.integers(0, 6)), draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = rng.standard_normal((k, n)) * 10.0 ** draw(st.integers(-300, 300))
+    block[rng.random((k, n)) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    if k and n:
+        for row in draw(st.lists(st.integers(0, k - 1), max_size=3)):
+            block[row] = 0.0
+        for i, j, x in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, n - 1), _specials), max_size=3)):
+            block[i, j] = x
+    return np.asfortranarray(block) if draw(st.booleans()) else block
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocks(), _exponents)
+def test_norm_kernels_match_the_reference_formulas_bit_for_bit(block, p):
+    with np.errstate(invalid="ignore"):  # inf / inf in a row with an infinite entry
+        assert _same_bits(row_power_norms(block, p), _reference_row_power_norms(block, p))
+        for row in block:
+            assert _same_bits(power_norm(row, p), _reference_power_norm(row, p))
+        assert _same_bits(power_norm(block.ravel(), p), _reference_power_norm(block.ravel(), p))
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(-(10**6), 10**6), max_size=40), _exponents)
+def test_norm_kernels_take_lists_and_integer_arrays(ints, p):
+    want = _reference_power_norm(ints, p)
+    assert _same_bits(power_norm(ints, p), want)
+    assert _same_bits(power_norm(np.array(ints, dtype=np.int64), p), want)
+    rows = np.array([ints, ints[::-1]], dtype=np.int64).reshape(2, len(ints))
+    assert _same_bits(row_power_norms(rows, p), _reference_row_power_norms(rows, p))
+
+
+def test_norm_kernels_on_empty_input():
+    for p in (1.5, 3.0):
+        assert power_norm(np.zeros(0), p) == power_norm([], p) == 0.0
+        assert list(row_power_norms(np.zeros((3, 0)), p)) == [0.0, 0.0, 0.0]
+        assert row_power_norms(np.zeros((0, 0)), p).shape == (0,)
