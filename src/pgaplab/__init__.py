@@ -50,7 +50,6 @@ from .action import (
     default_domain,
 )
 from .energy import (
-    EnergyParams,
     displacement_energy,
     cocycle_norm,
     dirichlet_norm,

@@ -1,11 +1,12 @@
 """Shared multistart machinery for scale-invariant objectives on sphere domains.
 
 All objectives handled here are 0-homogeneous, so trajectories renormalize
-freely.  An objective maps a vector to (value, gradient), where the value
-is a float computed at once and gradient is a zero-argument callable that
-returns the euclidean gradient from the intermediates the value built.  A
-line search therefore evaluates each trial point once and pays for a
-gradient only at the points it accepts.
+freely onto the unit sphere of the domain's l^p norm; p is `domain.rep.p`,
+and no function here takes it.  An objective maps a vector to (value,
+gradient), where the value is a float computed at once and gradient is a
+zero-argument callable that returns the euclidean gradient from the
+intermediates the value built.  A line search therefore evaluates each
+trial point once and pays for a gradient only at the points it accepts.
 
 Multistart runs are seeded per trajectory and pooled in seed order, which
 makes every estimate reproducible; the caller reduces the pool.
@@ -25,11 +26,11 @@ ARMIJO = 1e-4  # sufficient-decrease fraction of sphere_minimize's line search
 REACHED_BEST_RTOL = 1e-6
 
 
-def _normalize(domain, p, values):
-    """values projected onto the domain and scaled to unit l^p norm; None
-    when the projection is zero."""
+def _normalize(domain, values):
+    """values projected onto the domain and scaled to unit l^p norm, p the
+    domain's; None when the projection is zero."""
     vals = domain.project(values)
-    n = power_norm(vals, p)
+    n = power_norm(vals, domain.rep.p)
     if n == 0.0:
         return None
     return vals / n
@@ -50,8 +51,9 @@ class Trajectory:
     stop: str
 
 
-def sphere_minimize(objective, domain, p, v0, iters):
-    """Projected gradient descent with backtracking on a unit-sphere domain.
+def sphere_minimize(objective, domain, v0, iters):
+    """Projected gradient descent with backtracking on the unit l^p sphere of
+    a domain, p the domain's.
 
     objective(values) -> (value, gradient), gradient() giving the euclidean
     gradient at values.  Each distinct trial point is evaluated once, and a
@@ -61,7 +63,7 @@ def sphere_minimize(objective, domain, p, v0, iters):
     point, the step and the gradient as they were, so any further round
     would repeat it exactly: the trajectory stops there as stalled.
     """
-    v = _normalize(domain, p, v0)
+    v = _normalize(domain, v0)
     if v is None:
         raise ValueError("start vector projects to zero")
     val, gradient = objective(v)
@@ -82,7 +84,7 @@ def sphere_minimize(objective, domain, p, v0, iters):
         step = t
         last = None  # the last trial evaluated, with its value and gradient
         for _ in range(40):
-            w = _normalize(domain, p, v - step * pg)
+            w = _normalize(domain, v - step * pg)
             # a trial with the bits of v has the value of v, which no step beats
             if w is not None and not _same_bits(w, v):
                 if last is None or not _same_bits(w, last):
@@ -133,7 +135,6 @@ class MultistartResult:
 def multistart_minimize(
     objective,
     domain,
-    p,
     *,
     starts=32,
     iters=10_000,
@@ -156,9 +157,9 @@ def multistart_minimize(
 
     def run(job):
         tag, v0 = job
-        if power_norm(v0, p) == 0.0:
+        if power_norm(v0, domain.rep.p) == 0.0:
             return (tag, np.inf, v0, None)
-        return (tag, *sphere_minimize(objective, domain, p, v0, iters))
+        return (tag, *sphere_minimize(objective, domain, v0, iters))
 
     results = [run(job) for job in jobs]
     if not any(np.isfinite(r[1]) for r in results):

@@ -14,12 +14,13 @@ precondition, 4 solver stall.  Exit 2 covers every config value, flag,
 group-spec entry and input file (config, group spec, multiplication table,
 v0 and cocycle CSVs) that the run cannot use: the `validation error:` line
 names the key, parameter or path; a list-valued key (gap's `radius`,
-verify's `p`) must hold at least one entry.  Exit 3 covers a fixed vector
-in the domain, mass outside a truncated domain, a finite-group operation
-on an infinite group and a gradient asked for at a fixed point.  An
-asymmetric generating set is not among them: `build_group` closes the set
-under inverses and gives each inverse pair one weight, or rejects the
-weights with exit 2.
+verify's `p` and `suites`) must hold at least one entry.  Exit 3 covers a
+fixed vector in the domain, a domain that holds only the zero vector (the
+mean-zero space of a one-element group), mass outside a truncated domain,
+a finite-group operation on an infinite group and a gradient asked for at
+a fixed point.  An asymmetric generating set is not among them:
+`build_group` closes the set under inverses and gives each inverse pair
+one weight, or rejects the weights with exit 2.
 
 Three keys are accepted only so that old configs load, and change
 nothing: gap's `threads` (null or 1; the multistart runs on one thread),
@@ -48,6 +49,7 @@ from .errors import (
     PgapError,
     SupportViolation,
     ValidationError,
+    ZeroDomain,
     integer,
     number,
     read_json_object,
@@ -163,8 +165,14 @@ def _one_of(*choices):
     return converted
 
 
-def _list_of(convert):
-    return lambda value, name: [convert(item, name) for item in _of_type(list)(value, name)]
+def _list_of(convert, *, nonempty=False):
+    def converted(value, name):
+        items = _of_type(list)(value, name)
+        if nonempty and not items:
+            raise ValidationError(f"{name} must hold at least one entry, not []")
+        return [convert(item, name) for item in items]
+
+    return converted
 
 
 def _optional(convert):
@@ -173,14 +181,8 @@ def _optional(convert):
 
 def _one_or_list(convert, entry):
     # a list runs the command once for each entry, so it needs one
-    def converted(value, name):
-        if not isinstance(value, list):
-            return convert(value, name)
-        if not value:
-            raise ValidationError(f"{name} must hold at least one entry, not []")
-        return _list_of(entry)(value, name)
-
-    return converted
+    listed = _list_of(entry, nonempty=True)
+    return lambda value, name: listed(value, name) if isinstance(value, list) else convert(value, name)
 
 
 _UNSET = object()  # no default: the key is absent unless given
@@ -230,7 +232,7 @@ _CONFIG = {
         "group": _GROUP,
         "radius": _RADIUS,
         "p": (_one_or_list(_EXPONENT, _EXPONENT), 2.0),
-        "suites": (_list_of(_one_of(*SUITES)), list(SUITES)),
+        "suites": (_list_of(_one_of(*SUITES), nonempty=True), list(SUITES)),
         "seed": _SEED,
         "out": _OUT,
     },
@@ -490,7 +492,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (FixedVectorPresent, SupportViolation, InfiniteGroup, AtFixedPoint) as exc:
+    except (FixedVectorPresent, ZeroDomain, SupportViolation, InfiniteGroup, AtFixedPoint) as exc:
         print(f"domain precondition failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except PgapError as exc:

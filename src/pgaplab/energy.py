@@ -5,14 +5,14 @@ weighted r-mean over generators of |alpha(g) v - v|_p (max over K at
 r = inf).  It vanishes exactly at fixed points, is convex, 2-Lipschitz,
 and for linear actions positively homogeneous.
 
-Vectors are float64 (n,) arrays whose exponent is the representation's p;
-the p-Laplacian and the gradient field return the l^q coefficient array of
-a functional, q = p/(p-1).
+The ambient exponent p is the representation's, read through the action
+or cocycle; an energy takes only the generator exponent r, which defaults
+to p.  Vectors are float64 (n,) arrays in l^p; the p-Laplacian and the
+gradient field return the l^q coefficient array of a functional,
+q = p/(p-1).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,22 +26,11 @@ from .lpspace import row_power_norms, signed_power
 power_norm = lpspace.power_norm
 
 
-@dataclass(frozen=True)
-class EnergyParams:
-    """Exponent pair: r for the mean over generators, p for the ambient norm."""
-
-    r: float
-    p: float
-
-    def __post_init__(self):
-        if not (1.0 <= self.r <= np.inf):
-            raise ValidationError(f"generator exponent must lie in [1, inf]: {self.r}")
-        if not (1.0 < self.p < np.inf):
-            raise ValidationError(f"ambient exponent must lie in (1, inf): {self.p}")
-
-
 def weighted_r_mean(values: np.ndarray, weights: np.ndarray, r: float) -> float:
-    """(sum w_i x_i^r)^(1/r) for x >= 0; max at r = inf."""
+    """(sum w_i x_i^r)^(1/r) for x >= 0; max at r = inf.  An r outside
+    [1, inf], NaN included, raises ValidationError."""
+    if not 1.0 <= r <= np.inf:
+        raise ValidationError(f"generator exponent must lie in [1, inf]: {r}")
     values = np.asarray(values, dtype=np.float64)
     if np.isinf(r):
         return float(values.max(initial=0.0))
@@ -51,34 +40,27 @@ def weighted_r_mean(values: np.ndarray, weights: np.ndarray, r: float) -> float:
     return m * float(np.sum(weights * (values / m) ** r) ** (1.0 / r))
 
 
-def generator_displacements(action: AffineAction, v: np.ndarray, *, check=True) -> np.ndarray:
-    """|alpha(g) v - v|_p per generator, as an array aligned with K."""
+def displacement_energy(action: AffineAction, v: np.ndarray, r: float | None = None, *, check=True) -> float:
+    """Weighted r-mean over generators of |alpha(g) v - v|_p; r defaults to p."""
+    rep = action.rep
     if check:
-        action.rep.check_admissible(v)
-    return row_power_norms(action.displacements(v), action.rep.p)
+        rep.check_admissible(v)
+    disp = row_power_norms(action.displacements(v), rep.p)
+    return weighted_r_mean(disp, rep.weights, rep.p if r is None else r)
 
 
-def displacement_energy(
-    action: AffineAction, params: EnergyParams, v: np.ndarray, *, check=True
-) -> float:
-    """Weighted r-mean of the generator displacements of v."""
-    if params.p != action.rep.p:
-        raise ValidationError("energy exponent p differs from the representation's")
-    disp = generator_displacements(action, v, check=check)
-    return weighted_r_mean(disp, action.rep.weights, params.r)
-
-
-def cocycle_norm(c: Cocycle, params: EnergyParams) -> float:
-    """Weighted r-mean of |c(g)|_p over generators; the Z^1 norm."""
-    return weighted_r_mean(row_power_norms(c.values, c.rep.p), c.rep.weights, params.r)
+def cocycle_norm(c: Cocycle, r: float | None = None) -> float:
+    """Weighted r-mean of |c(g)|_p over generators, r defaulting to p; the
+    Z^1 norm."""
+    rep = c.rep
+    return weighted_r_mean(row_power_norms(c.values, rep.p), rep.weights, rep.p if r is None else r)
 
 
 def dirichlet_norm(rep: Representation, f: np.ndarray, *, check=True) -> float:
     """(sum_g |df(g)|_p^p m(g))^(1/p); vanishes exactly on constants."""
     if check:
         rep.check_admissible(f)
-    c = coboundary(rep, f)
-    return cocycle_norm(c, EnergyParams(r=rep.p, p=rep.p))
+    return cocycle_norm(coboundary(rep, f))
 
 
 def p_laplacian(rep: Representation, f: np.ndarray, *, check=True) -> np.ndarray:
@@ -109,8 +91,3 @@ def gradient_field(action: AffineAction, f: np.ndarray, *, check=True) -> np.nda
 def markov_operator(rep: Representation, f: np.ndarray) -> np.ndarray:
     """Weighted mean of the generator translates, sum_g m(g) pi(g) f."""
     return weighted_sum(rep.weights, rep.apply_array(slice(None), f))
-
-
-def energy_csv_row(tag: str, params: EnergyParams, value: float) -> str:
-    r = "inf" if np.isinf(params.r) else repr(params.r)
-    return f"{tag},{r},{params.p!r},{value!r}"

@@ -51,6 +51,10 @@ class FixedVectorPresent(PgapError):
     """Optimization domain contains an invariant vector (exit code 3)."""
 
 
+class ZeroDomain(PgapError):
+    """Optimization domain holds only the zero vector (exit code 3)."""
+
+
 class BadEpsilon(ValidationError):
     """Modulus-of-convexity argument outside (0, 2]."""
 

@@ -34,7 +34,7 @@ from .action import (
     default_domain,
 )
 from .energy import dirichlet_norm, p_laplacian, weighted_r_mean, weighted_sum
-from .errors import FixedVectorPresent, ValidationError
+from .errors import FixedVectorPresent, ValidationError, ZeroDomain
 from .gradient import abs_gradient, descend, DescentOptions, restricted_slope
 from .lpspace import conjugate_exponent, power_norm, row_power_norms, signed_power
 
@@ -67,17 +67,26 @@ class GapOptions:
 # fixed-vector guard
 
 
-def ensure_no_fixed_vectors(rep: Representation, domain: Domain):
-    """Raise FixedVectorPresent when the domain contains an invariant vector.
+def ensure_no_fixed_vectors(domain: Domain):
+    """Raise ZeroDomain when the domain holds only the zero vector, and
+    FixedVectorPresent when it contains an invariant vector.
+
+    Every domain is a coordinate subspace or the mean-zero space, so a
+    vector with distinct nonzero entries projects to zero only when the
+    domain is {0}: the mean-zero space of a one-element group, where no
+    unit vector exists to take an infimum over.
 
     The ball is a connected Cayley graph, so a vector invariant under every
     generator is constant on it; and a constant is invariant only when no
     generator leaves the ball, i.e. on a full ball, since the gather reads
     zero outside.  The domain therefore holds an invariant vector exactly
     when its projection of the constant vector is nonzero and invariant,
-    which is the one check made here.
+    which is the other check made here.
     """
+    rep = domain.rep
     n = rep.ball.size
+    if not domain.project(np.arange(1.0, n + 1.0)).any():
+        raise ZeroDomain(f"domain {domain.name!r} on {rep.handle.label} holds only the zero vector")
     cand = domain.project(np.ones(n))
     nc = np.linalg.norm(cand)
     if nc <= 1e-9 * np.sqrt(n):
@@ -229,7 +238,7 @@ def cyclic_exact_constants(rep: Representation, r: float) -> dict:
     return out
 
 
-def hilbert_gap_constant(rep: Representation, domain: Domain) -> float:
+def hilbert_gap_constant(domain: Domain) -> float:
     """Exact p = 2 constant sqrt(2 mu_min) by a dense eigenvalue solve.
 
     mu_min is the smallest eigenvalue of (I - M) on the domain, M the
@@ -238,6 +247,7 @@ def hilbert_gap_constant(rep: Representation, domain: Domain) -> float:
     """
     from scipy.linalg import eigh, null_space
 
+    rep = domain.rep
     n = rep.ball.size
     M = np.zeros((n, n + 1))  # the last column is the table's padding slot
     for k in range(rep.handle.n_generators):
@@ -314,7 +324,6 @@ def _ratio_multistart(action: AffineAction, r: float, opts: GapOptions, domain: 
     return multistart_minimize(
         make_energy_ratio_objective(action, r_run),
         domain,
-        action.rep.p,
         starts=opts.starts,
         iters=opts.iters,
         seed=opts.seed,
@@ -338,7 +347,7 @@ def displacement_constant(
     opts = options or GapOptions()
     if domain is None:
         domain = default_domain(rep)
-    ensure_no_fixed_vectors(rep, domain)
+    ensure_no_fixed_vectors(domain)
     action = AffineAction.linear(rep)
     p = rep.p
 
@@ -366,11 +375,11 @@ def displacement_constant(
 
     # polish toward the true max with the active-generator subgradient
     obj_inf = make_energy_ratio_objective(action, np.inf)
-    polish_runs = [sphere_minimize(obj_inf, domain, p, vec, opts.polish_iters) for vec in pool]
+    polish_runs = [sphere_minimize(obj_inf, domain, vec, opts.polish_iters) for vec in pool]
     polished = [w for (_val, w, _traj) in polish_runs]
     # the raw warm starts too, not just the trajectories they seed: that makes
     # sweep estimates nonincreasing under warm starting by construction
-    extras = [_normalize(domain, p, np.asarray(v, dtype=float)) for v in opts.extra_starts]
+    extras = [_normalize(domain, np.asarray(v, dtype=float)) for v in opts.extra_starts]
     pool = pool + polished + [w for w in extras if w is not None]
 
     obj_r = make_energy_ratio_objective(action, r)
@@ -388,9 +397,7 @@ def displacement_constant(
     return est_disp, est_r
 
 
-def gradient_constant(
-    rep: Representation, est_p: ConstantEstimate, domain: Domain
-) -> ConstantEstimate:
+def gradient_constant(est_p: ConstantEstimate, domain: Domain) -> ConstantEstimate:
     """C_grad, the infimum of the restricted slope over the domain, read off
     an estimate of C_p, the infimum of F_p(v)/|v|_p.
 
@@ -401,7 +408,7 @@ def gradient_constant(
     slope at the certificate: its excess over C_p shows how far the
     certificate is from stationary.
     """
-    slope, _ = restricted_slope(AffineAction.linear(rep), est_p.certificate, domain)
+    slope, _ = restricted_slope(AffineAction.linear(domain.rep), est_p.certificate, domain)
     diagnostics = {**est_p.diagnostics, "slopeAtCertificate": slope}
     return ConstantEstimate(est_p.value, est_p.certificate, est_p.method, [], diagnostics)
 
@@ -536,7 +543,7 @@ def equivalence_report(
                 estimates[key] = replace(estimates[key], value=value, certificate=vals)
 
     est_p = estimates.pop("C_p", estimates["C_r"])
-    estimates["C_grad"] = gradient_constant(rep, est_p, domain)
+    estimates["C_grad"] = gradient_constant(est_p, domain)
     estimates["C_lap"] = laplacian_constant(est_p)
     c = {key: float(est.value) for key, est in estimates.items()}
 

@@ -16,9 +16,10 @@ estimate is restricted to; it replaces xi by `Domain.restrict_dual(xi)`.
 C_lap are its infimum and half of it; `abs_gradient` is the restricted
 slope on the ambient `FullDomain`.
 
-Points and directions are float64 (n,) arrays in l^p, p the
-representation's exponent; xi and the other dual elements are l^q
-coefficient arrays, q = p/(p-1).
+F is the displacement energy at r = p, and p is the representation's
+exponent, read off the action or the domain: no function here takes an
+exponent.  Points and directions are float64 (n,) arrays in l^p; xi and
+the other dual elements are l^q coefficient arrays, q = p/(p-1).
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .action import AffineAction, Domain, FullDomain, default_domain
-from .energy import (
-    EnergyParams,
-    displacement_energy,
-    gradient_field,
-    weighted_r_mean,
-)
+from .energy import displacement_energy, gradient_field, weighted_r_mean
 from .errors import AtFixedPoint, NonsmoothPoint, ValidationError
 from .lpspace import (
     conjugate_exponent,
@@ -66,8 +62,7 @@ def abs_gradient(action: AffineAction, v: np.ndarray, *, check=True) -> Gradient
     every direction of l^p(G) (needs F(v) > 0): the restricted slope on the
     ambient `FullDomain`."""
     rep = action.rep
-    p = rep.p
-    f_val = displacement_energy(action, EnergyParams(r=p, p=p), v, check=check)
+    f_val = displacement_energy(action, v, check=check)
     if f_val == 0.0:
         raise AtFixedPoint("energy vanishes at v; the gradient is 0 by convention")
     value, xi = restricted_slope(action, v, FullDomain(rep), f_val)
@@ -75,20 +70,16 @@ def abs_gradient(action: AffineAction, v: np.ndarray, *, check=True) -> Gradient
         value=value,
         energy=f_val,
         dual_element=xi,
-        steepest_direction=norming_vector(xi, conjugate_exponent(p)),
+        steepest_direction=norming_vector(xi, conjugate_exponent(rep.p)),
     )
 
 
 def finite_difference_quotient(
-    action: AffineAction,
-    params: EnergyParams,
-    v: np.ndarray,
-    u: np.ndarray,
-    h: float,
-    scheme="central",
+    action: AffineAction, v: np.ndarray, u: np.ndarray, h: float, scheme="central"
 ) -> float:
-    """Finite-difference value of the descent quotient (F(v) - F(v+eps u))/eps."""
-    f = lambda w: displacement_energy(action, params, w, check=False)
+    """Finite-difference value of the descent quotient (F(v) - F(v+eps u))/eps,
+    F = F_p."""
+    f = lambda w: displacement_energy(action, w, check=False)
     if scheme == "central":
         return -(f(v + h * u) - f(v - h * u)) / (2.0 * h)
     return (f(v) - f(v + h * u)) / h
@@ -119,7 +110,7 @@ def directional_derivative(
     if (norms == 0.0).any():
         if nonsmooth == "raise":
             raise NonsmoothPoint("some generator displacement vanishes at v")
-        return finite_difference_quotient(action, EnergyParams(r=p, p=p), v, u, h, scheme="one_sided")
+        return finite_difference_quotient(action, v, u, h, scheme="one_sided")
 
     du = rep.apply_array(slice(None), u) - u
     jd = signed_power(disp / norms[:, None], p - 1.0)
@@ -129,7 +120,6 @@ def directional_derivative(
 
 def abs_gradient_sampled(
     action: AffineAction,
-    params: EnergyParams,
     v: np.ndarray,
     budget: int = 64,
     *,
@@ -138,7 +128,8 @@ def abs_gradient_sampled(
     fixed_point: np.ndarray | None = None,
     include_steepest: bool = True,
 ) -> float:
-    """Lower-bound estimate of the absolute gradient by difference quotients.
+    """Lower-bound estimate of the absolute gradient of F_p by difference
+    quotients.
 
     Samples random unit directions at radii {1e-3, 1e-2, 0.1, 1} times |v|,
     plus the ray toward a known fixed point and the closed-form steepest
@@ -154,12 +145,12 @@ def abs_gradient_sampled(
     p = rep.p
     q = conjugate_exponent(p)
     rng = np.random.default_rng(seed)
-    f_v = displacement_energy(action, params, v)
+    f_v = displacement_energy(action, v)
     scale = power_norm(v, p) or 1.0
     radii = np.array([1e-3, 1e-2, 0.1, 1.0]) * scale
 
     directions = [domain.random_unit(rng) for _ in range(budget)]
-    if include_steepest and params.r == params.p and f_v > 0.0:
+    if include_steepest and f_v > 0.0:
         xi = domain.restrict_dual(gradient_field(action, v, check=False))
         if power_norm(xi, q) > 0.0:
             vals = domain.project(norming_vector(xi, q))
@@ -178,12 +169,12 @@ def abs_gradient_sampled(
     for u in directions:
         for s in radii:
             w = v + float(s) * u
-            f_w = displacement_energy(action, params, w, check=False)
+            f_w = displacement_energy(action, w, check=False)
             best = max(best, (f_v - f_w) / float(s))
     for w in candidates:
         dist = power_norm(v - w, p)
         if dist > 0.0:
-            f_w = displacement_energy(action, params, w, check=False)
+            f_w = displacement_energy(action, w, check=False)
             best = max(best, (f_v - f_w) / dist)
     return max(best, 0.0)
 
@@ -199,7 +190,7 @@ def restricted_slope(
     """
     p = action.rep.p
     if energy is None:
-        energy = displacement_energy(action, EnergyParams(r=p, p=p), v, check=False)
+        energy = displacement_energy(action, v, check=False)
     if energy == 0.0:
         return 0.0, None
     xi = domain.restrict_dual(gradient_field(action, v, check=False))
@@ -276,14 +267,12 @@ def descend(
     """
     opts = options or DescentOptions()
     rep = action.rep
-    p = rep.p
-    params = EnergyParams(r=p, p=p)
     if domain is None:
         domain = default_domain(rep, "full" if rep.mode == "full" else "dirichlet")
 
     rep.check_admissible(v0)
     v = domain.project(v0)
-    f_v = displacement_energy(action, params, v, check=False)
+    f_v = displacement_energy(action, v, check=False)
     trace = DescentTrace(energy_evals=1)
     reason = "max_iters"
     t = np.inf  # the last accepted step
@@ -303,7 +292,7 @@ def descend(
         accepted = False
         for _ in range(MAX_HALVINGS):
             w = v + t * u
-            f_w = displacement_energy(action, params, w, check=False)
+            f_w = displacement_energy(action, w, check=False)
             trace.energy_evals += 1
             if f_w <= f_v - ARMIJO * t * slope:
                 trace.rows.append((it, f_v, slope, t))

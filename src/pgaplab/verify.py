@@ -38,7 +38,6 @@ from .action import (
     inverse_law_residual,
 )
 from .energy import (
-    EnergyParams,
     cocycle_norm,
     dirichlet_norm,
     displacement_energy,
@@ -172,8 +171,6 @@ def suite_energy(rep: Representation, rng, trials=25) -> list[CheckResult]:
     rows = []
     p = rep.p
     act = AffineAction.linear(rep)
-    params = EnergyParams(r=p, p=p)
-    params_inf = EnergyParams(r=np.inf, p=p)
     m_min = rep.handle.min_weight()
     worst_conv = -np.inf
     worst_lip = -np.inf
@@ -183,17 +180,17 @@ def suite_energy(rep: Representation, rng, trials=25) -> list[CheckResult]:
     for _ in range(trials):
         v = _rand_vec(rep, rng)
         u = _rand_vec(rep, rng)
-        fv = displacement_energy(act, params, v)
-        fu = displacement_energy(act, params, u)
+        fv = displacement_energy(act, v)
+        fu = displacement_energy(act, u)
         for t in (0.25, 0.5, 0.75):
-            mid = displacement_energy(act, params, t * v + (1 - t) * u)
+            mid = displacement_energy(act, t * v + (1 - t) * u)
             worst_conv = max(worst_conv, mid - (t * fv + (1 - t) * fu))
         worst_lip = max(worst_lip, abs(fv - fu) - 2.0 * power_norm(v - u, p))
-        f_inf = displacement_energy(act, params_inf, v)
+        f_inf = displacement_energy(act, v, np.inf)
         worst_sand = max(worst_sand, fv - f_inf, m_min ** (1.0 / p) * f_inf - fv)
         t = float(rng.uniform(0.1, 2.5)) * (1 if rng.random() < 0.5 else -1)
-        worst_hom = max(worst_hom, abs(displacement_energy(act, params, t * v) - abs(t) * fv))
-        worst_dbound = max(worst_dbound, cocycle_norm(coboundary(rep, v), params) - 2.0 * power_norm(v, p))
+        worst_hom = max(worst_hom, abs(displacement_energy(act, t * v) - abs(t) * fv))
+        worst_dbound = max(worst_dbound, cocycle_norm(coboundary(rep, v)) - 2.0 * power_norm(v, p))
     rows.append(CheckResult("energy", "convexity", worst_conv <= 1e-12, {"excess": worst_conv}))
     rows.append(CheckResult("energy", "two_lipschitz", worst_lip <= 1e-12, {"excess": worst_lip}))
     rows.append(CheckResult("energy", "r_inf_sandwich", worst_sand <= 1e-12, {"excess": worst_sand}))
@@ -238,7 +235,6 @@ def suite_gradient(rep: Representation, rng, trials=15) -> list[CheckResult]:
     rows = []
     p = rep.p
     act = AffineAction.linear(rep)
-    params = EnergyParams(r=p, p=p)
     ambient = FullDomain(rep)
     domain = default_domain(rep)
     worst_bound = -np.inf
@@ -248,7 +244,7 @@ def suite_gradient(rep: Representation, rng, trials=15) -> list[CheckResult]:
     worst_random = -np.inf
     for _ in range(trials):
         v = _rand_vec(rep, rng)
-        f = displacement_energy(act, params, v)
+        f = displacement_energy(act, v)
         if f == 0.0:
             continue
         res = abs_gradient(act, v)
@@ -261,7 +257,7 @@ def suite_gradient(rep: Representation, rng, trials=15) -> list[CheckResult]:
             u = steepest_direction(dom, dual)
             along = directional_derivative(act, v, u)
             worst_attain = max(worst_attain, abs(along - value) / value)
-            central = finite_difference_quotient(act, params, v, u, CENTRAL_STEP)
+            central = finite_difference_quotient(act, v, u, CENTRAL_STEP)
             worst_central = max(worst_central, abs(central - value) / value)
         # u is now the restricted steepest direction.  Directions near it
         # descend to within about 1e-7 of the slope, so an understated slope

@@ -67,7 +67,6 @@ def test_criterion_02_gradient_closed_form_vs_finite_differences():
             action = pg.AffineAction.linear(rep)
         else:
             action = pg.AffineAction.from_potential(rep, unit(rep, rng, mean_zero=True))
-        params = pg.EnergyParams(p, p)
         v = smooth_unit(action, rng)
         u = None
         for _ in range(50):
@@ -78,7 +77,7 @@ def test_criterion_02_gradient_closed_form_vs_finite_differences():
         if u is None:
             continue
         dd = pg.directional_derivative(action, v, u)
-        fd = finite_difference_quotient(action, params, v, u, 1e-5)
+        fd = finite_difference_quotient(action, v, u, 1e-5)
         worst_rel = max(worst_rel, abs(dd - fd) / abs(fd))
         res = pg.abs_gradient(action, v)
         along_steepest = pg.directional_derivative(action, v, res.steepest_direction)
@@ -138,10 +137,9 @@ def test_criterion_05_universal_and_scaling_bounds():
     worst_lower = -np.inf
     for rep in reps:
         action = pg.AffineAction.linear(rep)
-        params = pg.EnergyParams(rep.p, rep.p)
         for _ in range(2500):
             v = unit(rep, rng)
-            f = pg.displacement_energy(action, params, v)
+            f = pg.displacement_energy(action, v)
             if f == 0.0:
                 continue
             g = pg.abs_gradient(action, v).value
@@ -166,14 +164,13 @@ def test_criterion_06_fixed_point_descent():
         dom = default_domain(rep, dom_kind)
         f0 = unit(rep, rng, mean_zero=(dom_kind == "mean-zero"))
         action = pg.AffineAction.from_potential(rep, f0)
-        params = pg.EnergyParams(rep.p, rep.p)
-        f_init = pg.displacement_energy(action, params, rep.zero())
+        f_init = pg.displacement_energy(action, rep.zero())
         trace = pg.descend(action, rep.zero(), domain=dom)
         worst_f = max(worst_f, trace.final_energy / max(1.0, f_init))
         worst_rec = max(worst_rec, pg.power_norm(trace.terminal - (-1.0 * f0), rep.p))
         worst_grad = max(
             worst_grad,
-            pg.abs_gradient_sampled(action, params, trace.terminal, budget=64, seed=6, domain=dom),
+            pg.abs_gradient_sampled(action, trace.terminal, budget=64, seed=6, domain=dom),
         )
     elapsed = time.time() - t0
     ok = worst_f <= 1e-6 and worst_rec <= 1e-4 and worst_grad <= 1e-3 and elapsed < 60.0

@@ -309,7 +309,7 @@ def test_cocycle_routines_build_no_vectors(monkeypatch):
     monkeypatch.setattr(lpspace.LpVector, "__post_init__", counting)
     c = pg.coboundary(rep, f0)
     act = pg.AffineAction.from_potential(rep, f0)
-    pg.cocycle_norm(c, pg.EnergyParams(r=2.0, p=3.0))
+    pg.cocycle_norm(c, 2.0)
     assert built == []
     assert np.array_equal(act.cocycle.values, c.values)
 

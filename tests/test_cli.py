@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -110,14 +111,36 @@ def test_gap_battery_near_symmetric_weights_exit_0(tmp_path):
     [
         ("gap", {"group": {"family": "cyclic", "params": {"n": 4}}, "radius": []}, "gap config key 'radius'"),
         ("verify", {"group": {"family": "cyclic", "params": {"n": 4}}, "p": []}, "verify config key 'p'"),
+        # used to run no check and report "failed": 0
+        ("verify", {"group": {"family": "cyclic", "params": {"n": 4}}, "suites": []}, "verify config key 'suites'"),
     ],
-    ids=["gap-radius", "verify-p"],
+    ids=["gap-radius", "verify-p", "verify-suites"],
 )
 def test_an_empty_list_of_runs_exits_2(tmp_path, capsys, command, config, named):
     cfg = write_config(tmp_path, "config.json", config)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and named in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        {"family": "cyclic", "params": {"n": 1}},
+        {"family": "symmetric", "params": {"n": 1}},
+        {"family": "table", "params": {"table": [[0]]}, "generators": [0]},
+    ],
+    ids=["cyclic1", "symmetric1", "table1"],
+)
+def test_gap_on_a_one_element_group_exits_3(tmp_path, capsys, group):
+    # the mean-zero space of a one-element group is {0}; cyclic(1) used to
+    # fail in the character oracle, the others in the multistart
+    cfg = write_config(tmp_path, "gap.json", {"group": group, "starts": 2, "iters": 20})
+    assert main(["gap", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain precondition failed:") and "'mean-zero'" in err
+    assert "zero vector" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -496,17 +519,6 @@ def test_verify_command_passes(tmp_path, capsys):
     assert report["failed"] == 0
 
 
-def test_verify_empty_suite_noop(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        "verify.json",
-        {"group": {"family": "cyclic", "params": {"n": 4}}, "suites": []},
-    )
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
-    report = json.loads((tmp_path / "v" / "verify.json").read_text())
-    assert report["checks"] == []
-
-
 def test_moduli_command(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -706,7 +718,7 @@ _RUN = {"starts": 1, "iters": 20}
         ("gap", {"group": _CYCLIC4, "r": -1, **_RUN}, "'r'"),
         ("gap", {"group": _CYCLIC4, "starts": 0}, "'starts'"),
         ("gap", {"group": _CYCLIC4, "seed": -1, **_RUN}, "'seed'"),
-        ("verify", {"group": _CYCLIC4, "seed": -1, "suites": []}, "'seed'"),
+        ("verify", {"group": _CYCLIC4, "seed": -1, "suites": ["ball"]}, "'seed'"),
         ("moduli", {"seed": -1, "trials": 10}, "'seed'"),
         ("gap", {"group": _FREE2, "radius": "abc", **_RUN}, "'radius'"),
         ("ball", {"group": _FREE2, "radius": "abc"}, "'radius'"),
@@ -839,3 +851,40 @@ def test_descend_and_verify_read_one_distance_to_the_fixed_points(tmp_path, monk
     [row] = [row for row in rows if row["name"] == "descent_reaches_fixed_point"]
     assert recovery == pytest.approx(expected, rel=1e-10)
     assert row["detail"]["terminalDistance"] == pytest.approx(expected, rel=1e-10)
+
+
+# sha256 digests of the canonical bytes of two reports made through the CLI:
+# descend to a fixed point (f_tol after 141 iterations) and every suite of
+# verify at two exponents.  A refactor that keeps the arithmetic keeps them.
+
+
+def _report_digest(path, drop=()):
+    """sha256 of a report's canonical bytes, leaving out the `config`
+    entries named in `drop` (those that hold a path of the run)."""
+    text = path.read_text()
+    report = json.loads(text)
+    assert canonical_json(report) == text  # so the digest pins the file's bytes
+    for key in drop:
+        del report["config"][key]
+    return hashlib.sha256(canonical_json(report).encode()).hexdigest()
+
+
+def test_descend_report_golden_bytes(tmp_path):
+    vals = np.random.default_rng(7).standard_normal(24)
+    vector_to_csv(vals - vals.mean(), tmp_path / "potential.csv")
+    config = {
+        "group": {"family": "symmetric", "params": {"n": 4}},
+        "p": 3.0,
+        "cocycle": {"potential": str(tmp_path / "potential.csv")},
+    }
+    cfg = write_config(tmp_path, "descend.json", config)
+    assert main(["descend", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+    digest = _report_digest(tmp_path / "d" / "descend.json", drop=["cocycle"])
+    assert digest == "6a5b788d288ffb4e552930d51a66f2264564ca9383a63ed8cabfad5d6ac07476"
+
+
+def test_verify_report_golden_bytes(tmp_path):
+    cfg = write_config(tmp_path, "verify.json", {"group": _FREE2, "radius": 3, "p": [1.5, 3.0]})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    digest = _report_digest(tmp_path / "v" / "verify.json")
+    assert digest == "309bdec9af420a2ac892f019d7b22aadb2b10efdc91ccaf41f179d4e94f0605e"

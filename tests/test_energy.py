@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pgaplab as pg
-from pgaplab.energy import energy_csv_row, weighted_r_mean
+from pgaplab.energy import weighted_r_mean
 from pgaplab.errors import SupportViolation, ValidationError
 from pgaplab.lpspace import power_norm
 
@@ -13,13 +13,26 @@ def alternating_vector(ball):
     return np.array([0.5 * (-1.0) ** (x % 2) for x in ball.elements])
 
 
-def test_energy_params_validation():
-    pg.EnergyParams(r=1.0, p=2.0)
-    pg.EnergyParams(r=np.inf, p=1.5)
-    with pytest.raises(ValidationError):
-        pg.EnergyParams(r=0.5, p=2.0)
-    with pytest.raises(ValidationError):
-        pg.EnergyParams(r=2.0, p=1.0)
+@pytest.mark.parametrize("r", [0.5, 0.0, -1.0, np.nan])
+def test_generator_exponent_outside_1_inf_raises(sym3, r):
+    rep = pg.Representation(sym3, 3.0, "full")
+    v = unit_vector(rep, np.random.default_rng(0))
+    with pytest.raises(ValidationError, match="generator exponent"):
+        pg.displacement_energy(pg.AffineAction.linear(rep), v, r)
+    with pytest.raises(ValidationError, match="generator exponent"):
+        pg.cocycle_norm(pg.coboundary(rep, v), r)
+
+
+def test_energy_exponent_defaults_to_the_representations(free2_r3):
+    # the ambient exponent is read off the action; r = p is the default
+    rng = np.random.default_rng(8)
+    for p in (1.5, 3.0):
+        rep = pg.Representation(free2_r3, p, "dirichlet")
+        f0 = unit_vector(rep, rng)
+        act = pg.AffineAction.from_potential(rep, f0)
+        v = unit_vector(rep, rng)
+        assert pg.displacement_energy(act, v) == pg.displacement_energy(act, v, act.rep.p)
+        assert pg.cocycle_norm(act.cocycle) == pg.cocycle_norm(act.cocycle, p)
 
 
 def test_alternating_vector_energy_is_two(cyclic4):
@@ -27,7 +40,7 @@ def test_alternating_vector_energy_is_two(cyclic4):
     act = pg.AffineAction.linear(rep)
     v = alternating_vector(cyclic4)
     assert power_norm(v, 2.0) == pytest.approx(1.0)
-    assert pg.displacement_energy(act, pg.EnergyParams(2, 2), v) == pytest.approx(2.0, abs=1e-14)
+    assert pg.displacement_energy(act, v) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_energy_vanishes_at_fixed_point_of_coboundary(cyclic8):
@@ -35,7 +48,7 @@ def test_energy_vanishes_at_fixed_point_of_coboundary(cyclic8):
     rep = pg.Representation(cyclic8, 2.0, "full")
     f0 = unit_vector(rep, rng, mean_zero=True)
     act = pg.AffineAction.from_potential(rep, f0)
-    value = pg.displacement_energy(act, pg.EnergyParams(2, 2), -1.0 * f0)
+    value = pg.displacement_energy(act, -1.0 * f0)
     assert value <= 1e-14
 
 
@@ -44,12 +57,11 @@ def test_energy_two_lipschitz(sym3):
     rep = pg.Representation(sym3, 3.0, "full")
     f0 = unit_vector(rep, rng)
     act = pg.AffineAction.from_potential(rep, f0)
-    params = pg.EnergyParams(3, 3)
     for _ in range(100):
         u = unit_vector(rep, rng)
         v = 2.0 * unit_vector(rep, rng)
         lhs = abs(
-            pg.displacement_energy(act, params, u) - pg.displacement_energy(act, params, v)
+            pg.displacement_energy(act, u) - pg.displacement_energy(act, v)
         )
         assert lhs <= 2.0 * power_norm(u - v, 3.0) + 1e-12
 
@@ -60,14 +72,13 @@ def test_energy_convexity(cyclic8):
     f0 = unit_vector(rep, rng, mean_zero=True)
     act = pg.AffineAction.from_potential(rep, f0)
     for r in (1.0, 1.5, 2.0, 4.0, np.inf):
-        params = pg.EnergyParams(r, 1.5)
         for _ in range(30):
             u = unit_vector(rep, rng)
             v = unit_vector(rep, rng)
-            fu = pg.displacement_energy(act, params, u)
-            fv = pg.displacement_energy(act, params, v)
+            fu = pg.displacement_energy(act, u, r)
+            fv = pg.displacement_energy(act, v, r)
             for t in (0.25, 0.5, 0.75):
-                mid = pg.displacement_energy(act, params, t * u + (1 - t) * v)
+                mid = pg.displacement_energy(act, t * u + (1 - t) * v, r)
                 assert mid <= t * fu + (1 - t) * fv + 1e-12
 
 
@@ -75,11 +86,10 @@ def test_energy_homogeneity_linear_action(cyclic8):
     rng = np.random.default_rng(3)
     rep = pg.Representation(cyclic8, 2.0, "full")
     act = pg.AffineAction.linear(rep)
-    params = pg.EnergyParams(2, 2)
     v = unit_vector(rep, rng)
-    fv = pg.displacement_energy(act, params, v)
+    fv = pg.displacement_energy(act, v)
     for t in (-2.0, -0.5, 0.25, 3.0):
-        assert pg.displacement_energy(act, params, t * v) == pytest.approx(abs(t) * fv, rel=1e-12)
+        assert pg.displacement_energy(act, t * v) == pytest.approx(abs(t) * fv, rel=1e-12)
 
 
 def test_energy_sandwich(sym3):
@@ -88,12 +98,10 @@ def test_energy_sandwich(sym3):
     act = pg.AffineAction.linear(rep)
     m_min = rep.handle.min_weight()
     for r in (1.5, 2.0, 8.0):
-        params_r = pg.EnergyParams(r, 2.0)
-        params_inf = pg.EnergyParams(np.inf, 2.0)
         for _ in range(50):
             v = unit_vector(rep, rng)
-            fr = pg.displacement_energy(act, params_r, v)
-            finf = pg.displacement_energy(act, params_inf, v)
+            fr = pg.displacement_energy(act, v, r)
+            finf = pg.displacement_energy(act, v, np.inf)
             assert fr <= finf + 1e-12
             assert m_min ** (1.0 / r) * finf <= fr + 1e-12
 
@@ -103,23 +111,19 @@ def test_cocycle_norm_matches_energy(cyclic8):
     rep = pg.Representation(cyclic8, 2.0, "full")
     v = unit_vector(rep, rng)
     c = pg.coboundary(rep, v)
-    params = pg.EnergyParams(2, 2)
     act = pg.AffineAction.linear(rep)
-    assert pg.cocycle_norm(c, params) == pytest.approx(
-        pg.displacement_energy(act, params, v), abs=1e-14
-    )
+    assert pg.cocycle_norm(c) == pytest.approx(pg.displacement_energy(act, v), abs=1e-14)
     zero = pg.Cocycle.zero(rep)
-    assert pg.cocycle_norm(zero, params) == 0.0
+    assert pg.cocycle_norm(zero) == 0.0
 
 
 def test_coboundary_norm_bound(cyclic8):
     rng = np.random.default_rng(6)
     rep = pg.Representation(cyclic8, 3.0, "full")
     for r in (1.0, 2.0, np.inf):
-        params = pg.EnergyParams(r, 3.0)
         for _ in range(50):
             v = unit_vector(rep, rng)
-            assert pg.cocycle_norm(pg.coboundary(rep, v), params) <= 2.0 * power_norm(v, 3.0) + 1e-12
+            assert pg.cocycle_norm(pg.coboundary(rep, v), r) <= 2.0 * power_norm(v, 3.0) + 1e-12
 
 
 def test_dirichlet_norm_on_constants(cyclic4):
@@ -138,7 +142,7 @@ def test_dirichlet_norm_is_cocycle_norm_of_coboundary(free2_r3):
     rep = pg.Representation(free2_r3, 2.5, "dirichlet")
     v = unit_vector(rep, rng)
     lhs = pg.dirichlet_norm(rep, v)
-    rhs = pg.cocycle_norm(pg.coboundary(rep, v), pg.EnergyParams(2.5, 2.5))
+    rhs = pg.cocycle_norm(pg.coboundary(rep, v))
     assert lhs == pytest.approx(rhs, abs=1e-14)
 
 
@@ -232,11 +236,7 @@ def test_support_violation_propagates(free2_r3):
     bad = vals
     act = pg.AffineAction.linear(rep)
     with pytest.raises(SupportViolation):
-        pg.displacement_energy(act, pg.EnergyParams(2, 2), bad)
+        pg.displacement_energy(act, bad)
     with pytest.raises(SupportViolation):
         pg.p_laplacian(rep, bad)
 
-
-def test_energy_csv_row():
-    row = energy_csv_row("sweep", pg.EnergyParams(np.inf, 2.0), 1.25)
-    assert row == "sweep,inf,2.0,1.25"

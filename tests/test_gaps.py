@@ -53,7 +53,7 @@ def test_certificate_attains_reported_value():
     est_disp, est_r = pg.displacement_constant(rep, 2.0)
     act = pg.AffineAction.linear(rep)
     v = np.asarray(est_disp.certificate)
-    ratio = pg.displacement_energy(act, pg.EnergyParams(np.inf, 2.0), v) / power_norm(v, 2.0)
+    ratio = pg.displacement_energy(act, v, np.inf) / power_norm(v, 2.0)
     assert ratio == pytest.approx(est_disp.value, abs=1e-10)
 
 
@@ -72,9 +72,7 @@ def test_eigen_oracle_matches_characters():
     for n in (4, 5, 7):
         rep = full_rep(pg.cyclic_group(n))
         dom = default_domain(rep)
-        assert pg.hilbert_gap_constant(rep, dom) == pytest.approx(
-            2.0 * np.sin(np.pi / n), abs=1e-12
-        )
+        assert pg.hilbert_gap_constant(dom) == pytest.approx(2.0 * np.sin(np.pi / n), abs=1e-12)
 
 
 def test_gradient_constant_cyclic4():
@@ -82,7 +80,7 @@ def test_gradient_constant_cyclic4():
     opts = GapOptions(starts=8, iters=2000, exact="never")
     report = pg.equivalence_report(rep, options=opts)
     c_grad = report.constants["C_grad"]
-    exact = pg.hilbert_gap_constant(rep, default_domain(rep))
+    exact = pg.hilbert_gap_constant(default_domain(rep))
     assert report.methods["C_grad"] == "multistart"
     assert c_grad <= 2.0
     assert c_grad >= exact - 1e-9  # pointwise values never undershoot
@@ -97,7 +95,7 @@ def test_laplacian_constant_is_half_gradient_constant():
     c = report.constants
     assert c["C_lap"] == c["C_grad"] / 2.0
     assert report.certificates["C_lap"] == report.certificates["C_grad"]
-    assert c["C_grad"] == pytest.approx(pg.hilbert_gap_constant(rep, default_domain(rep)), abs=1e-6)
+    assert c["C_grad"] == pytest.approx(pg.hilbert_gap_constant(default_domain(rep)), abs=1e-6)
     assert report.diagnostics["C_grad"]["trajectories"] == 8
     assert report.chain["C_grad >= C_r"] is None  # not a theorem for r > p
 
@@ -106,19 +104,19 @@ def test_fixed_vector_present_on_full_domain():
     rep = full_rep(pg.cyclic_group(6))
     dom = default_domain(rep, "full")
     with pytest.raises(FixedVectorPresent):
-        ensure_no_fixed_vectors(rep, dom)
+        ensure_no_fixed_vectors(dom)
     with pytest.raises(FixedVectorPresent):
         pg.displacement_constant(rep, 2.0, GapOptions(starts=2, iters=100), dom)
 
 
 def test_mean_zero_domain_has_no_fixed_vectors():
     rep = full_rep(pg.symmetric_group(3))
-    ensure_no_fixed_vectors(rep, default_domain(rep))
+    ensure_no_fixed_vectors(default_domain(rep))
 
 
 def test_dirichlet_domain_has_no_fixed_vectors():
     rep = pg.Representation(pg.ball(pg.integer_lattice(1), 8), 2.0, "dirichlet")
-    ensure_no_fixed_vectors(rep, default_domain(rep))
+    ensure_no_fixed_vectors(default_domain(rep))
 
 
 @pytest.mark.parametrize(
@@ -141,9 +139,9 @@ def test_fixed_vector_guard_on_dirichlet_representations(group, radius, kind, in
     dom = default_domain(rep, kind)
     if invariant:
         with pytest.raises(FixedVectorPresent):
-            ensure_no_fixed_vectors(rep, dom)
+            ensure_no_fixed_vectors(dom)
     else:
-        ensure_no_fixed_vectors(rep, dom)
+        ensure_no_fixed_vectors(dom)
 
 
 def test_tent_vector_ratio():
@@ -168,11 +166,10 @@ def test_kesten_bound_holds_pointwise_on_truncation():
     rng = np.random.default_rng(0)
     rep = pg.Representation(pg.ball(pg.free_group(2), 4), 2.0, "dirichlet")
     act = pg.AffineAction.linear(rep)
-    params = pg.EnergyParams(2.0, 2.0)
     bound = pg.kesten_displacement_bound(2)
     for _ in range(50):
         v = rep.random_admissible(rng)
-        assert pg.displacement_energy(act, params, v) >= bound * power_norm(v, 2.0) - 1e-12
+        assert pg.displacement_energy(act, v) >= bound * power_norm(v, 2.0) - 1e-12
 
 
 def test_equivalence_report_cyclic8():
@@ -256,10 +253,7 @@ def test_lift_vector_prefix():
     act_b = pg.AffineAction.linear(rep_b)
     v_s = np.where(rep_s.admissible_mask, vals, 0.0)
     v_b = lift_vector(v_s, small.size, big.size)
-    params = pg.EnergyParams(2.0, 2.0)
-    assert pg.displacement_energy(act_s, params, v_s) == pytest.approx(
-        pg.displacement_energy(act_b, params, v_b), abs=1e-14
-    )
+    assert pg.displacement_energy(act_s, v_s) == pytest.approx(pg.displacement_energy(act_b, v_b), abs=1e-14)
 
 
 def ratio_instances(p):
@@ -279,11 +273,10 @@ def test_energy_ratio_objective_gradient_matches_finite_differences(name, r_kind
     obj = make_energy_ratio_objective(act, r)
     domain = default_domain(rep)
     rng = np.random.default_rng(7)
-    params = pg.EnergyParams(r=r, p=p)
     for _ in range(5):
         v = domain.random_unit(rng)
         val, gradient = obj(v)
-        assert val == pytest.approx(pg.displacement_energy(act, params, v) / power_norm(v, p), rel=1e-12)
+        assert val == pytest.approx(pg.displacement_energy(act, v, r) / power_norm(v, p), rel=1e-12)
         direction = domain.project(rng.standard_normal(rep.ball.size))
         h = 1e-6
         fd = (obj(v + h * direction)[0] - obj(v - h * direction)[0]) / (2 * h)
@@ -378,9 +371,9 @@ def test_fixed_vector_guard_probes_once_per_report(monkeypatch):
     calls = []
     original = gaps.ensure_no_fixed_vectors
 
-    def counting(rep_, domain):
+    def counting(domain):
         calls.append(domain)
-        return original(rep_, domain)
+        return original(domain)
 
     monkeypatch.setattr(gaps, "ensure_no_fixed_vectors", counting)
     pg.equivalence_report(rep, options=GapOptions(starts=1, iters=20))

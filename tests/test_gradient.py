@@ -72,7 +72,7 @@ def test_gradient_eigen_oracle_cyclic5():
     rep = pg.Representation(pg.full_ball(h), 2.0, "full")
     act = pg.AffineAction.linear(rep)
     dom = default_domain(rep, "mean-zero")
-    oracle = pg.hilbert_gap_constant(rep, dom)
+    oracle = pg.hilbert_gap_constant(dom)
     rng = np.random.default_rng(3)
     values = []
     for _ in range(200):
@@ -92,15 +92,13 @@ def test_at_fixed_point_raises(linear_c4, cyclic4):
 
 def test_universal_and_scaling_bounds(sym3):
     rng = np.random.default_rng(4)
-    params_by_p = {}
     for p in (1.5, 2.0, 3.0):
         rep = pg.Representation(sym3, p, "full")
         act = pg.AffineAction.linear(rep)
-        params = pg.EnergyParams(p, p)
         for _ in range(300):
             v = unit_vector(rep, rng)
             res = pg.abs_gradient(act, v)
-            f = pg.displacement_energy(act, params, v)
+            f = pg.displacement_energy(act, v)
             assert res.value <= 2.0 + 1e-12
             assert res.value >= f / power_norm(v, p) - 1e-9
 
@@ -113,12 +111,11 @@ def test_directional_derivative_matches_central_differences(p, sym3):
     rng = np.random.default_rng(5)
     rep = pg.Representation(sym3, p, "full")
     act = pg.AffineAction.linear(rep)
-    params = pg.EnergyParams(p, p)
     for _ in range(25):
         v = unit_vector(rep, rng)
         u = unit_vector(rep, rng)
         dd = pg.directional_derivative(act, v, u)
-        fd = finite_difference_quotient(act, params, v, u, 1e-5)
+        fd = finite_difference_quotient(act, v, u, 1e-5)
         assert dd == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
@@ -127,11 +124,10 @@ def test_directional_derivative_toward_origin(cyclic8):
     rng = np.random.default_rng(6)
     rep = pg.Representation(cyclic8, 2.0, "full")
     act = pg.AffineAction.linear(rep)
-    params = pg.EnergyParams(2, 2)
     v = 1.7 * unit_vector(rep, rng)
     u = (-1.0 / power_norm(v, 2.0)) * v
     dd = pg.directional_derivative(act, v, u)
-    assert dd == pytest.approx(pg.displacement_energy(act, params, v) / power_norm(v, 2.0), rel=1e-12)
+    assert dd == pytest.approx(pg.displacement_energy(act, v) / power_norm(v, 2.0), rel=1e-12)
 
 
 def test_directional_derivative_along_steepest_attains_gradient(sym3):
@@ -177,8 +173,7 @@ def test_nonsmooth_point_falls_back_to_finite_differences(sym3):
     with pytest.raises(NonsmoothPoint):
         pg.directional_derivative(act, v, u, nonsmooth="raise")
     dd = pg.directional_derivative(act, v, u)  # fallback
-    params = pg.EnergyParams(2, 2)
-    fd = finite_difference_quotient(act, params, v, u, 1e-5, scheme="one_sided")
+    fd = finite_difference_quotient(act, v, u, 1e-5, scheme="one_sided")
     assert dd == pytest.approx(fd, abs=1e-12)
 
 
@@ -190,13 +185,13 @@ def test_sampled_gradient_at_fixed_point_is_zero(cyclic8):
     rep = pg.Representation(cyclic8, 2.0, "full")
     f0 = unit_vector(rep, rng, mean_zero=True)
     act = pg.AffineAction.from_potential(rep, f0)
-    est = pg.abs_gradient_sampled(act, pg.EnergyParams(2, 2), -1.0 * f0, budget=64, seed=0)
+    est = pg.abs_gradient_sampled(act, -1.0 * f0, budget=64, seed=0)
     assert est == 0.0
 
 
 def test_sampled_gradient_meets_closed_form(linear_c4, cyclic4):
     v = alternating_vector(cyclic4)
-    est = pg.abs_gradient_sampled(linear_c4, pg.EnergyParams(2, 2), v, budget=10_000, seed=1)
+    est = pg.abs_gradient_sampled(linear_c4, v, budget=10_000, seed=1)
     assert est >= 2.0 - 1e-3
     assert est <= 2.0 + 1e-12
 
@@ -206,11 +201,10 @@ def test_sampled_is_lower_bound_and_close(sym3):
     for p in (1.5, 2.0, 3.0):
         rep = pg.Representation(sym3, p, "full")
         act = pg.AffineAction.linear(rep)
-        params = pg.EnergyParams(p, p)
         for i in range(10):
             v = unit_vector(rep, rng)
             closed = pg.abs_gradient(act, v).value
-            sampled = pg.abs_gradient_sampled(act, params, v, budget=32, seed=100 + i)
+            sampled = pg.abs_gradient_sampled(act, v, budget=32, seed=100 + i)
             assert closed >= sampled - 1e-9
             assert abs(closed - sampled) <= 2e-3
 
@@ -219,10 +213,9 @@ def test_sampled_gradient_respects_universal_bound(sym3):
     rng = np.random.default_rng(12)
     rep = pg.Representation(sym3, 2.0, "full")
     act = pg.AffineAction.linear(rep)
-    params = pg.EnergyParams(2, 2)
     for i in range(20):
         v = 3.0 * unit_vector(rep, rng)
-        est = pg.abs_gradient_sampled(act, params, v, budget=16, seed=i)
+        est = pg.abs_gradient_sampled(act, v, budget=16, seed=i)
         assert est <= 2.0 + 1e-12
 
 
@@ -231,12 +224,11 @@ def test_sampled_gradient_uses_known_fixed_point(cyclic8):
     rep = pg.Representation(cyclic8, 2.0, "full")
     f0 = unit_vector(rep, rng, mean_zero=True)
     act = pg.AffineAction.from_potential(rep, f0)
-    params = pg.EnergyParams(2, 2)
     v = unit_vector(rep, rng, mean_zero=True)
     with_fp = pg.abs_gradient_sampled(
-        act, params, v, budget=4, seed=2, fixed_point=-1.0 * f0, include_steepest=False
+        act, v, budget=4, seed=2, fixed_point=-1.0 * f0, include_steepest=False
     )
-    f_v = pg.displacement_energy(act, params, v)
+    f_v = pg.displacement_energy(act, v)
     assert with_fp >= f_v / power_norm(v - (-1.0 * f0), 2.0) - 1e-12
 
 
@@ -317,11 +309,10 @@ def test_capped_descent_reports_energy_at_terminal():
     rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0, "full")
     f0 = unit_vector(rep, rng, mean_zero=True)
     act = pg.AffineAction.from_potential(rep, f0)
-    params = pg.EnergyParams(r=3.0, p=3.0)
     trace = pg.descend(act, rep.zero(), pg.DescentOptions(max_iters=5))
     assert trace.reason == "max_iters"
     assert len(trace.rows) == 5  # no extra row for the final evaluation
-    assert trace.final_energy == pg.displacement_energy(act, params, trace.terminal)
+    assert trace.final_energy == pg.displacement_energy(act, trace.terminal)
     assert trace.final_energy < trace.rows[-1][1]
 
 
@@ -333,7 +324,7 @@ def test_descent_evaluates_each_trial_point_once(monkeypatch):
     original = pg.gradient.displacement_energy
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args[1])
         return original(*args, **kwargs)
 
     monkeypatch.setattr(pg.gradient, "displacement_energy", counting)

@@ -22,7 +22,7 @@ def instances():
     return [sym3, free2]
 
 
-def reference_sphere_minimize(objective, domain, p, v0, iters, armijo=1e-4, stall_limit=3):
+def reference_sphere_minimize(objective, domain, v0, iters, armijo=1e-4, stall_limit=3):
     """The descent as written before gradients were deferred: it evaluates
     the value and the gradient at every point, and again at the top of
     each iteration."""
@@ -31,7 +31,7 @@ def reference_sphere_minimize(objective, domain, p, v0, iters, armijo=1e-4, stal
         val, gradient = objective(values)
         return val, gradient()
 
-    v = _normalize(domain, p, v0)
+    v = _normalize(domain, v0)
     val, _ = full(v)
     t, stalls = 1.0, 0
     for _ in range(iters):
@@ -43,7 +43,7 @@ def reference_sphere_minimize(objective, domain, p, v0, iters, armijo=1e-4, stal
         improved = False
         step = t
         for _ in range(40):
-            w = _normalize(domain, p, v - step * g)
+            w = _normalize(domain, v - step * g)
             if w is not None:
                 wval, _ = full(w)
                 if wval < val - armijo * step * gn2:
@@ -94,7 +94,7 @@ def test_one_value_per_point_and_gradients_only_at_accepted_points(rep, kind):
     domain = default_domain(rep)
     v0 = domain.project(np.random.default_rng(3).standard_normal(rep.ball.size))
     counting = CountingObjective(objective)
-    val, v, traj = sphere_minimize(counting, domain, rep.p, v0, 80)
+    val, v, traj = sphere_minimize(counting, domain, v0, 80)
 
     assert len(set(counting.points)) == len(counting.points) == traj.value_evals
     assert len(counting.gradient_values) == traj.gradient_evals
@@ -105,7 +105,7 @@ def test_one_value_per_point_and_gradients_only_at_accepted_points(rep, kind):
     assert traj.stop in STOP_REASONS
     assert traj.iterations <= 80
 
-    ref_val, ref_v = reference_sphere_minimize(objective, domain, rep.p, v0, 80)
+    ref_val, ref_v = reference_sphere_minimize(objective, domain, v0, 80)
     assert val == ref_val
     assert np.array_equal(v, ref_v)
 
@@ -120,8 +120,8 @@ def test_stalled_trajectory_matches_the_recomputing_descent():
     domain = default_domain(rep)
     for seed in range(3):
         v0 = domain.project(np.random.default_rng(seed).standard_normal(rep.ball.size))
-        val, v, traj = sphere_minimize(objective, domain, rep.p, v0, 500)
-        ref_val, ref_v = reference_sphere_minimize(objective, domain, rep.p, v0, 500)
+        val, v, traj = sphere_minimize(objective, domain, v0, 500)
+        ref_val, ref_v = reference_sphere_minimize(objective, domain, v0, 500)
         assert traj.stop == "stalled"
         assert traj.gradient_evals <= traj.iterations
         assert val == ref_val and np.array_equal(v, ref_v)
@@ -132,8 +132,21 @@ def test_zero_gradient_stop_and_no_iterations_budget():
     domain = default_domain(rep)
     flat = lambda values: (1.0, lambda: np.zeros_like(values))
     v0 = domain.project(np.arange(4.0))
-    assert sphere_minimize(flat, domain, 2.0, v0, 10)[2] == Trajectory(0, 1, 1, "zero_gradient")
-    assert sphere_minimize(flat, domain, 2.0, v0, 0)[2] == Trajectory(0, 1, 0, "iters")
+    assert sphere_minimize(flat, domain, v0, 10)[2] == Trajectory(0, 1, 1, "zero_gradient")
+    assert sphere_minimize(flat, domain, v0, 0)[2] == Trajectory(0, 1, 0, "iters")
+
+
+def test_sphere_minimize_ends_on_the_unit_sphere_of_the_domains_exponent():
+    # p = 3 is read off the domain: the point is a unit vector in l^3, not l^2
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(3)), 3.0, "full")
+    domain = default_domain(rep)
+    objective = make_energy_ratio_objective(pg.AffineAction.linear(rep), 3.0)
+    v0 = domain.project(np.random.default_rng(4).standard_normal(rep.ball.size))
+    for iters in (0, 40):
+        val, v, _ = sphere_minimize(objective, domain, 5.0 * v0, iters)
+        assert pg.power_norm(v, 3.0) == pytest.approx(1.0, rel=1e-14)
+        assert abs(pg.power_norm(v, 2.0) - 1.0) > 1e-3
+        assert val == objective(v)[0]
 
 
 def test_multistart_pool_carries_trajectories_and_summary():
@@ -144,7 +157,6 @@ def test_multistart_pool_carries_trajectories_and_summary():
     result = multistart_minimize(
         make_energy_ratio_objective(action, 3.0),
         domain,
-        3.0,
         starts=3,
         iters=40,
         seed=2,
@@ -173,7 +185,6 @@ def test_multistart_with_no_usable_start_raises():
         multistart_minimize(
             make_energy_ratio_objective(action, 3.0),
             default_domain(rep),
-            3.0,
             starts=0,
             extra_starts=(np.ones(rep.ball.size),),  # projects to zero on the mean-zero domain
         )
