@@ -17,10 +17,11 @@ names the key, parameter or path; a list-valued key (gap's `radius`,
 verify's `p` and `suites`) must hold at least one entry.  Exit 3 covers a
 fixed vector in the domain, a domain that holds only the zero vector (the
 mean-zero space of a one-element group), mass outside a truncated domain,
-a finite-group operation on an infinite group and a gradient asked for at
-a fixed point.  An asymmetric generating set is not among them:
-`build_group` closes the set under inverses and gives each inverse pair
-one weight, or rejects the weights with exit 2.
+a finite-group operation on an infinite group, a gradient asked for at a
+fixed point, and verify's gradient suite on an instance where every
+sampled energy vanishes (a one-element group).  An asymmetric generating
+set is not among them: `build_group` closes the set under inverses and
+gives each inverse pair one weight, or rejects the weights with exit 2.
 
 Three keys are accepted only so that old configs load, and change
 nothing: gap's `threads` (null or 1; the multistart runs on one thread),
@@ -346,7 +347,7 @@ def cmd_gap(args) -> int:
     else:
         [rep] = _representations(handle, radius, [p])
         domain = default_domain(rep, config["domain"])
-        reports = [equivalence_report(rep, r, opts, domain, battery=battery)]
+        reports = [equivalence_report(domain, r, opts, battery=battery)]
         payload = {"report": reports[0].to_dict()}
         summary = reports[0].constants
     payload.update(version=__version__, config={k: v for k, v in config.items() if k != "out"})

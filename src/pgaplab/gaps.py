@@ -1,15 +1,20 @@
 """Gap constants: displacement, gradient infimum, Laplacian inequality.
 
-Every estimate of an infimum produced here is an upper bound (optimization
-can miss the global minimum).  Where an exact oracle exists it is used and
-tagged: character diagonalization for cyclic groups at p = 2, and a dense
-eigenvalue solve for any p = 2 instance as a test-side cross-check.
+Every estimator takes a domain, the space the representation is restricted
+to, and reads the representation off it (`domain.rep`).  Every estimate of
+an infimum produced here is an upper bound (optimization can miss the
+global minimum) unless an exact oracle gave it, and is tagged by method:
+character diagonalization gives exact estimates for cyclic groups at
+p = 2, and a dense eigenvalue solve any p = 2 instance as a test-side
+cross-check.
 
-Only energy ratios F_r(v)/|v|_p are minimized.  Each energy-ratio estimate
-is then re-evaluated over the pool of every point its runs and the other
-runs produced, so it is the best value any of them found.  The slope is
-taken inside the domain, the space the representation is restricted to;
-there inf slope = C_p and inf Laplacian ratio = C_p/2 (see
+Each estimate is keyed by its generator exponent: C_disp by inf, C_r by r
+and C_p by p.  The oracle runs once per report and gives exact estimates
+by exponent; the others minimize energy ratios F_r(v)/|v|_p by multistart
+descent.  Every point those runs produce joins one ordered pool, and each
+multistart estimate is the first minimum of its ratio over the pool, taken
+once per vector and distinct exponent.  The slope is taken inside the
+domain; there inf slope = C_p and inf Laplacian ratio = C_p/2 (see
 `gradient_constant`), so C_grad and C_lap are read off the C_p estimate.
 """
 
@@ -20,7 +25,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._optimize import (
-    MultistartResult,
     _normalize,
     multistart_minimize,
     sphere_minimize,
@@ -169,8 +173,9 @@ def character_displacements(handle, mode: int) -> np.ndarray:
     return 2.0 * np.sin(np.pi * np.minimum(j, n - j) / n)
 
 
-def cyclic_exact_constants(rep: Representation, r: float) -> dict:
-    """Exact displacement constants of a cyclic group at p = 2.
+def cyclic_exact_constants(rep: Representation) -> dict:
+    """Exact estimates of a cyclic group at p = 2, keyed by generator
+    exponent: {inf: C_disp, 2.0: C_2}.
 
     On the mean-zero complement the squared generator displacement of a
     unit vector is a convex combination sum_k nu_k d(g,k)^2 over nontrivial
@@ -221,21 +226,10 @@ def cyclic_exact_constants(rep: Representation, r: float) -> dict:
             vals += np.sqrt(w) * col / norm
         return vals
 
-    cert_disp = mode_vector(nu)
-    cert_2 = mode_vector(np.eye(n_modes)[k2])
-    out = {
-        "C_disp": c_disp,
-        "cert_disp": cert_disp,
-        "C_2": c_2,
-        "cert_2": cert_2,
+    return {
+        np.inf: ConstantEstimate(c_disp, mode_vector(nu), "exact-fourier"),
+        2.0: ConstantEstimate(c_2, mode_vector(np.eye(n_modes)[k2]), "exact-fourier"),
     }
-    if r == 2.0:
-        out["C_r"] = c_2
-        out["cert_r"] = cert_2
-    elif np.isinf(r):
-        out["C_r"] = c_disp
-        out["cert_r"] = cert_disp
-    return out
 
 
 def hilbert_gap_constant(domain: Domain) -> float:
@@ -309,19 +303,32 @@ class ConstantEstimate:
     value: float
     certificate: np.ndarray
     method: str
-    pool: list = field(default_factory=list)  # vectors worth re-evaluating
     # trajectory_summary of the runs behind the estimate; no runs for an exact one
     diagnostics: dict = field(default_factory=lambda: trajectory_summary([]))
+    # the leading pool vectors a multistart estimate has been reduced over
+    pool: list = field(default_factory=list)
 
 
-def _pool_vectors(result: MultistartResult) -> list:
-    return [vec for (_tag, val, vec, _traj) in result.pool if np.isfinite(val)]
+def _guarded_oracle(domain: Domain, opts: GapOptions) -> dict:
+    """The fixed-vector guard, then the exact estimates by generator
+    exponent: the character oracle's where it applies, none elsewhere.
+
+    The guard comes first: the oracle has no unit vector to build on a
+    domain that holds only the zero vector."""
+    ensure_no_fixed_vectors(domain)
+    rep = domain.rep
+    cyclic = rep.handle.family == "cyclic" and rep.mode == "full" and isinstance(domain, MeanZeroDomain)
+    if cyclic and rep.p == 2.0 and opts.exact != "never":
+        return cyclic_exact_constants(rep)
+    return {}
 
 
 def _ratio_multistart(action: AffineAction, r: float, opts: GapOptions, domain: Domain):
-    """Multistart descent on F_r/|.|_p, with a smoothed high exponent for r = inf."""
+    """Multistart descent on F_r/|.|_p, with a smoothed high exponent for
+    r = inf: the finite end points in pool order, and the runs'
+    trajectory_summary."""
     r_run = min(r, opts.smooth_r) if np.isinf(r) else r
-    return multistart_minimize(
+    result = multistart_minimize(
         make_energy_ratio_objective(action, r_run),
         domain,
         starts=opts.starts,
@@ -329,72 +336,70 @@ def _ratio_multistart(action: AffineAction, r: float, opts: GapOptions, domain: 
         seed=opts.seed,
         extra_starts=opts.extra_starts,
     )
+    return [vec for (_tag, val, vec, _traj) in result.pool if np.isfinite(val)], result.summary()
+
+
+def _reduce(action: AffineAction, estimates: dict, exponents: dict, pool: list) -> dict:
+    """The estimates, by name, with each multistart one continued over the
+    pool vectors it has not been reduced over, in pool order, to the first
+    minimum of the energy ratio at its generator exponent (`exponents`, by
+    name).  Estimates that share an exponent share one reduction: the first
+    leads, and the others take its value and certificate but keep their
+    own diagnostics."""
+    leaders = {}
+    for key, est in estimates.items():
+        leaders.setdefault(exponents[key], est)
+    for exponent, est in leaders.items():
+        if est.method == "multistart":
+            objective = make_energy_ratio_objective(action, exponent)
+            for v in pool[len(est.pool):]:
+                value = objective(v)[0]
+                if value < est.value:
+                    est = replace(est, value=value, certificate=v)
+            leaders[exponent] = replace(est, pool=pool)
+    return {key: replace(leaders[exponents[key]], diagnostics=est.diagnostics) for key, est in estimates.items()}
 
 
 def displacement_constant(
-    rep: Representation,
-    r: float,
-    options: GapOptions | None = None,
-    domain: Domain | None = None,
+    domain: Domain, r: float, options: GapOptions | None = None, *, exact: dict | None = None
 ) -> tuple[ConstantEstimate, ConstantEstimate]:
-    """Estimate (C_disp, C_r): infima over the unit sphere of the max
-    generator displacement and of the r-mean displacement energy.
+    """Estimate (C_disp, C_r) on a domain: infima over its unit sphere of
+    the max generator displacement and of the r-mean displacement energy.
 
-    Cyclic groups at p = 2 use the exact character oracle; everything else
-    runs multistart projected subgradient descent, minimizing a smoothed
-    high exponent as a proxy for the max and polishing on the max itself.
+    `exact` holds the exact estimates by generator exponent that
+    `_guarded_oracle` gave for this domain; by default the guard and the
+    oracle run here.  Estimates it lacks come from multistart projected
+    gradient descent at r, minimizing a smoothed high exponent as a proxy
+    for the max, and polishing every end point on the max itself.  Both
+    are reduced over one pool: the end points, the polished points, the
+    warm starts and, for a multistart C_r beside an exact C_disp, the exact
+    certificate.  At r = inf C_r is C_disp with its own diagnostics.
     """
     opts = options or GapOptions()
-    if domain is None:
-        domain = default_domain(rep)
-    ensure_no_fixed_vectors(domain)
-    action = AffineAction.linear(rep)
-    p = rep.p
-
-    exact_ok = (
-        opts.exact != "never"
-        and rep.handle.family == "cyclic"
-        and p == 2.0
-        and rep.mode == "full"
-        and isinstance(domain, MeanZeroDomain)
-    )
-    if exact_ok:
-        data = cyclic_exact_constants(rep, r)
-        est_disp = ConstantEstimate(data["C_disp"], data["cert_disp"], "exact-fourier")
-        if "C_r" in data:
-            est_r = ConstantEstimate(data["C_r"], data["cert_r"], "exact-fourier")
-            return est_disp, est_r
-        # fall through to multistart for an uncommon r, keeping C_disp exact
-        est_r = None
-    else:
-        est_disp = None
-        est_r = None
-
-    result = _ratio_multistart(action, r, opts, domain)
-    pool = _pool_vectors(result)
+    if exact is None:
+        exact = _guarded_oracle(domain, opts)
+    if r in exact:
+        return exact[np.inf], exact[r]
+    action = AffineAction.linear(domain.rep)
+    runs, summary = _ratio_multistart(action, r, opts, domain)
 
     # polish toward the true max with the active-generator subgradient
     obj_inf = make_energy_ratio_objective(action, np.inf)
-    polish_runs = [sphere_minimize(obj_inf, domain, vec, opts.polish_iters) for vec in pool]
-    polished = [w for (_val, w, _traj) in polish_runs]
+    polish_runs = [sphere_minimize(obj_inf, domain, vec, opts.polish_iters) for vec in runs]
     # the raw warm starts too, not just the trajectories they seed: that makes
     # sweep estimates nonincreasing under warm starting by construction
     extras = [_normalize(domain, np.asarray(v, dtype=float)) for v in opts.extra_starts]
-    pool = pool + polished + [w for w in extras if w is not None]
+    pool = runs + [w for (_val, w, _traj) in polish_runs] + [w for w in extras if w is not None]
+    if np.inf in exact:
+        pool.append(exact[np.inf].certificate)
 
-    obj_r = make_energy_ratio_objective(action, r)
-    vals_inf = [obj_inf(v)[0] for v in pool]
-    vals_r = [obj_r(v)[0] for v in pool]
-    i_inf = int(np.argmin(vals_inf))
-    i_r = int(np.argmin(vals_r))
-    if est_disp is None:
-        polish_summary = trajectory_summary((val, traj) for (val, _w, traj) in polish_runs)
-        est_disp = ConstantEstimate(
-            float(vals_inf[i_inf]), pool[i_inf], "multistart", pool, polish_summary
-        )
-    if est_r is None:
-        est_r = ConstantEstimate(float(vals_r[i_r]), pool[i_r], "multistart", pool, result.summary())
-    return est_disp, est_r
+    polish_summary = trajectory_summary((val, traj) for (val, _w, traj) in polish_runs)
+    estimates = {
+        "C_disp": exact.get(np.inf, ConstantEstimate(np.inf, None, "multistart", polish_summary)),
+        "C_r": ConstantEstimate(np.inf, None, "multistart", summary),
+    }
+    reduced = _reduce(action, estimates, {"C_disp": np.inf, "C_r": r}, pool)
+    return reduced["C_disp"], reduced["C_r"]
 
 
 def gradient_constant(est_p: ConstantEstimate, domain: Domain) -> ConstantEstimate:
@@ -410,17 +415,19 @@ def gradient_constant(est_p: ConstantEstimate, domain: Domain) -> ConstantEstima
     """
     slope, _ = restricted_slope(AffineAction.linear(domain.rep), est_p.certificate, domain)
     diagnostics = {**est_p.diagnostics, "slopeAtCertificate": slope}
-    return ConstantEstimate(est_p.value, est_p.certificate, est_p.method, [], diagnostics)
+    return ConstantEstimate(est_p.value, est_p.certificate, est_p.method, diagnostics)
 
 
 def laplacian_constant(est_p: ConstantEstimate) -> ConstantEstimate:
     """C_lap = C_p/2: the restricted Laplacian ratio is half the restricted
     slope, so its infimum is half of C_grad = C_p."""
-    return ConstantEstimate(est_p.value / 2.0, est_p.certificate, est_p.method, [], est_p.diagnostics)
+    return ConstantEstimate(est_p.value / 2.0, est_p.certificate, est_p.method, est_p.diagnostics)
 
 
 # ---------------------------------------------------------------------------
 # equivalence report
+
+BATTERY_SAMPLES = 4  # unit vectors sampled per battery row for its observed gradient
 
 
 @dataclass
@@ -458,48 +465,38 @@ class GapReport:
 
 
 def equivalence_report(
-    rep: Representation,
-    r: float | None = None,
-    options: GapOptions | None = None,
-    domain: Domain | None = None,
-    *,
-    battery: int = 0,
-    battery_samples: int = 4,
+    domain: Domain, r: float | None = None, options: GapOptions | None = None, *, battery: int = 0
 ) -> GapReport:
-    """All gap constants on one instance, chain verdicts, and a fixed-point
+    """All gap constants on one domain, chain verdicts, and a fixed-point
     battery of random coboundary actions (each has a fixed point by
     construction; descent residuals and observed gradients are recorded).
     A battery row's `recoveryError` is the l^p distance from the descent's
     terminal to the fixed-point set (`AffineAction.fixed_point_distance`).
 
-    C_grad = C_p and C_lap = C_p/2, with C_p = C_r when r = p; otherwise
-    one more energy-ratio multistart at r = p supplies C_p.
+    The guard and the oracle run once, and `displacement_constant` gets
+    the exact estimates by generator exponent.  C_grad = C_p and C_lap =
+    C_p/2, with C_p = C_r when r = p; otherwise the oracle's estimate at p,
+    or one more energy-ratio multistart at r = p, supplies C_p.  The
+    pool grows by that run's end points and the battery's samples, and
+    each multistart estimate is reduced over the vectors it has not seen.
     """
     opts = options or GapOptions()
+    rep = domain.rep
     p = rep.p
     if r is None:
         r = p
-    if domain is None:
-        domain = default_domain(rep)
-
-    est_disp, est_r = displacement_constant(rep, r, opts, domain)
+    exact = _guarded_oracle(domain, opts)
+    est_disp, est_r = displacement_constant(domain, r, opts, exact=exact)
     action = AffineAction.linear(rep)
-    # (vector, whether displacement_constant reduced C_disp and C_r over it),
-    # each vector once; est_disp.pool is est_r.pool or empty
-    certs = [est_disp.certificate, est_r.certificate]
-    pool = [(v, any(v is w for w in est_r.pool)) for v in certs]
-    pool += [(v, True) for v in est_r.pool if all(v is not c for c in certs)]
+    pool = list(est_r.pool)
     # C_p, the energy ratio at r = p, supplies C_grad and C_lap
     estimates = {"C_disp": est_disp, "C_r": est_r}
     if r != p:
-        if est_disp.method == "exact-fourier":  # a cyclic group at p = 2
-            data = cyclic_exact_constants(rep, p)
-            est_p = ConstantEstimate(data["C_2"], data["cert_2"], "exact-fourier")
-        else:
-            result = _ratio_multistart(action, p, opts, domain)
-            est_p = ConstantEstimate(np.inf, None, "multistart", [], result.summary())
-            pool += [(v, False) for v in _pool_vectors(result)]
-        estimates["C_p"] = est_p
+        estimates["C_p"] = exact.get(p)
+        if estimates["C_p"] is None:
+            runs, summary = _ratio_multistart(action, p, opts, domain)
+            estimates["C_p"] = ConstantEstimate(np.inf, None, "multistart", summary)
+            pool += runs
 
     battery_rows = []
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed).spawn(1)[0])
@@ -508,13 +505,13 @@ def equivalence_report(
         cob = AffineAction.from_potential(rep, f0)
         trace = descend(cob, rep.zero(), DescentOptions(), domain=domain)
         min_grad = np.inf
-        for _ in range(battery_samples):
+        for _ in range(BATTERY_SAMPLES):
             # the affine gradient at v equals the linear one at v + f0, so
             # sampling w = v + f0 on the unit sphere normalizes the energy
             w = domain.random_unit(rng)
             v_sample = w - f0
             min_grad = min(min_grad, abs_gradient(cob, v_sample).value)
-            pool.append((w, False))
+            pool.append(w)
         battery_rows.append(
             {
                 "index": i,
@@ -526,22 +523,7 @@ def equivalence_report(
             }
         )
 
-    # each estimate that no exact oracle gave is the best ratio over the shared
-    # pool, in pool order; C_disp and C_r only need the vectors they have not seen
-    exponents = {"C_disp": np.inf, "C_r": r, "C_p": p}
-    live = {
-        key: make_energy_ratio_objective(action, exponents[key])
-        for key, est in estimates.items()
-        if est.method != "exact-fourier"
-    }
-    for vals, seen in pool:
-        for key, objective in live.items():
-            if seen and key != "C_p":
-                continue
-            value = objective(vals)[0]
-            if value < estimates[key].value:
-                estimates[key] = replace(estimates[key], value=value, certificate=vals)
-
+    estimates = _reduce(action, estimates, {"C_disp": np.inf, "C_r": r, "C_p": p}, pool)
     est_p = estimates.pop("C_p", estimates["C_r"])
     estimates["C_grad"] = gradient_constant(est_p, domain)
     estimates["C_lap"] = laplacian_constant(est_p)
@@ -612,7 +594,7 @@ def gap_sweep(handle, p: float, r: float, radii, options: GapOptions | None = No
             except ValidationError:
                 pass
         local = replace(opts, extra_starts=tuple(extra))
-        report = equivalence_report(rep, r, local, battery=battery)
+        report = equivalence_report(default_domain(rep), r, local, battery=battery)
         reports.append(report)
         # C_lap's certificate is C_grad's, which is C_r's when r = p
         keys = ("C_disp", "C_r") if r == p else ("C_disp", "C_r", "C_grad")

@@ -21,6 +21,9 @@ instance's default domain:
 - descent_reaches_fixed_point: `descend` from 0 ends within 1e-6 of the
   fixed-point set, in the distance `descend`'s CLI report also reads
   (`AffineAction.fixed_point_distance`).
+The rows above the last read only points where F > 0; when every sampled
+point has F = 0 (a one-element group) the suite raises AtFixedPoint
+instead of passing with nothing checked.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .energy import (
     gradient_field,
     p_laplacian,
 )
-from .errors import PgapError
+from .errors import AtFixedPoint, PgapError
 from .gradient import (
     DescentOptions,
     abs_gradient,
@@ -266,6 +269,8 @@ def suite_gradient(rep: Representation, rng, trials=15) -> list[CheckResult]:
             w = u + RANDOM_TILT * domain.random_unit(rng)
             along = directional_derivative(act, v, w * (1.0 / power_norm(w, p)))
             worst_random = max(worst_random, along / slope - 1.0)
+    if worst_bound == -np.inf:  # every trial had F = 0, so no row below would check anything
+        raise AtFixedPoint("gradient suite: the energy vanishes at every sampled point")
     rows.append(CheckResult("gradient", "universal_bound", worst_bound <= 1e-12, {"excess": worst_bound}))
     rows.append(CheckResult("gradient", "scaling_lower_bound", worst_scaling <= 1e-9, {"excess": worst_scaling}))
     rows.append(CheckResult("gradient", "steepest_attains_slope", worst_attain <= 1e-12, {"worst": worst_attain}))

@@ -46,7 +46,7 @@ def test_criterion_01_abelian_exactness():
     worst = 0.0
     for n in range(3, 13):
         rep = pg.Representation(pg.full_ball(pg.cyclic_group(n)), 2.0, "full")
-        est_disp, _ = pg.displacement_constant(rep, 2.0)
+        est_disp, _ = pg.displacement_constant(default_domain(rep), 2.0)
         worst = max(worst, abs(est_disp.value - 2.0 * np.sin(np.pi / n)))
     elapsed = time.time() - t0
     verdict(1, worst <= 1e-6 and elapsed < 5.0, f"max |C_disp - 2 sin(pi/n)| = {worst:.2e}, {elapsed:.2f}s")
@@ -208,7 +208,7 @@ def test_criterion_08_amenable_vs_nonamenable_sweeps():
             lifted[:prev_size] = carried
             extras.append(lifted)
         opts = GapOptions(starts=6, iters=1500, seed=8, extra_starts=tuple(extras))
-        report = pg.equivalence_report(rep, options=opts)
+        report = pg.equivalence_report(default_domain(rep), options=opts)
         c_lap = report.constants["C_lap"]
         tent_bound = pg.laplacian_ratio(rep, pg.tent_vector(rep))
         lat_ok &= c_lap < tent_bound and c_lap < prev
@@ -232,7 +232,7 @@ def test_criterion_08_amenable_vs_nonamenable_sweeps():
             lifted[:prev_size] = carried
             extras.append(lifted)
         opts = GapOptions(starts=4, iters=600, polish_iters=200, seed=9, extra_starts=tuple(extras))
-        est_disp, _ = displacement_constant(rep, 2.0, opts)
+        est_disp, _ = displacement_constant(default_domain(rep), 2.0, opts)
         free_ok &= est_disp.value >= bound - 1e-3 and est_disp.value <= prev + 1e-12
         free_detail.append(round(est_disp.value, 6))
         prev = est_disp.value

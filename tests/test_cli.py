@@ -519,6 +519,19 @@ def test_verify_command_passes(tmp_path, capsys):
     assert report["failed"] == 0
 
 
+@pytest.mark.parametrize(
+    "suites, code", [(["gradient"], 3), (["ball", "lp", "action", "energy"], 0)], ids=["gradient", "others"]
+)
+def test_verify_on_a_one_element_group(tmp_path, capsys, suites, code):
+    # every energy vanishes on cyclic(1): the gradient suite has nothing to check
+    cfg = write_config(
+        tmp_path, "verify.json", {"group": {"family": "cyclic", "params": {"n": 1}}, "suites": suites}
+    )
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == code
+    if code:
+        assert "gradient suite" in capsys.readouterr().err
+
+
 def test_moduli_command(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -25,7 +25,7 @@ def full_rep(handle, p=2.0):
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
 def test_exact_displacement_constant_cyclic(n):
     rep = full_rep(pg.cyclic_group(n))
-    est_disp, est_r = pg.displacement_constant(rep, 2.0)
+    est_disp, est_r = pg.displacement_constant(default_domain(rep), 2.0)
     assert est_disp.method == "exact-fourier"
     assert est_disp.value == pytest.approx(2.0 * np.sin(np.pi / n), abs=1e-12)
     assert est_r.value == pytest.approx(2.0 * np.sin(np.pi / n), abs=1e-12)
@@ -35,7 +35,7 @@ def test_cyclic12_exact_constants_within_one_ulp():
     # modes 1 and 11 displace by the same amount; the factor used to be
     # |exp(2 pi i k a / n) - 1|, whose rounding picked mode 11 and read
     # 0.5176380902050386 for C_r and C_grad
-    report = pg.equivalence_report(full_rep(pg.cyclic_group(12)))
+    report = pg.equivalence_report(default_domain(full_rep(pg.cyclic_group(12))))
     exact = 2.0 * math.sin(math.pi / 12)
     for name in ("C_disp", "C_r", "C_grad"):
         assert report.methods[name] == "exact-fourier"
@@ -44,13 +44,13 @@ def test_cyclic12_exact_constants_within_one_ulp():
 
 def test_exact_displacement_cyclic2():
     rep = full_rep(pg.cyclic_group(2))
-    est_disp, _ = pg.displacement_constant(rep, 2.0)
+    est_disp, _ = pg.displacement_constant(default_domain(rep), 2.0)
     assert est_disp.value == pytest.approx(2.0, abs=1e-12)
 
 
 def test_certificate_attains_reported_value():
     rep = full_rep(pg.cyclic_group(6))
-    est_disp, est_r = pg.displacement_constant(rep, 2.0)
+    est_disp, est_r = pg.displacement_constant(default_domain(rep), 2.0)
     act = pg.AffineAction.linear(rep)
     v = np.asarray(est_disp.certificate)
     ratio = pg.displacement_energy(act, v, np.inf) / power_norm(v, 2.0)
@@ -61,7 +61,7 @@ def test_certificate_attains_reported_value():
 def test_multistart_agrees_with_character_oracle(n):
     rep = full_rep(pg.cyclic_group(n))
     opts = GapOptions(starts=16, iters=4000, seed=3, exact="never")
-    est_disp, est_r = pg.displacement_constant(rep, 2.0, opts)
+    est_disp, est_r = pg.displacement_constant(default_domain(rep), 2.0, opts)
     assert est_disp.method == "multistart"
     exact = 2.0 * np.sin(np.pi / n)
     assert abs(est_disp.value - exact) <= 1e-6
@@ -78,7 +78,7 @@ def test_eigen_oracle_matches_characters():
 def test_gradient_constant_cyclic4():
     rep = full_rep(pg.cyclic_group(4))
     opts = GapOptions(starts=8, iters=2000, exact="never")
-    report = pg.equivalence_report(rep, options=opts)
+    report = pg.equivalence_report(default_domain(rep), options=opts)
     c_grad = report.constants["C_grad"]
     exact = pg.hilbert_gap_constant(default_domain(rep))
     assert report.methods["C_grad"] == "multistart"
@@ -91,7 +91,7 @@ def test_laplacian_constant_is_half_gradient_constant():
     # at r != p a separate energy-ratio run at r = p supplies C_grad and C_lap
     rep = full_rep(pg.cyclic_group(4))
     opts = GapOptions(starts=8, iters=2000, exact="never")
-    report = pg.equivalence_report(rep, np.inf, opts)
+    report = pg.equivalence_report(default_domain(rep), np.inf, opts)
     c = report.constants
     assert c["C_lap"] == c["C_grad"] / 2.0
     assert report.certificates["C_lap"] == report.certificates["C_grad"]
@@ -106,7 +106,7 @@ def test_fixed_vector_present_on_full_domain():
     with pytest.raises(FixedVectorPresent):
         ensure_no_fixed_vectors(dom)
     with pytest.raises(FixedVectorPresent):
-        pg.displacement_constant(rep, 2.0, GapOptions(starts=2, iters=100), dom)
+        pg.displacement_constant(dom, 2.0, GapOptions(starts=2, iters=100))
 
 
 def test_mean_zero_domain_has_no_fixed_vectors():
@@ -175,7 +175,7 @@ def test_kesten_bound_holds_pointwise_on_truncation():
 def test_equivalence_report_cyclic8():
     rep = full_rep(pg.cyclic_group(8))
     opts = GapOptions(starts=8, iters=2000, seed=5)
-    report = pg.equivalence_report(rep, 2.0, opts, battery=3)
+    report = pg.equivalence_report(default_domain(rep), 2.0, opts, battery=3)
     c = report.constants
     assert report.chain["C_r <= C_disp"]
     assert report.chain["m_min^(1/r) C_disp <= C_r"]
@@ -199,7 +199,8 @@ def test_battery_recovery_error_is_the_distance_to_the_fixed_points(monkeypatch)
 
     monkeypatch.setattr(gaps, "descend", recorded)
     rep = full_rep(pg.symmetric_group(4), 3.0)
-    report = pg.equivalence_report(rep, 3.0, GapOptions(starts=2, iters=150, seed=3), battery=1)
+    opts = GapOptions(starts=2, iters=150, seed=3)
+    report = pg.equivalence_report(default_domain(rep), 3.0, opts, battery=1)
     [(cob, trace)] = descents
     [row] = report.battery
     assert row["recoveryError"] == cob.fixed_point_distance(trace.terminal)
@@ -210,7 +211,7 @@ def test_battery_recovery_error_is_the_distance_to_the_fixed_points(monkeypatch)
 
 def test_equivalence_report_empty_battery():
     rep = full_rep(pg.cyclic_group(4))
-    report = pg.equivalence_report(rep, 2.0, GapOptions(starts=4, iters=1000), battery=0)
+    report = pg.equivalence_report(default_domain(rep), 2.0, GapOptions(starts=4, iters=1000), battery=0)
     assert report.battery == []
     assert set(report.constants) == {"C_disp", "C_r", "C_grad", "C_lap"}
 
@@ -218,7 +219,7 @@ def test_equivalence_report_empty_battery():
 def test_equivalence_report_free2():
     rep = pg.Representation(pg.ball(pg.free_group(2), 3), 2.0, "dirichlet")
     opts = GapOptions(starts=6, iters=1500, seed=1)
-    report = pg.equivalence_report(rep, 2.0, opts, battery=2)
+    report = pg.equivalence_report(default_domain(rep), 2.0, opts, battery=2)
     assert report.domain == "dirichlet"
     assert report.radius == 3
     assert report.constants["C_disp"] >= pg.kesten_displacement_bound(2) - 1e-3
@@ -315,7 +316,8 @@ def golden_rep(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_equivalence_report_golden_constants_and_certificates(name):
-    report = pg.equivalence_report(golden_rep(name), options=GapOptions(starts=2, iters=60, seed=5))
+    opts = GapOptions(starts=2, iters=60, seed=5)
+    report = pg.equivalence_report(default_domain(golden_rep(name)), options=opts)
     for key, (value, digest) in GOLDEN[name].items():
         assert report.constants[key] == value, key
         assert _digest(report.certificates[key]) == digest, key
@@ -329,6 +331,9 @@ def test_equivalence_report_golden_constants_and_certificates(name):
         # r != p: C_disp and C_r over the 2 vectors of the run at r = p and the
         # 4 samples; C_p over those and the 4 vectors displacement_constant saw
         (2.0, {np.inf: 6, 2.0: 6, 3.0: 10}),
+        # r = inf: C_disp and C_r share one reduction, and C_p meets each
+        # certificate once
+        (np.inf, {np.inf: 6, 3.0: 10}),
     ],
 )
 def test_equivalence_report_evaluates_each_pool_vector_once(monkeypatch, r, want):
@@ -361,9 +366,30 @@ def test_equivalence_report_evaluates_each_pool_vector_once(monkeypatch, r, want
     monkeypatch.setattr(gaps, "displacement_constant", marking(gaps.displacement_constant))
     monkeypatch.setattr(gaps, "_ratio_multistart", marking(gaps._ratio_multistart))
     opts = GapOptions(starts=2, iters=150, seed=11)
-    report = pg.equivalence_report(rep, r, opts, battery=1)
+    report = pg.equivalence_report(default_domain(rep), r, opts, battery=1)
     assert {e: evals.count(e) for e in set(evals)} == want
     assert False not in report.chain.values()
+
+
+@pytest.mark.parametrize("r", [np.inf, 3.0])
+def test_character_oracle_runs_once_per_report(monkeypatch, r):
+    # cyclic(8) at p = 2: C_disp is exact, and so is C_p = C_2 beside a
+    # multistart C_r at r = 3
+    rep = full_rep(pg.cyclic_group(8))
+    calls = []
+    original = gaps.cyclic_exact_constants
+
+    def counting(rep_):
+        calls.append(rep_)
+        return original(rep_)
+
+    monkeypatch.setattr(gaps, "cyclic_exact_constants", counting)
+    report = pg.equivalence_report(default_domain(rep), r, GapOptions(starts=2, iters=50, seed=1))
+    assert len(calls) == 1
+    exact = 2.0 * math.sin(math.pi / 8)
+    assert report.methods["C_disp"] == report.methods["C_grad"] == "exact-fourier"
+    assert report.constants["C_disp"] == pytest.approx(exact, abs=1e-12)
+    assert report.constants["C_grad"] == pytest.approx(exact, abs=1e-12)
 
 
 def test_fixed_vector_guard_probes_once_per_report(monkeypatch):
@@ -376,9 +402,9 @@ def test_fixed_vector_guard_probes_once_per_report(monkeypatch):
         return original(domain)
 
     monkeypatch.setattr(gaps, "ensure_no_fixed_vectors", counting)
-    pg.equivalence_report(rep, options=GapOptions(starts=1, iters=20))
+    pg.equivalence_report(default_domain(rep), options=GapOptions(starts=1, iters=20))
     assert len(calls) == 1
-    pg.equivalence_report(rep, np.inf, GapOptions(starts=1, iters=20), default_domain(rep))
+    pg.equivalence_report(default_domain(rep), np.inf, GapOptions(starts=1, iters=20))
     # C_grad and C_lap run no optimization, and the run at r = p for r != p
     # shares the guarded domain
     assert len(calls) == 2
@@ -387,7 +413,7 @@ def test_fixed_vector_guard_probes_once_per_report(monkeypatch):
 def test_report_diagnostics_count_trajectories():
     rep = full_rep(pg.symmetric_group(3), p=3.0)
     opts = GapOptions(starts=3, iters=40, seed=4)
-    diag = pg.equivalence_report(rep, options=opts).to_dict()["diagnostics"]
+    diag = pg.equivalence_report(default_domain(rep), options=opts).to_dict()["diagnostics"]
     assert set(diag) == {"C_disp", "C_r", "C_grad", "C_lap"}
     for key, d in diag.items():
         assert d["trajectories"] == 3, key  # C_disp: one polish per multistart point
@@ -403,7 +429,7 @@ def test_report_diagnostics_count_trajectories():
 
 def test_exact_constants_have_no_trajectories():
     rep = full_rep(pg.cyclic_group(8))
-    diag = pg.equivalence_report(rep, 2.0, GapOptions(starts=2, iters=50)).diagnostics
+    diag = pg.equivalence_report(default_domain(rep), 2.0, GapOptions(starts=2, iters=50)).diagnostics
     assert diag["C_disp"]["trajectories"] == diag["C_r"]["trajectories"] == 0
     assert diag["C_grad"]["trajectories"] == diag["C_lap"]["trajectories"] == 0
 
@@ -428,7 +454,7 @@ IDENTITY_INSTANCES = {
 def test_gradient_and_laplacian_constants_are_read_off_c_p(name):
     make, method = IDENTITY_INSTANCES[name]
     rep = make()
-    report = pg.equivalence_report(rep, options=GapOptions(starts=3, iters=200, seed=2))
+    report = pg.equivalence_report(default_domain(rep), options=GapOptions(starts=3, iters=200, seed=2))
     c, cert = report.constants, report.certificates
     assert c["C_grad"] == c["C_r"]
     assert c["C_lap"] == c["C_r"] / 2.0
@@ -445,7 +471,7 @@ def test_gradient_and_laplacian_constants_are_read_off_c_p(name):
 
 def test_slope_at_certificate_meets_c_grad_when_converged():
     rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0, "full")
-    report = pg.equivalence_report(rep, options=GapOptions(starts=8, iters=2000))
+    report = pg.equivalence_report(default_domain(rep), options=GapOptions(starts=8, iters=2000))
     slope = report.diagnostics["C_grad"]["slopeAtCertificate"]
     assert slope == pytest.approx(report.constants["C_grad"], rel=1e-6)
 
@@ -460,5 +486,5 @@ def test_restricted_slope_check_catches_a_wrong_restriction(monkeypatch):
         return 0.5 * original(xi)
 
     monkeypatch.setattr(domain, "restrict_dual", halved)
-    report = pg.equivalence_report(rep, options=GapOptions(starts=2, iters=60, seed=5), domain=domain)
+    report = pg.equivalence_report(domain, options=GapOptions(starts=2, iters=60, seed=5))
     assert report.chain["restricted slope at C_grad certificate >= C_grad"] is False

@@ -216,6 +216,22 @@ def test_ball_invariants_compare_the_table_with_the_oracle():
     ]
 
 
+def test_ball_invariants_look_sampled_products_up_without_key(monkeypatch):
+    # a product of canonical elements is canonical: key runs only on the
+    # identity and the 100 index entries it checks, not on 256 products
+    b = pg.full_ball(pg.symmetric_group(5))
+    calls = []
+    original = b.handle.key
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(b.handle, "key", counting)
+    assert check_ball_invariants(b) == []
+    assert len(calls) <= 101
+
+
 def test_translation_tables_are_permutations_when_full():
     b = pg.full_ball(pg.dihedral_group(5))
     n = b.size

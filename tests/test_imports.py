@@ -113,6 +113,19 @@ def test_vectors_are_arrays(path):
     assert not found, f"{path.name} names a vector type or calls hasattr: {found}"
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_function_takes_a_rep_beside_a_domain(path):
+    """A domain holds its representation (`domain.rep`), so a second one
+    could only disagree with it."""
+    both = [
+        f"line {node.lineno}: {node.name}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and {"rep", "domain"} <= {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+    ]
+    assert not both, f"{path.name} has functions that take both rep and domain: {both}"
+
+
 def _import_time_imports(node):
     """Import statements that run when the module is imported: everything
     outside function bodies."""
