@@ -72,7 +72,6 @@ from .gaps import (
     displacement_constant,
     equivalence_report,
     gap_sweep,
-    hilbert_gap_constant,
     cyclic_exact_constants,
     kesten_displacement_bound,
     tent_vector,

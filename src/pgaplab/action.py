@@ -439,6 +439,10 @@ class Domain:
     def project(self, values: np.ndarray) -> np.ndarray:
         return values
 
+    @property
+    def dimension(self) -> int:
+        return self.rep.ball.size
+
     def random_unit(self, rng: np.random.Generator) -> np.ndarray:
         for _ in range(100):
             vals = self.project(rng.standard_normal(self.rep.ball.size))
@@ -464,6 +468,10 @@ class MeanZeroDomain(Domain):
 
     def project(self, values: np.ndarray) -> np.ndarray:
         return values - values.mean()
+
+    @property
+    def dimension(self) -> int:
+        return self.rep.ball.size - 1
 
     def restrict_dual(self, xi: np.ndarray) -> np.ndarray:
         # On mean-zero vectors, xi and xi - c*1 act identically; the quotient
@@ -535,6 +543,10 @@ class DirichletDomain(Domain):
         out = values.copy()
         out[~self.mask] = 0.0
         return out
+
+    @property
+    def dimension(self) -> int:
+        return int(np.count_nonzero(self.mask))
 
     def restrict_dual(self, xi: np.ndarray) -> np.ndarray:
         return self.project(xi)

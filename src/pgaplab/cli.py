@@ -89,9 +89,9 @@ def _emit(obj, out: list):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if np.isnan(x):
+        if math.isnan(x):
             out.append('"nan"')
-        elif np.isinf(x):
+        elif math.isinf(x):
             out.append('"inf"' if x > 0 else '"-inf"')
         else:
             out.append(format(x, ".17g"))

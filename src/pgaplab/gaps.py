@@ -3,19 +3,32 @@
 Every estimator takes a domain, the space the representation is restricted
 to, and reads the representation off it (`domain.rep`).  Every estimate of
 an infimum produced here is an upper bound (optimization can miss the
-global minimum) unless an exact oracle gave it, and is tagged by method:
-character diagonalization gives exact estimates for cyclic groups at
-p = 2, and a dense eigenvalue solve any p = 2 instance as a test-side
-cross-check.
+global minimum) unless an exact oracle gave it, and is tagged by method.
+There are two exact oracles, both at p = 2, where F_2(v)^2 = <v, L v> is a
+quadratic form and C_2 is the square root of L's least eigenvalue on the
+domain:
+
+- "exact-fourier": character diagonalization on the mean-zero space of a
+  cyclic group gives C_2 and C_disp;
+- "exact-eigen": on every other domain, Lanczos through the gather table
+  gives a Ritz vector v and C_2 = F_2(v)/|v|.  It certifies C_disp =
+  F_inf(v)/|v| as well when every generator displaces v by the same
+  amount to rounding (free groups and lattices on dirichlet balls); on a
+  degenerate eigenspace (symmetric and dihedral groups) it does not, and
+  C_disp is a multistart estimate.
+
+The dense eigenvalue solve that cross-checks the Lanczos value lives in
+the tests only.
 
 Each estimate is keyed by its generator exponent: C_disp by inf, C_r by r
 and C_p by p.  The oracle runs once per report and gives exact estimates
 by exponent; the others minimize energy ratios F_r(v)/|v|_p by multistart
-descent.  Every point those runs produce joins one ordered pool, and each
-multistart estimate is the first minimum of its ratio over the pool, taken
-once per vector and distinct exponent.  The slope is taken inside the
-domain; there inf slope = C_p and inf Laplacian ratio = C_p/2 (see
-`gradient_constant`), so C_grad and C_lap are read off the C_p estimate.
+descent.  Every point those runs produce, and every exact certificate,
+joins one ordered pool, and each multistart estimate is the first minimum
+of its ratio over the pool, taken once per vector and distinct exponent.
+The slope is taken inside the domain; there inf slope = C_p and inf
+Laplacian ratio = C_p/2 (see `gradient_constant`), so C_grad and C_lap are
+read off the C_p estimate.
 """
 
 from __future__ import annotations
@@ -232,32 +245,89 @@ def cyclic_exact_constants(rep: Representation) -> dict:
     }
 
 
-def hilbert_gap_constant(domain: Domain) -> float:
-    """Exact p = 2 constant sqrt(2 mu_min) by a dense eigenvalue solve.
+# Lanczos stops once a Ritz residual, or the next Krylov direction, is at
+# most 4 * LANCZOS_RTOL: the weights sum to 1, so 4 bounds the norm of L
+LANCZOS_RTOL = 1e-13
+LANCZOS_BLOCK = 16  # basis rows allocated at a time
+# F_inf(v) <= (1 + EQUAL_DISPLACEMENT_RTOL) F_2(v) certifies C_disp at v
+EQUAL_DISPLACEMENT_RTOL = 1e-12
 
-    mu_min is the smallest eigenvalue of (I - M) on the domain, M the
-    weighted averaging operator; at p = 2 the energy and gradient infima
-    over the unit sphere coincide with this value.
+
+def _lanczos_ritz_vector(domain: Domain, seed: int) -> np.ndarray:
+    """A unit Ritz vector for the least Ritz value of the p = 2 energy form
+    L = sum_k w_k (pi(g_k)^* - 1)(pi(g_k) - 1) on the domain, where
+    F_2(v)^2 = <v, L v>.
+
+    Lanczos from a projected Gaussian drawn from `seed`, with every new
+    direction orthogonalised against the whole basis twice.  L is applied
+    through the gather table and never built.  The basis grows a block of
+    rows at a time, and the tridiagonal matrix is diagonalised only at
+    steps spaced a quarter apart, and at the last.  The run stops when the
+    least Ritz pair's residual beta_j |s_j| is at most 4 * LANCZOS_RTOL,
+    when beta_j itself is (the Krylov space is invariant to rounding), or
+    when the basis spans the domain.
     """
-    from scipy.linalg import eigh, null_space
-
     rep = domain.rep
     n = rep.ball.size
-    M = np.zeros((n, n + 1))  # the last column is the table's padding slot
-    for k in range(rep.handle.n_generators):
-        M[np.arange(n), rep.table[k]] += rep.weights[k]
-    eye = np.eye(n)
-    A = eye - M[:, :n]
+    dim = domain.dimension
+    tol = 4.0 * LANCZOS_RTOL
 
-    if isinstance(domain, MeanZeroDomain):
-        Z = null_space(np.ones((1, n)))
-    else:
-        mask = getattr(domain, "mask", np.ones(n, dtype=bool))
-        Z = eye[:, np.nonzero(mask)[0]]
-    B = Z.T @ A @ Z
-    B = 0.5 * (B + B.T)
-    mu = eigh(B, eigvals_only=True)
-    return float(np.sqrt(max(2.0 * mu[0], 0.0)))
+    def apply_form(v):
+        d = rep.apply_array(slice(None), v) - v
+        return domain.project(_adjoint_sum(rep, rep.weights, d))
+
+    q = domain.project(np.random.default_rng(seed).standard_normal(n))
+    q /= np.linalg.norm(q)
+    blocks = []  # unfilled rows are zero, so they drop out of the products
+    alpha, beta = [], []
+    check = 8
+    while True:
+        j = len(alpha)
+        if j % LANCZOS_BLOCK == 0:
+            blocks.append(np.zeros((LANCZOS_BLOCK, n)))
+        blocks[-1][j % LANCZOS_BLOCK] = q
+        w = apply_form(q)
+        alpha.append(float(q @ w))
+        for _ in range(2):
+            for block in blocks:
+                w -= block.T @ (block @ w)
+        # the projection keeps rounding off the domain from growing when w is small
+        w = domain.project(w)
+        beta.append(float(np.linalg.norm(w)))
+        steps = j + 1
+        last = beta[-1] <= tol or steps == dim
+        if last or steps >= check:
+            off = beta[:-1]
+            _, s = np.linalg.eigh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
+            if last or beta[-1] * abs(s[-1, 0]) <= tol:
+                break
+            check = steps + max(1, steps // 4)
+        q = w / beta[-1]
+    coef = np.zeros(len(blocks) * LANCZOS_BLOCK)
+    coef[:steps] = s[:, 0]
+    v = sum(c @ block for c, block in zip(coef.reshape(len(blocks), -1), blocks))
+    return _normalize(domain, v)
+
+
+def eigen_exact_constants(domain: Domain, seed: int) -> dict:
+    """Exact estimates at p = 2 from a Lanczos Ritz vector v, keyed by
+    generator exponent: {2.0: C_2}, and {inf: C_disp} as well when v
+    certifies it.
+
+    C_2 = F_2(v)/|v|.  Power means give C_2 <= C_disp <= F_inf(v)/|v|, so
+    when every generator displaces v by the same amount, F_inf(v) <=
+    (1 + EQUAL_DISPLACEMENT_RTOL) F_2(v), C_disp is F_inf(v)/|v| to
+    rounding.  On a degenerate bottom eigenspace (symmetric and dihedral
+    groups) the generators displace v unequally, and C_disp is left out.
+    """
+    v = _lanczos_ritz_vector(domain, seed)
+    action = AffineAction.linear(domain.rep)
+    c_2 = make_energy_ratio_objective(action, 2.0)(v)[0]
+    c_inf = make_energy_ratio_objective(action, np.inf)(v)[0]
+    exact = {2.0: ConstantEstimate(c_2, v, "exact-eigen")}
+    if c_inf <= (1.0 + EQUAL_DISPLACEMENT_RTOL) * c_2:
+        exact[np.inf] = ConstantEstimate(c_inf, v, "exact-eigen")
+    return exact
 
 
 def kesten_displacement_bound(rank: int) -> float:
@@ -311,22 +381,25 @@ class ConstantEstimate:
 
 def _guarded_oracle(domain: Domain, opts: GapOptions) -> dict:
     """The fixed-vector guard, then the exact estimates by generator
-    exponent: the character oracle's where it applies, none elsewhere.
+    exponent at p = 2: the character oracle's on the mean-zero space of a
+    cyclic group, the Lanczos oracle's (`eigen_exact_constants`) on every
+    other domain.  None at p != 2, or when opts.exact is "never".
 
-    The guard comes first: the oracle has no unit vector to build on a
+    The guard comes first: the oracles have no unit vector to build on a
     domain that holds only the zero vector."""
     ensure_no_fixed_vectors(domain)
     rep = domain.rep
-    cyclic = rep.handle.family == "cyclic" and rep.mode == "full" and isinstance(domain, MeanZeroDomain)
-    if cyclic and rep.p == 2.0 and opts.exact != "never":
+    if rep.p != 2.0 or opts.exact == "never":
+        return {}
+    if rep.handle.family == "cyclic" and rep.mode == "full" and isinstance(domain, MeanZeroDomain):
         return cyclic_exact_constants(rep)
-    return {}
+    return eigen_exact_constants(domain, opts.seed)
 
 
 def _ratio_multistart(action: AffineAction, r: float, opts: GapOptions, domain: Domain):
     """Multistart descent on F_r/|.|_p, with a smoothed high exponent for
-    r = inf: the finite end points in pool order, and the runs'
-    trajectory_summary."""
+    r = inf: the finite end points in pool order, and the (final value,
+    Trajectory) pair of every run."""
     r_run = min(r, opts.smooth_r) if np.isinf(r) else r
     result = multistart_minimize(
         make_energy_ratio_objective(action, r_run),
@@ -336,7 +409,14 @@ def _ratio_multistart(action: AffineAction, r: float, opts: GapOptions, domain: 
         seed=opts.seed,
         extra_starts=opts.extra_starts,
     )
-    return [vec for (_tag, val, vec, _traj) in result.pool if np.isfinite(val)], result.summary()
+    vecs = [vec for (_tag, val, vec, _traj) in result.pool if np.isfinite(val)]
+    return vecs, [(val, traj) for (_tag, val, _vec, traj) in result.pool]
+
+
+def _multistart_estimate(runs) -> ConstantEstimate:
+    """A multistart estimate before any pool reduction, with the
+    trajectory_summary of its (final value, Trajectory) runs."""
+    return ConstantEstimate(np.inf, None, "multistart", trajectory_summary(runs))
 
 
 def _reduce(action: AffineAction, estimates: dict, exponents: dict, pool: list) -> dict:
@@ -370,18 +450,20 @@ def displacement_constant(
     `_guarded_oracle` gave for this domain; by default the guard and the
     oracle run here.  Estimates it lacks come from multistart projected
     gradient descent at r, minimizing a smoothed high exponent as a proxy
-    for the max, and polishing every end point on the max itself.  Both
-    are reduced over one pool: the end points, the polished points, the
-    warm starts and, for a multistart C_r beside an exact C_disp, the exact
-    certificate.  At r = inf C_r is C_disp with its own diagnostics.
+    for the max, and polishing every end point on the max itself.  When
+    only C_r is exact (C_2 on a degenerate eigenspace), the multistart
+    still runs at r to seed C_disp's polish, and C_disp's diagnostics
+    count its runs with the polish runs.  Both are reduced over one pool:
+    the end points, the polished points, the warm starts and every exact
+    certificate, once.  At r = inf C_r is C_disp with its own diagnostics.
     """
     opts = options or GapOptions()
     if exact is None:
         exact = _guarded_oracle(domain, opts)
-    if r in exact:
+    if np.inf in exact and r in exact:
         return exact[np.inf], exact[r]
     action = AffineAction.linear(domain.rep)
-    runs, summary = _ratio_multistart(action, r, opts, domain)
+    runs, seed_runs = _ratio_multistart(action, r, opts, domain)
 
     # polish toward the true max with the active-generator subgradient
     obj_inf = make_energy_ratio_objective(action, np.inf)
@@ -390,13 +472,15 @@ def displacement_constant(
     # sweep estimates nonincreasing under warm starting by construction
     extras = [_normalize(domain, np.asarray(v, dtype=float)) for v in opts.extra_starts]
     pool = runs + [w for (_val, w, _traj) in polish_runs] + [w for w in extras if w is not None]
-    if np.inf in exact:
-        pool.append(exact[np.inf].certificate)
+    certificates = {id(est.certificate): est.certificate for est in exact.values()}
+    pool += certificates.values()
 
-    polish_summary = trajectory_summary((val, traj) for (val, _w, traj) in polish_runs)
+    disp_runs = [(val, traj) for (val, _w, traj) in polish_runs]
+    if r in exact:
+        disp_runs = seed_runs + disp_runs
     estimates = {
-        "C_disp": exact.get(np.inf, ConstantEstimate(np.inf, None, "multistart", polish_summary)),
-        "C_r": ConstantEstimate(np.inf, None, "multistart", summary),
+        "C_disp": exact.get(np.inf) or _multistart_estimate(disp_runs),
+        "C_r": exact.get(r) or _multistart_estimate(seed_runs),
     }
     reduced = _reduce(action, estimates, {"C_disp": np.inf, "C_r": r}, pool)
     return reduced["C_disp"], reduced["C_r"]
@@ -476,9 +560,13 @@ def equivalence_report(
     The guard and the oracle run once, and `displacement_constant` gets
     the exact estimates by generator exponent.  C_grad = C_p and C_lap =
     C_p/2, with C_p = C_r when r = p; otherwise the oracle's estimate at p,
-    or one more energy-ratio multistart at r = p, supplies C_p.  The
-    pool grows by that run's end points and the battery's samples, and
-    each multistart estimate is reduced over the vectors it has not seen.
+    or one more energy-ratio multistart at r = p, supplies C_p.  At p = 2
+    the oracle gives C_p on every domain, so no run at r = p is made.
+    When it gives C_2 but not C_disp, C_disp is the polished multistart
+    at r, which `displacement_constant` runs even at r = 2, reduced over a
+    pool that holds the Ritz vector.  The pool grows by the end points of
+    the run at r = p and the battery's samples, and each multistart
+    estimate is reduced over the vectors it has not seen.
     """
     opts = options or GapOptions()
     rep = domain.rep
@@ -488,14 +576,15 @@ def equivalence_report(
     exact = _guarded_oracle(domain, opts)
     est_disp, est_r = displacement_constant(domain, r, opts, exact=exact)
     action = AffineAction.linear(rep)
-    pool = list(est_r.pool)
+    # the multistart estimates share one pool; an exact one holds none
+    pool = list(est_r.pool or est_disp.pool)
     # C_p, the energy ratio at r = p, supplies C_grad and C_lap
     estimates = {"C_disp": est_disp, "C_r": est_r}
     if r != p:
         estimates["C_p"] = exact.get(p)
         if estimates["C_p"] is None:
-            runs, summary = _ratio_multistart(action, p, opts, domain)
-            estimates["C_p"] = ConstantEstimate(np.inf, None, "multistart", summary)
+            runs, p_runs = _ratio_multistart(action, p, opts, domain)
+            estimates["C_p"] = _multistart_estimate(p_runs)
             pool += runs
 
     battery_rows = []
@@ -574,7 +663,9 @@ def gap_sweep(handle, p: float, r: float, radii, options: GapOptions | None = No
 
     Certificates from each radius are injected as extra starts at the next
     one (zero-padded; BFS ordering makes smaller balls prefixes of larger
-    ones), so the reported estimates are nonincreasing in R by construction.
+    ones), so the multistart estimates are nonincreasing in R by
+    construction.  The exact p = 2 estimates are too, up to rounding,
+    because the domains grow with R.
     """
     from .groups import ball as make_ball
 

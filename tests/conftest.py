@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pgaplab as pg
+from pgaplab.action import MeanZeroDomain
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +35,26 @@ def embed(ball, coords):
     vals = np.zeros(ball.size)
     vals[: len(coords)] = coords
     return vals
+
+
+def dense_gap_constant(domain):
+    """C_2 = sqrt of the least eigenvalue of L = sum_k w_k (P_k - 1)^T (P_k - 1)
+    on the domain, by a dense numpy solve; P_k gathers through the table's
+    row k and reads zero outside the ball.
+
+    Z holds an orthonormal basis of the domain in its columns, and row i of
+    P_k Z is row table[k, i] of Z padded with a zero row, so L is compressed
+    to the domain without building an n x n matrix per generator.
+    """
+    rep = domain.rep
+    n = rep.ball.size
+    if isinstance(domain, MeanZeroDomain):
+        Z = np.linalg.svd(np.eye(n) - 1.0 / n)[0][:, : n - 1]
+    else:
+        Z = np.eye(n)[:, getattr(domain, "mask", np.ones(n, dtype=bool))]
+    padded = np.vstack([Z, np.zeros((1, Z.shape[1]))])
+    form = np.zeros((Z.shape[1], Z.shape[1]))
+    for k, w in enumerate(rep.weights):
+        d = padded[rep.table[k]] - Z
+        form += w * (d.T @ d)
+    return float(np.sqrt(max(np.linalg.eigvalsh(form)[0], 0.0)))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,30 @@ def test_canonical_json_sorted_and_17_digits():
     text = canonical_json({"b": 1 / 3, "a": [True, None, 2]})
     assert text == '{"a":[true,null,2],"b":0.33333333333333331}'
     assert canonical_json({"x": np.inf}) == '{"x":"inf"}'
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (float("nan"), '"nan"'),
+        (np.nan, '"nan"'),
+        (np.float32("nan"), '"nan"'),
+        (math.inf, '"inf"'),
+        (-math.inf, '"-inf"'),
+        (np.float64("-inf"), '"-inf"'),
+        (np.float32("inf"), '"inf"'),
+        (np.float64(0.1), "0.10000000000000001"),
+        (np.float64(-2.5e-300), "-2.5e-300"),
+        (np.float32(0.1), "0.10000000149011612"),
+        (np.bool_(True), "true"),
+        (np.bool_(False), "false"),
+        (np.int64(-7), "-7"),
+        ([[1.0, [np.float64(2.0), None]], (np.bool_(False), -0.0)], "[[1,[2,null]],[false,-0]]"),
+        (np.array([[0.5, np.inf], [np.nan, -1.0]]), '[[0.5,"inf"],["nan",-1]]'),
+    ],
+)
+def test_canonical_json_scalars_and_nesting(value, text):
+    assert canonical_json(value) == text
 
 
 def test_ball_command_free2(tmp_path, capsys):

@@ -1,12 +1,13 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import pgaplab as pg
 from pgaplab import gaps
-from pgaplab.action import default_domain
+from pgaplab.action import MeanZeroDomain, default_domain
 from pgaplab.errors import FixedVectorPresent, ValidationError
 from pgaplab.gaps import (
     GapOptions,
@@ -16,6 +17,8 @@ from pgaplab.gaps import (
 )
 from pgaplab.gradient import restricted_slope
 from pgaplab.lpspace import power_norm
+
+from conftest import dense_gap_constant
 
 
 def full_rep(handle, p=2.0):
@@ -72,7 +75,7 @@ def test_eigen_oracle_matches_characters():
     for n in (4, 5, 7):
         rep = full_rep(pg.cyclic_group(n))
         dom = default_domain(rep)
-        assert pg.hilbert_gap_constant(dom) == pytest.approx(2.0 * np.sin(np.pi / n), abs=1e-12)
+        assert dense_gap_constant(dom) == pytest.approx(2.0 * np.sin(np.pi / n), abs=1e-12)
 
 
 def test_gradient_constant_cyclic4():
@@ -80,7 +83,7 @@ def test_gradient_constant_cyclic4():
     opts = GapOptions(starts=8, iters=2000, exact="never")
     report = pg.equivalence_report(default_domain(rep), options=opts)
     c_grad = report.constants["C_grad"]
-    exact = pg.hilbert_gap_constant(default_domain(rep))
+    exact = dense_gap_constant(default_domain(rep))
     assert report.methods["C_grad"] == "multistart"
     assert c_grad <= 2.0
     assert c_grad >= exact - 1e-9  # pointwise values never undershoot
@@ -95,7 +98,7 @@ def test_laplacian_constant_is_half_gradient_constant():
     c = report.constants
     assert c["C_lap"] == c["C_grad"] / 2.0
     assert report.certificates["C_lap"] == report.certificates["C_grad"]
-    assert c["C_grad"] == pytest.approx(pg.hilbert_gap_constant(default_domain(rep)), abs=1e-6)
+    assert c["C_grad"] == pytest.approx(dense_gap_constant(default_domain(rep)), abs=1e-6)
     assert report.diagnostics["C_grad"]["trajectories"] == 8
     assert report.chain["C_grad >= C_r"] is None  # not a theorem for r > p
 
@@ -488,3 +491,147 @@ def test_restricted_slope_check_catches_a_wrong_restriction(monkeypatch):
     monkeypatch.setattr(domain, "restrict_dual", halved)
     report = pg.equivalence_report(domain, options=GapOptions(starts=2, iters=60, seed=5))
     assert report.chain["restricted slope at C_grad certificate >= C_grad"] is False
+
+
+# ---------------------------------------------------------------------------
+# the Lanczos oracle at p = 2
+
+LANCZOS_INSTANCES = {
+    "symmetric(5)": lambda: pg.Representation(pg.full_ball(pg.symmetric_group(5)), 2.0, "full"),
+    "dihedral(5)": lambda: pg.Representation(pg.full_ball(pg.dihedral_group(5)), 2.0, "full"),
+    "free(2) R=2": lambda: pg.Representation(pg.ball(pg.free_group(2), 2), 2.0, "dirichlet"),
+    "free(2) R=6": lambda: pg.Representation(pg.ball(pg.free_group(2), 6), 2.0, "dirichlet"),
+    "free(3) R=3": lambda: pg.Representation(pg.ball(pg.free_group(3), 3), 2.0, "dirichlet"),
+    "integer_lattice(1) R=16": lambda: pg.Representation(pg.ball(pg.integer_lattice(1), 16), 2.0, "dirichlet"),
+    "integer_lattice(1) R=64": lambda: pg.Representation(pg.ball(pg.integer_lattice(1), 64), 2.0, "dirichlet"),
+    "integer_lattice(2) R=6": lambda: pg.Representation(pg.ball(pg.integer_lattice(2), 6), 2.0, "dirichlet"),
+    "integer_lattice(2) R=20": lambda: pg.Representation(pg.ball(pg.integer_lattice(2), 20), 2.0, "dirichlet"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LANCZOS_INSTANCES))
+def test_lanczos_c2_matches_the_dense_solve(name):
+    domain = default_domain(LANCZOS_INSTANCES[name]())
+    report = pg.equivalence_report(domain, options=GapOptions(starts=1, iters=20, seed=3))
+    assert report.methods["C_r"] == report.methods["C_grad"] == "exact-eigen"
+    assert report.constants["C_r"] == pytest.approx(dense_gap_constant(domain), rel=1e-11, abs=0.0)
+
+
+def test_lanczos_oracle_on_a_cyclic_group_called_directly():
+    # the report takes the character oracle here; the Lanczos one agrees
+    domain = default_domain(full_rep(pg.cyclic_group(7)))
+    exact = gaps.eigen_exact_constants(domain, seed=0)
+    assert exact[2.0].value == pytest.approx(dense_gap_constant(domain), rel=1e-11, abs=0.0)
+    assert exact[2.0].value == pytest.approx(2.0 * math.sin(math.pi / 7), rel=1e-11, abs=0.0)
+
+
+def _in_domain(domain, v):
+    if isinstance(domain, MeanZeroDomain):
+        return abs(float(np.sum(v))) <= 1e-13
+    return bool((v[~domain.rep.admissible_mask] == 0.0).all())
+
+
+@pytest.mark.parametrize("name", ["dihedral(5)", "free(2) R=6", "integer_lattice(2) R=6"])
+def test_eigen_certificates_lie_in_the_domain_and_attain_their_values(name):
+    domain = default_domain(LANCZOS_INSTANCES[name]())
+    act = pg.AffineAction.linear(domain.rep)
+    first = gaps.eigen_exact_constants(domain, seed=4)
+    again = gaps.eigen_exact_constants(domain, seed=4)
+    for r, est in first.items():
+        v = est.certificate
+        assert est.method == "exact-eigen"
+        assert _in_domain(domain, v)
+        assert make_energy_ratio_objective(act, r)(v)[0] == est.value
+        assert pg.displacement_energy(act, v, r) / power_norm(v, 2.0) == est.value
+        assert again[r].value == est.value and _digest(again[r].certificate) == _digest(v)
+    # C_disp is certified on the free group and the lattice only
+    assert (np.inf in first) == (name != "dihedral(5)")
+
+
+CERTIFIED_INSTANCES = {
+    "free(2) R=6": LANCZOS_INSTANCES["free(2) R=6"],
+    "integer_lattice(2) R=8": lambda: pg.Representation(pg.ball(pg.integer_lattice(2), 8), 2.0, "dirichlet"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_INSTANCES))
+@pytest.mark.parametrize("r", [2.0, np.inf])
+def test_certified_c_disp_runs_no_multistart(monkeypatch, name, r):
+    rep = CERTIFIED_INSTANCES[name]()
+    calls = []
+    original = gaps.multistart_minimize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gaps, "multistart_minimize", counting)
+    report = pg.equivalence_report(default_domain(rep), r, GapOptions(starts=2, iters=150, seed=11))
+    assert calls == []
+    assert set(report.methods.values()) == {"exact-eigen"}
+    c = report.constants
+    # C_disp = F_inf(v)/|v| and C_2 = F_2(v)/|v| agree to the certifying tolerance
+    assert c["C_disp"] == pytest.approx(c["C_grad"], rel=gaps.EQUAL_DISPLACEMENT_RTOL, abs=0.0)
+    assert c["C_r"] == (c["C_disp"] if np.isinf(r) else c["C_grad"])
+    assert all(d["trajectories"] == 0 for d in report.diagnostics.values())
+    assert False not in report.chain.values()
+
+
+def test_uncertified_c_disp_is_polished_from_the_multistart_seeds():
+    # the bottom eigenspace of dihedral(5) is degenerate: the Ritz vector
+    # is a saddle of the max, and a polish from it alone stalls above 1.1
+    rep = LANCZOS_INSTANCES["dihedral(5)"]()
+    opts = GapOptions(starts=2, iters=150, seed=11)
+    report = pg.equivalence_report(default_domain(rep), 2.0, opts)
+    assert report.methods["C_disp"] == "multistart"
+    assert report.methods["C_r"] == "exact-eigen"
+    assert report.constants["C_disp"] < 1.1
+    # the two seed runs and their two polish runs
+    assert report.diagnostics["C_disp"]["trajectories"] == 4
+    assert report.diagnostics["C_r"]["trajectories"] == 0
+
+
+def test_c_p_from_the_oracle_saves_the_run_at_r_equal_p(monkeypatch):
+    calls = []
+    original = gaps.multistart_minimize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gaps, "multistart_minimize", counting)
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 2.0, "full")
+    report = pg.equivalence_report(default_domain(rep), 3.0, GapOptions(starts=2, iters=150, seed=11))
+    assert len(calls) == 1  # the run at r = 3; C_2 comes from the oracle
+    assert report.methods["C_grad"] == "exact-eigen"
+    assert report.methods["C_r"] == report.methods["C_disp"] == "multistart"
+    assert report.chain["C_grad >= C_r"] is None  # r > p
+
+
+def test_lanczos_oracle_builds_no_square_array():
+    domain = default_domain(pg.Representation(pg.ball(pg.free_group(2), 7), 2.0, "dirichlet"))
+    tracemalloc.start()
+    try:
+        gaps.eigen_exact_constants(domain, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one 4373 x 4373 float64 array would take 153 MB
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("name", ["symmetric(5)", "free(2) R=2"])
+def test_exact_never_keeps_the_multistart(name):
+    domain = default_domain(LANCZOS_INSTANCES[name]())
+    opts = GapOptions(starts=2, iters=100, seed=1, exact="never")
+    report = pg.equivalence_report(domain, options=opts)
+    assert set(report.methods.values()) == {"multistart"}
+
+
+def test_gap_sweep_over_a_free_group_at_p2_is_nonincreasing():
+    opts = GapOptions(starts=2, iters=100, seed=6)
+    reports = pg.gap_sweep(pg.free_group(2), 2.0, 2.0, [2, 3, 4, 5], opts)
+    for key in ("C_disp", "C_r", "C_grad", "C_lap"):
+        values = [report.constants[key] for report in reports]
+        assert all(b <= a for a, b in zip(values, values[1:])), (key, values)
+    assert reports[-1].constants["C_r"] >= pg.kesten_displacement_bound(2)

@@ -12,7 +12,7 @@ from pgaplab.errors import (
 from pgaplab.gradient import finite_difference_quotient
 from pgaplab.lpspace import power_norm
 
-from conftest import unit_vector
+from conftest import dense_gap_constant, unit_vector
 from test_energy import alternating_vector
 
 
@@ -72,7 +72,7 @@ def test_gradient_eigen_oracle_cyclic5():
     rep = pg.Representation(pg.full_ball(h), 2.0, "full")
     act = pg.AffineAction.linear(rep)
     dom = default_domain(rep, "mean-zero")
-    oracle = pg.hilbert_gap_constant(dom)
+    oracle = dense_gap_constant(dom)
     rng = np.random.default_rng(3)
     values = []
     for _ in range(200):

@@ -146,6 +146,22 @@ def test_no_module_body_imports_scipy(path):
     assert not scipy, f"{path.name} imports scipy at import time: {scipy}"
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_scipy_linalg(path):
+    """The p = 2 oracle works through the gather table; the dense eigenvalue
+    solve lives in the tests only, so no function body needs scipy.linalg."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names if name.startswith("scipy.linalg")]
+    assert not found, f"{path.name} imports scipy.linalg: {found}"
+
+
 # Runs in a fresh interpreter: a mean-zero descent on symmetric(4), a gap
 # report on a dirichlet ball of free(2) and the l^p moduli at p = 1.5 and 3,
 # then lists the scipy modules loaded.
