@@ -73,6 +73,7 @@ from .gaps import (
     equivalence_report,
     gap_sweep,
     cyclic_exact_constants,
+    kesten_bound,
     kesten_displacement_bound,
     tent_vector,
     laplacian_ratio,

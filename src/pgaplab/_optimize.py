@@ -107,7 +107,8 @@ def trajectory_summary(runs) -> dict:
     estimator's runs; pairs without a Trajectory (starts that project to
     zero) are left out.  `finalSpread` is the range of the finite final
     values and `reachedBest` counts the runs within REACHED_BEST_RTOL of
-    the best of them."""
+    the best of them; a run given a nan final value counts in the totals
+    only."""
     runs = [(val, tr) for val, tr in runs if tr is not None]
     finals = [val for val, _ in runs if np.isfinite(val)]
     best = min(finals, default=0.0)

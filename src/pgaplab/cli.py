@@ -23,6 +23,16 @@ sampled energy vanishes (a one-element group).  An asymmetric generating
 set is not among them: `build_group` closes the set under inverses and
 gives each inverse pair one weight, or rejects the weights with exit 2.
 
+gap.json's report tags each constant by method ("exact-fourier",
+"exact-eigen", "bracketed" or "multistart"; see `pgaplab.gaps`) and gives
+it a `bounds` entry {"lower": L}, a certified lower bound on the
+constant: the value itself for an exact method; otherwise a bound on C_p,
+propagated to the constant, which is the exact C_2 at p = 2 and Barta's
+bound on a dirichlet ball at p != 2 (also when its bracket did not close
+and the value is a multistart's); null where no lower bound is known
+(mean-zero domains at p != 2, and `exact: "never"`).  The chain checks
+L <= value.
+
 Three keys are accepted only so that old configs load, and change
 nothing: gap's `threads` (null or 1; the multistart runs on one thread),
 moduli's `budget` (the moduli are exact) and descend's `seed` (descent

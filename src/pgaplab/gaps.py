@@ -17,18 +17,31 @@ domain:
   degenerate eigenspace (symmetric and dihedral groups) it does not, and
   C_disp is a multistart estimate.
 
+A third tag certifies an upper bound within a relative width of its true
+value:
+
+- "bracketed": on a dirichlet domain at p != 2, one descent on F_p/|.|_p
+  from |Ritz vector of L| ends at v, and Barta's inequality for the graph
+  p-Laplacian turns phi = |v| into a lower bound L <= C_p
+  (`barta_lower_bound`).  C_p = F_p(v)/|v|_p and C_disp = F_inf(v)/|v|_p
+  are tagged when their value is within BRACKET_RTOL of L, relative; they
+  are upper bounds with L as a certified lower bound.  When the bracket
+  does not close, the multistart runs as before, with v in its pool and L
+  still the certified lower bound.
+
 The dense eigenvalue solve that cross-checks the Lanczos value lives in
 the tests only.
 
 Each estimate is keyed by its generator exponent: C_disp by inf, C_r by r
-and C_p by p.  The oracle runs once per report and gives exact estimates
-by exponent; the others minimize energy ratios F_r(v)/|v|_p by multistart
-descent.  Every point those runs produce, and every exact certificate,
-joins one ordered pool, and each multistart estimate is the first minimum
-of its ratio over the pool, taken once per vector and distinct exponent.
-The slope is taken inside the domain; there inf slope = C_p and inf
-Laplacian ratio = C_p/2 (see `gradient_constant`), so C_grad and C_lap are
-read off the C_p estimate.
+and C_p by p.  The oracle runs once per report and gives exact or
+bracketed estimates by exponent; the others minimize energy ratios
+F_r(v)/|v|_p by multistart descent.  Every point those runs produce, and
+every oracle vector, joins one ordered pool, and each multistart estimate
+is the first minimum of its ratio over the pool, taken once per vector and
+distinct exponent.  The slope is taken inside the domain; there inf slope
+= C_p and inf Laplacian ratio = C_p/2 (see `gradient_constant`), so C_grad
+and C_lap are read off the C_p estimate.  A report gives each constant a
+certified lower bound where one is known (`lower_bounds`).
 """
 
 from __future__ import annotations
@@ -45,6 +58,7 @@ from ._optimize import (
 )
 from .action import (
     AffineAction,
+    DirichletDomain,
     Domain,
     MeanZeroDomain,
     Representation,
@@ -330,15 +344,111 @@ def eigen_exact_constants(domain: Domain, seed: int) -> dict:
     return exact
 
 
+# a bracketed estimate's value is within this of its lower bound, relative.
+# The value is quadratic in the error of the end point and Barta's bound
+# linear, so a descent stalls at widths near 1e-6 on lattice balls
+# (integer_lattice(1) R = 16, p = 1.5: 1.05e-6); 1e-5 leaves a margin.
+BRACKET_RTOL = 1e-5
+
+
+def barta_lower_bound(domain: Domain, phi: np.ndarray) -> float | None:
+    """Barta's lower bound on C_p from phi > 0 on a dirichlet domain: the
+    p-th root of the least (L_p phi)(x) / phi(x)^(p-1) over the domain's
+    support, or None when phi vanishes there.
+
+    At r = p, F_p(f)^p is the p-Dirichlet energy, whose gradient is p L_p f
+    with L_p f = sum_k w_k (pi(g_k)^* - 1) psi(pi(g_k) f - f), psi(t) =
+    |t|^(p-2) t.  Picone's inequality, edge by edge, bounds the energy of
+    every f supported on the domain by that least quotient times |f|_p^p
+    (Amghibech, Ars Combin. 67, 2003).  One gather and one adjoint sum, so
+    no n x n array is built.  A negative least quotient bounds C_p by 0.
+    """
+    support = domain.mask
+    if not (phi[support] > 0.0).all():
+        return None
+    rep = domain.rep
+    p = rep.p
+    d = rep.apply_array(slice(None), phi) - phi
+    lap = _adjoint_sum(rep, rep.weights, signed_power(d, p - 1.0))
+    least = float(np.min(lap[support] / phi[support] ** (p - 1.0)))
+    return max(least, 0.0) ** (1.0 / p)
+
+
+@dataclass
+class Oracle:
+    """What the oracles give a domain before any multistart: exact or
+    bracketed estimates by generator exponent, a certified lower bound on
+    C_p (None when none is known), and the vectors that join every
+    multistart pool, each once."""
+
+    estimates: dict = field(default_factory=dict)
+    lower: float | None = None
+    vectors: list = field(default_factory=list)
+
+
+def _exact_oracle(exact: dict) -> Oracle:
+    """The Oracle of exact p = 2 estimates: C_2 bounds itself, and each
+    distinct certificate joins the pool once, in estimate order."""
+    certificates = {id(est.certificate): est.certificate for est in exact.values()}
+    return Oracle(exact, exact[2.0].value, list(certificates.values()))
+
+
+def bracketed_constants(domain: DirichletDomain, opts: GapOptions) -> Oracle:
+    """Bracketed estimates of C_p and C_disp on a dirichlet domain at p != 2.
+
+    One sphere_minimize run on F_p/|.|_p, capped at opts.iters, starts from
+    |v0|, v0 the Lanczos Ritz vector of the p = 2 form (which does not
+    depend on p), and ends at v.  L = `barta_lower_bound` at |v| is a
+    certified lower bound on C_p, and so on C_disp >= C_p.  C_p =
+    F_p(v)/|v|_p, and C_disp = F_inf(v)/|v|_p, are each tagged "bracketed"
+    when (value - L) <= BRACKET_RTOL value; at the minimizer every
+    generator displaces v equally, so both close together.  When C_p's
+    bracket does not close, the Oracle gives no estimate, and v and L only.
+    """
+    action = AffineAction.linear(domain.rep)
+    start = np.abs(_lanczos_ritz_vector(domain, opts.seed))
+    objective = make_energy_ratio_objective(action, domain.rep.p)
+    value, v, traj = sphere_minimize(objective, domain, start, opts.iters)
+    lower = barta_lower_bound(domain, np.abs(v))
+    oracle = Oracle(lower=lower, vectors=[v])
+    if lower is None or value - lower > BRACKET_RTOL * value:
+        return oracle
+    diagnostics = trajectory_summary([(value, traj)])
+    oracle.estimates[domain.rep.p] = ConstantEstimate(value, v, "bracketed", diagnostics)
+    c_inf = make_energy_ratio_objective(action, np.inf)(v)[0]
+    if c_inf - lower <= BRACKET_RTOL * c_inf:
+        oracle.estimates[np.inf] = ConstantEstimate(c_inf, v, "bracketed", diagnostics)
+    return oracle
+
+
+def kesten_bound(rank: int, p: float) -> float:
+    """Lower bound on C_p for the free group of rank k with its 2k standard
+    generators and uniform weight, on every finitely supported vector.
+
+    Barta's quotient of the radial phi(x) = a^|x| is, at |x| >= 1,
+    (1 - a)^(p-1) ((2k - 1) - a^(1-p)) / k, and larger at the identity and
+    next to a truncation, so C_p^p is at least its maximum over 0 < a < 1.
+    The derivative in a has the sign of a^(-p) - (2k - 1), so the maximum
+    is at a = (2k - 1)^(-1/p), where the quotient is (2k - 1)(1 - a)^p / k.
+    At p = 2 this is Kesten's sqrt(2 (1 - sqrt(2k-1)/k)), returned in that
+    closed form.
+    """
+    k = rank
+    if p == 2.0:
+        return float(np.sqrt(2.0 * (1.0 - np.sqrt(2.0 * k - 1.0) / k)))
+    c = 2.0 * k - 1.0
+    return ((c / k) ** (1.0 / p)) * (1.0 - c ** (-1.0 / p))
+
+
 def kesten_displacement_bound(rank: int) -> float:
     """Lower bound sqrt(2 (1 - sqrt(2k-1)/k)) on C_2 for the free group of rank k.
 
     The averaging operator on the rank-k free group with its 2k standard
     generators and uniform weight has norm sqrt(2k-1)/k, so the r = 2
     energy of every unit vector is at least sqrt(2(1 - sqrt(2k-1)/k)).
+    It is `kesten_bound(rank, 2.0)`.
     """
-    k = rank
-    return float(np.sqrt(2.0 * (1.0 - np.sqrt(2.0 * k - 1.0) / k)))
+    return kesten_bound(rank, 2.0)
 
 
 def tent_vector(rep: Representation) -> np.ndarray:
@@ -379,21 +489,25 @@ class ConstantEstimate:
     pool: list = field(default_factory=list)
 
 
-def _guarded_oracle(domain: Domain, opts: GapOptions) -> dict:
-    """The fixed-vector guard, then the exact estimates by generator
-    exponent at p = 2: the character oracle's on the mean-zero space of a
-    cyclic group, the Lanczos oracle's (`eigen_exact_constants`) on every
-    other domain.  None at p != 2, or when opts.exact is "never".
+def _guarded_oracle(domain: Domain, opts: GapOptions) -> Oracle:
+    """The fixed-vector guard, then the oracle for the domain: at p = 2 the
+    character oracle's exact estimates on the mean-zero space of a cyclic
+    group, the Lanczos oracle's (`eigen_exact_constants`) on every other
+    domain; at p != 2 the bracketed ones (`bracketed_constants`) on a
+    dirichlet domain.  An empty Oracle otherwise, or when opts.exact is
+    "never".
 
     The guard comes first: the oracles have no unit vector to build on a
     domain that holds only the zero vector."""
     ensure_no_fixed_vectors(domain)
     rep = domain.rep
-    if rep.p != 2.0 or opts.exact == "never":
-        return {}
+    if opts.exact == "never":
+        return Oracle()
+    if rep.p != 2.0:
+        return bracketed_constants(domain, opts) if isinstance(domain, DirichletDomain) else Oracle()
     if rep.handle.family == "cyclic" and rep.mode == "full" and isinstance(domain, MeanZeroDomain):
-        return cyclic_exact_constants(rep)
-    return eigen_exact_constants(domain, opts.seed)
+        return _exact_oracle(cyclic_exact_constants(rep))
+    return _exact_oracle(eigen_exact_constants(domain, opts.seed))
 
 
 def _ratio_multistart(action: AffineAction, r: float, opts: GapOptions, domain: Domain):
@@ -441,25 +555,30 @@ def _reduce(action: AffineAction, estimates: dict, exponents: dict, pool: list) 
 
 
 def displacement_constant(
-    domain: Domain, r: float, options: GapOptions | None = None, *, exact: dict | None = None
+    domain: Domain, r: float, options: GapOptions | None = None, *, oracle: Oracle | None = None
 ) -> tuple[ConstantEstimate, ConstantEstimate]:
     """Estimate (C_disp, C_r) on a domain: infima over its unit sphere of
     the max generator displacement and of the r-mean displacement energy.
 
-    `exact` holds the exact estimates by generator exponent that
-    `_guarded_oracle` gave for this domain; by default the guard and the
-    oracle run here.  Estimates it lacks come from multistart projected
-    gradient descent at r, minimizing a smoothed high exponent as a proxy
-    for the max, and polishing every end point on the max itself.  When
-    only C_r is exact (C_2 on a degenerate eigenspace), the multistart
-    still runs at r to seed C_disp's polish, and C_disp's diagnostics
-    count its runs with the polish runs.  Both are reduced over one pool:
-    the end points, the polished points, the warm starts and every exact
-    certificate, once.  At r = inf C_r is C_disp with its own diagnostics.
+    `oracle` is what `_guarded_oracle` gave for this domain; by default the
+    guard and the oracle run here.  Estimates its exact or bracketed ones
+    lack come from multistart projected gradient descent at r, minimizing
+    a smoothed high exponent as a proxy for the max, and polishing every
+    end point on the max itself.  When only C_r is given (C_2 on a
+    degenerate eigenspace, or a bracketed C_p beside an open C_disp
+    bracket), the multistart still runs at r to seed C_disp's polish, and C_disp's diagnostics count its runs with the polish runs,
+    the seed runs without their final values, which are of another
+    objective.  Both are reduced over one pool: the end points, the
+    polished points, the warm starts and every oracle vector, once.  At
+    r = inf C_r is C_disp with its own diagnostics.  Warm starts lower
+    only multistart estimates; a bracketed one is within BRACKET_RTOL of
+    the infimum, so sweeps of it are nonincreasing up to that, not by
+    construction.
     """
     opts = options or GapOptions()
-    if exact is None:
-        exact = _guarded_oracle(domain, opts)
+    if oracle is None:
+        oracle = _guarded_oracle(domain, opts)
+    exact = oracle.estimates
     if np.inf in exact and r in exact:
         return exact[np.inf], exact[r]
     action = AffineAction.linear(domain.rep)
@@ -472,12 +591,11 @@ def displacement_constant(
     # sweep estimates nonincreasing under warm starting by construction
     extras = [_normalize(domain, np.asarray(v, dtype=float)) for v in opts.extra_starts]
     pool = runs + [w for (_val, w, _traj) in polish_runs] + [w for w in extras if w is not None]
-    certificates = {id(est.certificate): est.certificate for est in exact.values()}
-    pool += certificates.values()
+    pool += oracle.vectors
 
     disp_runs = [(val, traj) for (val, _w, traj) in polish_runs]
     if r in exact:
-        disp_runs = seed_runs + disp_runs
+        disp_runs = [(np.nan, traj) for (_val, traj) in seed_runs] + disp_runs
     estimates = {
         "C_disp": exact.get(np.inf) or _multistart_estimate(disp_runs),
         "C_r": exact.get(r) or _multistart_estimate(seed_runs),
@@ -508,6 +626,62 @@ def laplacian_constant(est_p: ConstantEstimate) -> ConstantEstimate:
     return ConstantEstimate(est_p.value / 2.0, est_p.certificate, est_p.method, est_p.diagnostics)
 
 
+def lower_bounds(estimates: dict, lower_p: float | None, r: float, p: float, m_min: float) -> dict:
+    """A certified lower bound on each constant of a report, by name; None
+    where none is known.
+
+    An exact estimate bounds itself.  Otherwise lower_p, a certified lower
+    bound on C_p, bounds C_grad = C_p, C_disp >= C_p (the max is at least
+    every power mean) and C_r for r >= p (power means grow with the
+    exponent); C_lap = C_p/2 takes lower_p/2, and C_r for r < p takes
+    m_min^(1/r) times C_disp's bound, as F_r >= m_min^(1/r) F_inf.
+    """
+
+    def exact_or(key, bound):
+        est = estimates[key]
+        return est.value if est.method.startswith("exact") else bound
+
+    lower = {
+        "C_disp": exact_or("C_disp", lower_p),
+        "C_grad": exact_or("C_grad", lower_p),
+        "C_lap": exact_or("C_lap", None if lower_p is None else lower_p / 2.0),
+    }
+    if r >= p or lower["C_disp"] is None:
+        lower_r = lower_p
+    else:
+        lower_r = m_min ** (1.0 / r) * lower["C_disp"]
+    lower["C_r"] = exact_or("C_r", lower_r)
+    return lower
+
+
+def _brackets_close(domain: Domain, bracketed: dict) -> bool:
+    """Whether every bracketed estimate, by name, is within BRACKET_RTOL of
+    Barta's bound at its own certificate, recomputed here (half of it for
+    C_lap = C_p/2)."""
+    barta = {}
+    for key, est in bracketed.items():
+        if id(est.certificate) not in barta:
+            barta[id(est.certificate)] = barta_lower_bound(domain, np.abs(est.certificate))
+        lower = barta[id(est.certificate)]
+        if lower is None:
+            return False
+        if key == "C_lap":
+            lower /= 2.0
+        if est.value - lower > BRACKET_RTOL * est.value:
+            return False
+    return True
+
+
+def _default_free_rank(handle) -> int | None:
+    """k when the handle is the free group of rank k with its 2k standard
+    generators at uniform weight, where `kesten_bound` holds; else None."""
+    k = handle.n_generators // 2
+    letters = {(s * i,) for i in range(1, k + 1) for s in (1, -1)}
+    if handle.family != "free" or set(handle.generators) != letters:
+        return None
+    return k if (handle.weights == handle.weights[0]).all() else None
+
+
 # ---------------------------------------------------------------------------
 # equivalence report
 
@@ -529,6 +703,8 @@ class GapReport:
     options: dict
     # per constant, the trajectory_summary of its runs (counts only, no timings)
     diagnostics: dict = field(default_factory=dict)
+    # per constant, {"lower": a certified lower bound, or None}
+    bounds: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         r = "inf" if np.isinf(self.r) else self.r
@@ -545,6 +721,7 @@ class GapReport:
             "battery": self.battery,
             "options": self.options,
             "diagnostics": self.diagnostics,
+            "bounds": self.bounds,
         }
 
 
@@ -558,30 +735,39 @@ def equivalence_report(
     terminal to the fixed-point set (`AffineAction.fixed_point_distance`).
 
     The guard and the oracle run once, and `displacement_constant` gets
-    the exact estimates by generator exponent.  C_grad = C_p and C_lap =
-    C_p/2, with C_p = C_r when r = p; otherwise the oracle's estimate at p,
-    or one more energy-ratio multistart at r = p, supplies C_p.  At p = 2
-    the oracle gives C_p on every domain, so no run at r = p is made.
-    When it gives C_2 but not C_disp, C_disp is the polished multistart
-    at r, which `displacement_constant` runs even at r = 2, reduced over a
-    pool that holds the Ritz vector.  The pool grows by the end points of
-    the run at r = p and the battery's samples, and each multistart
-    estimate is reduced over the vectors it has not seen.
+    what the oracle gave.  C_grad = C_p and C_lap = C_p/2, with C_p = C_r
+    when r = p; otherwise the oracle's estimate at p, or one more
+    energy-ratio multistart at r = p, supplies C_p.  At p = 2 the oracle
+    gives C_p on every domain, and at p != 2 on a dirichlet domain when its
+    bracket closes, so no run at r = p is made.  When it gives C_p but not
+    C_disp, C_disp is the polished multistart at r, which
+    `displacement_constant` runs even at r = p, reduced over a pool that
+    holds the oracle's vector.  The pool grows by the end points of the run
+    at r = p and the battery's samples, and each multistart estimate is
+    reduced over the vectors it has not seen.
+
+    `bounds` gives each constant a certified lower bound (`lower_bounds`):
+    an exact value, Barta's bound propagated, or None.  The chain checks
+    that no bound exceeds its value, that every bracketed value is within
+    BRACKET_RTOL of Barta's bound recomputed at its certificate, and, on a
+    free group with its standard generators at r = p, that C_r is at least
+    `kesten_bound`.  Bracketed values ignore warm starts, so a sweep of
+    them is nonincreasing up to BRACKET_RTOL, not by construction.
     """
     opts = options or GapOptions()
     rep = domain.rep
     p = rep.p
     if r is None:
         r = p
-    exact = _guarded_oracle(domain, opts)
-    est_disp, est_r = displacement_constant(domain, r, opts, exact=exact)
+    oracle = _guarded_oracle(domain, opts)
+    est_disp, est_r = displacement_constant(domain, r, opts, oracle=oracle)
     action = AffineAction.linear(rep)
-    # the multistart estimates share one pool; an exact one holds none
+    # the multistart estimates share one pool; an exact or bracketed one holds none
     pool = list(est_r.pool or est_disp.pool)
     # C_p, the energy ratio at r = p, supplies C_grad and C_lap
     estimates = {"C_disp": est_disp, "C_r": est_r}
     if r != p:
-        estimates["C_p"] = exact.get(p)
+        estimates["C_p"] = oracle.estimates.get(p)
         if estimates["C_p"] is None:
             runs, p_runs = _ratio_multistart(action, p, opts, domain)
             estimates["C_p"] = _multistart_estimate(p_runs)
@@ -631,6 +817,14 @@ def equivalence_report(
             slope >= c["C_grad"] * (1.0 - slack)
         ),
     }
+    lower = lower_bounds(estimates, oracle.lower, r, p, m_min)
+    known = [(c[key], lo) for key, lo in lower.items() if lo is not None]
+    # 1e-12: the rounding where a value meets its bound
+    chain["lower <= value"] = bool(all(lo <= v * (1.0 + 1e-12) for v, lo in known)) if known else None
+    bracketed = {key: est for key, est in estimates.items() if est.method == "bracketed"}
+    chain["bracket width <= BRACKET_RTOL"] = _brackets_close(domain, bracketed) if bracketed else None
+    rank = _default_free_rank(rep.handle)
+    chain["C_r >= kesten(p)"] = bool(c["C_r"] >= kesten_bound(rank, p) - slack) if rank and r == p else None
     if battery_rows:
         min_battery = min(row["minGradientObserved"] for row in battery_rows)
         chain["battery min gradient >= C_grad"] = bool(min_battery >= c["C_grad"] - 1e-6)
@@ -648,6 +842,7 @@ def equivalence_report(
         battery=battery_rows,
         options=opts.to_dict(),
         diagnostics={key: est.diagnostics for key, est in estimates.items()},
+        bounds={key: {"lower": lo} for key, lo in lower.items()},
     )
 
 
@@ -665,7 +860,10 @@ def gap_sweep(handle, p: float, r: float, radii, options: GapOptions | None = No
     one (zero-padded; BFS ordering makes smaller balls prefixes of larger
     ones), so the multistart estimates are nonincreasing in R by
     construction.  The exact p = 2 estimates are too, up to rounding,
-    because the domains grow with R.
+    because the domains grow with R.  Bracketed estimates at p != 2 take no
+    warm start: each lies within BRACKET_RTOL above the infimum, which
+    falls as the domains grow, so they are nonincreasing up to a relative
+    BRACKET_RTOL, not by construction.
     """
     from .groups import ball as make_ball
 

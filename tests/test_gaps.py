@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 import pgaplab as pg
 from pgaplab import gaps
 from pgaplab.action import MeanZeroDomain, default_domain
+from pgaplab.cli import main
 from pgaplab.errors import FixedVectorPresent, ValidationError
 from pgaplab.gaps import (
     GapOptions,
@@ -295,6 +297,8 @@ def _digest(values):
 # of equivalence_report with 2 starts x 60 iterations at seed 5.  C_disp and
 # C_r are as computed by the descent that evaluated every point's value and
 # gradient together; C_grad and C_lap are C_r and C_r/2 with C_r's certificate.
+# Each entry runs with exact="never", which pins the multistart, unless
+# GOLDEN_EXACT names another mode for it.
 GOLDEN = {
     "symmetric(4) p=3": {
         "C_disp": (0.5845714697373975, "f9201a5905dff7d74345f83254a627cba8ef586fcb69021db027c5a2ed1227a2"),
@@ -308,7 +312,18 @@ GOLDEN = {
         "C_grad": (0.8505118266457521, "11de472982d62511009c7d65460c47f9a70e21d8cfd85ad207345702ea0dabb1"),
         "C_lap": (0.42525591332287604, "11de472982d62511009c7d65460c47f9a70e21d8cfd85ad207345702ea0dabb1"),
     },
+    # the default path: the Ritz-started run's bracket does not close in 60
+    # iterations, so the multistart runs with its end point in the pool,
+    # which beats the multistart's C_r of 0.8505118266457521 above
+    "free(2) R=4 p=1.5 auto": {
+        "C_disp": (0.8505117265301053, "b9972e67d23d17f0a054143aaa318a22fa218573b4d61af653d7eefa7285ecb4"),
+        "C_r": (0.8505117265301053, "b9972e67d23d17f0a054143aaa318a22fa218573b4d61af653d7eefa7285ecb4"),
+        "C_grad": (0.8505117265301053, "b9972e67d23d17f0a054143aaa318a22fa218573b4d61af653d7eefa7285ecb4"),
+        "C_lap": (0.42525586326505266, "b9972e67d23d17f0a054143aaa318a22fa218573b4d61af653d7eefa7285ecb4"),
+    },
 }
+
+GOLDEN_EXACT = {"free(2) R=4 p=1.5 auto": "auto"}
 
 
 def golden_rep(name):
@@ -319,7 +334,7 @@ def golden_rep(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_equivalence_report_golden_constants_and_certificates(name):
-    opts = GapOptions(starts=2, iters=60, seed=5)
+    opts = GapOptions(starts=2, iters=60, seed=5, exact=GOLDEN_EXACT.get(name, "never"))
     report = pg.equivalence_report(default_domain(golden_rep(name)), options=opts)
     for key, (value, digest) in GOLDEN[name].items():
         assert report.constants[key] == value, key
@@ -444,7 +459,7 @@ IDENTITY_INSTANCES = {
     ),
     "free(2) R=4 p=1.5 dirichlet": (
         lambda: pg.Representation(pg.ball(pg.free_group(2), 4), 1.5, "dirichlet"),
-        "multistart",
+        "bracketed",
     ),
     "cyclic(8) p=2 exact": (
         lambda: pg.Representation(pg.full_ball(pg.cyclic_group(8)), 2.0, "full"),
@@ -635,3 +650,244 @@ def test_gap_sweep_over_a_free_group_at_p2_is_nonincreasing():
         values = [report.constants[key] for report in reports]
         assert all(b <= a for a, b in zip(values, values[1:])), (key, values)
     assert reports[-1].constants["C_r"] >= pg.kesten_displacement_bound(2)
+
+
+def test_c_disp_spread_is_over_the_polish_runs_only():
+    # symmetric(4) at p = 2: C_2 is exact, and C_disp's seed runs (final
+    # values of F_2) are counted without their finals beside the polish
+    # runs (final values of F_inf)
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 2.0, "full")
+    domain = default_domain(rep)
+    opts = GapOptions(starts=2, iters=150, seed=11)
+    oracle = gaps._guarded_oracle(domain, opts)
+    est_disp, _ = pg.displacement_constant(domain, 2.0, opts, oracle=oracle)
+    d = est_disp.diagnostics
+    assert d["trajectories"] == 4
+    act = pg.AffineAction.linear(rep)
+    runs, _ = gaps._ratio_multistart(act, 2.0, opts, domain)
+    obj_inf = make_energy_ratio_objective(act, np.inf)
+    finals = [gaps.sphere_minimize(obj_inf, domain, v, opts.polish_iters)[0] for v in runs]
+    assert d["finalSpread"] == max(finals) - min(finals)
+    assert d["finalSpread"] < 1e-3  # 0.0626 when the F_2 finals were counted
+
+
+# ---------------------------------------------------------------------------
+# the bracketed oracle at p != 2
+
+BRACKET_INSTANCES = {
+    "free(2) R=4": (pg.free_group(2), 4),
+    "free(2) R=6": (pg.free_group(2), 6),
+    "integer_lattice(1) R=16": (pg.integer_lattice(1), 16),
+    "integer_lattice(2) R=8": (pg.integer_lattice(2), 8),
+}
+
+
+def dirichlet_domain(handle, radius, p):
+    return default_domain(pg.Representation(pg.ball(handle, radius), p, "dirichlet"))
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_INSTANCES))
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_bracket_closes_below_its_value(name, p):
+    domain = dirichlet_domain(*BRACKET_INSTANCES[name], p)
+    oracle = gaps.bracketed_constants(domain, GapOptions(seed=3))
+    lower = oracle.lower
+    assert set(oracle.estimates) == {p, np.inf}
+    for est in oracle.estimates.values():
+        assert est.method == "bracketed"
+        assert 0.0 < lower <= est.value
+        assert est.value - lower <= gaps.BRACKET_RTOL * est.value
+        assert _in_domain(domain, est.certificate)
+    act = pg.AffineAction.linear(domain.rep)
+    v = oracle.estimates[p].certificate
+    assert oracle.estimates[p].value == make_energy_ratio_objective(act, p)(v)[0]
+    assert oracle.estimates[np.inf].value == make_energy_ratio_objective(act, np.inf)(v)[0]
+
+
+@pytest.mark.parametrize("name", ["free(2) R=6", "integer_lattice(2) R=6", "integer_lattice(1) R=16"])
+def test_barta_bound_at_p2_is_the_lanczos_c2(name):
+    # at p = 2 Barta's quotient of the bottom eigenvector is its eigenvalue
+    # at every point, so the bound meets C_2: a check of the formula's scale
+    domain = default_domain(LANCZOS_INSTANCES[name]())
+    exact = gaps.eigen_exact_constants(domain, seed=0)[2.0]
+    lower = gaps.barta_lower_bound(domain, np.abs(exact.certificate))
+    assert lower == pytest.approx(exact.value, rel=1e-9, abs=0.0)
+
+
+def test_barta_bound_needs_a_positive_vector():
+    domain = dirichlet_domain(pg.free_group(2), 3, 3.0)
+    phi = domain.project(np.ones(domain.rep.ball.size))
+    assert gaps.barta_lower_bound(domain, phi) is not None
+    phi[0] = 0.0
+    assert gaps.barta_lower_bound(domain, phi) is None
+
+
+def test_a_bracketed_report_runs_one_trajectory_and_no_polish(monkeypatch):
+    calls = {"multistart": 0, "sphere": 0}
+    multistart, sphere = gaps.multistart_minimize, gaps.sphere_minimize
+
+    def counting_multistart(*args, **kwargs):
+        calls["multistart"] += 1
+        return multistart(*args, **kwargs)
+
+    def counting_sphere(*args, **kwargs):
+        calls["sphere"] += 1
+        return sphere(*args, **kwargs)
+
+    monkeypatch.setattr(gaps, "multistart_minimize", counting_multistart)
+    monkeypatch.setattr(gaps, "sphere_minimize", counting_sphere)
+    domain = dirichlet_domain(pg.free_group(2), 6, 3.0)
+    report = pg.equivalence_report(domain, options=GapOptions(starts=2, iters=150, seed=11))
+    assert calls == {"multistart": 0, "sphere": 1}
+    assert set(report.methods.values()) == {"bracketed"}
+    for d in report.diagnostics.values():
+        assert d["trajectories"] == 1
+    c = report.constants
+    lower = {key: b["lower"] for key, b in report.bounds.items()}
+    assert lower["C_lap"] == lower["C_grad"] / 2.0
+    assert lower["C_disp"] == lower["C_r"] == lower["C_grad"]
+    for key in c:
+        assert lower[key] <= c[key] <= lower[key] * (1.0 + 2.0 * gaps.BRACKET_RTOL)
+    assert report.chain["lower <= value"] is True
+    assert report.chain["bracket width <= BRACKET_RTOL"] is True
+    assert report.chain["C_r >= kesten(p)"] is True
+    assert False not in report.chain.values()
+    # the multistart at 2 x 150 read 0.4961383305906136
+    assert c["C_r"] < 0.4934
+
+
+def test_the_fallback_keeps_the_ritz_end_point_in_the_pool(monkeypatch):
+    oracles = []
+    original = gaps.bracketed_constants
+
+    def recorded(domain, opts):
+        oracles.append(original(domain, opts))
+        return oracles[-1]
+
+    monkeypatch.setattr(gaps, "bracketed_constants", recorded)
+    domain = dirichlet_domain(pg.free_group(2), 4, 1.5)
+    report = pg.equivalence_report(domain, options=GapOptions(starts=2, iters=60, seed=5))
+    [oracle] = oracles
+    assert oracle.estimates == {}  # 60 iterations do not close the bracket
+    [end] = oracle.vectors
+    act = pg.AffineAction.linear(domain.rep)
+    assert set(report.methods.values()) == {"multistart"}
+    # the end point beats both multistart runs, so it is C_r's certificate
+    assert report.constants["C_r"] == make_energy_ratio_objective(act, 1.5)(end)[0]
+    assert _digest(report.certificates["C_r"]) == _digest(end)
+    assert report.diagnostics["C_r"]["trajectories"] == 2
+    # L stays the certified lower bound of every constant
+    assert report.bounds["C_r"]["lower"] == oracle.lower < report.constants["C_r"]
+    assert report.chain["bracket width <= BRACKET_RTOL"] is None
+    assert report.chain["lower <= value"] is True
+
+
+def test_bracketed_oracle_builds_no_square_array():
+    domain = dirichlet_domain(pg.free_group(2), 7, 3.0)
+    tracemalloc.start()
+    try:
+        oracle = gaps.bracketed_constants(domain, GapOptions(seed=0, iters=300))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert oracle.lower is not None
+    # one 4373 x 4373 float64 array would take 153 MB
+    assert peak < 8 * 2**20
+
+
+def test_bracketed_gap_json_is_byte_identical(tmp_path):
+    cfg = tmp_path / "gap.json"
+    group = {"family": "free", "params": {"k": 2}}
+    cfg.write_text(json.dumps({"group": group, "radius": 5, "p": 3.0, "seed": 7, "starts": 2, "iters": 150}))
+    assert main(["gap", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    assert main(["gap", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    blob = (tmp_path / "a" / "gap.json").read_bytes()
+    assert blob == (tmp_path / "b" / "gap.json").read_bytes()
+    assert b'"bracketed"' in blob and b'"bounds"' in blob
+
+
+@pytest.mark.parametrize("r", [2.0, np.inf])
+def test_bounds_propagate_to_every_exponent(r):
+    # p = 3 on free(2) R = 5: C_disp and C_p are bracketed; r = 2 < p is a
+    # multistart bounded by m_min^(1/r) L, and r = inf is C_disp itself
+    domain = dirichlet_domain(pg.free_group(2), 5, 3.0)
+    report = pg.equivalence_report(domain, r, GapOptions(starts=2, iters=150, seed=11))
+    lower = {key: b["lower"] for key, b in report.bounds.items()}
+    L = lower["C_grad"]
+    assert report.methods["C_grad"] == report.methods["C_disp"] == "bracketed"
+    assert lower["C_disp"] == L and lower["C_lap"] == L / 2.0
+    if np.isinf(r):
+        assert lower["C_r"] == L and report.methods["C_r"] == "bracketed"
+    else:
+        assert lower["C_r"] == 0.25 ** 0.5 * L and report.methods["C_r"] == "multistart"
+    assert False not in report.chain.values()
+
+
+def test_bounds_are_exact_values_or_unknown():
+    # exact estimates bound themselves; a mean-zero multistart has no bound
+    exact = pg.equivalence_report(default_domain(full_rep(pg.cyclic_group(8))), options=GapOptions(starts=2, iters=50))
+    assert {key: b["lower"] for key, b in exact.bounds.items()} == exact.constants
+    rep = full_rep(pg.symmetric_group(4), 3.0)
+    multi = pg.equivalence_report(default_domain(rep), options=GapOptions(starts=2, iters=60, seed=5))
+    assert all(b["lower"] is None for b in multi.bounds.values())
+    assert multi.chain["lower <= value"] is None
+    assert multi.chain["bracket width <= BRACKET_RTOL"] is None
+    assert multi.chain["C_r >= kesten(p)"] is None
+
+
+def test_lower_bound_check_catches_an_overstated_bound(monkeypatch):
+    original = gaps.barta_lower_bound
+    monkeypatch.setattr(gaps, "barta_lower_bound", lambda domain, phi: 1.01 * original(domain, phi))
+    domain = dirichlet_domain(pg.free_group(2), 4, 3.0)
+    report = pg.equivalence_report(domain, options=GapOptions(starts=2, iters=150, seed=1))
+    assert report.chain["lower <= value"] is False
+
+
+def test_bracket_width_check_recomputes_the_bound_at_the_certificate():
+    domain = dirichlet_domain(pg.free_group(2), 4, 3.0)
+    oracle = gaps.bracketed_constants(domain, GapOptions(seed=1))
+    est = oracle.estimates[3.0]
+    assert gaps._brackets_close(domain, {"C_r": est, "C_lap": gaps.laplacian_constant(est)})
+    # another positive certificate with the same value: its own bound is far lower
+    other = domain.project(np.ones(domain.rep.ball.size))
+    assert not gaps._brackets_close(domain, {"C_r": gaps.replace(est, certificate=other)})
+
+
+# ---------------------------------------------------------------------------
+# the Kesten bound at every p
+
+
+def test_kesten_bound_at_p2_is_the_closed_form_bit_for_bit():
+    for k in (1, 2, 3, 5):
+        closed = float(np.sqrt(2.0 * (1.0 - np.sqrt(2.0 * k - 1.0) / k)))
+        assert gaps.kesten_bound(k, 2.0) == closed == pg.kesten_displacement_bound(k)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+def test_kesten_bound_is_the_maximum_of_the_radial_quotient(k, p):
+    a = np.linspace(1e-6, 1.0 - 1e-6, 200_001)
+    quotient = (1.0 - a) ** (p - 1.0) * ((2 * k - 1) - a ** (1.0 - p)) / k
+    assert gaps.kesten_bound(k, p) ** p == pytest.approx(quotient.max(), rel=1e-9)
+    assert gaps.kesten_bound(k, p) ** p >= quotient.max() * (1.0 - 1e-15)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_kesten_bound_holds_under_the_bracket(p):
+    domain = dirichlet_domain(pg.free_group(2), 5, p)
+    oracle = gaps.bracketed_constants(domain, GapOptions(seed=2))
+    assert oracle.lower >= gaps.kesten_bound(2, p)
+    # Barta's bound at the radial profile a^|x| is the Kesten bound
+    a = 3.0 ** (-1.0 / p)
+    phi = domain.project(a ** domain.rep.ball.depth.astype(float))
+    assert gaps.barta_lower_bound(domain, phi) == pytest.approx(gaps.kesten_bound(2, p), rel=1e-12)
+
+
+def test_kesten_check_needs_the_standard_generators(monkeypatch):
+    domain = dirichlet_domain(pg.free_group(2), 4, 3.0)
+    monkeypatch.setattr(gaps, "kesten_bound", lambda rank, p: 1.0)
+    report = pg.equivalence_report(domain, options=GapOptions(starts=2, iters=150, seed=1))
+    assert report.chain["C_r >= kesten(p)"] is False
+    other = pg.free_group(2, generators=[[1], [1, 2]], weights=[0.25, 0.25])
+    assert gaps._default_free_rank(other) is None
+    assert gaps._default_free_rank(pg.free_group(3)) == 3
