@@ -2,10 +2,10 @@
 
 Builds word-metric balls of Cayley graphs, realizes the regular
 representation on l^p truncations, evaluates displacement energies and
-their absolute gradients in closed form, runs subgradient descent to fixed
-points of affine actions, estimates gap constants (displacement, gradient
-infimum, p-Laplacian inequality), and reports the exact convexity and
-smoothness moduli of finite-dimensional l^p spaces.
+their absolute gradients in closed form, runs quasi-Newton descent to
+fixed points of affine actions, estimates gap constants (displacement,
+gradient infimum, p-Laplacian inequality), and reports the exact convexity
+and smoothness moduli of finite-dimensional l^p spaces.
 
 A vector on a ball is a float64 array of shape (n,), and so is a
 functional, given by its l^q coefficients; the exponent is the

@@ -385,9 +385,14 @@ def cmd_descend(args) -> int:
     accepted and echoed, and changes nothing.
 
     `energyEvals` counts the energies descent took: its start's and one per
-    line-search trial.  With a potential, `recoveryError` is the l^p distance
-    from the terminal to the fixed-point set of the action
-    (`AffineAction.fixed_point_distance`)."""
+    line-search trial.  `steepestSteps` counts the accepted steps of the
+    steepest fallback (`gradient.descend`); the other steps are
+    quasi-Newton.  `contraction` is (finalEnergy / F_0)^(1/steps), the
+    geometric mean of the factors by which the accepted steps shrank F, or
+    null when no step was accepted or F_0 = 0.  In descend_trace.csv, `step` is the l^p length
+    |w - v|_p of each iteration's accepted step (0 on a final row).  With a
+    potential, `recoveryError` is the l^p distance from the terminal to the
+    fixed-point set of the action (`AffineAction.fixed_point_distance`)."""
     config, handle, radius = load_config("descend", args)
     [rep] = _representations(handle, radius, [config["p"]])
     domain = default_domain(rep, config["domain"])
@@ -405,12 +410,17 @@ def cmd_descend(args) -> int:
     trace.to_csv(out_dir / "descend_trace.csv")
 
     slope, _ = restricted_slope(action, trace.terminal, domain, trace.final_energy)
+    steps = sum(1 for *_, step in trace.rows if step > 0.0)
+    f_0 = trace.rows[0][1] if trace.rows else 0.0
+    contraction = (trace.final_energy / f_0) ** (1.0 / steps) if steps and f_0 > 0.0 else None
     payload = {
         "version": __version__,
         "config": {k: v for k, v in config.items() if k != "out"},
         "reason": trace.reason,
         "iterations": len(trace.rows),
         "energyEvals": trace.energy_evals,
+        "steepestSteps": trace.steepest_steps,
+        "contraction": contraction,
         "finalEnergy": trace.final_energy,
         "terminalGradient": slope,
         "terminal": trace.terminal.tolist(),

@@ -4,17 +4,22 @@ sampled lower bound kept as a diagnostic.
 At a point with positive energy the maximal descent slope of F over unit
 directions has the closed form 2 |xi|_q / F^(p-1), where xi is the weighted
 sum of the generator displacement functionals.  The direction attaining it
-is recovered by inverse duality, which is what the descent loop follows.
-`directional_derivative` takes the slope along a given direction from the
-forward gather, so it checks the closed form without sampling.
+is recovered by inverse duality.  The same identity gives the Euclidean
+gradient -2 F^(1-p) xi of F, and so -4 F^(2-p) xi of F^2
+(`energy_gradient`), with no second derivative.  `directional_derivative`
+takes the slope along a given direction from the forward gather, so it
+checks the closed form without sampling.
 
 Two slopes are in use.  The ambient slope (`abs_gradient`) ranges over every
 unit direction of l^p(G).  The restricted slope (`restricted_slope`) ranges
 over the unit directions of a domain, the space of the representation the
 estimate is restricted to; it replaces xi by `Domain.restrict_dual(xi)`.
-`descend` follows the restricted slope, and the gap constants C_grad and
-C_lap are its infimum and half of it; `abs_gradient` is the restricted
-slope on the ambient `FullDomain`.
+The gap constants C_grad and C_lap are its infimum and half of it;
+`abs_gradient` is the restricted slope on the ambient `FullDomain`.
+
+`descend` runs a limited-memory quasi-Newton (L-BFGS) descent on F^2 inside
+the domain, and falls back to a steepest step on F along the restricted
+steepest direction where the quasi-Newton step does not descend.
 
 F is the displacement energy at r = p, and p is the representation's
 exponent, read off the action or the domain: no function here takes an
@@ -24,6 +29,7 @@ the other dual elements are l^q coefficient arrays, q = p/(p-1).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,11 +212,40 @@ def steepest_direction(domain: Domain, xi: np.ndarray) -> np.ndarray:
     return vals / power_norm(vals, p)
 
 
-# descend's Armijo line search: sufficient-decrease fraction, step shrink
-# factor and the number of rejected steps after which it stalls
+def energy_gradient(domain: Domain, energy: float, xi: np.ndarray) -> np.ndarray:
+    """Euclidean gradient of F^2 inside the domain, -4 F^(2-p) xi, at a point
+    where F = energy > 0 and xi is the restricted dual element
+    (`restricted_slope`).  It is the identity behind the closed-form slope:
+    the derivative of F along u is -2 F^(1-p) <xi, u>."""
+    return domain.project((-4.0 * energy ** (2.0 - domain.rep.p)) * xi)
+
+
+def lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
+    """-H g for the L-BFGS inverse Hessian H of the pairs (s, y, 1/(s.y)),
+    oldest first, by the two-loop recursion, with the initial H scaled by
+    s.y / y.y of the newest pair (Liu-Nocedal, Math. Programming 45, 1989)."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+    _, y, rho = pairs[-1]
+    r = q / (rho * float(y @ y))
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        r += (a - rho * float(y @ r)) * s
+    return -r
+
+
+# descend's steepest step: its Armijo fraction of the slope, the step
+# shrink factor of both line searches and their number of trials
 ARMIJO = 0.5
 SHRINK = 0.5
 MAX_HALVINGS = 60
+# descend's quasi-Newton step: the (s, y) pairs kept and the Armijo
+# fraction of its test on F^2
+LBFGS_MEMORY = 5
+LBFGS_ARMIJO = 1e-4
 
 
 @dataclass
@@ -222,19 +257,38 @@ class DescentOptions:
 
 @dataclass
 class DescentTrace:
-    """Record of a subgradient descent run toward a fixed point."""
+    """Record of a descent run toward a fixed point: one row per iteration,
+    with F and the restricted slope at the iterate and the length |w - v|_p
+    of the accepted step (0 on a final row)."""
 
     rows: list = field(default_factory=list)  # (iter, F, grad, step)
     terminal: np.ndarray | None = None
     reason: str = ""
     final_energy: float = float("nan")  # energy at the terminal
     energy_evals: int = 0  # energies taken: the start's and each trial's
+    steepest_steps: int = 0  # accepted steps of the steepest fallback
 
     def to_csv(self, path):
         with open(path, "w") as fh:
             fh.write("iter,F,grad,step\n")
             for it, f, g, s in self.rows:
                 fh.write(f"{it},{f!r},{g!r},{s!r}\n")
+
+
+def _line_search(action, v, direction, t, accepts, trace):
+    """Trials v + t direction, t halved after each rejection, until
+    accepts(t, F(trial)): returns (trial, F(trial)), or None after
+    MAX_HALVINGS trials or at a trial with v's bits, which is not taken."""
+    for _ in range(MAX_HALVINGS):
+        w = v + t * direction
+        if np.array_equal(w, v):
+            return None
+        f_w = displacement_energy(action, w, check=False)
+        trace.energy_evals += 1
+        if accepts(t, f_w):
+            return w, f_w
+        t *= SHRINK
+    return None
 
 
 def descend(
@@ -244,26 +298,38 @@ def descend(
     *,
     domain: Domain | None = None,
 ) -> DescentTrace:
-    """Backtracking steepest descent on the displacement energy.
+    """Limited-memory quasi-Newton descent on E = F^2, with a steepest
+    descent step on F as its fallback.
 
-    v_{k+1} = v_k + t_k u_k with u_k the domain-restricted steepest descent
-    direction and t_k found by Armijo backtracking: the first trial is
-    F(v_0)/2 at the start and min(2 t_{k-1}, F(v_k)/2) after an accepted
-    step t_{k-1}, and each rejected trial is halved.  Stops at
-    F <= abs_tol, slope <= grad_tol, the iteration cap, or a stall after
-    MAX_HALVINGS rejected steps (reported in the trace, not raised).
-    v0 must pass `check_admissible`; the descent starts from its projection
-    onto the domain.
+    F is a cone at its fixed points (F >= C_p dist on a fixed-vector-free
+    domain, a weak sharp minimum), so unit steps on F rarely pass; E is
+    smooth there, and a quadratic at p = 2.  At each iterate v the
+    Euclidean gradient g of E inside the domain is `energy_gradient`, and
+    the direction d is `lbfgs_direction` over the last LBFGS_MEMORY pairs
+    (s, y) = (step, change of g) with s.y > 0, projected onto the domain.
+    Its line search tries v + t d from t = 1 with the Armijo test
+    E(w) <= E(v) + LBFGS_ARMIJO t <g, d>, halving t.  The memory is
+    cleared, and the steepest step taken instead, when there is no pair
+    yet, when <g, d> >= 0, or when that search fails within MAX_HALVINGS
+    trials or reaches a trial with v's bits.  The steepest step follows the
+    unit restricted steepest direction u from t = F(v)/2 with the Armijo
+    test F(w) <= F(v) - ARMIJO t slope, halving t; when it fails too, or
+    reaches a trial with v's bits, descent stops `stalled`.
 
-    F is a cone at its fixed points, so the slope does not vanish near one:
-    on a fixed-vector-free domain the restricted slope is at least C_p
-    everywhere, and the grad_tol stop fires only when C_p <= grad_tol.
-    The slope is exact on every domain, mean-zero included, where
-    `restrict_dual` solves for its shift to rounding at any scale; an
-    overstated slope would make Armijo demand more decrease than the
-    direction gives, and accept only null steps near a fixed point.
-    Each accepted trial's energy is carried as the next iterate's, so
-    final_energy is F at the terminal.
+    Stops, in this order: F <= abs_tol, slope <= grad_tol (each with a
+    final row), the iteration cap, a stall (reported in the trace, not
+    raised).  Each trial's energy is taken once, and an accepted one is
+    carried as the next iterate's, so final_energy is F at the terminal and
+    energy_evals is 1 + the number of trials.  Each accepted point passes
+    `check_admissible`.  v0 must pass it too; the descent starts from its
+    projection onto the domain.
+
+    On a fixed-vector-free domain the restricted slope is at least C_p
+    everywhere, so the grad_tol stop fires only when C_p <= grad_tol, or
+    when the action has no fixed point in the domain.  The slope is exact
+    on every domain, mean-zero included, where `restrict_dual` solves for
+    its shift to rounding at any scale; an overstated slope would make the
+    fallback's Armijo test demand more decrease than the direction gives.
     """
     opts = options or DescentOptions()
     rep = action.rep
@@ -275,7 +341,8 @@ def descend(
     f_v = displacement_energy(action, v, check=False)
     trace = DescentTrace(energy_evals=1)
     reason = "max_iters"
-    t = np.inf  # the last accepted step
+    pairs = deque(maxlen=LBFGS_MEMORY)
+    s = g_prev = None
     for it in range(opts.max_iters):
         if f_v <= opts.abs_tol:
             trace.rows.append((it, f_v, 0.0, 0.0))
@@ -286,25 +353,38 @@ def descend(
             trace.rows.append((it, f_v, slope, 0.0))
             reason = "grad_tol"
             break
-        u = steepest_direction(domain, xi)
+        g = energy_gradient(domain, f_v, xi)
+        if s is not None:
+            y = g - g_prev
+            sy = float(s @ y)
+            if sy > 0.0:
+                pairs.append((s, y, 1.0 / sy))
 
-        t = min(2.0 * t, f_v / 2.0)
-        accepted = False
-        for _ in range(MAX_HALVINGS):
-            w = v + t * u
-            f_w = displacement_energy(action, w, check=False)
-            trace.energy_evals += 1
-            if f_w <= f_v - ARMIJO * t * slope:
-                trace.rows.append((it, f_v, slope, t))
-                rep.check_admissible(w)  # f_w was taken without the check
-                v, f_v = w, f_w
-                accepted = True
+        found = None
+        if pairs:
+            d = domain.project(lbfgs_direction(g, pairs))
+            gd = float(g @ d)
+            if gd < 0.0:
+                e_v = f_v * f_v
+                found = _line_search(
+                    action, v, d, 1.0, lambda t, f_w: f_w * f_w <= e_v + LBFGS_ARMIJO * t * gd, trace
+                )
+        if found is None:
+            pairs.clear()
+            u = steepest_direction(domain, xi)
+            found = _line_search(
+                action, v, u, f_v / 2.0, lambda t, f_w: f_w <= f_v - ARMIJO * t * slope, trace
+            )
+            if found is None:
+                trace.rows.append((it, f_v, slope, 0.0))
+                reason = "stalled"
                 break
-            t *= SHRINK
-        if not accepted:
-            trace.rows.append((it, f_v, slope, 0.0))
-            reason = "stalled"
-            break
+            trace.steepest_steps += 1
+        w, f_w = found
+        s, g_prev = w - v, g
+        trace.rows.append((it, f_v, slope, power_norm(s, rep.p)))
+        rep.check_admissible(w)  # f_w was taken without the check
+        v, f_v = w, f_w
     trace.terminal = v
     trace.reason = reason
     trace.final_energy = f_v

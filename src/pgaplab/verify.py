@@ -20,7 +20,8 @@ instance's default domain:
   faster than the restricted slope;
 - descent_reaches_fixed_point: `descend` from 0 ends within 1e-6 of the
   fixed-point set, in the distance `descend`'s CLI report also reads
-  (`AffineAction.fixed_point_distance`).
+  (`AffineAction.fixed_point_distance`); its detail gives the stop reason,
+  the iterations and the energy evaluations.
 The rows above the last read only points where F > 0; when every sampled
 point has F = 0 (a one-element group) the suite raises AtFixedPoint
 instead of passing with nothing checked.
@@ -294,6 +295,7 @@ def suite_gradient(rep: Representation, rng, trials=15) -> list[CheckResult]:
                 "finalF": trace.final_energy,
                 "terminalDistance": dist,
                 "reason": trace.reason,
+                "iterations": len(trace.rows),
                 "energyEvals": trace.energy_evals,
             },
         )

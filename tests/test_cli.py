@@ -508,6 +508,36 @@ def test_descend_zero_cocycle_immediate(tmp_path, capsys):
     assert json.loads((tmp_path / "d" / "descend.json").read_text())["terminalGradient"] == 0.0
 
 
+def test_descend_reports_steepest_steps_and_contraction(tmp_path):
+    vals = np.random.default_rng(7).standard_normal(24)
+    vector_to_csv(vals - vals.mean(), tmp_path / "potential.csv")
+    group = {"family": "symmetric", "params": {"n": 4}}
+    cocycle = {"potential": str(tmp_path / "potential.csv")}
+    cfg = write_config(tmp_path, "descend.json", {"group": group, "p": 3.0, "cocycle": cocycle})
+    assert main(["descend", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+    result = json.loads((tmp_path / "d" / "descend.json").read_text())
+    rows = (tmp_path / "d" / "descend_trace.csv").read_text().splitlines()[1:]
+    assert result["reason"] == "f_tol" and len(rows) == result["iterations"]
+    steps = result["iterations"] - 1  # the last row is the f_tol stop
+    f_0 = float(rows[0].split(",")[1])
+    assert result["contraction"] == pytest.approx((result["finalEnergy"] / f_0) ** (1.0 / steps), rel=1e-12)
+    assert 0.0 < result["contraction"] < 1.0
+    assert 1 <= result["steepestSteps"] <= steps  # the first step has no pair to use
+
+    # no step accepted: no contraction
+    for name, extra in (("zero", {"cocycle": {"zero": True}}), ("capped", {"cocycle": cocycle, "maxIters": 0})):
+        cfg = write_config(tmp_path, f"{name}.json", {"group": group, "p": 3.0, **extra})
+        assert main(["descend", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        result = json.loads((tmp_path / name / "descend.json").read_text())
+        assert result["contraction"] is None and result["steepestSteps"] == 0
+
+    cfg = write_config(tmp_path, "verify.json", {"group": group, "p": 3.0, "suites": ["gradient"]})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    rows = json.loads((tmp_path / "v" / "verify.json").read_text())["checks"]
+    [row] = [row for row in rows if row["name"] == "descent_reaches_fixed_point"]
+    assert 1 <= row["detail"]["iterations"] <= row["detail"]["energyEvals"]
+
+
 def test_descend_invalid_cocycle_exit_2(tmp_path):
     h = pg.cyclic_group(3)
     b = pg.full_ball(h)
@@ -892,7 +922,7 @@ def test_descend_and_verify_read_one_distance_to_the_fixed_points(tmp_path, monk
 
 
 # sha256 digests of the canonical bytes of two reports made through the CLI:
-# descend to a fixed point (f_tol after 141 iterations) and every suite of
+# descend to a fixed point (f_tol after 40 iterations) and every suite of
 # verify at two exponents.  A refactor that keeps the arithmetic keeps them.
 
 
@@ -918,11 +948,11 @@ def test_descend_report_golden_bytes(tmp_path):
     cfg = write_config(tmp_path, "descend.json", config)
     assert main(["descend", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
     digest = _report_digest(tmp_path / "d" / "descend.json", drop=["cocycle"])
-    assert digest == "6a5b788d288ffb4e552930d51a66f2264564ca9383a63ed8cabfad5d6ac07476"
+    assert digest == "36a054d4953af10ab8a0c1e8941dadbc4ff823fc518faddcf355ee88d5fced6c"
 
 
 def test_verify_report_golden_bytes(tmp_path):
     cfg = write_config(tmp_path, "verify.json", {"group": _FREE2, "radius": 3, "p": [1.5, 3.0]})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
     digest = _report_digest(tmp_path / "v" / "verify.json")
-    assert digest == "309bdec9af420a2ac892f019d7b22aadb2b10efdc91ccaf41f179d4e94f0605e"
+    assert digest == "84f01206b00e862d45220a67f8bf4c02aebbf466773dfbf72e7d5fc7557e93dc"

@@ -209,9 +209,22 @@ def test_battery_recovery_error_is_the_distance_to_the_fixed_points(monkeypatch)
     [(cob, trace)] = descents
     [row] = report.battery
     assert row["recoveryError"] == cob.fixed_point_distance(trace.terminal)
-    # the nearest fixed point is -f0 + c 1, not -f0 (|terminal + f0|_3 reads 1.485365149e-08)
+    # the nearest fixed point is -f0 + c 1, not -f0 (|terminal + f0|_3 reads 5.862797373e-09)
     assert row["recoveryError"] < power_norm(trace.terminal + cob.potential, 3.0)
-    assert row["recoveryError"] == pytest.approx(1.485341199e-08, rel=1e-9)
+    assert row["recoveryError"] == pytest.approx(5.862503859e-09, rel=1e-9)
+
+
+def test_battery_descents_reach_f_tol_in_few_iterations():
+    # the seed whose battery descents spun in the line search under steepest
+    # descent (about 130 iterations each at the 2 x 150 budget)
+    rep = full_rep(pg.symmetric_group(4), 3.0)
+    opts = GapOptions(starts=2, iters=150, seed=33)
+    report = pg.equivalence_report(default_domain(rep), 3.0, opts, battery=2)
+    assert len(report.battery) == 2
+    for row in report.battery:
+        assert row["reason"] == "f_tol"
+        assert row["iterations"] <= 60
+        assert row["recoveryError"] <= 1e-6
 
 
 def test_equivalence_report_empty_battery():

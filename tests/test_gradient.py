@@ -324,24 +324,41 @@ def test_descent_evaluates_each_trial_point_once(monkeypatch):
     original = pg.gradient.displacement_energy
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+        value = original(*args, **kwargs)
+        calls.append((args[1], value))
+        return value
 
     monkeypatch.setattr(pg.gradient, "displacement_energy", counting)
     for max_iters, reason in ((5, "max_iters"), (10_000, "f_tol")):
         calls.clear()
         trace = pg.descend(act, rep.zero(), pg.DescentOptions(max_iters=max_iters))
         assert trace.reason == reason
-        # the start, then each line-search trial once: the first trial is F/2
-        # at iteration 0 and min(2 t_prev, F/2) after an accepted step t_prev,
-        # and each rejected trial is half the one before
-        trials, t_prev = 0, np.inf
-        for _, f, _, t in trace.rows:
-            if t > 0.0:
-                trials += round(np.log2(min(2.0 * t_prev, f / 2.0) / t)) + 1
-                t_prev = t
-        assert len(calls) == 1 + trials == trace.energy_evals
-        assert calls[-1] is trace.terminal
+        assert len(calls) == trace.energy_evals
+        assert len({w.tobytes() for w, _ in calls}) == len(calls)  # no point twice
+        assert calls[-1][0] is trace.terminal
+        # the start, then each iteration's trials: quasi-Newton ones from
+        # t = 1 along the two-loop direction, then, if those fail, steepest
+        # ones from F/2 along a unit direction; each rejected trial is half
+        # as far from v as the one before, and the accepted one is the last
+        v, f_v = calls[0]
+        pos = 1
+        next_energies = [row[1] for row in trace.rows[1:]] + [trace.final_energy]
+        for (it, f, _, step), f_next in zip(trace.rows, next_energies):
+            assert f == f_v
+            if step == 0.0:
+                break  # the final row
+            lengths = []
+            while calls[pos - 1][1] != f_next or not lengths:
+                w, f_v = calls[pos]
+                lengths.append(power_norm(w - v, 3.0))
+                pos += 1
+            v = w
+            assert lengths[-1] == pytest.approx(step, rel=1e-6)
+            breaks = [j for j in range(1, len(lengths)) if lengths[j] != pytest.approx(lengths[j - 1] / 2, rel=1e-6)]
+            assert len(breaks) <= 1
+            if it == 0 or breaks:  # no pair yet, or the quasi-Newton search failed
+                assert lengths[breaks[0] if breaks else 0] == pytest.approx(f / 2, rel=1e-6)
+        assert pos == len(calls)
 
 
 def test_descent_off_the_dirichlet_support_raises():
@@ -394,3 +411,89 @@ def test_descent_on_symmetric6_reaches_f_tol_in_few_evaluations():
     trace = pg.descend(act, rep.zero(), domain=default_domain(rep, "mean-zero"))
     assert trace.reason == "f_tol"
     assert trace.energy_evals <= 750
+
+
+def _symmetric6_benchmark_action():
+    # the benchmark's fixed potential on symmetric(6), p = 3
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(6)), 3.0, "full")
+    f = np.random.default_rng(0).standard_normal(720)
+    f -= f.mean()
+    f /= power_norm(f, 3.0)
+    return pg.AffineAction.from_potential(rep, f)
+
+
+def test_descent_on_symmetric6_reaches_f_tol_in_100_evaluations():
+    # steepest descent alone took 692 energy evaluations over 346 iterations
+    act = _symmetric6_benchmark_action()
+    trace = pg.descend(act, act.rep.zero(), domain=default_domain(act.rep, "mean-zero"))
+    assert trace.reason == "f_tol"
+    assert trace.energy_evals <= 100
+
+
+def test_descent_on_the_lattice_leg_reaches_f_tol_within_400_iterations():
+    # the benchmark's lattice leg: its fixed potential (seed 0) on the
+    # interior of integer_lattice(2) R = 20, of unit l^3 norm; steepest
+    # descent stopped at the 400-iteration cap with F = 6.4e-4
+    rep = pg.Representation(pg.ball(pg.integer_lattice(2), 20), 3.0, "dirichlet")
+    f = np.random.default_rng(0).standard_normal(rep.ball.size)
+    f[~rep.admissible_mask] = 0.0
+    f /= power_norm(f, 3.0)
+    act = pg.AffineAction.from_potential(rep, f)
+    trace = pg.descend(act, rep.zero(), pg.DescentOptions(max_iters=400))
+    assert trace.reason == "f_tol"
+    assert act.fixed_point_distance(trace.terminal) <= 1e-6
+
+
+def _free2_values_action(p):
+    # generator values with no potential: an action that need not have a
+    # fixed point in the domain
+    rep = pg.Representation(pg.ball(pg.free_group(2), 4), p, "dirichlet")
+    rng = np.random.default_rng(21)
+    make = lambda: np.where(rep.admissible_mask, rng.standard_normal(rep.ball.size), 0.0)
+    return pg.AffineAction(rep, pg.Cocycle.from_generator_values(rep, {"a": make(), "b": make()}))
+
+
+def _symmetric4_potential_action(p):
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), p, "full")
+    return pg.AffineAction.from_potential(rep, unit_vector(rep, np.random.default_rng(22), mean_zero=True))
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("make_action", [_symmetric4_potential_action, _free2_values_action])
+def test_energy_gradient_pairs_to_the_directional_derivative(make_action, p):
+    # descend steps on F^2 with the gradient -4 F^(2-p) xi, so the gradient
+    # of F is that over 2F, and -<grad F, u> is the descent quotient along u
+    act = make_action(p)
+    dom = default_domain(act.rep)
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        v = dom.random_unit(rng)
+        f_v = pg.displacement_energy(act, v)
+        _, xi = pg.gradient.restricted_slope(act, v, dom, f_v)
+        grad_f = pg.gradient.energy_gradient(dom, f_v, xi) / (2.0 * f_v)
+        for _ in range(3):
+            u = dom.random_unit(rng)
+            expected = pg.directional_derivative(act, v, u, nonsmooth="raise")
+            assert -float(grad_f @ u) == pytest.approx(expected, rel=1e-10)
+
+
+def test_descent_with_an_uphill_two_loop_direction_takes_only_steepest_steps(monkeypatch):
+    original = pg.gradient.lbfgs_direction
+    monkeypatch.setattr(pg.gradient, "lbfgs_direction", lambda g, pairs: -original(g, pairs))
+    act = _symmetric4_potential_action(3.0)
+    trace = pg.descend(act, act.rep.zero())
+    assert trace.reason == "f_tol"
+    steps = len(trace.rows) - 1  # the last row is the f_tol stop
+    assert steps > 0 and trace.steepest_steps == steps
+    assert act.fixed_point_distance(trace.terminal) <= 1e-6
+
+
+def test_descent_stalls_where_a_trial_keeps_v_bits():
+    # with no tolerance left, the steps shrink until v + t u rounds to v; that
+    # trial is not taken and descent stops at once, where halving to
+    # MAX_HALVINGS would have accepted null steps until the cap
+    act = _symmetric4_potential_action(3.0)
+    trace = pg.descend(act, act.rep.zero(), pg.DescentOptions(abs_tol=0.0, grad_tol=0.0, max_iters=3000))
+    assert trace.reason == "stalled"
+    assert trace.final_energy < 1e-14
+    assert trace.energy_evals < len(trace.rows) + pg.gradient.MAX_HALVINGS
