@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lpspace import power_norm
+from .lpspace import power_norm, same_point
 
 STOP_REASONS = ("iters", "stalled", "zero_gradient")
 ARMIJO = 1e-4  # sufficient-decrease fraction of sphere_minimize's line search
@@ -34,10 +34,6 @@ def _normalize(domain, values):
     if n == 0.0:
         return None
     return vals / n
-
-
-def _same_bits(a, b) -> bool:
-    return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 @dataclass(frozen=True)
@@ -57,11 +53,12 @@ def sphere_minimize(objective, domain, v0, iters):
 
     objective(values) -> (value, gradient), gradient() giving the euclidean
     gradient at values.  Each distinct trial point is evaluated once, and a
-    gradient is taken only at the start and at accepted points, when the
-    next iteration needs it.  Returns (value, values, Trajectory) for the
-    best point seen.  A line search that finds no Armijo step leaves the
-    point, the step and the gradient as they were, so any further round
-    would repeat it exactly: the trajectory stops there as stalled.
+    trial at v's point (`same_point`) not at all; a gradient is taken only
+    at the start and at accepted points, when the next iteration needs it.
+    Returns (value, values, Trajectory) for the best point seen.  A line
+    search that finds no Armijo step leaves the point, the step and the
+    gradient as they were, so any further round would repeat it exactly:
+    the trajectory stops there as stalled.
     """
     v = _normalize(domain, v0)
     if v is None:
@@ -85,9 +82,8 @@ def sphere_minimize(objective, domain, v0, iters):
         last = None  # the last trial evaluated, with its value and gradient
         for _ in range(40):
             w = _normalize(domain, v - step * pg)
-            # a trial with the bits of v has the value of v, which no step beats
-            if w is not None and not _same_bits(w, v):
-                if last is None or not _same_bits(w, last):
+            if w is not None and not same_point(w, v):
+                if last is None or not same_point(w, last):
                     last = w
                     last_val, last_gradient = objective(w)
                     value_evals += 1
@@ -124,15 +120,6 @@ def trajectory_summary(runs) -> dict:
     }
 
 
-@dataclass
-class MultistartResult:
-    # (tag, value, vector, Trajectory or None) per trajectory, in deterministic order
-    pool: list
-
-    def summary(self) -> dict:
-        return trajectory_summary((val, tr) for (_tag, val, _vec, tr) in self.pool)
-
-
 def multistart_minimize(
     objective,
     domain,
@@ -141,9 +128,11 @@ def multistart_minimize(
     iters=10_000,
     seed=0,
     extra_starts=(),
-) -> MultistartResult:
+) -> list:
     """Run seeded trajectories, then the user starts, and pool them in that
-    order; a ValueError when none ends at a finite value.
+    order: one (tag, value, vector, Trajectory or None) per trajectory, a
+    start that projects to zero giving (tag, inf, start, None).  A
+    ValueError when none ends at a finite value.
 
     `objective` follows the (value, gradient callable) contract of
     sphere_minimize.
@@ -165,4 +154,4 @@ def multistart_minimize(
     results = [run(job) for job in jobs]
     if not any(np.isfinite(r[1]) for r in results):
         raise ValueError("no multistart trajectory produced a usable point")
-    return MultistartResult(pool=results)
+    return results

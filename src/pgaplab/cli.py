@@ -23,15 +23,23 @@ sampled energy vanishes (a one-element group).  An asymmetric generating
 set is not among them: `build_group` closes the set under inverses and
 gives each inverse pair one weight, or rejects the weights with exit 2.
 
+gap takes the keys group, radius (one radius, or a list that runs a
+sweep), p, r, seed, starts, iters, battery, threads and out.  The group
+fixes the space the constants are taken over: the mean-zero space when
+the ball is the whole (finite) group, the dirichlet interior of any other
+ball; and the oracle that applies to that space always runs.  So no key
+selects either: `domain` and `exact`, which once did, are unknown keys and
+exit 2.
+
 gap.json's report tags each constant by method ("exact-fourier",
 "exact-eigen", "bracketed" or "multistart"; see `pgaplab.gaps`) and gives
 it a `bounds` entry {"lower": L}, a certified lower bound on the
 constant: the value itself for an exact method; otherwise a bound on C_p,
 propagated to the constant, which is the exact C_2 at p = 2 and Barta's
 bound on a dirichlet ball at p != 2 (also when its bracket did not close
-and the value is a multistart's); null where no lower bound is known
-(mean-zero domains at p != 2, and `exact: "never"`).  The chain checks
-L <= value.
+and the value is a multistart's).  L is null only on mean-zero domains at
+p != 2, where no oracle applies, and where Barta's vector vanishes inside
+the ball (`gaps.barta_lower_bound`).  The chain checks L <= value.
 
 Three keys are accepted only so that old configs load, and change
 nothing: gap's `threads` (null or 1; the multistart runs on one thread),
@@ -203,7 +211,6 @@ _OUT = (_of_type(str), ".")
 _SEED = (_count(0), 0)
 _EXPONENT = _within(1.0, math.inf)
 _P = (_EXPONENT, 2.0)
-_DOMAIN = (_optional(_of_type(str)), None)
 _TOLERANCE = _within(0.0, math.inf, closed=True)
 
 # command -> config key -> (converter, default).  load_config reads every
@@ -217,20 +224,18 @@ _CONFIG = {
         "radius": (_one_or_list(_optional(_count(0)), _count(0)), _UNSET),  # a list runs a sweep
         "p": _P,
         "r": (_optional(_within(1.0, math.inf, closed=True)), None),  # null: r = p
-        "domain": _DOMAIN,
         "seed": _SEED,
         "starts": (_count(1), 32),
         "iters": (_count(0), 10_000),
         "battery": (_count(0), 0),
         "threads": (_one_of(None, 1), _UNSET),  # multistart runs on one thread
-        "exact": (_one_of("auto", "never"), "auto"),
         "out": _OUT,
     },
     "descend": {
         "group": _GROUP,
         "radius": _RADIUS,
         "p": _P,
-        "domain": _DOMAIN,
+        "domain": (_optional(_of_type(str)), None),
         "cocycle": (_optional(_of_type(dict)), {"zero": True}),
         "v0": (_of_type(str), "zero"),  # "zero" or the path of a CSV vector
         "absTol": (_TOLERANCE, 1e-8),
@@ -339,9 +344,7 @@ def cmd_ball(args) -> int:
 def cmd_gap(args) -> int:
     config, handle, radius = load_config("gap", args)
     p, r = config["p"], config["r"]
-    opts = GapOptions(
-        starts=config["starts"], iters=config["iters"], seed=config["seed"], exact=config["exact"]
-    )
+    opts = GapOptions(starts=config["starts"], iters=config["iters"], seed=config["seed"])
     battery = config["battery"]
 
     out_dir = Path(config["out"])
@@ -356,8 +359,7 @@ def cmd_gap(args) -> int:
         summary = {"radii": radius, "C_lap": [rp.constants["C_lap"] for rp in reports]}
     else:
         [rep] = _representations(handle, radius, [p])
-        domain = default_domain(rep, config["domain"])
-        reports = [equivalence_report(domain, r, opts, battery=battery)]
+        reports = [equivalence_report(default_domain(rep), r, opts, battery=battery)]
         payload = {"report": reports[0].to_dict()}
         summary = reports[0].constants
     payload.update(version=__version__, config={k: v for k, v in config.items() if k != "out"})

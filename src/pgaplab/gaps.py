@@ -1,12 +1,18 @@
 """Gap constants: displacement, gradient infimum, Laplacian inequality.
 
 Every estimator takes a domain, the space the representation is restricted
-to, and reads the representation off it (`domain.rep`).  Every estimate of
-an infimum produced here is an upper bound (optimization can miss the
-global minimum) unless an exact oracle gave it, and is tagged by method.
-There are two exact oracles, both at p = 2, where F_2(v)^2 = <v, L v> is a
-quadratic form and C_2 is the square root of L's least eigenvalue on the
-domain:
+to, and reads the representation off it (`domain.rep`).  The paper's
+constants live on the space the group fixes (`default_domain`): the
+mean-zero space of a finite group, the dirichlet interior of a ball that
+is not the whole group.  The guard (`ensure_no_fixed_vectors`) rejects a
+domain with mass outside the representation's support, or with an
+invariant vector.
+
+Every estimate of an infimum produced here is an upper bound (optimization
+can miss the global minimum) unless an exact oracle gave it, and is tagged
+by method.  There are two exact oracles, both at p = 2, where F_2(v)^2 =
+<v, L v> is a quadratic form and C_2 is the square root of L's least
+eigenvalue on the domain:
 
 - "exact-fourier": character diagonalization on the mean-zero space of a
   cyclic group gives C_2 and C_disp;
@@ -33,20 +39,23 @@ The dense eigenvalue solve that cross-checks the Lanczos value lives in
 the tests only.
 
 Each estimate is keyed by its generator exponent: C_disp by inf, C_r by r
-and C_p by p.  The oracle runs once per report and gives exact or
-bracketed estimates by exponent; the others minimize energy ratios
-F_r(v)/|v|_p by multistart descent.  Every point those runs produce, and
-every oracle vector, joins one ordered pool, and each multistart estimate
-is the first minimum of its ratio over the pool, taken once per vector and
-distinct exponent.  The slope is taken inside the domain; there inf slope
-= C_p and inf Laplacian ratio = C_p/2 (see `gradient_constant`), so C_grad
-and C_lap are read off the C_p estimate.  A report gives each constant a
-certified lower bound where one is known (`lower_bounds`).
+and C_p by p.  The oracle that applies to the domain always runs, once per
+report, and gives exact or bracketed estimates by exponent; the others
+minimize energy ratios F_r(v)/|v|_p by multistart descent, with SMOOTH_R
+in place of r = inf.  A caller that wants the multistart alone passes
+`displacement_constant` an empty `Oracle`.  Every point those runs
+produce, and every oracle vector, joins one ordered pool, and each
+multistart estimate is the first minimum of its ratio over the pool, taken
+once per vector and distinct exponent.  The slope is taken inside the
+domain; there inf slope = C_p and inf Laplacian ratio = C_p/2 (see
+`gradient_constant`), so C_grad and C_lap are read off the C_p estimate.
+A report gives each constant a certified lower bound where one is known
+(`lower_bounds`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -65,21 +74,20 @@ from .action import (
     default_domain,
 )
 from .energy import dirichlet_norm, p_laplacian, weighted_r_mean, weighted_sum
-from .errors import FixedVectorPresent, ValidationError, ZeroDomain
+from .errors import FixedVectorPresent, SupportViolation, ValidationError, ZeroDomain
 from .gradient import abs_gradient, descend, DescentOptions, restricted_slope
 from .lpspace import conjugate_exponent, power_norm, row_power_norms, signed_power
 
 
 @dataclass
 class GapOptions:
-    """Reproducibility knobs for the heuristic minimizations."""
+    """Reproducibility knobs for the multistart minimizations: starts and
+    iterations per run, the seed, and warm starts that join every run.  The
+    oracle that applies to a domain always runs (`_guarded_oracle`)."""
 
     starts: int = 32
     iters: int = 10_000
     seed: int = 0
-    smooth_r: float = 64.0  # finite proxy exponent when minimizing the max
-    polish_iters: int = 500
-    exact: str = "auto"  # "auto" | "never"
     extra_starts: tuple = ()
 
     def to_dict(self) -> dict:
@@ -87,9 +95,6 @@ class GapOptions:
             "starts": self.starts,
             "iters": self.iters,
             "seed": self.seed,
-            "smoothR": self.smooth_r,
-            "polishIters": self.polish_iters,
-            "exact": self.exact,
             "extraStarts": len(self.extra_starts),
         }
 
@@ -99,24 +104,34 @@ class GapOptions:
 
 
 def ensure_no_fixed_vectors(domain: Domain):
-    """Raise ZeroDomain when the domain holds only the zero vector, and
-    FixedVectorPresent when it contains an invariant vector.
+    """Raise SupportViolation when the domain reaches outside the
+    representation's support, ZeroDomain when it holds only the zero
+    vector, and FixedVectorPresent when it contains an invariant vector.
 
     Every domain is a coordinate subspace or the mean-zero space, so a
-    vector with distinct nonzero entries projects to zero only when the
-    domain is {0}: the mean-zero space of a one-element group, where no
-    unit vector exists to take an infimum over.
+    vector with distinct nonzero entries projects to a vector whose support
+    is the domain's: it has mass outside `rep.admissible_mask` exactly when
+    the domain does (the full space on a dirichlet ball, where the
+    truncated action is not defined on the boundary layer), and it is zero
+    only when the domain is {0}: the mean-zero space of a one-element
+    group, where no unit vector exists to take an infimum over.
 
     The ball is a connected Cayley graph, so a vector invariant under every
     generator is constant on it; and a constant is invariant only when no
     generator leaves the ball, i.e. on a full ball, since the gather reads
     zero outside.  The domain therefore holds an invariant vector exactly
     when its projection of the constant vector is nonzero and invariant,
-    which is the other check made here.
+    which is the last check made here.
     """
     rep = domain.rep
     n = rep.ball.size
-    if not domain.project(np.arange(1.0, n + 1.0)).any():
+    probe = domain.project(np.arange(1.0, n + 1.0))
+    if probe[~rep.admissible_mask].any():
+        raise SupportViolation(
+            f"domain {domain.name!r} on {rep.handle.label} has mass at depth > "
+            f"{rep.ball.radius - 1}, outside the dirichlet support"
+        )
+    if not probe.any():
         raise ZeroDomain(f"domain {domain.name!r} on {rep.handle.label} holds only the zero vector")
     cand = domain.project(np.ones(n))
     nc = np.linalg.norm(cand)
@@ -350,6 +365,11 @@ def eigen_exact_constants(domain: Domain, seed: int) -> dict:
 # (integer_lattice(1) R = 16, p = 1.5: 1.05e-6); 1e-5 leaves a margin.
 BRACKET_RTOL = 1e-5
 
+# a multistart at r = inf minimizes F_SMOOTH_R, a smooth proxy for the max;
+# C_disp's polish runs on the max itself, at most POLISH_ITERS iterations each
+SMOOTH_R = 64.0
+POLISH_ITERS = 500
+
 
 def barta_lower_bound(domain: Domain, phi: np.ndarray) -> float | None:
     """Barta's lower bound on C_p from phi > 0 on a dirichlet domain: the
@@ -490,19 +510,18 @@ class ConstantEstimate:
 
 
 def _guarded_oracle(domain: Domain, opts: GapOptions) -> Oracle:
-    """The fixed-vector guard, then the oracle for the domain: at p = 2 the
-    character oracle's exact estimates on the mean-zero space of a cyclic
-    group, the Lanczos oracle's (`eigen_exact_constants`) on every other
-    domain; at p != 2 the bracketed ones (`bracketed_constants`) on a
-    dirichlet domain.  An empty Oracle otherwise, or when opts.exact is
-    "never".
+    """The fixed-vector guard, then the oracle that applies to the domain:
+    at p = 2 the character oracle's exact estimates on the mean-zero space
+    of a cyclic group, the Lanczos oracle's (`eigen_exact_constants`) on
+    every other domain; at p != 2 the bracketed ones (`bracketed_constants`)
+    on a dirichlet domain.  An empty Oracle on a mean-zero domain at p != 2,
+    where none applies.
 
     The guard comes first: the oracles have no unit vector to build on a
-    domain that holds only the zero vector."""
+    domain that holds only the zero vector.  A caller that wants the
+    multistart alone passes `displacement_constant` an empty Oracle."""
     ensure_no_fixed_vectors(domain)
     rep = domain.rep
-    if opts.exact == "never":
-        return Oracle()
     if rep.p != 2.0:
         return bracketed_constants(domain, opts) if isinstance(domain, DirichletDomain) else Oracle()
     if rep.handle.family == "cyclic" and rep.mode == "full" and isinstance(domain, MeanZeroDomain):
@@ -511,11 +530,11 @@ def _guarded_oracle(domain: Domain, opts: GapOptions) -> Oracle:
 
 
 def _ratio_multistart(action: AffineAction, r: float, opts: GapOptions, domain: Domain):
-    """Multistart descent on F_r/|.|_p, with a smoothed high exponent for
-    r = inf: the finite end points in pool order, and the (final value,
-    Trajectory) pair of every run."""
-    r_run = min(r, opts.smooth_r) if np.isinf(r) else r
-    result = multistart_minimize(
+    """Multistart descent on F_r/|.|_p, on F_SMOOTH_R/|.|_p for r = inf:
+    the finite end points in pool order, and the (final value, Trajectory)
+    pair of every run."""
+    r_run = SMOOTH_R if np.isinf(r) else r
+    pool = multistart_minimize(
         make_energy_ratio_objective(action, r_run),
         domain,
         starts=opts.starts,
@@ -523,8 +542,8 @@ def _ratio_multistart(action: AffineAction, r: float, opts: GapOptions, domain: 
         seed=opts.seed,
         extra_starts=opts.extra_starts,
     )
-    vecs = [vec for (_tag, val, vec, _traj) in result.pool if np.isfinite(val)]
-    return vecs, [(val, traj) for (_tag, val, _vec, traj) in result.pool]
+    vecs = [vec for (_tag, val, vec, _traj) in pool if np.isfinite(val)]
+    return vecs, [(val, traj) for (_tag, val, _vec, traj) in pool]
 
 
 def _multistart_estimate(runs) -> ConstantEstimate:
@@ -561,19 +580,20 @@ def displacement_constant(
     the max generator displacement and of the r-mean displacement energy.
 
     `oracle` is what `_guarded_oracle` gave for this domain; by default the
-    guard and the oracle run here.  Estimates its exact or bracketed ones
-    lack come from multistart projected gradient descent at r, minimizing
-    a smoothed high exponent as a proxy for the max, and polishing every
-    end point on the max itself.  When only C_r is given (C_2 on a
+    guard and the oracle run here, and an empty Oracle leaves both
+    estimates to the multistart.  Estimates its exact or bracketed ones
+    lack come from multistart projected gradient descent at r (at SMOOTH_R
+    for r = inf), and a polish of every end point on the max itself, of at
+    most POLISH_ITERS iterations.  When only C_r is given (C_2 on a
     degenerate eigenspace, or a bracketed C_p beside an open C_disp
-    bracket), the multistart still runs at r to seed C_disp's polish, and C_disp's diagnostics count its runs with the polish runs,
-    the seed runs without their final values, which are of another
-    objective.  Both are reduced over one pool: the end points, the
-    polished points, the warm starts and every oracle vector, once.  At
-    r = inf C_r is C_disp with its own diagnostics.  Warm starts lower
-    only multistart estimates; a bracketed one is within BRACKET_RTOL of
-    the infimum, so sweeps of it are nonincreasing up to that, not by
-    construction.
+    bracket), the multistart still runs at r to seed C_disp's polish, and
+    C_disp's diagnostics count its runs with the polish runs, the seed
+    runs without their final values, which are of another objective.
+    Both are reduced over one pool: the end points, the polished points,
+    the warm starts and every oracle vector, once.  At r = inf C_r is
+    C_disp with its own diagnostics.  Warm starts lower only multistart
+    estimates; a bracketed one is within BRACKET_RTOL of the infimum, so
+    sweeps of it are nonincreasing up to that, not by construction.
     """
     opts = options or GapOptions()
     if oracle is None:
@@ -586,7 +606,7 @@ def displacement_constant(
 
     # polish toward the true max with the active-generator subgradient
     obj_inf = make_energy_ratio_objective(action, np.inf)
-    polish_runs = [sphere_minimize(obj_inf, domain, vec, opts.polish_iters) for vec in runs]
+    polish_runs = [sphere_minimize(obj_inf, domain, vec, POLISH_ITERS) for vec in runs]
     # the raw warm starts too, not just the trajectories they seed: that makes
     # sweep estimates nonincreasing under warm starting by construction
     extras = [_normalize(domain, np.asarray(v, dtype=float)) for v in opts.extra_starts]
@@ -630,7 +650,10 @@ def lower_bounds(estimates: dict, lower_p: float | None, r: float, p: float, m_m
     """A certified lower bound on each constant of a report, by name; None
     where none is known.
 
-    An exact estimate bounds itself.  Otherwise lower_p, a certified lower
+    lower_p is the oracle's: the exact C_2 at p = 2, Barta's bound on a
+    dirichlet domain at p != 2 (None where its vector vanishes inside), and
+    None on a mean-zero domain at p != 2, where no oracle applies.  An
+    exact estimate bounds itself.  Otherwise lower_p, a certified lower
     bound on C_p, bounds C_grad = C_p, C_disp >= C_p (the max is at least
     every power mean) and C_r for r >= p (power means grow with the
     exponent); C_lap = C_p/2 takes lower_p/2, and C_r for r < p takes
@@ -707,22 +730,11 @@ class GapReport:
     bounds: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        r = "inf" if np.isinf(self.r) else self.r
-        return {
-            "group": self.group,
-            "p": self.p,
-            "r": r,
-            "domain": self.domain,
-            "radius": self.radius,
-            "constants": self.constants,
-            "methods": self.methods,
-            "chain": self.chain,
-            "certificates": self.certificates,
-            "battery": self.battery,
-            "options": self.options,
-            "diagnostics": self.diagnostics,
-            "bounds": self.bounds,
-        }
+        """Every field by its name, with r = inf written "inf"."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if np.isinf(self.r):
+            out["r"] = "inf"
+        return out
 
 
 def equivalence_report(

@@ -42,6 +42,7 @@ from .lpspace import (
     norming_vector,
     power_norm,
     row_power_norms,
+    same_point,
     signed_power,
 )
 
@@ -278,10 +279,11 @@ class DescentTrace:
 def _line_search(action, v, direction, t, accepts, trace):
     """Trials v + t direction, t halved after each rejection, until
     accepts(t, F(trial)): returns (trial, F(trial)), or None after
-    MAX_HALVINGS trials or at a trial with v's bits, which is not taken."""
+    MAX_HALVINGS trials or at a trial at v's point (`same_point`), which is
+    not evaluated."""
     for _ in range(MAX_HALVINGS):
         w = v + t * direction
-        if np.array_equal(w, v):
+        if same_point(w, v):
             return None
         f_w = displacement_energy(action, w, check=False)
         trace.energy_evals += 1
@@ -311,10 +313,10 @@ def descend(
     E(w) <= E(v) + LBFGS_ARMIJO t <g, d>, halving t.  The memory is
     cleared, and the steepest step taken instead, when there is no pair
     yet, when <g, d> >= 0, or when that search fails within MAX_HALVINGS
-    trials or reaches a trial with v's bits.  The steepest step follows the
-    unit restricted steepest direction u from t = F(v)/2 with the Armijo
-    test F(w) <= F(v) - ARMIJO t slope, halving t; when it fails too, or
-    reaches a trial with v's bits, descent stops `stalled`.
+    trials or reaches a trial at v's point (`same_point`).  The steepest
+    step follows the unit restricted steepest direction u from t = F(v)/2
+    with the Armijo test F(w) <= F(v) - ARMIJO t slope, halving t; when it
+    fails too, or reaches a trial at v's point, descent stops `stalled`.
 
     Stops, in this order: F <= abs_tol, slope <= grad_tol (each with a
     final row), the iteration cap, a stall (reported in the trace, not

@@ -33,6 +33,13 @@ def signed_power(x: np.ndarray, e: float) -> np.ndarray:
     return np.sign(x) * np.abs(x) ** e
 
 
+def same_point(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a and b are one point, entry by entry in value (0.0 is -0.0).
+    A line-search trial at its start's point has the start's value, so it
+    passes no Armijo test, and neither engine evaluates it."""
+    return np.array_equal(a, b)
+
+
 def power_norm(values: np.ndarray, p: float) -> float:
     """(sum |v|^p)^(1/p), scaled for overflow safety.
 

@@ -231,7 +231,7 @@ def test_criterion_08_amenable_vs_nonamenable_sweeps():
             lifted = np.zeros(rep.ball.size)
             lifted[:prev_size] = carried
             extras.append(lifted)
-        opts = GapOptions(starts=4, iters=600, polish_iters=200, seed=9, extra_starts=tuple(extras))
+        opts = GapOptions(starts=4, iters=600, seed=9, extra_starts=tuple(extras))
         est_disp, _ = displacement_constant(default_domain(rep), 2.0, opts)
         free_ok &= est_disp.value >= bound - 1e-3 and est_disp.value <= prev + 1e-12
         free_detail.append(round(est_disp.value, 6))

@@ -212,21 +212,6 @@ def test_gap_cyclic12_matches_character_value(tmp_path, capsys):
     assert constants["C_disp"] == pytest.approx(2.0 * np.sin(np.pi / 12), abs=1e-6)
 
 
-def test_gap_full_domain_on_finite_group_exit_3(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        "gap.json",
-        {
-            "group": {"family": "cyclic", "params": {"n": 6}},
-            "p": 2.0,
-            "domain": "full",
-            "starts": 2,
-            "iters": 100,
-        },
-    )
-    assert main(["gap", "--config", cfg, "--out", str(tmp_path)]) == 3
-
-
 def test_gap_r_inf_exit_0(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -791,7 +776,7 @@ _RUN = {"starts": 1, "iters": 20}
         ("gap", {"group": _FREE2, "radius": "abc", **_RUN}, "'radius'"),
         ("ball", {"group": _FREE2, "radius": "abc"}, "'radius'"),
         ("ball", {"group": _FREE2, "radius": 2.5}, "'radius'"),
-        ("gap", {"group": _CYCLIC4, "exact": "bogus", **_RUN}, "'exact'"),
+        ("gap", {"group": _CYCLIC4, "iters": -1}, "'iters'"),
         ("verify", {"group": _CYCLIC4, "suites": ["bogus"]}, "'suites'"),
         ("descend", {"group": _CYCLIC4, "cocycle": {"values": ["c.csv"]}}, "'cocycle'"),
         ("ball", {"group": {"family": "cyclic", "params": {}}}, "'n'"),
@@ -822,6 +807,18 @@ def test_config_value_out_of_range_exits_2(tmp_path, capsys, command, config, na
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and named in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("domain", "full"), ("domain", "dirichlet"), ("exact", "never"), ("exact", "auto")]
+)
+def test_gap_takes_no_domain_or_method_selector(tmp_path, capsys, key, value):
+    # the group fixes the domain and the oracle always runs, so neither key exists
+    cfg = write_config(tmp_path, "gap.json", {"group": _FREE2, "radius": 3, key: value, **_RUN})
+    assert main(["gap", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and repr(key) in err
     assert not (tmp_path / "o").exists()
 
 

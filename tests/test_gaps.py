@@ -8,9 +8,9 @@ import pytest
 
 import pgaplab as pg
 from pgaplab import gaps
-from pgaplab.action import MeanZeroDomain, default_domain
+from pgaplab.action import FullDomain, MeanZeroDomain, default_domain
 from pgaplab.cli import main
-from pgaplab.errors import FixedVectorPresent, ValidationError
+from pgaplab.errors import FixedVectorPresent, SupportViolation, ValidationError
 from pgaplab.gaps import (
     GapOptions,
     ensure_no_fixed_vectors,
@@ -25,6 +25,18 @@ from conftest import dense_gap_constant
 
 def full_rep(handle, p=2.0):
     return pg.Representation(pg.full_ball(handle), p, "full")
+
+
+@pytest.fixture
+def multistart_only(monkeypatch):
+    """Reports run the fixed-vector guard and no oracle, so every estimate
+    is a multistart's."""
+
+    def guard_only(domain, opts):
+        ensure_no_fixed_vectors(domain)
+        return gaps.Oracle()
+
+    monkeypatch.setattr(gaps, "_guarded_oracle", guard_only)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
@@ -65,8 +77,8 @@ def test_certificate_attains_reported_value():
 @pytest.mark.parametrize("n", [4, 6])
 def test_multistart_agrees_with_character_oracle(n):
     rep = full_rep(pg.cyclic_group(n))
-    opts = GapOptions(starts=16, iters=4000, seed=3, exact="never")
-    est_disp, est_r = pg.displacement_constant(default_domain(rep), 2.0, opts)
+    opts = GapOptions(starts=16, iters=4000, seed=3)
+    est_disp, est_r = pg.displacement_constant(default_domain(rep), 2.0, opts, oracle=gaps.Oracle())
     assert est_disp.method == "multistart"
     exact = 2.0 * np.sin(np.pi / n)
     assert abs(est_disp.value - exact) <= 1e-6
@@ -80,9 +92,9 @@ def test_eigen_oracle_matches_characters():
         assert dense_gap_constant(dom) == pytest.approx(2.0 * np.sin(np.pi / n), abs=1e-12)
 
 
-def test_gradient_constant_cyclic4():
+def test_gradient_constant_cyclic4(multistart_only):
     rep = full_rep(pg.cyclic_group(4))
-    opts = GapOptions(starts=8, iters=2000, exact="never")
+    opts = GapOptions(starts=8, iters=2000)
     report = pg.equivalence_report(default_domain(rep), options=opts)
     c_grad = report.constants["C_grad"]
     exact = dense_gap_constant(default_domain(rep))
@@ -92,10 +104,10 @@ def test_gradient_constant_cyclic4():
     assert c_grad == pytest.approx(exact, abs=1e-6)
 
 
-def test_laplacian_constant_is_half_gradient_constant():
+def test_laplacian_constant_is_half_gradient_constant(multistart_only):
     # at r != p a separate energy-ratio run at r = p supplies C_grad and C_lap
     rep = full_rep(pg.cyclic_group(4))
-    opts = GapOptions(starts=8, iters=2000, exact="never")
+    opts = GapOptions(starts=8, iters=2000)
     report = pg.equivalence_report(default_domain(rep), np.inf, opts)
     c = report.constants
     assert c["C_lap"] == c["C_grad"] / 2.0
@@ -125,28 +137,37 @@ def test_dirichlet_domain_has_no_fixed_vectors():
 
 
 @pytest.mark.parametrize(
-    "group, radius, kind, invariant",
+    "group, radius, kind, raised",
     [
         # radius 5 exceeds the diameter 3 of cyclic(6): the dirichlet mask
         # keeps every element and the constant vector is invariant
-        (pg.cyclic_group(6), 5, "dirichlet", True),
-        (pg.cyclic_group(6), 5, "full", True),
-        # on a ball that is not full the gather reads zero outside it, so the
-        # constant is not invariant even without the dirichlet mask
-        (pg.free_group(2), 3, "full", False),
-        (pg.cyclic_group(12), 2, "full", False),
+        (pg.cyclic_group(6), 5, "dirichlet", FixedVectorPresent),
+        (pg.cyclic_group(6), 5, "full", FixedVectorPresent),
+        # on a ball that is not full the full space reaches the boundary
+        # layer, outside the dirichlet support
+        (pg.free_group(2), 3, "full", SupportViolation),
+        (pg.cyclic_group(12), 2, "full", SupportViolation),
     ],
     ids=["cyclic6-R5-dirichlet", "cyclic6-R5-full", "free2-R3-full", "cyclic12-R2-full"],
 )
-def test_fixed_vector_guard_on_dirichlet_representations(group, radius, kind, invariant):
+def test_fixed_vector_guard_on_dirichlet_representations(group, radius, kind, raised):
     rep = pg.Representation(pg.ball(group, radius), 2.0, "dirichlet")
-    assert rep.ball.is_full == invariant
+    assert rep.ball.is_full == (raised is FixedVectorPresent)
     dom = default_domain(rep, kind)
-    if invariant:
-        with pytest.raises(FixedVectorPresent):
-            ensure_no_fixed_vectors(dom)
-    else:
+    with pytest.raises(raised):
         ensure_no_fixed_vectors(dom)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_report_on_the_full_space_of_a_dirichlet_ball_raises(p):
+    # the full space holds vectors with mass on the boundary layer, where the
+    # truncated action is not defined; the report used to certify its
+    # constants by such vectors, which check_admissible rejects
+    rep = pg.Representation(pg.ball(pg.free_group(2), 3), p, "dirichlet")
+    with pytest.raises(SupportViolation, match="depth > 2"):
+        pg.equivalence_report(FullDomain(rep), options=GapOptions(starts=2, iters=50))
+    with pytest.raises(SupportViolation):
+        pg.displacement_constant(FullDomain(rep), 2.0, GapOptions(starts=2, iters=50))
 
 
 def test_tent_vector_ratio():
@@ -310,8 +331,8 @@ def _digest(values):
 # of equivalence_report with 2 starts x 60 iterations at seed 5.  C_disp and
 # C_r are as computed by the descent that evaluated every point's value and
 # gradient together; C_grad and C_lap are C_r and C_r/2 with C_r's certificate.
-# Each entry runs with exact="never", which pins the multistart, unless
-# GOLDEN_EXACT names another mode for it.
+# Each entry runs the multistart alone (`multistart_only`), unless
+# GOLDEN_WITH_ORACLE names it.
 GOLDEN = {
     "symmetric(4) p=3": {
         "C_disp": (0.5845714697373975, "f9201a5905dff7d74345f83254a627cba8ef586fcb69021db027c5a2ed1227a2"),
@@ -336,7 +357,7 @@ GOLDEN = {
     },
 }
 
-GOLDEN_EXACT = {"free(2) R=4 p=1.5 auto": "auto"}
+GOLDEN_WITH_ORACLE = {"free(2) R=4 p=1.5 auto"}
 
 
 def golden_rep(name):
@@ -346,8 +367,10 @@ def golden_rep(name):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_equivalence_report_golden_constants_and_certificates(name):
-    opts = GapOptions(starts=2, iters=60, seed=5, exact=GOLDEN_EXACT.get(name, "never"))
+def test_equivalence_report_golden_constants_and_certificates(request, name):
+    if name not in GOLDEN_WITH_ORACLE:
+        request.getfixturevalue("multistart_only")
+    opts = GapOptions(starts=2, iters=60, seed=5)
     report = pg.equivalence_report(default_domain(golden_rep(name)), options=opts)
     for key, (value, digest) in GOLDEN[name].items():
         assert report.constants[key] == value, key
@@ -648,14 +671,6 @@ def test_lanczos_oracle_builds_no_square_array():
     assert peak < 8 * 2**20
 
 
-@pytest.mark.parametrize("name", ["symmetric(5)", "free(2) R=2"])
-def test_exact_never_keeps_the_multistart(name):
-    domain = default_domain(LANCZOS_INSTANCES[name]())
-    opts = GapOptions(starts=2, iters=100, seed=1, exact="never")
-    report = pg.equivalence_report(domain, options=opts)
-    assert set(report.methods.values()) == {"multistart"}
-
-
 def test_gap_sweep_over_a_free_group_at_p2_is_nonincreasing():
     opts = GapOptions(starts=2, iters=100, seed=6)
     reports = pg.gap_sweep(pg.free_group(2), 2.0, 2.0, [2, 3, 4, 5], opts)
@@ -679,7 +694,7 @@ def test_c_disp_spread_is_over_the_polish_runs_only():
     act = pg.AffineAction.linear(rep)
     runs, _ = gaps._ratio_multistart(act, 2.0, opts, domain)
     obj_inf = make_energy_ratio_objective(act, np.inf)
-    finals = [gaps.sphere_minimize(obj_inf, domain, v, opts.polish_iters)[0] for v in runs]
+    finals = [gaps.sphere_minimize(obj_inf, domain, v, gaps.POLISH_ITERS)[0] for v in runs]
     assert d["finalSpread"] == max(finals) - min(finals)
     assert d["finalSpread"] < 1e-3  # 0.0626 when the F_2 finals were counted
 

@@ -14,6 +14,7 @@ from pgaplab._optimize import (
 )
 from pgaplab.action import default_domain
 from pgaplab.gaps import make_energy_ratio_objective
+from pgaplab.lpspace import same_point
 
 
 def instances():
@@ -154,7 +155,7 @@ def test_multistart_pool_carries_trajectories_and_summary():
     action = pg.AffineAction.linear(rep)
     domain = default_domain(rep)
     zero_start = np.ones(rep.ball.size)  # projects to zero on the mean-zero domain
-    result = multistart_minimize(
+    pool = multistart_minimize(
         make_energy_ratio_objective(action, 3.0),
         domain,
         starts=3,
@@ -162,20 +163,28 @@ def test_multistart_pool_carries_trajectories_and_summary():
         seed=2,
         extra_starts=(zero_start,),
     )
-    tags = [entry[0] for entry in result.pool]
+    tags = [entry[0] for entry in pool]
     assert tags == ["seed0", "seed1", "seed2", "start0"]
-    assert all(isinstance(entry[3], Trajectory) for entry in result.pool[:3])
-    assert result.pool[3][1] == np.inf and result.pool[3][3] is None
-    summary = result.summary()
-    trajs = [entry[3] for entry in result.pool[:3]]
+    assert all(isinstance(entry[3], Trajectory) for entry in pool[:3])
+    assert pool[3][1] == np.inf and pool[3][3] is None
+    summary = trajectory_summary((val, tr) for (_tag, val, _vec, tr) in pool)
+    trajs = [entry[3] for entry in pool[:3]]
     assert summary["trajectories"] == 3
     assert summary["iterations"] == sum(t.iterations for t in trajs)
     assert summary["valueEvals"] == sum(t.value_evals for t in trajs)
     assert summary["gradientEvals"] == sum(t.gradient_evals for t in trajs)
     assert sum(summary["stops"].values()) == 3
-    finals = [entry[1] for entry in result.pool[:3]]
+    finals = [entry[1] for entry in pool[:3]]
     assert summary["finalSpread"] == max(finals) - min(finals)
     assert 1 <= summary["reachedBest"] <= 3
+
+
+def test_same_point_compares_values_not_bits():
+    # both line searches skip a trial at their start's point; -0.0 there has
+    # the start's value, so it must not cost an evaluation or the halvings
+    v = np.array([0.0, 1.0, -2.0])
+    assert same_point(np.array([-0.0, 1.0, -2.0]), v)
+    assert not same_point(np.array([0.0, np.nextafter(1.0, 2.0), -2.0]), v)
 
 
 def test_multistart_with_no_usable_start_raises():
