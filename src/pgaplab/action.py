@@ -20,6 +20,13 @@ row k is c(g_k).  An affine action adds these rows to the stacked linear
 displacements, and the cocycle routines (the inverse law, norms, extension
 along words) act on all rows at once through the table.  A single vector
 is a float64 (n,) array, and its exponent is the representation's p.
+
+A Domain is the subspace that optimization, descent and sampling range
+over: `FullDomain` (every vector), `MeanZeroDomain` (a finite group's
+complement of the constants) or `DirichletDomain` (the interior of a
+truncated ball).  `default_domain(rep)` is the one map from a
+representation to its space, the part with no fixed vectors; no argument
+or config key selects another.
 """
 
 from __future__ import annotations
@@ -431,8 +438,6 @@ def potential_from_cocycle(c: Cocycle) -> tuple[np.ndarray, float]:
 class Domain:
     """Linear subspace of admissible vectors for optimization and sampling."""
 
-    name = "ambient"
-
     def __init__(self, rep: Representation):
         self.rep = rep
 
@@ -552,18 +557,11 @@ class DirichletDomain(Domain):
         return self.project(xi)
 
 
-def default_domain(rep: Representation, kind: str | None = None) -> Domain:
-    """Domain factory: 'full', 'mean-zero' or 'dirichlet' (mode default)."""
-    if kind is None:
-        kind = "dirichlet" if rep.mode == "dirichlet" else "mean-zero"
-    if kind in ("full", "ambient"):
-        return FullDomain(rep)
-    if kind in ("mean-zero", "mean_zero"):
-        if rep.mode != "full":
-            raise ValidationError("mean-zero domain needs a finite group in full mode")
-        return MeanZeroDomain(rep)
-    if kind == "dirichlet":
-        if rep.mode != "dirichlet":
-            raise ValidationError("dirichlet domain needs a dirichlet-mode representation")
-        return DirichletDomain(rep)
-    raise ValidationError(f"unknown domain kind {kind!r}")
+def default_domain(rep: Representation) -> Domain:
+    """The space the paper's constants live on: the part of the
+    representation with no fixed vectors.  That is the mean-zero space on a
+    whole finite group (full mode) and the dirichlet interior on any other
+    ball.  gap's reports, descent and the sampler take their space from
+    here; `FullDomain` is the ambient space, built by name where it is
+    wanted."""
+    return DirichletDomain(rep) if rep.mode == "dirichlet" else MeanZeroDomain(rep)

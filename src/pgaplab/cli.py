@@ -31,6 +31,11 @@ ball; and the oracle that applies to that space always runs.  So no key
 selects either: `domain` and `exact`, which once did, are unknown keys and
 exit 2.
 
+descend takes the keys group, radius, p, cocycle, v0, absTol, gradTol,
+maxIters, seed and out.  It descends in the same space as gap, the one the
+group fixes (`action.default_domain`), so `domain`, which once selected
+another, is an unknown key and exits 2.
+
 gap.json's report tags each constant by method ("exact-fourier",
 "exact-eigen", "bracketed" or "multistart"; see `pgaplab.gaps`) and gives
 it a `bounds` entry {"lower": L}, a certified lower bound on the
@@ -235,7 +240,6 @@ _CONFIG = {
         "group": _GROUP,
         "radius": _RADIUS,
         "p": _P,
-        "domain": (_optional(_of_type(str)), None),
         "cocycle": (_optional(_of_type(dict)), {"zero": True}),
         "v0": (_of_type(str), "zero"),  # "zero" or the path of a CSV vector
         "absTol": (_TOLERANCE, 1e-8),
@@ -383,8 +387,10 @@ def _load_action(rep: Representation, cocycle) -> AffineAction:
 
 def cmd_descend(args) -> int:
     """Descend toward a fixed point and report the restricted slope at the
-    terminal.  Descent draws no random numbers: a `seed` in the config is
-    accepted and echoed, and changes nothing.
+    terminal.  Both are taken in `default_domain(rep)`, the space gap's
+    constants live on: the mean-zero space of a whole finite group, else
+    the dirichlet interior of the ball.  Descent draws no random numbers:
+    a `seed` in the config is accepted and echoed, and changes nothing.
 
     `energyEvals` counts the energies descent took: its start's and one per
     line-search trial.  `steepestSteps` counts the accepted steps of the
@@ -397,7 +403,7 @@ def cmd_descend(args) -> int:
     fixed-point set of the action (`AffineAction.fixed_point_distance`)."""
     config, handle, radius = load_config("descend", args)
     [rep] = _representations(handle, radius, [config["p"]])
-    domain = default_domain(rep, config["domain"])
+    domain = default_domain(rep)
     action = _load_action(rep, config["cocycle"])
     if config["v0"] == "zero":
         v0 = rep.zero()

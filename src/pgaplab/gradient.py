@@ -21,6 +21,11 @@ The gap constants C_grad and C_lap are its infimum and half of it;
 the domain, and falls back to a steepest step on F along the restricted
 steepest direction where the quasi-Newton step does not descend.
 
+Descent and the sampler (`abs_gradient_sampled`) take their slopes in
+`default_domain(rep)` unless given a domain: the space the gap constants
+live on, so the slope they bound below is the one whose infimum is C_grad.
+Only `abs_gradient` takes the ambient slope.
+
 F is the displacement energy at r = p, and p is the representation's
 exponent, read off the action or the domain: no function here takes an
 exponent.  Points and directions are float64 (n,) arrays in l^p; xi and
@@ -135,20 +140,22 @@ def abs_gradient_sampled(
     fixed_point: np.ndarray | None = None,
     include_steepest: bool = True,
 ) -> float:
-    """Lower-bound estimate of the absolute gradient of F_p by difference
+    """Lower-bound estimate of the restricted slope of F_p by difference
     quotients.
 
-    Samples random unit directions at radii {1e-3, 1e-2, 0.1, 1} times |v|,
-    plus the ray toward a known fixed point and the closed-form steepest
-    direction when available.  Always a valid lower bound for the true value.
+    Samples random unit directions of the domain (`default_domain(rep)`
+    when none is given: the space whose infimum of the slope is C_grad) at
+    radii {1e-3, 1e-2, 0.1, 1} times |v|, plus the closed-form restricted
+    steepest direction and the ray toward a known fixed point.  F is convex,
+    so each quotient is a lower bound for `restricted_slope` on that domain
+    (the ray's when fixed_point - v lies in the domain).
     A diagnostic only: `verify` checks the closed-form slope exactly, through
     `directional_derivative` and central differences, and never calls it.
     """
     if budget < 1:
         raise ValidationError("sampling budget must be >= 1")
     rep = action.rep
-    if domain is None:
-        domain = default_domain(rep, "full" if rep.mode == "full" else "dirichlet")
+    domain = domain or default_domain(rep)
     p = rep.p
     q = conjugate_exponent(p)
     rng = np.random.default_rng(seed)
@@ -301,7 +308,9 @@ def descend(
     domain: Domain | None = None,
 ) -> DescentTrace:
     """Limited-memory quasi-Newton descent on E = F^2, with a steepest
-    descent step on F as its fallback.
+    descent step on F as its fallback, inside the domain:
+    `default_domain(rep)` when none is given, the space gap's constants
+    live on (pass `FullDomain(rep)` to descend on all of l^p(G)).
 
     F is a cone at its fixed points (F >= C_p dist on a fixed-vector-free
     domain, a weak sharp minimum), so unit steps on F rarely pass; E is
@@ -335,8 +344,7 @@ def descend(
     """
     opts = options or DescentOptions()
     rep = action.rep
-    if domain is None:
-        domain = default_domain(rep, "full" if rep.mode == "full" else "dirichlet")
+    domain = domain or default_domain(rep)
 
     rep.check_admissible(v0)
     v = domain.project(v0)

@@ -18,8 +18,9 @@ instance's default domain:
 - random_directions_below_slope: no direction of the domain near the
   restricted steepest one (tilted at random by RANDOM_TILT) descends
   faster than the restricted slope;
-- descent_reaches_fixed_point: `descend` from 0 ends within 1e-6 of the
-  fixed-point set, in the distance `descend`'s CLI report also reads
+- descent_reaches_fixed_point: `descend` from 0, in the default domain as
+  `pgaplab descend` runs it, ends within 1e-6 of the fixed-point set, in
+  the distance `descend`'s CLI report also reads
   (`AffineAction.fixed_point_distance`); its detail gives the stop reason,
   the iterations and the energy evaluations.
 The rows above the last read only points where F > 0; when every sampled

@@ -154,15 +154,15 @@ def test_criterion_06_fixed_point_descent():
     rng = np.random.default_rng(606)
     cases = []
     for p in (2.0, 3.0):
-        cases.append((pg.Representation(pg.full_ball(pg.cyclic_group(8)), p, "full"), "mean-zero"))
-        cases.append((pg.Representation(pg.full_ball(pg.symmetric_group(4)), p, "full"), "mean-zero"))
-        cases.append((pg.Representation(pg.ball(pg.free_group(2), 4), p, "dirichlet"), "dirichlet"))
+        cases.append(pg.Representation(pg.full_ball(pg.cyclic_group(8)), p, "full"))
+        cases.append(pg.Representation(pg.full_ball(pg.symmetric_group(4)), p, "full"))
+        cases.append(pg.Representation(pg.ball(pg.free_group(2), 4), p, "dirichlet"))
     worst_f = 0.0
     worst_rec = 0.0
     worst_grad = 0.0
-    for rep, dom_kind in cases:
-        dom = default_domain(rep, dom_kind)
-        f0 = unit(rep, rng, mean_zero=(dom_kind == "mean-zero"))
+    for rep in cases:
+        dom = default_domain(rep)
+        f0 = unit(rep, rng, mean_zero=(rep.mode == "full"))
         action = pg.AffineAction.from_potential(rep, f0)
         f_init = pg.displacement_energy(action, rep.zero())
         trace = pg.descend(action, rep.zero(), domain=dom)

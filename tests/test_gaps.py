@@ -8,7 +8,7 @@ import pytest
 
 import pgaplab as pg
 from pgaplab import gaps
-from pgaplab.action import FullDomain, MeanZeroDomain, default_domain
+from pgaplab.action import DirichletDomain, FullDomain, MeanZeroDomain, default_domain
 from pgaplab.cli import main
 from pgaplab.errors import FixedVectorPresent, SupportViolation, ValidationError
 from pgaplab.gaps import (
@@ -119,7 +119,7 @@ def test_laplacian_constant_is_half_gradient_constant(multistart_only):
 
 def test_fixed_vector_present_on_full_domain():
     rep = full_rep(pg.cyclic_group(6))
-    dom = default_domain(rep, "full")
+    dom = FullDomain(rep)
     with pytest.raises(FixedVectorPresent):
         ensure_no_fixed_vectors(dom)
     with pytest.raises(FixedVectorPresent):
@@ -141,19 +141,19 @@ def test_dirichlet_domain_has_no_fixed_vectors():
     [
         # radius 5 exceeds the diameter 3 of cyclic(6): the dirichlet mask
         # keeps every element and the constant vector is invariant
-        (pg.cyclic_group(6), 5, "dirichlet", FixedVectorPresent),
-        (pg.cyclic_group(6), 5, "full", FixedVectorPresent),
+        (pg.cyclic_group(6), 5, DirichletDomain, FixedVectorPresent),
+        (pg.cyclic_group(6), 5, FullDomain, FixedVectorPresent),
         # on a ball that is not full the full space reaches the boundary
         # layer, outside the dirichlet support
-        (pg.free_group(2), 3, "full", SupportViolation),
-        (pg.cyclic_group(12), 2, "full", SupportViolation),
+        (pg.free_group(2), 3, FullDomain, SupportViolation),
+        (pg.cyclic_group(12), 2, FullDomain, SupportViolation),
     ],
     ids=["cyclic6-R5-dirichlet", "cyclic6-R5-full", "free2-R3-full", "cyclic12-R2-full"],
 )
 def test_fixed_vector_guard_on_dirichlet_representations(group, radius, kind, raised):
     rep = pg.Representation(pg.ball(group, radius), 2.0, "dirichlet")
     assert rep.ball.is_full == (raised is FixedVectorPresent)
-    dom = default_domain(rep, kind)
+    dom = kind(rep)
     with pytest.raises(raised):
         ensure_no_fixed_vectors(dom)
 

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 import pgaplab as pg
-from pgaplab.action import MeanZeroDomain, default_domain
+from pgaplab.action import FullDomain, MeanZeroDomain, default_domain
 from pgaplab.errors import (
     AtFixedPoint,
     NonsmoothPoint,
     SupportViolation,
     ValidationError,
 )
-from pgaplab.gradient import finite_difference_quotient
+from pgaplab.gradient import finite_difference_quotient, restricted_slope
 from pgaplab.lpspace import power_norm
 
 from conftest import dense_gap_constant, unit_vector
@@ -71,7 +71,7 @@ def test_gradient_eigen_oracle_cyclic5():
     h = pg.cyclic_group(5)
     rep = pg.Representation(pg.full_ball(h), 2.0, "full")
     act = pg.AffineAction.linear(rep)
-    dom = default_domain(rep, "mean-zero")
+    dom = default_domain(rep)
     oracle = dense_gap_constant(dom)
     rng = np.random.default_rng(3)
     values = []
@@ -203,7 +203,7 @@ def test_sampled_is_lower_bound_and_close(sym3):
         act = pg.AffineAction.linear(rep)
         for i in range(10):
             v = unit_vector(rep, rng)
-            closed = pg.abs_gradient(act, v).value
+            closed, _ = restricted_slope(act, v, default_domain(rep))
             sampled = pg.abs_gradient_sampled(act, v, budget=32, seed=100 + i)
             assert closed >= sampled - 1e-9
             assert abs(closed - sampled) <= 2e-3
@@ -241,7 +241,7 @@ def test_descent_recovers_constructed_fixed_point(p, cyclic8):
     rep = pg.Representation(cyclic8, p, "full")
     f0 = unit_vector(rep, rng, mean_zero=True)
     act = pg.AffineAction.from_potential(rep, f0)
-    dom = default_domain(rep, "mean-zero")
+    dom = default_domain(rep)
     trace = pg.descend(act, rep.zero(), domain=dom)
     assert trace.reason == "f_tol"
     assert trace.final_energy <= 1e-6
@@ -252,7 +252,7 @@ def test_descent_on_linear_action_slides_to_origin(cyclic8):
     rng = np.random.default_rng(15)
     rep = pg.Representation(cyclic8, 2.0, "full")
     act = pg.AffineAction.linear(rep)
-    dom = default_domain(rep, "mean-zero")
+    dom = default_domain(rep)
     v0 = unit_vector(rep, rng, mean_zero=True)
     trace = pg.descend(act, v0, domain=dom)
     assert trace.reason == "f_tol"
@@ -277,9 +277,23 @@ def test_descent_energy_monotone(cyclic8):
     rep = pg.Representation(cyclic8, 2.0, "full")
     f0 = unit_vector(rep, rng, mean_zero=True)
     act = pg.AffineAction.from_potential(rep, f0)
-    trace = pg.descend(act, rep.zero(), domain=default_domain(rep, "mean-zero"))
+    trace = pg.descend(act, rep.zero(), domain=default_domain(rep))
     energies = [row[1] for row in trace.rows]
     assert all(a >= b for a, b in zip(energies, energies[1:]))
+
+
+def test_descent_defaults_to_the_space_of_the_gap_constants():
+    # a mean-zero potential on symmetric(4), p = 3: descent in the mean-zero
+    # space takes 42 iterations, in the full space 38; the default is the
+    # space gap's constants live on, so it is the former
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0, "full")
+    vals = np.random.default_rng(0).standard_normal(24)
+    act = pg.AffineAction.from_potential(rep, vals - vals.mean())
+    default = pg.descend(act, rep.zero())
+    mean_zero = pg.descend(act, rep.zero(), domain=MeanZeroDomain(rep))
+    assert default.rows == mean_zero.rows
+    assert np.array_equal(default.terminal, mean_zero.terminal)
+    assert pg.descend(act, rep.zero(), domain=FullDomain(rep)).rows != default.rows
 
 
 def test_descent_zero_start_at_fixed_point(cyclic8):
@@ -296,7 +310,7 @@ def test_descent_trace_csv(tmp_path, cyclic8):
     rep = pg.Representation(cyclic8, 2.0, "full")
     f0 = unit_vector(rep, rng, mean_zero=True)
     act = pg.AffineAction.from_potential(rep, f0)
-    trace = pg.descend(act, rep.zero(), domain=default_domain(rep, "mean-zero"))
+    trace = pg.descend(act, rep.zero(), domain=default_domain(rep))
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -367,7 +381,7 @@ def test_descent_off_the_dirichlet_support_raises():
     rep = pg.Representation(pg.ball(pg.free_group(2), 3), 2.0, "dirichlet")
     act = pg.AffineAction.from_potential(rep, rep.random_admissible(np.random.default_rng(1)))
     with pytest.raises(SupportViolation):
-        pg.descend(act, rep.zero(), domain=default_domain(rep, "full"))
+        pg.descend(act, rep.zero(), domain=FullDomain(rep))
 
 
 def test_descent_rejects_a_malformed_start():
@@ -392,7 +406,7 @@ def test_descent_on_symmetric6_takes_no_null_steps():
     f /= power_norm(f, 3.0)
     act = pg.AffineAction.from_potential(rep, f)
     trace = pg.descend(
-        act, rep.zero(), pg.DescentOptions(max_iters=350), domain=default_domain(rep, "mean-zero")
+        act, rep.zero(), pg.DescentOptions(max_iters=350), domain=default_domain(rep)
     )
     assert trace.reason != "stalled"
     assert min(step for _, _, _, step in trace.rows if step > 0.0) >= 1e-15
@@ -408,7 +422,7 @@ def test_descent_on_symmetric6_reaches_f_tol_in_few_evaluations():
     f -= f.mean()
     f /= power_norm(f, 3.0)
     act = pg.AffineAction.from_potential(rep, f)
-    trace = pg.descend(act, rep.zero(), domain=default_domain(rep, "mean-zero"))
+    trace = pg.descend(act, rep.zero(), domain=default_domain(rep))
     assert trace.reason == "f_tol"
     assert trace.energy_evals <= 750
 
@@ -425,7 +439,7 @@ def _symmetric6_benchmark_action():
 def test_descent_on_symmetric6_reaches_f_tol_in_100_evaluations():
     # steepest descent alone took 692 energy evaluations over 346 iterations
     act = _symmetric6_benchmark_action()
-    trace = pg.descend(act, act.rep.zero(), domain=default_domain(act.rep, "mean-zero"))
+    trace = pg.descend(act, act.rep.zero(), domain=default_domain(act.rep))
     assert trace.reason == "f_tol"
     assert trace.energy_evals <= 100
 

@@ -52,7 +52,8 @@ def test_free_group_reduction():
 
 
 def test_auto_closure_adds_inverse():
-    h = pg.cyclic_group(4, generators=[1], weights=[1.0])
+    with pytest.warns(UserWarning, match="normalizing"):
+        h = pg.cyclic_group(4, generators=[1], weights=[1.0])
     assert set(h.generators) == {1, 3}
     assert np.allclose(h.weights, [0.5, 0.5])
 
