@@ -130,28 +130,24 @@ def multistart_minimize(
     extra_starts=(),
 ) -> list:
     """Run seeded trajectories, then the user starts, and pool them in that
-    order: one (tag, value, vector, Trajectory or None) per trajectory, a
-    start that projects to zero giving (tag, inf, start, None).  A
-    ValueError when none ends at a finite value.
+    order: one (value, vector, Trajectory or None) per trajectory, a start
+    that projects to zero giving (inf, start, None).  A ValueError when
+    none ends at a finite value.
 
     `objective` follows the (value, gradient callable) contract of
     sphere_minimize.
     """
     rng_seeds = np.random.SeedSequence(seed).spawn(max(0, starts))
-    jobs = []
-    for i, ss in enumerate(rng_seeds):
-        rng = np.random.default_rng(ss)
-        jobs.append((f"seed{i}", domain.project(rng.standard_normal(domain.rep.ball.size))))
-    for i, vec in enumerate(extra_starts):
-        jobs.append((f"start{i}", domain.project(np.array(vec, dtype=float))))
+    jobs = [np.random.default_rng(ss).standard_normal(domain.rep.ball.size) for ss in rng_seeds]
+    jobs += [np.array(vec, dtype=float) for vec in extra_starts]
 
-    def run(job):
-        tag, v0 = job
+    def run(v0):
+        v0 = domain.project(v0)
         if power_norm(v0, domain.rep.p) == 0.0:
-            return (tag, np.inf, v0, None)
-        return (tag, *sphere_minimize(objective, domain, v0, iters))
+            return (np.inf, v0, None)
+        return sphere_minimize(objective, domain, v0, iters)
 
     results = [run(job) for job in jobs]
-    if not any(np.isfinite(r[1]) for r in results):
+    if not any(np.isfinite(r[0]) for r in results):
         raise ValueError("no multistart trajectory produced a usable point")
     return results

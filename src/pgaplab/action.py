@@ -1,10 +1,12 @@
 """Left regular representation on ball truncations, cocycles, affine actions.
 
-Two domain conventions are supported.  In "full" mode the ball carries a
-whole finite group and every generator acts by a permutation of indices.
-In "dirichlet" mode (infinite groups truncated to B_R) vectors that are
-acted on must be supported at word depth <= R-1, so each generator image
-stays inside the ball and every formula is exact, with no boundary leakage.
+The ball decides the mode; no argument selects it.  On a ball that is the
+whole finite group the mode is "full", and every generator acts by a
+permutation of indices.  On any other ball (an infinite group truncated to
+B_R, or a finite group below its diameter) it is "dirichlet": vectors that
+are acted on must be supported at word depth <= R-1, so each generator
+image stays inside the ball and every formula is exact, with no boundary
+leakage.
 
 Every generator operator is read from one table.  A Representation builds
 it once: row k is the ball's translate row of the inverse generator, so
@@ -25,8 +27,10 @@ A Domain is the subspace that optimization, descent and sampling range
 over: `FullDomain` (every vector), `MeanZeroDomain` (a finite group's
 complement of the constants) or `DirichletDomain` (the interior of a
 truncated ball).  `default_domain(rep)` is the one map from a
-representation to its space, the part with no fixed vectors; no argument
-or config key selects another.
+representation to its space, the part with no fixed vectors.  The ball
+fixes both the mode and that space, so no argument or config key selects
+either: gap's estimators, descent and the sampler take the representation
+and build `default_domain(rep)` themselves.
 """
 
 from __future__ import annotations
@@ -43,22 +47,20 @@ from .lpspace import conjugate_exponent, power_norm, row_power_norms
 
 @dataclass
 class Representation:
-    """Regular representation gamma . f = f(gamma^-1 x) on a ball truncation."""
+    """Regular representation gamma . f = f(gamma^-1 x) on a ball truncation.
+
+    `mode` is read off the ball: "full" exactly when the ball is the whole
+    group, "dirichlet" otherwise."""
 
     ball: CayleyBall
     p: float
-    mode: str = "full"  # "full" | "dirichlet"
+    mode: str = field(init=False)  # "full" | "dirichlet"
     table: np.ndarray = field(init=False, repr=False)  # (K, n) gather indices
 
     def __post_init__(self):
-        if self.mode not in ("full", "dirichlet"):
-            raise ValidationError(f"unknown representation mode {self.mode!r}")
-        if self.mode == "full" and not self.ball.is_full:
-            raise ValidationError(
-                "full mode needs a saturated ball; use dirichlet mode or a larger radius"
-            )
+        self.mode = "full" if self.ball.is_full else "dirichlet"
         if self.mode == "dirichlet" and self.ball.radius < 1:
-            raise ValidationError("dirichlet mode needs radius >= 1")
+            raise ValidationError("a ball that is not the whole group needs radius >= 1")
         if not 1.0 < self.p < np.inf:
             raise ValidationError(f"exponent must lie in (1, inf): {self.p}")
         table = self.ball.translate[self.handle.inverse_index]
@@ -363,7 +365,7 @@ def cohomology_dims(rep: Representation, *, rank_tol=None, size_cap=64) -> dict:
     of the coboundary map.  Finite groups only.
     """
     if rep.mode != "full":
-        raise InfiniteGroup("cohomology dimensions need a finite group in full mode")
+        raise InfiniteGroup("cohomology dimensions need a ball that is the whole finite group")
     b = rep.ball
     h = rep.handle
     n = b.size
@@ -561,7 +563,7 @@ def default_domain(rep: Representation) -> Domain:
     """The space the paper's constants live on: the part of the
     representation with no fixed vectors.  That is the mean-zero space on a
     whole finite group (full mode) and the dirichlet interior on any other
-    ball.  gap's reports, descent and the sampler take their space from
-    here; `FullDomain` is the ambient space, built by name where it is
-    wanted."""
+    ball.  gap's reports, descent and the sampler build their space here,
+    and take no domain argument; `FullDomain` is the ambient space, built
+    by name where it is wanted."""
     return DirichletDomain(rep) if rep.mode == "dirichlet" else MeanZeroDomain(rep)

@@ -15,11 +15,11 @@ group-spec entry and input file (config, group spec, multiplication table,
 v0 and cocycle CSVs) that the run cannot use: the `validation error:` line
 names the key, parameter or path; a list-valued key (gap's `radius`,
 verify's `p` and `suites`) must hold at least one entry.  Exit 3 covers a
-fixed vector in the domain, a domain that holds only the zero vector (the
-mean-zero space of a one-element group), mass outside a truncated domain,
-a finite-group operation on an infinite group, a gradient asked for at a
-fixed point, and verify's gradient suite on an instance where every
-sampled energy vanishes (a one-element group).  An asymmetric generating
+domain that holds only the zero vector (the mean-zero space of a
+one-element group), mass outside a truncated domain, a finite-group
+operation on an infinite group, a gradient asked for at a fixed point,
+and verify's gradient suite on an instance where every sampled energy
+vanishes (a one-element group).  An asymmetric generating
 set is not among them: `build_group` closes the set under inverses and
 gives each inverse pair one weight, or rejects the weights with exit 2.
 
@@ -29,7 +29,8 @@ fixes the space the constants are taken over: the mean-zero space when
 the ball is the whole (finite) group, the dirichlet interior of any other
 ball; and the oracle that applies to that space always runs.  So no key
 selects either: `domain` and `exact`, which once did, are unknown keys and
-exit 2.
+exit 2.  A sweep takes each radius's space the same way, so its rows at
+radii where the ball is the whole group equal single-radius reports.
 
 descend takes the keys group, radius, p, cocycle, v0, absTol, gradTol,
 maxIters, seed and out.  It descends in the same space as gap, the one the
@@ -68,7 +69,6 @@ from . import __version__
 from .action import AffineAction, Cocycle, Representation, default_domain
 from .errors import (
     AtFixedPoint,
-    FixedVectorPresent,
     InfiniteGroup,
     PgapError,
     SupportViolation,
@@ -315,12 +315,11 @@ def load_config(command: str, args) -> tuple[dict, GroupHandle | None, int | lis
 
 def _representations(handle, radius, ps) -> list[Representation]:
     """One representation per exponent, all on one ball: the whole group
-    when the radius is None, in full mode when the ball is the whole group."""
+    when the radius is None."""
     if handle.order is None and radius is None:
         raise ValidationError("infinite groups need an explicit radius")
     b = full_ball(handle) if radius is None else ball(handle, radius)
-    mode = "full" if b.is_full else "dirichlet"
-    return [Representation(b, p, mode) for p in ps]
+    return [Representation(b, p) for p in ps]
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +362,7 @@ def cmd_gap(args) -> int:
         summary = {"radii": radius, "C_lap": [rp.constants["C_lap"] for rp in reports]}
     else:
         [rep] = _representations(handle, radius, [p])
-        reports = [equivalence_report(default_domain(rep), r, opts, battery=battery)]
+        reports = [equivalence_report(rep, r, opts, battery=battery)]
         payload = {"report": reports[0].to_dict()}
         summary = reports[0].constants
     payload.update(version=__version__, config={k: v for k, v in config.items() if k != "out"})
@@ -403,7 +402,6 @@ def cmd_descend(args) -> int:
     fixed-point set of the action (`AffineAction.fixed_point_distance`)."""
     config, handle, radius = load_config("descend", args)
     [rep] = _representations(handle, radius, [config["p"]])
-    domain = default_domain(rep)
     action = _load_action(rep, config["cocycle"])
     if config["v0"] == "zero":
         v0 = rep.zero()
@@ -412,12 +410,12 @@ def cmd_descend(args) -> int:
     options = DescentOptions(
         abs_tol=config["absTol"], grad_tol=config["gradTol"], max_iters=config["maxIters"]
     )
-    trace = descend(action, v0, options, domain=domain)
+    trace = descend(action, v0, options)
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out_dir / "descend_trace.csv")
 
-    slope, _ = restricted_slope(action, trace.terminal, domain, trace.final_energy)
+    slope, _ = restricted_slope(action, trace.terminal, default_domain(rep), trace.final_energy)
     steps = sum(1 for *_, step in trace.rows if step > 0.0)
     f_0 = trace.rows[0][1] if trace.rows else 0.0
     contraction = (trace.final_energy / f_0) ** (1.0 / steps) if steps and f_0 > 0.0 else None
@@ -521,7 +519,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (FixedVectorPresent, ZeroDomain, SupportViolation, InfiniteGroup, AtFixedPoint) as exc:
+    except (ZeroDomain, SupportViolation, InfiniteGroup, AtFixedPoint) as exc:
         print(f"domain precondition failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except PgapError as exc:

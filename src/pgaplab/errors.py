@@ -47,10 +47,6 @@ class NonsmoothPoint(PgapError):
     """Some generator displacement vanishes; closed-form derivative invalid."""
 
 
-class FixedVectorPresent(PgapError):
-    """Optimization domain contains an invariant vector (exit code 3)."""
-
-
 class ZeroDomain(PgapError):
     """Optimization domain holds only the zero vector (exit code 3)."""
 

@@ -1,12 +1,13 @@
 """Gap constants: displacement, gradient infimum, Laplacian inequality.
 
-Every estimator takes a domain, the space the representation is restricted
-to, and reads the representation off it (`domain.rep`).  The paper's
-constants live on the space the group fixes (`default_domain`): the
-mean-zero space of a finite group, the dirichlet interior of a ball that
-is not the whole group.  The guard (`ensure_no_fixed_vectors`) rejects a
-domain with mass outside the representation's support, or with an
-invariant vector.
+The paper's constants live on the part of the representation with no
+invariant vectors, and the ball fixes it (`default_domain`): the mean-zero
+space of a whole finite group, the dirichlet interior of any other ball.
+`equivalence_report` and `displacement_constant` take the representation
+and build that domain themselves, so no caller hands them another space;
+the helpers below them act on the domain they are given.  The guard
+(`ensure_no_fixed_vectors`) rejects a domain that holds only the zero
+vector.
 
 Every estimate of an infimum produced here is an upper bound (optimization
 can miss the global minimum) unless an exact oracle gave it, and is tagged
@@ -74,7 +75,7 @@ from .action import (
     default_domain,
 )
 from .energy import dirichlet_norm, p_laplacian, weighted_r_mean, weighted_sum
-from .errors import FixedVectorPresent, SupportViolation, ValidationError, ZeroDomain
+from .errors import ValidationError, ZeroDomain
 from .gradient import abs_gradient, descend, DescentOptions, restricted_slope
 from .lpspace import conjugate_exponent, power_norm, row_power_norms, signed_power
 
@@ -104,46 +105,20 @@ class GapOptions:
 
 
 def ensure_no_fixed_vectors(domain: Domain):
-    """Raise SupportViolation when the domain reaches outside the
-    representation's support, ZeroDomain when it holds only the zero
-    vector, and FixedVectorPresent when it contains an invariant vector.
+    """Raise ZeroDomain when the domain holds only the zero vector: the
+    mean-zero space of a one-element group, where no unit vector exists to
+    take an infimum over.
 
-    Every domain is a coordinate subspace or the mean-zero space, so a
-    vector with distinct nonzero entries projects to a vector whose support
-    is the domain's: it has mass outside `rep.admissible_mask` exactly when
-    the domain does (the full space on a dirichlet ball, where the
-    truncated action is not defined on the boundary layer), and it is zero
-    only when the domain is {0}: the mean-zero space of a one-element
-    group, where no unit vector exists to take an infimum over.
-
-    The ball is a connected Cayley graph, so a vector invariant under every
-    generator is constant on it; and a constant is invariant only when no
-    generator leaves the ball, i.e. on a full ball, since the gather reads
-    zero outside.  The domain therefore holds an invariant vector exactly
-    when its projection of the constant vector is nonzero and invariant,
-    which is the last check made here.
+    `default_domain` holds no nonzero invariant vector, so nothing else is
+    checked here.  The ball is a connected Cayley graph, so an invariant
+    vector is constant on it.  On a whole finite group the mean-zero space
+    holds no nonzero constant; a ball that is not the whole group has a
+    nonempty layer at depth R >= 1, where dirichlet vectors vanish and a
+    nonzero constant does not.
     """
-    rep = domain.rep
-    n = rep.ball.size
-    probe = domain.project(np.arange(1.0, n + 1.0))
-    if probe[~rep.admissible_mask].any():
-        raise SupportViolation(
-            f"domain {domain.name!r} on {rep.handle.label} has mass at depth > "
-            f"{rep.ball.radius - 1}, outside the dirichlet support"
-        )
-    if not probe.any():
+    if domain.dimension == 0:
+        rep = domain.rep
         raise ZeroDomain(f"domain {domain.name!r} on {rep.handle.label} holds only the zero vector")
-    cand = domain.project(np.ones(n))
-    nc = np.linalg.norm(cand)
-    if nc <= 1e-9 * np.sqrt(n):
-        return
-    u = cand / nc
-    disp = max(float(np.linalg.norm(w - u)) for w in rep.apply_array(slice(None), u))
-    if disp <= 1e-8:
-        raise FixedVectorPresent(
-            f"domain {domain.name!r} contains an invariant vector "
-            f"(displacement {disp:.2e}); restrict to a fixed-vector-free domain"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +517,8 @@ def _ratio_multistart(action: AffineAction, r: float, opts: GapOptions, domain: 
         seed=opts.seed,
         extra_starts=opts.extra_starts,
     )
-    vecs = [vec for (_tag, val, vec, _traj) in pool if np.isfinite(val)]
-    return vecs, [(val, traj) for (_tag, val, _vec, traj) in pool]
+    vecs = [vec for (val, vec, _traj) in pool if np.isfinite(val)]
+    return vecs, [(val, traj) for (val, _vec, traj) in pool]
 
 
 def _multistart_estimate(runs) -> ConstantEstimate:
@@ -574,12 +549,13 @@ def _reduce(action: AffineAction, estimates: dict, exponents: dict, pool: list) 
 
 
 def displacement_constant(
-    domain: Domain, r: float, options: GapOptions | None = None, *, oracle: Oracle | None = None
+    rep: Representation, r: float, options: GapOptions | None = None, *, oracle: Oracle | None = None
 ) -> tuple[ConstantEstimate, ConstantEstimate]:
-    """Estimate (C_disp, C_r) on a domain: infima over its unit sphere of
-    the max generator displacement and of the r-mean displacement energy.
+    """Estimate (C_disp, C_r) on `default_domain(rep)`: infima over its unit
+    sphere of the max generator displacement and of the r-mean displacement
+    energy.
 
-    `oracle` is what `_guarded_oracle` gave for this domain; by default the
+    `oracle` is what `_guarded_oracle` gave for that domain; by default the
     guard and the oracle run here, and an empty Oracle leaves both
     estimates to the multistart.  Estimates its exact or bracketed ones
     lack come from multistart projected gradient descent at r (at SMOOTH_R
@@ -596,12 +572,13 @@ def displacement_constant(
     sweeps of it are nonincreasing up to that, not by construction.
     """
     opts = options or GapOptions()
+    domain = default_domain(rep)
     if oracle is None:
         oracle = _guarded_oracle(domain, opts)
     exact = oracle.estimates
     if np.inf in exact and r in exact:
         return exact[np.inf], exact[r]
-    action = AffineAction.linear(domain.rep)
+    action = AffineAction.linear(rep)
     runs, seed_runs = _ratio_multistart(action, r, opts, domain)
 
     # polish toward the true max with the active-generator subgradient
@@ -738,11 +715,11 @@ class GapReport:
 
 
 def equivalence_report(
-    domain: Domain, r: float | None = None, options: GapOptions | None = None, *, battery: int = 0
+    rep: Representation, r: float | None = None, options: GapOptions | None = None, *, battery: int = 0
 ) -> GapReport:
-    """All gap constants on one domain, chain verdicts, and a fixed-point
-    battery of random coboundary actions (each has a fixed point by
-    construction; descent residuals and observed gradients are recorded).
+    """All gap constants on `default_domain(rep)`, chain verdicts, and a
+    fixed-point battery of random coboundary actions (each has a fixed point
+    by construction; descent residuals and observed gradients are recorded).
     A battery row's `recoveryError` is the l^p distance from the descent's
     terminal to the fixed-point set (`AffineAction.fixed_point_distance`).
 
@@ -767,12 +744,12 @@ def equivalence_report(
     them is nonincreasing up to BRACKET_RTOL, not by construction.
     """
     opts = options or GapOptions()
-    rep = domain.rep
+    domain = default_domain(rep)
     p = rep.p
     if r is None:
         r = p
     oracle = _guarded_oracle(domain, opts)
-    est_disp, est_r = displacement_constant(domain, r, opts, oracle=oracle)
+    est_disp, est_r = displacement_constant(rep, r, opts, oracle=oracle)
     action = AffineAction.linear(rep)
     # the multistart estimates share one pool; an exact or bracketed one holds none
     pool = list(est_r.pool or est_disp.pool)
@@ -790,7 +767,7 @@ def equivalence_report(
     for i in range(battery):
         f0 = domain.random_unit(rng)
         cob = AffineAction.from_potential(rep, f0)
-        trace = descend(cob, rep.zero(), DescentOptions(), domain=domain)
+        trace = descend(cob, rep.zero(), DescentOptions())
         min_grad = np.inf
         for _ in range(BATTERY_SAMPLES):
             # the affine gradient at v equals the linear one at v + f0, so
@@ -866,16 +843,20 @@ def lift_vector(values: np.ndarray, old_size: int, new_size: int) -> np.ndarray:
 
 
 def gap_sweep(handle, p: float, r: float, radii, options: GapOptions | None = None, *, battery=0):
-    """Equivalence reports over increasing dirichlet radii with warm starts.
+    """Equivalence reports over increasing radii with warm starts, each on
+    the space its ball fixes, as a single-radius report is.
 
     Certificates from each radius are injected as extra starts at the next
     one (zero-padded; BFS ordering makes smaller balls prefixes of larger
-    ones), so the multistart estimates are nonincreasing in R by
-    construction.  The exact p = 2 estimates are too, up to rounding,
-    because the domains grow with R.  Bracketed estimates at p != 2 take no
-    warm start: each lies within BRACKET_RTOL above the infimum, which
-    falls as the domains grow, so they are nonincreasing up to a relative
-    BRACKET_RTOL, not by construction.
+    ones).  While the ball is not the whole group the domains are dirichlet
+    interiors that grow with R, so the multistart estimates are
+    nonincreasing in R by construction, and the exact p = 2 estimates are
+    too, up to rounding.  Bracketed estimates at p != 2 take no warm start:
+    each lies within BRACKET_RTOL above the infimum, which falls as the
+    domains grow, so they are nonincreasing up to a relative BRACKET_RTOL,
+    not by construction.  Once the ball is the whole group the domain is the
+    mean-zero space, which holds no dirichlet interior, and the estimates
+    may rise.
     """
     from .groups import ball as make_ball
 
@@ -885,7 +866,7 @@ def gap_sweep(handle, p: float, r: float, radii, options: GapOptions | None = No
     prev_size = None
     for R in radii:
         b = make_ball(handle, int(R))
-        rep = Representation(b, p, "dirichlet")
+        rep = Representation(b, p)
         extra = list(opts.extra_starts)
         for vals in carried:
             extra.append(lift_vector(vals, prev_size, b.size))
@@ -895,7 +876,7 @@ def gap_sweep(handle, p: float, r: float, radii, options: GapOptions | None = No
             except ValidationError:
                 pass
         local = replace(opts, extra_starts=tuple(extra))
-        report = equivalence_report(default_domain(rep), r, local, battery=battery)
+        report = equivalence_report(rep, r, local, battery=battery)
         reports.append(report)
         # C_lap's certificate is C_grad's, which is C_r's when r = p
         keys = ("C_disp", "C_r") if r == p else ("C_disp", "C_r", "C_grad")

@@ -22,9 +22,9 @@ the domain, and falls back to a steepest step on F along the restricted
 steepest direction where the quasi-Newton step does not descend.
 
 Descent and the sampler (`abs_gradient_sampled`) take their slopes in
-`default_domain(rep)` unless given a domain: the space the gap constants
-live on, so the slope they bound below is the one whose infimum is C_grad.
-Only `abs_gradient` takes the ambient slope.
+`default_domain(rep)`, and no argument selects another space: it is the
+space the gap constants live on, so the slope they bound below is the one
+whose infimum is C_grad.  Only `abs_gradient` takes the ambient slope.
 
 F is the displacement energy at r = p, and p is the representation's
 exponent, read off the action or the domain: no function here takes an
@@ -136,26 +136,27 @@ def abs_gradient_sampled(
     budget: int = 64,
     *,
     seed: int = 0,
-    domain: Domain | None = None,
     fixed_point: np.ndarray | None = None,
     include_steepest: bool = True,
 ) -> float:
     """Lower-bound estimate of the restricted slope of F_p by difference
     quotients.
 
-    Samples random unit directions of the domain (`default_domain(rep)`
-    when none is given: the space whose infimum of the slope is C_grad) at
-    radii {1e-3, 1e-2, 0.1, 1} times |v|, plus the closed-form restricted
-    steepest direction and the ray toward a known fixed point.  F is convex,
-    so each quotient is a lower bound for `restricted_slope` on that domain
-    (the ray's when fixed_point - v lies in the domain).
+    Samples random unit directions of `default_domain(rep)` (the space
+    whose infimum of the slope is C_grad) at radii {1e-3, 1e-2, 0.1, 1}
+    times |v|, plus the closed-form restricted steepest direction and the
+    ray toward a known fixed point, projected onto the domain: on a whole
+    finite group the fixed points are a line -f0 + c 1, and the projection
+    keeps the ray's end point v + diff in the domain.  F is convex, so at a
+    v in the domain each quotient is a lower bound for `restricted_slope`
+    there.
     A diagnostic only: `verify` checks the closed-form slope exactly, through
     `directional_derivative` and central differences, and never calls it.
     """
     if budget < 1:
         raise ValidationError("sampling budget must be >= 1")
     rep = action.rep
-    domain = domain or default_domain(rep)
+    domain = default_domain(rep)
     p = rep.p
     q = conjugate_exponent(p)
     rng = np.random.default_rng(seed)
@@ -173,11 +174,11 @@ def abs_gradient_sampled(
                 directions.append(vals / nrm)
     candidates = []
     if fixed_point is not None:
-        diff = fixed_point - v
+        diff = domain.project(fixed_point - v)
         nd = power_norm(diff, p)
         if nd > 0.0:
             directions.append((1.0 / nd) * diff)
-            candidates.append(fixed_point)
+            candidates.append(v + diff)
 
     best = 0.0
     for u in directions:
@@ -301,16 +302,11 @@ def _line_search(action, v, direction, t, accepts, trace):
 
 
 def descend(
-    action: AffineAction,
-    v0: np.ndarray,
-    options: DescentOptions | None = None,
-    *,
-    domain: Domain | None = None,
+    action: AffineAction, v0: np.ndarray, options: DescentOptions | None = None
 ) -> DescentTrace:
     """Limited-memory quasi-Newton descent on E = F^2, with a steepest
-    descent step on F as its fallback, inside the domain:
-    `default_domain(rep)` when none is given, the space gap's constants
-    live on (pass `FullDomain(rep)` to descend on all of l^p(G)).
+    descent step on F as its fallback, inside `default_domain(rep)`, the
+    space gap's constants live on; no argument selects another.
 
     F is a cone at its fixed points (F >= C_p dist on a fixed-vector-free
     domain, a weak sharp minimum), so unit steps on F rarely pass; E is
@@ -344,7 +340,7 @@ def descend(
     """
     opts = options or DescentOptions()
     rep = action.rep
-    domain = domain or default_domain(rep)
+    domain = default_domain(rep)
 
     rep.check_admissible(v0)
     v = domain.project(v0)

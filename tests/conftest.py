@@ -37,14 +37,13 @@ def embed(ball, coords):
     return vals
 
 
-def dense_gap_constant(domain):
-    """C_2 = sqrt of the least eigenvalue of L = sum_k w_k (P_k - 1)^T (P_k - 1)
-    on the domain, by a dense numpy solve; P_k gathers through the table's
-    row k and reads zero outside the ball.
+def generator_differences(domain):
+    """(Z, D): Z holds an orthonormal basis of the domain in its columns,
+    and D[k] = (P_k - 1) Z, P_k the gather through the table's row k, which
+    reads zero outside the ball.
 
-    Z holds an orthonormal basis of the domain in its columns, and row i of
-    P_k Z is row table[k, i] of Z padded with a zero row, so L is compressed
-    to the domain without building an n x n matrix per generator.
+    Row i of P_k Z is row table[k, i] of Z padded with a zero row, so no
+    n x n matrix is built per generator.
     """
     rep = domain.rep
     n = rep.ball.size
@@ -53,8 +52,15 @@ def dense_gap_constant(domain):
     else:
         Z = np.eye(n)[:, getattr(domain, "mask", np.ones(n, dtype=bool))]
     padded = np.vstack([Z, np.zeros((1, Z.shape[1]))])
+    return Z, padded[rep.table] - Z
+
+
+def dense_gap_constant(domain):
+    """C_2 = sqrt of the least eigenvalue of L = sum_k w_k (P_k - 1)^T (P_k - 1)
+    on the domain, by a dense numpy solve, with L compressed to the domain
+    (`generator_differences`)."""
+    Z, D = generator_differences(domain)
     form = np.zeros((Z.shape[1], Z.shape[1]))
-    for k, w in enumerate(rep.weights):
-        d = padded[rep.table[k]] - Z
+    for w, d in zip(domain.rep.weights, D):
         form += w * (d.T @ d)
     return float(np.sqrt(max(np.linalg.eigvalsh(form)[0], 0.0)))

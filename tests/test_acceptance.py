@@ -9,7 +9,6 @@ import time
 import numpy as np
 
 import pgaplab as pg
-from pgaplab.action import default_domain
 from pgaplab.cli import main as cli_main
 from pgaplab.gaps import GapOptions, displacement_constant
 from pgaplab.gradient import finite_difference_quotient
@@ -45,8 +44,8 @@ def test_criterion_01_abelian_exactness():
     t0 = time.time()
     worst = 0.0
     for n in range(3, 13):
-        rep = pg.Representation(pg.full_ball(pg.cyclic_group(n)), 2.0, "full")
-        est_disp, _ = pg.displacement_constant(default_domain(rep), 2.0)
+        rep = pg.Representation(pg.full_ball(pg.cyclic_group(n)), 2.0)
+        est_disp, _ = pg.displacement_constant(rep, 2.0)
         worst = max(worst, abs(est_disp.value - 2.0 * np.sin(np.pi / n)))
     elapsed = time.time() - t0
     verdict(1, worst <= 1e-6 and elapsed < 5.0, f"max |C_disp - 2 sin(pi/n)| = {worst:.2e}, {elapsed:.2f}s")
@@ -62,7 +61,7 @@ def test_criterion_02_gradient_closed_form_vs_finite_differences():
     while count < 200:
         h = groups[count % len(groups)]
         p = (1.5, 2.0, 3.0)[count % 3]
-        rep = pg.Representation(pg.full_ball(h), p, "full")
+        rep = pg.Representation(pg.full_ball(h), p)
         if rng.random() < 0.5:
             action = pg.AffineAction.linear(rep)
         else:
@@ -96,7 +95,7 @@ def test_criterion_03_gradient_equals_laplacian_ratio():
     for i in range(100):
         h = groups[i % len(groups)]
         p = (1.5, 2.0, 3.0)[i % 3]
-        rep = pg.Representation(pg.full_ball(h), p, "full")
+        rep = pg.Representation(pg.full_ball(h), p)
         f_alpha = unit(rep, rng, mean_zero=True)
         action = pg.AffineAction.from_potential(rep, f_alpha)
         v = unit(rep, rng, mean_zero=True)
@@ -115,7 +114,7 @@ def test_criterion_04_dirichlet_identity_p2():
     groups = finite_battery() + [pg.dihedral_group(50)]  # orders up to 100
     worst = 0.0
     for h in groups:
-        rep = pg.Representation(pg.full_ball(h), 2.0, "full")
+        rep = pg.Representation(pg.full_ball(h), 2.0)
         assert rep.ball.size <= 200
         for _ in range(5):
             f = unit(rep, rng)
@@ -128,10 +127,10 @@ def test_criterion_04_dirichlet_identity_p2():
 def test_criterion_05_universal_and_scaling_bounds():
     rng = np.random.default_rng(505)
     reps = [
-        pg.Representation(pg.full_ball(pg.cyclic_group(6)), 1.5, "full"),
-        pg.Representation(pg.full_ball(pg.cyclic_group(6)), 2.0, "full"),
-        pg.Representation(pg.full_ball(pg.symmetric_group(3)), 3.0, "full"),
-        pg.Representation(pg.full_ball(pg.dihedral_group(4)), 2.0, "full"),
+        pg.Representation(pg.full_ball(pg.cyclic_group(6)), 1.5),
+        pg.Representation(pg.full_ball(pg.cyclic_group(6)), 2.0),
+        pg.Representation(pg.full_ball(pg.symmetric_group(3)), 3.0),
+        pg.Representation(pg.full_ball(pg.dihedral_group(4)), 2.0),
     ]
     worst_upper = -np.inf
     worst_lower = -np.inf
@@ -154,23 +153,22 @@ def test_criterion_06_fixed_point_descent():
     rng = np.random.default_rng(606)
     cases = []
     for p in (2.0, 3.0):
-        cases.append(pg.Representation(pg.full_ball(pg.cyclic_group(8)), p, "full"))
-        cases.append(pg.Representation(pg.full_ball(pg.symmetric_group(4)), p, "full"))
-        cases.append(pg.Representation(pg.ball(pg.free_group(2), 4), p, "dirichlet"))
+        cases.append(pg.Representation(pg.full_ball(pg.cyclic_group(8)), p))
+        cases.append(pg.Representation(pg.full_ball(pg.symmetric_group(4)), p))
+        cases.append(pg.Representation(pg.ball(pg.free_group(2), 4), p))
     worst_f = 0.0
     worst_rec = 0.0
     worst_grad = 0.0
     for rep in cases:
-        dom = default_domain(rep)
         f0 = unit(rep, rng, mean_zero=(rep.mode == "full"))
         action = pg.AffineAction.from_potential(rep, f0)
         f_init = pg.displacement_energy(action, rep.zero())
-        trace = pg.descend(action, rep.zero(), domain=dom)
+        trace = pg.descend(action, rep.zero())
         worst_f = max(worst_f, trace.final_energy / max(1.0, f_init))
         worst_rec = max(worst_rec, pg.power_norm(trace.terminal - (-1.0 * f0), rep.p))
         worst_grad = max(
             worst_grad,
-            pg.abs_gradient_sampled(action, trace.terminal, budget=64, seed=6, domain=dom),
+            pg.abs_gradient_sampled(action, trace.terminal, budget=64, seed=6),
         )
     elapsed = time.time() - t0
     ok = worst_f <= 1e-6 and worst_rec <= 1e-4 and worst_grad <= 1e-3 and elapsed < 60.0
@@ -183,7 +181,7 @@ def test_criterion_07_cohomology_vanishes():
     groups += [pg.dihedral_group(4), pg.symmetric_group(3), pg.symmetric_group(4)]
     bad = []
     for h in groups:
-        rep = pg.Representation(pg.full_ball(h), 2.0, "full")
+        rep = pg.Representation(pg.full_ball(h), 2.0)
         dims = pg.cohomology_dims(rep)
         if dims["dimH1"] != 0:
             bad.append((h.label, dims))
@@ -201,14 +199,14 @@ def test_criterion_08_amenable_vs_nonamenable_sweeps():
     lat_ok = True
     lat_detail = []
     for R in radii:
-        rep = pg.Representation(pg.ball(lat, R), 2.0, "dirichlet")
+        rep = pg.Representation(pg.ball(lat, R), 2.0)
         extras = [pg.tent_vector(rep)]
         if carried is not None:
             lifted = np.zeros(rep.ball.size)
             lifted[:prev_size] = carried
             extras.append(lifted)
         opts = GapOptions(starts=6, iters=1500, seed=8, extra_starts=tuple(extras))
-        report = pg.equivalence_report(default_domain(rep), options=opts)
+        report = pg.equivalence_report(rep, options=opts)
         c_lap = report.constants["C_lap"]
         tent_bound = pg.laplacian_ratio(rep, pg.tent_vector(rep))
         lat_ok &= c_lap < tent_bound and c_lap < prev
@@ -225,14 +223,14 @@ def test_criterion_08_amenable_vs_nonamenable_sweeps():
     free_ok = True
     free_detail = []
     for R in range(2, 7):
-        rep = pg.Representation(pg.ball(free, R), 2.0, "dirichlet")
+        rep = pg.Representation(pg.ball(free, R), 2.0)
         extras = []
         if carried is not None:
             lifted = np.zeros(rep.ball.size)
             lifted[:prev_size] = carried
             extras.append(lifted)
         opts = GapOptions(starts=4, iters=600, seed=9, extra_starts=tuple(extras))
-        est_disp, _ = displacement_constant(default_domain(rep), 2.0, opts)
+        est_disp, _ = displacement_constant(rep, 2.0, opts)
         free_ok &= est_disp.value >= bound - 1e-3 and est_disp.value <= prev + 1e-12
         free_detail.append(round(est_disp.value, 6))
         prev = est_disp.value

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -18,17 +19,17 @@ from pgaplab import lpspace
 from pgaplab.errors import InfiniteGroup, SupportViolation, ValidationError
 from pgaplab.lpspace import conjugate_exponent, power_norm
 
-from conftest import unit_vector
+from conftest import generator_differences, unit_vector
 
 
 @pytest.fixture(scope="module")
 def rep_c3():
-    return pg.Representation(pg.full_ball(pg.cyclic_group(3)), 2.0, "full")
+    return pg.Representation(pg.full_ball(pg.cyclic_group(3)), 2.0)
 
 
 @pytest.fixture(scope="module")
 def rep_free():
-    return pg.Representation(pg.ball(pg.free_group(2), 3), 2.0, "dirichlet")
+    return pg.Representation(pg.ball(pg.free_group(2), 3), 2.0)
 
 
 def test_regular_action_permutes_basis(rep_c3):
@@ -120,7 +121,7 @@ def test_extend_cancelling_word_is_zero(rep_c3):
 def test_extension_of_coboundary_matches_direct_evaluation(seed):
     rng = np.random.default_rng(seed)
     h = pg.symmetric_group(3)
-    rep = pg.Representation(pg.full_ball(h), 2.0, "full")
+    rep = pg.Representation(pg.full_ball(h), 2.0)
     v = rep.random_admissible(rng)
     c = pg.coboundary(rep, v)
     word = [int(rng.integers(h.n_generators)) for _ in range(6)]
@@ -151,7 +152,7 @@ def test_cocycle_validation_accepts_coboundaries(rep_c3):
 
 @pytest.mark.parametrize("max_pairs", [20000, 10])
 def test_cocycle_validation_checks_all_or_sampled_pairs(max_pairs):
-    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 2.5, "full")
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 2.5)
     rng = np.random.default_rng(6)
     good = pg.coboundary(rep, rep.random_admissible(rng))
     bad = Cocycle(rep, rng.standard_normal((rep.handle.n_generators, rep.ball.size)))
@@ -216,14 +217,14 @@ def test_cohomology_dims_cyclic3(rep_c3):
 
 
 def test_cohomology_dims_sym3():
-    rep = pg.Representation(pg.full_ball(pg.symmetric_group(3)), 2.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(3)), 2.0)
     dims = pg.cohomology_dims(rep)
     assert dims["dimH1"] == 0
     assert dims["dimB1"] == 5  # |G| - 1
 
 
 def test_cohomology_dims_trivial_group():
-    rep = pg.Representation(pg.full_ball(pg.cyclic_group(1)), 2.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.cyclic_group(1)), 2.0)
     assert pg.cohomology_dims(rep) == {"dimZ1": 0, "dimB1": 0, "dimH1": 0}
 
 
@@ -234,7 +235,7 @@ def test_cohomology_requires_finite_group(rep_free):
 
 def test_potential_recovery_least_squares():
     rng = np.random.default_rng(9)
-    rep = pg.Representation(pg.full_ball(pg.cyclic_group(6)), 2.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.cyclic_group(6)), 2.0)
     f0 = rep.random_admissible(rng, mean_zero=True)
     c = pg.coboundary(rep, f0)
     f_rec, resid = potential_from_cocycle(c)
@@ -253,7 +254,7 @@ def test_mean_zero_projection(cyclic4):
 
 
 def test_mean_zero_subspace_invariant(cyclic4):
-    rep = pg.Representation(cyclic4, 2.0, "full")
+    rep = pg.Representation(cyclic4, 2.0)
     rng = np.random.default_rng(10)
     v = rep.random_admissible(rng, mean_zero=True)
     for k in range(rep.handle.n_generators):
@@ -263,7 +264,7 @@ def test_mean_zero_subspace_invariant(cyclic4):
 
 def test_affine_action_fixed_point():
     rng = np.random.default_rng(11)
-    rep = pg.Representation(pg.full_ball(pg.cyclic_group(5)), 2.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.cyclic_group(5)), 2.0)
     f0 = unit_vector(rep, rng, mean_zero=True)
     act = pg.AffineAction.from_potential(rep, f0)
     fixed = -1.0 * f0
@@ -273,7 +274,7 @@ def test_affine_action_fixed_point():
 
 def test_affine_action_potential_mismatch_rejected():
     rng = np.random.default_rng(12)
-    rep = pg.Representation(pg.full_ball(pg.cyclic_group(5)), 2.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.cyclic_group(5)), 2.0)
     f0 = unit_vector(rep, rng, mean_zero=True)
     g0 = unit_vector(rep, rng, mean_zero=True)
     c = pg.coboundary(rep, f0)
@@ -297,7 +298,7 @@ def test_cocycle_rejects_non_finite_rows(rep_c3, bad):
 
 
 def test_cocycle_routines_build_no_vectors(monkeypatch):
-    rep = pg.Representation(pg.ball(pg.free_group(2), 3), 3.0, "dirichlet")
+    rep = pg.Representation(pg.ball(pg.free_group(2), 3), 3.0)
     f0 = rep.random_admissible(np.random.default_rng(13))
     built = []
     original = lpspace.LpVector.__post_init__
@@ -321,14 +322,14 @@ def test_domain_projections(rep_free):
     proj = dom.project(vals)
     assert (proj[~rep_free.admissible_mask] == 0.0).all()
 
-    rep = pg.Representation(pg.full_ball(pg.cyclic_group(4)), 2.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.cyclic_group(4)), 2.0)
     mz = default_domain(rep)
     assert isinstance(mz, MeanZeroDomain)
     assert abs(mz.project(np.arange(4.0)).sum()) <= 1e-12
 
 
 def test_mean_zero_dual_restriction_q2():
-    rep = pg.Representation(pg.full_ball(pg.cyclic_group(4)), 2.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.cyclic_group(4)), 2.0)
     dom = MeanZeroDomain(rep)
     xi = np.array([3.0, 1.0, 1.0, 1.0])
     r = dom.restrict_dual(xi)
@@ -338,7 +339,7 @@ def test_mean_zero_dual_restriction_q2():
 
 def test_mean_zero_dual_restriction_general_q():
     # restricted functional must dominate the pairing on mean-zero vectors
-    rep = pg.Representation(pg.full_ball(pg.cyclic_group(6)), 3.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.cyclic_group(6)), 3.0)
     dom = MeanZeroDomain(rep)
     rng = np.random.default_rng(13)
     xi = rng.standard_normal(6)
@@ -351,7 +352,7 @@ def test_mean_zero_dual_restriction_general_q():
 @functools.lru_cache
 def _mean_zero24(q):
     """The mean-zero domain of symmetric(4) whose dual exponent is q."""
-    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), conjugate_exponent(q), "full")
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), conjugate_exponent(q))
     assert conjugate_exponent(rep.p) == q
     return MeanZeroDomain(rep)
 
@@ -430,9 +431,9 @@ def _oracle(rep, g, f):
 @pytest.mark.parametrize("case", ["free2-dirichlet", "sym4-full"])
 def test_stacked_operators_match_group_oracle(case):
     if case == "free2-dirichlet":
-        rep = pg.Representation(pg.ball(pg.free_group(2), 3), 2.5, "dirichlet")
+        rep = pg.Representation(pg.ball(pg.free_group(2), 3), 2.5)
     else:
-        rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 2.5, "full")
+        rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 2.5)
     h, b = rep.handle, rep.ball
     rng = np.random.default_rng(3)
     f = rng.standard_normal(b.size)  # mass on the boundary layer too
@@ -469,7 +470,7 @@ def test_stacked_operators_match_group_oracle(case):
 def test_fixed_point_distance_minimises_over_the_constants_in_full_mode(p):
     from scipy.optimize import minimize_scalar
 
-    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), p, "full")
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), p)
     rng = np.random.default_rng(7)
     f0 = rng.standard_normal(24)
     f0 -= f0.mean()
@@ -488,13 +489,58 @@ def test_fixed_point_distance_minimises_over_the_constants_in_full_mode(p):
 
 
 def test_fixed_point_distance_of_a_basis_vector():
-    rep = pg.Representation(pg.full_ball(pg.cyclic_group(4)), 3.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.cyclic_group(4)), 3.0)
     x = np.array([1.0, 0.0, 0.0, 0.0])
     action = pg.AffineAction.from_potential(rep, np.zeros(4))
     # min_c (|1 - c|^3 + 3|c|^3)^(1/3), at c = 1/(1 + sqrt 3); |x - mean(x)|_3 reads 0.777
     assert action.fixed_point_distance(x) == pytest.approx(0.738, abs=5e-4)
     assert power_norm(x - x.mean(), 3.0) == pytest.approx(0.777, abs=5e-4)
-    dirichlet = pg.Representation(pg.ball(pg.free_group(2), 2), 3.0, "dirichlet")
+    dirichlet = pg.Representation(pg.ball(pg.free_group(2), 2), 3.0)
     f0 = np.zeros(dirichlet.ball.size)
     f0[0] = 0.5
     assert pg.AffineAction.from_potential(dirichlet, f0).fixed_point_distance(np.zeros_like(f0)) == 0.5
+
+
+def _symmetric3_table():
+    # the multiplication table of S_3, permutations in lexicographic order,
+    # so that element 0 is the identity
+    perms = list(itertools.permutations(range(3)))
+    index = {perm: i for i, perm in enumerate(perms)}
+    return [[index[tuple(a[b[x]] for x in range(3))] for b in perms] for a in perms]
+
+
+def _invariant_dimension(domain):
+    """The dimension of the vectors of the domain that every generator
+    fixes, by a dense null space: v = Z c is invariant when (P_k - 1) Z c = 0
+    for every k (`generator_differences`)."""
+    Z, D = generator_differences(domain)
+    return Z.shape[1] - np.linalg.matrix_rank(D.reshape(-1, Z.shape[1]))
+
+
+def _finite_cases():
+    for name, handle in (
+        ("cyclic(6)", pg.cyclic_group(6)),
+        ("dihedral(4)", pg.dihedral_group(4)),
+        ("symmetric(3)", pg.symmetric_group(3)),
+        ("table S3", pg.table_group(_symmetric3_table(), generators=[1, 2])),
+    ):
+        diameter = pg.full_ball(handle).radius
+        for radius in (1, diameter, diameter + 2):
+            yield pytest.param(handle, radius, id=f"{name}-R{radius}")
+
+
+def _infinite_cases():
+    for name, handle in (("free(2)", pg.free_group(2)), ("integer_lattice(2)", pg.integer_lattice(2))):
+        for radius in (1, 2, 3):
+            yield pytest.param(handle, radius, id=f"{name}-R{radius}")
+
+
+@pytest.mark.parametrize("handle, radius", [*_finite_cases(), *_infinite_cases()])
+def test_default_domain_holds_no_invariant_vector(handle, radius):
+    # the ball alone fixes the representation's mode and its space, so the
+    # gap estimators need no run-time check for invariant vectors
+    rep = pg.Representation(pg.ball(handle, radius), 2.0)
+    domain = default_domain(rep)
+    assert rep.mode == ("full" if rep.ball.is_full else "dirichlet")
+    assert domain.dimension > 0
+    assert _invariant_dimension(domain) == 0

@@ -258,6 +258,29 @@ def test_gap_sweep_csv(tmp_path):
     assert c_lap[1] < c_lap[0]
 
 
+@pytest.mark.parametrize("p, radii", [(2.0, [2, 3, 4]), (3.0, [1, 2, 3, 4])])
+def test_gap_sweep_rows_past_the_diameter_equal_single_radius_reports(tmp_path, p, radii):
+    # from R = 3, the diameter of cyclic(6), the ball is the whole group and
+    # the space is the mean-zero one, in a sweep as for a single radius.  A
+    # sweep that kept the dirichlet interior read C_disp = 0.5176 at R = 3,
+    # p = 2, and exited 3 at R = 4 on the invariant constants.  Warm starts
+    # join the sweep's pool only, so a multistart value may move by rounding
+    base = {"group": {"family": "cyclic", "params": {"n": 6}}, "p": p, "starts": 2, "iters": 300}
+    cfg = write_config(tmp_path, "sweep.json", {**base, "radius": radii})
+    assert main(["gap", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 0
+    rows = json.loads((tmp_path / "sweep" / "gap.json").read_text())["reports"]
+    for R, row in zip(radii, rows):
+        if R < 3:
+            continue
+        cfg = write_config(tmp_path, f"R{R}.json", {**base, "radius": R})
+        assert main(["gap", "--config", cfg, "--out", str(tmp_path / f"R{R}")]) == 0
+        single = json.loads((tmp_path / f"R{R}" / "gap.json").read_text())["report"]
+        assert row["domain"] == single["domain"] == "mean-zero"
+        assert row["methods"] == single["methods"]
+        for key, value in single["constants"].items():
+            assert row["constants"][key] == pytest.approx(value, rel=1e-12, abs=0.0), (R, key)
+
+
 def test_gap_sweep_exit_1_on_false_chain(tmp_path, monkeypatch):
     def one_false(handle, p, r, radii, options=None, *, battery=0):
         return [
@@ -379,7 +402,7 @@ def test_descend_reports_the_restricted_slope_without_sampling(tmp_path, monkeyp
 
     monkeypatch.setattr(pg.gradient, "abs_gradient_sampled", refuse)
     monkeypatch.setattr(pg, "abs_gradient_sampled", refuse)
-    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0)
     vals = np.random.default_rng(3).standard_normal(rep.ball.size)
     f0 = vals - vals.mean()
     pot_path = tmp_path / "potential.csv"
@@ -932,14 +955,14 @@ def test_verify_builds_its_ball_once(tmp_path, monkeypatch):
 def test_descend_and_verify_read_one_distance_to_the_fixed_points(tmp_path, monkeypatch, p):
     # a terminal at -f0 + 0.3 1 + 1e-3 e_0: its distance to the fixed points
     # -f0 + c 1 is min_c |1e-3 e_0 - c 1|_p, whatever f0 is
-    def fake_descend(action, v0, options=None, *, domain=None):
+    def fake_descend(action, v0, options=None):
         terminal = -action.potential + 0.3
         terminal[0] += 1e-3
         return pg.gradient.DescentTrace([], terminal, "f_tol", 0.0)
 
     monkeypatch.setattr(cli, "descend", fake_descend)
     monkeypatch.setattr(pg.verify, "descend", fake_descend)
-    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), p, "full")
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), p)
     e0 = np.zeros(24)
     e0[0] = 1e-3
     expected = pg.AffineAction.from_potential(rep, np.zeros(24)).fixed_point_distance(e0 + 0.3)

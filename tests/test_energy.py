@@ -15,7 +15,7 @@ def alternating_vector(ball):
 
 @pytest.mark.parametrize("r", [0.5, 0.0, -1.0, np.nan])
 def test_generator_exponent_outside_1_inf_raises(sym3, r):
-    rep = pg.Representation(sym3, 3.0, "full")
+    rep = pg.Representation(sym3, 3.0)
     v = unit_vector(rep, np.random.default_rng(0))
     with pytest.raises(ValidationError, match="generator exponent"):
         pg.displacement_energy(pg.AffineAction.linear(rep), v, r)
@@ -27,7 +27,7 @@ def test_energy_exponent_defaults_to_the_representations(free2_r3):
     # the ambient exponent is read off the action; r = p is the default
     rng = np.random.default_rng(8)
     for p in (1.5, 3.0):
-        rep = pg.Representation(free2_r3, p, "dirichlet")
+        rep = pg.Representation(free2_r3, p)
         f0 = unit_vector(rep, rng)
         act = pg.AffineAction.from_potential(rep, f0)
         v = unit_vector(rep, rng)
@@ -36,7 +36,7 @@ def test_energy_exponent_defaults_to_the_representations(free2_r3):
 
 
 def test_alternating_vector_energy_is_two(cyclic4):
-    rep = pg.Representation(cyclic4, 2.0, "full")
+    rep = pg.Representation(cyclic4, 2.0)
     act = pg.AffineAction.linear(rep)
     v = alternating_vector(cyclic4)
     assert power_norm(v, 2.0) == pytest.approx(1.0)
@@ -45,7 +45,7 @@ def test_alternating_vector_energy_is_two(cyclic4):
 
 def test_energy_vanishes_at_fixed_point_of_coboundary(cyclic8):
     rng = np.random.default_rng(0)
-    rep = pg.Representation(cyclic8, 2.0, "full")
+    rep = pg.Representation(cyclic8, 2.0)
     f0 = unit_vector(rep, rng, mean_zero=True)
     act = pg.AffineAction.from_potential(rep, f0)
     value = pg.displacement_energy(act, -1.0 * f0)
@@ -54,7 +54,7 @@ def test_energy_vanishes_at_fixed_point_of_coboundary(cyclic8):
 
 def test_energy_two_lipschitz(sym3):
     rng = np.random.default_rng(1)
-    rep = pg.Representation(sym3, 3.0, "full")
+    rep = pg.Representation(sym3, 3.0)
     f0 = unit_vector(rep, rng)
     act = pg.AffineAction.from_potential(rep, f0)
     for _ in range(100):
@@ -68,7 +68,7 @@ def test_energy_two_lipschitz(sym3):
 
 def test_energy_convexity(cyclic8):
     rng = np.random.default_rng(2)
-    rep = pg.Representation(cyclic8, 1.5, "full")
+    rep = pg.Representation(cyclic8, 1.5)
     f0 = unit_vector(rep, rng, mean_zero=True)
     act = pg.AffineAction.from_potential(rep, f0)
     for r in (1.0, 1.5, 2.0, 4.0, np.inf):
@@ -84,7 +84,7 @@ def test_energy_convexity(cyclic8):
 
 def test_energy_homogeneity_linear_action(cyclic8):
     rng = np.random.default_rng(3)
-    rep = pg.Representation(cyclic8, 2.0, "full")
+    rep = pg.Representation(cyclic8, 2.0)
     act = pg.AffineAction.linear(rep)
     v = unit_vector(rep, rng)
     fv = pg.displacement_energy(act, v)
@@ -94,7 +94,7 @@ def test_energy_homogeneity_linear_action(cyclic8):
 
 def test_energy_sandwich(sym3):
     rng = np.random.default_rng(4)
-    rep = pg.Representation(sym3, 2.0, "full")
+    rep = pg.Representation(sym3, 2.0)
     act = pg.AffineAction.linear(rep)
     m_min = rep.handle.min_weight()
     for r in (1.5, 2.0, 8.0):
@@ -108,7 +108,7 @@ def test_energy_sandwich(sym3):
 
 def test_cocycle_norm_matches_energy(cyclic8):
     rng = np.random.default_rng(5)
-    rep = pg.Representation(cyclic8, 2.0, "full")
+    rep = pg.Representation(cyclic8, 2.0)
     v = unit_vector(rep, rng)
     c = pg.coboundary(rep, v)
     act = pg.AffineAction.linear(rep)
@@ -119,7 +119,7 @@ def test_cocycle_norm_matches_energy(cyclic8):
 
 def test_coboundary_norm_bound(cyclic8):
     rng = np.random.default_rng(6)
-    rep = pg.Representation(cyclic8, 3.0, "full")
+    rep = pg.Representation(cyclic8, 3.0)
     for r in (1.0, 2.0, np.inf):
         for _ in range(50):
             v = unit_vector(rep, rng)
@@ -127,19 +127,19 @@ def test_coboundary_norm_bound(cyclic8):
 
 
 def test_dirichlet_norm_on_constants(cyclic4):
-    rep = pg.Representation(cyclic4, 2.0, "full")
+    rep = pg.Representation(cyclic4, 2.0)
     assert pg.dirichlet_norm(rep, np.ones(4)) == 0.0
 
 
 def test_dirichlet_norm_delta_cyclic3():
-    rep = pg.Representation(pg.full_ball(pg.cyclic_group(3)), 2.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.cyclic_group(3)), 2.0)
     de = pg.delta(rep.ball, rep.ball.locate(0))
     assert pg.dirichlet_norm(rep, de) == pytest.approx(np.sqrt(2.0), abs=1e-14)
 
 
 def test_dirichlet_norm_is_cocycle_norm_of_coboundary(free2_r3):
     rng = np.random.default_rng(7)
-    rep = pg.Representation(free2_r3, 2.5, "dirichlet")
+    rep = pg.Representation(free2_r3, 2.5)
     v = unit_vector(rep, rng)
     lhs = pg.dirichlet_norm(rep, v)
     rhs = pg.cocycle_norm(pg.coboundary(rep, v))
@@ -147,13 +147,13 @@ def test_dirichlet_norm_is_cocycle_norm_of_coboundary(free2_r3):
 
 
 def test_p_laplacian_of_constant_vanishes(cyclic4):
-    rep = pg.Representation(cyclic4, 3.0, "full")
+    rep = pg.Representation(cyclic4, 3.0)
     assert power_norm(pg.p_laplacian(rep, np.ones(4)), 1.5) == 0.0
 
 
 def test_p_laplacian_lattice_delta():
     b = pg.ball(pg.integer_lattice(1), 2)
-    rep = pg.Representation(b, 2.0, "dirichlet")
+    rep = pg.Representation(b, 2.0)
     d0 = pg.delta(b, b.locate((0,)))
     lap = pg.p_laplacian(rep, d0)
     assert lap[b.locate((0,))] == pytest.approx(-1.0)
@@ -172,7 +172,7 @@ def test_p_laplacian_lattice_delta():
     ],
 )
 def test_dirichlet_identity_p2(maker):
-    rep = pg.Representation(pg.full_ball(maker()), 2.0, "full")
+    rep = pg.Representation(pg.full_ball(maker()), 2.0)
     rng = np.random.default_rng(8)
     for _ in range(20):
         f = unit_vector(rep, rng)
@@ -182,7 +182,7 @@ def test_dirichlet_identity_p2(maker):
 
 
 def test_p2_laplacian_is_markov_minus_identity(cyclic8):
-    rep = pg.Representation(cyclic8, 2.0, "full")
+    rep = pg.Representation(cyclic8, 2.0)
     rng = np.random.default_rng(9)
     f = unit_vector(rep, rng)
     lap = pg.p_laplacian(rep, f)
@@ -191,7 +191,7 @@ def test_p2_laplacian_is_markov_minus_identity(cyclic8):
 
 
 def test_gradient_field_matches_laplacian_for_linear_action(sym3):
-    rep = pg.Representation(sym3, 1.5, "full")
+    rep = pg.Representation(sym3, 1.5)
     act = pg.AffineAction.linear(rep)
     rng = np.random.default_rng(10)
     f = unit_vector(rep, rng)
@@ -202,7 +202,7 @@ def test_gradient_field_matches_laplacian_for_linear_action(sym3):
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_gradient_field_of_affine_action_is_shifted_laplacian(p, cyclic8):
-    rep = pg.Representation(cyclic8, p, "full")
+    rep = pg.Representation(cyclic8, p)
     rng = np.random.default_rng(11)
     f0 = unit_vector(rep, rng, mean_zero=True)
     act = pg.AffineAction.from_potential(rep, f0)
@@ -215,7 +215,7 @@ def test_gradient_field_of_affine_action_is_shifted_laplacian(p, cyclic8):
 
 def test_gradient_field_vanishes_at_fixed_point(cyclic8):
     rng = np.random.default_rng(12)
-    rep = pg.Representation(cyclic8, 3.0, "full")
+    rep = pg.Representation(cyclic8, 3.0)
     f0 = unit_vector(rep, rng, mean_zero=True)
     act = pg.AffineAction.from_potential(rep, f0)
     field = pg.gradient_field(act, -1.0 * f0)
@@ -230,7 +230,7 @@ def test_weighted_r_mean_max():
 
 
 def test_support_violation_propagates(free2_r3):
-    rep = pg.Representation(free2_r3, 2.0, "dirichlet")
+    rep = pg.Representation(free2_r3, 2.0)
     vals = np.zeros(free2_r3.size)
     vals[-1] = 1.0
     bad = vals

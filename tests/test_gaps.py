@@ -8,9 +8,9 @@ import pytest
 
 import pgaplab as pg
 from pgaplab import gaps
-from pgaplab.action import DirichletDomain, FullDomain, MeanZeroDomain, default_domain
+from pgaplab.action import MeanZeroDomain, default_domain
 from pgaplab.cli import main
-from pgaplab.errors import FixedVectorPresent, SupportViolation, ValidationError
+from pgaplab.errors import ValidationError
 from pgaplab.gaps import (
     GapOptions,
     ensure_no_fixed_vectors,
@@ -24,7 +24,7 @@ from conftest import dense_gap_constant
 
 
 def full_rep(handle, p=2.0):
-    return pg.Representation(pg.full_ball(handle), p, "full")
+    return pg.Representation(pg.full_ball(handle), p)
 
 
 @pytest.fixture
@@ -42,7 +42,7 @@ def multistart_only(monkeypatch):
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
 def test_exact_displacement_constant_cyclic(n):
     rep = full_rep(pg.cyclic_group(n))
-    est_disp, est_r = pg.displacement_constant(default_domain(rep), 2.0)
+    est_disp, est_r = pg.displacement_constant(rep, 2.0)
     assert est_disp.method == "exact-fourier"
     assert est_disp.value == pytest.approx(2.0 * np.sin(np.pi / n), abs=1e-12)
     assert est_r.value == pytest.approx(2.0 * np.sin(np.pi / n), abs=1e-12)
@@ -52,7 +52,7 @@ def test_cyclic12_exact_constants_within_one_ulp():
     # modes 1 and 11 displace by the same amount; the factor used to be
     # |exp(2 pi i k a / n) - 1|, whose rounding picked mode 11 and read
     # 0.5176380902050386 for C_r and C_grad
-    report = pg.equivalence_report(default_domain(full_rep(pg.cyclic_group(12))))
+    report = pg.equivalence_report(full_rep(pg.cyclic_group(12)))
     exact = 2.0 * math.sin(math.pi / 12)
     for name in ("C_disp", "C_r", "C_grad"):
         assert report.methods[name] == "exact-fourier"
@@ -61,13 +61,13 @@ def test_cyclic12_exact_constants_within_one_ulp():
 
 def test_exact_displacement_cyclic2():
     rep = full_rep(pg.cyclic_group(2))
-    est_disp, _ = pg.displacement_constant(default_domain(rep), 2.0)
+    est_disp, _ = pg.displacement_constant(rep, 2.0)
     assert est_disp.value == pytest.approx(2.0, abs=1e-12)
 
 
 def test_certificate_attains_reported_value():
     rep = full_rep(pg.cyclic_group(6))
-    est_disp, est_r = pg.displacement_constant(default_domain(rep), 2.0)
+    est_disp, est_r = pg.displacement_constant(rep, 2.0)
     act = pg.AffineAction.linear(rep)
     v = np.asarray(est_disp.certificate)
     ratio = pg.displacement_energy(act, v, np.inf) / power_norm(v, 2.0)
@@ -78,7 +78,7 @@ def test_certificate_attains_reported_value():
 def test_multistart_agrees_with_character_oracle(n):
     rep = full_rep(pg.cyclic_group(n))
     opts = GapOptions(starts=16, iters=4000, seed=3)
-    est_disp, est_r = pg.displacement_constant(default_domain(rep), 2.0, opts, oracle=gaps.Oracle())
+    est_disp, est_r = pg.displacement_constant(rep, 2.0, opts, oracle=gaps.Oracle())
     assert est_disp.method == "multistart"
     exact = 2.0 * np.sin(np.pi / n)
     assert abs(est_disp.value - exact) <= 1e-6
@@ -95,7 +95,7 @@ def test_eigen_oracle_matches_characters():
 def test_gradient_constant_cyclic4(multistart_only):
     rep = full_rep(pg.cyclic_group(4))
     opts = GapOptions(starts=8, iters=2000)
-    report = pg.equivalence_report(default_domain(rep), options=opts)
+    report = pg.equivalence_report(rep, options=opts)
     c_grad = report.constants["C_grad"]
     exact = dense_gap_constant(default_domain(rep))
     assert report.methods["C_grad"] == "multistart"
@@ -108,7 +108,7 @@ def test_laplacian_constant_is_half_gradient_constant(multistart_only):
     # at r != p a separate energy-ratio run at r = p supplies C_grad and C_lap
     rep = full_rep(pg.cyclic_group(4))
     opts = GapOptions(starts=8, iters=2000)
-    report = pg.equivalence_report(default_domain(rep), np.inf, opts)
+    report = pg.equivalence_report(rep, np.inf, opts)
     c = report.constants
     assert c["C_lap"] == c["C_grad"] / 2.0
     assert report.certificates["C_lap"] == report.certificates["C_grad"]
@@ -117,62 +117,19 @@ def test_laplacian_constant_is_half_gradient_constant(multistart_only):
     assert report.chain["C_grad >= C_r"] is None  # not a theorem for r > p
 
 
-def test_fixed_vector_present_on_full_domain():
-    rep = full_rep(pg.cyclic_group(6))
-    dom = FullDomain(rep)
-    with pytest.raises(FixedVectorPresent):
-        ensure_no_fixed_vectors(dom)
-    with pytest.raises(FixedVectorPresent):
-        pg.displacement_constant(dom, 2.0, GapOptions(starts=2, iters=100))
-
-
 def test_mean_zero_domain_has_no_fixed_vectors():
     rep = full_rep(pg.symmetric_group(3))
     ensure_no_fixed_vectors(default_domain(rep))
 
 
 def test_dirichlet_domain_has_no_fixed_vectors():
-    rep = pg.Representation(pg.ball(pg.integer_lattice(1), 8), 2.0, "dirichlet")
+    rep = pg.Representation(pg.ball(pg.integer_lattice(1), 8), 2.0)
     ensure_no_fixed_vectors(default_domain(rep))
-
-
-@pytest.mark.parametrize(
-    "group, radius, kind, raised",
-    [
-        # radius 5 exceeds the diameter 3 of cyclic(6): the dirichlet mask
-        # keeps every element and the constant vector is invariant
-        (pg.cyclic_group(6), 5, DirichletDomain, FixedVectorPresent),
-        (pg.cyclic_group(6), 5, FullDomain, FixedVectorPresent),
-        # on a ball that is not full the full space reaches the boundary
-        # layer, outside the dirichlet support
-        (pg.free_group(2), 3, FullDomain, SupportViolation),
-        (pg.cyclic_group(12), 2, FullDomain, SupportViolation),
-    ],
-    ids=["cyclic6-R5-dirichlet", "cyclic6-R5-full", "free2-R3-full", "cyclic12-R2-full"],
-)
-def test_fixed_vector_guard_on_dirichlet_representations(group, radius, kind, raised):
-    rep = pg.Representation(pg.ball(group, radius), 2.0, "dirichlet")
-    assert rep.ball.is_full == (raised is FixedVectorPresent)
-    dom = kind(rep)
-    with pytest.raises(raised):
-        ensure_no_fixed_vectors(dom)
-
-
-@pytest.mark.parametrize("p", [2.0, 3.0])
-def test_report_on_the_full_space_of_a_dirichlet_ball_raises(p):
-    # the full space holds vectors with mass on the boundary layer, where the
-    # truncated action is not defined; the report used to certify its
-    # constants by such vectors, which check_admissible rejects
-    rep = pg.Representation(pg.ball(pg.free_group(2), 3), p, "dirichlet")
-    with pytest.raises(SupportViolation, match="depth > 2"):
-        pg.equivalence_report(FullDomain(rep), options=GapOptions(starts=2, iters=50))
-    with pytest.raises(SupportViolation):
-        pg.displacement_constant(FullDomain(rep), 2.0, GapOptions(starts=2, iters=50))
 
 
 def test_tent_vector_ratio():
     for R in (4, 8, 16):
-        rep = pg.Representation(pg.ball(pg.integer_lattice(1), R), 2.0, "dirichlet")
+        rep = pg.Representation(pg.ball(pg.integer_lattice(1), R), 2.0)
         t = pg.tent_vector(rep)
         rep.check_admissible(t)
         assert pg.laplacian_ratio(rep, t) == pytest.approx(np.sqrt(3.0 / (4.0 * R)), rel=1e-12)
@@ -190,7 +147,7 @@ def test_kesten_bound_value():
 
 def test_kesten_bound_holds_pointwise_on_truncation():
     rng = np.random.default_rng(0)
-    rep = pg.Representation(pg.ball(pg.free_group(2), 4), 2.0, "dirichlet")
+    rep = pg.Representation(pg.ball(pg.free_group(2), 4), 2.0)
     act = pg.AffineAction.linear(rep)
     bound = pg.kesten_displacement_bound(2)
     for _ in range(50):
@@ -201,7 +158,7 @@ def test_kesten_bound_holds_pointwise_on_truncation():
 def test_equivalence_report_cyclic8():
     rep = full_rep(pg.cyclic_group(8))
     opts = GapOptions(starts=8, iters=2000, seed=5)
-    report = pg.equivalence_report(default_domain(rep), 2.0, opts, battery=3)
+    report = pg.equivalence_report(rep, 2.0, opts, battery=3)
     c = report.constants
     assert report.chain["C_r <= C_disp"]
     assert report.chain["m_min^(1/r) C_disp <= C_r"]
@@ -218,15 +175,15 @@ def test_equivalence_report_cyclic8():
 def test_battery_recovery_error_is_the_distance_to_the_fixed_points(monkeypatch):
     descents = []
 
-    def recorded(action, v0, options, domain):
-        trace = pg.descend(action, v0, options, domain=domain)
+    def recorded(action, v0, options):
+        trace = pg.descend(action, v0, options)
         descents.append((action, trace))
         return trace
 
     monkeypatch.setattr(gaps, "descend", recorded)
     rep = full_rep(pg.symmetric_group(4), 3.0)
     opts = GapOptions(starts=2, iters=150, seed=3)
-    report = pg.equivalence_report(default_domain(rep), 3.0, opts, battery=1)
+    report = pg.equivalence_report(rep, 3.0, opts, battery=1)
     [(cob, trace)] = descents
     [row] = report.battery
     assert row["recoveryError"] == cob.fixed_point_distance(trace.terminal)
@@ -240,7 +197,7 @@ def test_battery_descents_reach_f_tol_in_few_iterations():
     # descent (about 130 iterations each at the 2 x 150 budget)
     rep = full_rep(pg.symmetric_group(4), 3.0)
     opts = GapOptions(starts=2, iters=150, seed=33)
-    report = pg.equivalence_report(default_domain(rep), 3.0, opts, battery=2)
+    report = pg.equivalence_report(rep, 3.0, opts, battery=2)
     assert len(report.battery) == 2
     for row in report.battery:
         assert row["reason"] == "f_tol"
@@ -250,15 +207,15 @@ def test_battery_descents_reach_f_tol_in_few_iterations():
 
 def test_equivalence_report_empty_battery():
     rep = full_rep(pg.cyclic_group(4))
-    report = pg.equivalence_report(default_domain(rep), 2.0, GapOptions(starts=4, iters=1000), battery=0)
+    report = pg.equivalence_report(rep, 2.0, GapOptions(starts=4, iters=1000), battery=0)
     assert report.battery == []
     assert set(report.constants) == {"C_disp", "C_r", "C_grad", "C_lap"}
 
 
 def test_equivalence_report_free2():
-    rep = pg.Representation(pg.ball(pg.free_group(2), 3), 2.0, "dirichlet")
+    rep = pg.Representation(pg.ball(pg.free_group(2), 3), 2.0)
     opts = GapOptions(starts=6, iters=1500, seed=1)
-    report = pg.equivalence_report(default_domain(rep), 2.0, opts, battery=2)
+    report = pg.equivalence_report(rep, 2.0, opts, battery=2)
     assert report.domain == "dirichlet"
     assert report.radius == 3
     assert report.constants["C_disp"] >= pg.kesten_displacement_bound(2) - 1e-3
@@ -287,8 +244,8 @@ def test_lift_vector_prefix():
     assert (lifted[: small.size] == vals).all()
     assert (lifted[small.size :] == 0.0).all()
     # same element order in the shared prefix, so energies agree exactly
-    rep_s = pg.Representation(small, 2.0, "dirichlet")
-    rep_b = pg.Representation(big, 2.0, "dirichlet")
+    rep_s = pg.Representation(small, 2.0)
+    rep_b = pg.Representation(big, 2.0)
     act_s = pg.AffineAction.linear(rep_s)
     act_b = pg.AffineAction.linear(rep_b)
     v_s = np.where(rep_s.admissible_mask, vals, 0.0)
@@ -298,8 +255,8 @@ def test_lift_vector_prefix():
 
 def ratio_instances(p):
     return {
-        "symmetric(3) full": pg.Representation(pg.full_ball(pg.symmetric_group(3)), p, "full"),
-        "free(2) R=3 dirichlet": pg.Representation(pg.ball(pg.free_group(2), 3), p, "dirichlet"),
+        "symmetric(3) full": pg.Representation(pg.full_ball(pg.symmetric_group(3)), p),
+        "free(2) R=3 dirichlet": pg.Representation(pg.ball(pg.free_group(2), 3), p),
     }
 
 
@@ -362,8 +319,8 @@ GOLDEN_WITH_ORACLE = {"free(2) R=4 p=1.5 auto"}
 
 def golden_rep(name):
     if name == "symmetric(4) p=3":
-        return pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0, "full")
-    return pg.Representation(pg.ball(pg.free_group(2), 4), 1.5, "dirichlet")
+        return pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0)
+    return pg.Representation(pg.ball(pg.free_group(2), 4), 1.5)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -371,7 +328,7 @@ def test_equivalence_report_golden_constants_and_certificates(request, name):
     if name not in GOLDEN_WITH_ORACLE:
         request.getfixturevalue("multistart_only")
     opts = GapOptions(starts=2, iters=60, seed=5)
-    report = pg.equivalence_report(default_domain(golden_rep(name)), options=opts)
+    report = pg.equivalence_report(golden_rep(name), options=opts)
     for key, (value, digest) in GOLDEN[name].items():
         assert report.constants[key] == value, key
         assert _digest(report.certificates[key]) == digest, key
@@ -391,7 +348,7 @@ def test_equivalence_report_golden_constants_and_certificates(request, name):
     ],
 )
 def test_equivalence_report_evaluates_each_pool_vector_once(monkeypatch, r, want):
-    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0)
     evals = []
     busy = []  # open displacement_constant and multistart calls
     original = gaps.make_energy_ratio_objective
@@ -420,7 +377,7 @@ def test_equivalence_report_evaluates_each_pool_vector_once(monkeypatch, r, want
     monkeypatch.setattr(gaps, "displacement_constant", marking(gaps.displacement_constant))
     monkeypatch.setattr(gaps, "_ratio_multistart", marking(gaps._ratio_multistart))
     opts = GapOptions(starts=2, iters=150, seed=11)
-    report = pg.equivalence_report(default_domain(rep), r, opts, battery=1)
+    report = pg.equivalence_report(rep, r, opts, battery=1)
     assert {e: evals.count(e) for e in set(evals)} == want
     assert False not in report.chain.values()
 
@@ -438,7 +395,7 @@ def test_character_oracle_runs_once_per_report(monkeypatch, r):
         return original(rep_)
 
     monkeypatch.setattr(gaps, "cyclic_exact_constants", counting)
-    report = pg.equivalence_report(default_domain(rep), r, GapOptions(starts=2, iters=50, seed=1))
+    report = pg.equivalence_report(rep, r, GapOptions(starts=2, iters=50, seed=1))
     assert len(calls) == 1
     exact = 2.0 * math.sin(math.pi / 8)
     assert report.methods["C_disp"] == report.methods["C_grad"] == "exact-fourier"
@@ -456,9 +413,9 @@ def test_fixed_vector_guard_probes_once_per_report(monkeypatch):
         return original(domain)
 
     monkeypatch.setattr(gaps, "ensure_no_fixed_vectors", counting)
-    pg.equivalence_report(default_domain(rep), options=GapOptions(starts=1, iters=20))
+    pg.equivalence_report(rep, options=GapOptions(starts=1, iters=20))
     assert len(calls) == 1
-    pg.equivalence_report(default_domain(rep), np.inf, GapOptions(starts=1, iters=20))
+    pg.equivalence_report(rep, np.inf, GapOptions(starts=1, iters=20))
     # C_grad and C_lap run no optimization, and the run at r = p for r != p
     # shares the guarded domain
     assert len(calls) == 2
@@ -467,7 +424,7 @@ def test_fixed_vector_guard_probes_once_per_report(monkeypatch):
 def test_report_diagnostics_count_trajectories():
     rep = full_rep(pg.symmetric_group(3), p=3.0)
     opts = GapOptions(starts=3, iters=40, seed=4)
-    diag = pg.equivalence_report(default_domain(rep), options=opts).to_dict()["diagnostics"]
+    diag = pg.equivalence_report(rep, options=opts).to_dict()["diagnostics"]
     assert set(diag) == {"C_disp", "C_r", "C_grad", "C_lap"}
     for key, d in diag.items():
         assert d["trajectories"] == 3, key  # C_disp: one polish per multistart point
@@ -483,22 +440,22 @@ def test_report_diagnostics_count_trajectories():
 
 def test_exact_constants_have_no_trajectories():
     rep = full_rep(pg.cyclic_group(8))
-    diag = pg.equivalence_report(default_domain(rep), 2.0, GapOptions(starts=2, iters=50)).diagnostics
+    diag = pg.equivalence_report(rep, 2.0, GapOptions(starts=2, iters=50)).diagnostics
     assert diag["C_disp"]["trajectories"] == diag["C_r"]["trajectories"] == 0
     assert diag["C_grad"]["trajectories"] == diag["C_lap"]["trajectories"] == 0
 
 
 IDENTITY_INSTANCES = {
     "symmetric(4) p=3 mean-zero": (
-        lambda: pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0, "full"),
+        lambda: pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0),
         "multistart",
     ),
     "free(2) R=4 p=1.5 dirichlet": (
-        lambda: pg.Representation(pg.ball(pg.free_group(2), 4), 1.5, "dirichlet"),
+        lambda: pg.Representation(pg.ball(pg.free_group(2), 4), 1.5),
         "bracketed",
     ),
     "cyclic(8) p=2 exact": (
-        lambda: pg.Representation(pg.full_ball(pg.cyclic_group(8)), 2.0, "full"),
+        lambda: pg.Representation(pg.full_ball(pg.cyclic_group(8)), 2.0),
         "exact-fourier",
     ),
 }
@@ -508,7 +465,7 @@ IDENTITY_INSTANCES = {
 def test_gradient_and_laplacian_constants_are_read_off_c_p(name):
     make, method = IDENTITY_INSTANCES[name]
     rep = make()
-    report = pg.equivalence_report(default_domain(rep), options=GapOptions(starts=3, iters=200, seed=2))
+    report = pg.equivalence_report(rep, options=GapOptions(starts=3, iters=200, seed=2))
     c, cert = report.constants, report.certificates
     assert c["C_grad"] == c["C_r"]
     assert c["C_lap"] == c["C_r"] / 2.0
@@ -524,23 +481,22 @@ def test_gradient_and_laplacian_constants_are_read_off_c_p(name):
 
 
 def test_slope_at_certificate_meets_c_grad_when_converged():
-    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0, "full")
-    report = pg.equivalence_report(default_domain(rep), options=GapOptions(starts=8, iters=2000))
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0)
+    report = pg.equivalence_report(rep, options=GapOptions(starts=8, iters=2000))
     slope = report.diagnostics["C_grad"]["slopeAtCertificate"]
     assert slope == pytest.approx(report.constants["C_grad"], rel=1e-6)
 
 
 def test_restricted_slope_check_catches_a_wrong_restriction(monkeypatch):
     # a restriction that drops half of the dual element understates the slope
-    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0, "full")
-    domain = default_domain(rep)
-    original = domain.restrict_dual
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0)
+    original = MeanZeroDomain.restrict_dual
 
-    def halved(xi):
-        return 0.5 * original(xi)
+    def halved(self, xi):
+        return 0.5 * original(self, xi)
 
-    monkeypatch.setattr(domain, "restrict_dual", halved)
-    report = pg.equivalence_report(domain, options=GapOptions(starts=2, iters=60, seed=5))
+    monkeypatch.setattr(MeanZeroDomain, "restrict_dual", halved)
+    report = pg.equivalence_report(rep, options=GapOptions(starts=2, iters=60, seed=5))
     assert report.chain["restricted slope at C_grad certificate >= C_grad"] is False
 
 
@@ -548,22 +504,22 @@ def test_restricted_slope_check_catches_a_wrong_restriction(monkeypatch):
 # the Lanczos oracle at p = 2
 
 LANCZOS_INSTANCES = {
-    "symmetric(5)": lambda: pg.Representation(pg.full_ball(pg.symmetric_group(5)), 2.0, "full"),
-    "dihedral(5)": lambda: pg.Representation(pg.full_ball(pg.dihedral_group(5)), 2.0, "full"),
-    "free(2) R=2": lambda: pg.Representation(pg.ball(pg.free_group(2), 2), 2.0, "dirichlet"),
-    "free(2) R=6": lambda: pg.Representation(pg.ball(pg.free_group(2), 6), 2.0, "dirichlet"),
-    "free(3) R=3": lambda: pg.Representation(pg.ball(pg.free_group(3), 3), 2.0, "dirichlet"),
-    "integer_lattice(1) R=16": lambda: pg.Representation(pg.ball(pg.integer_lattice(1), 16), 2.0, "dirichlet"),
-    "integer_lattice(1) R=64": lambda: pg.Representation(pg.ball(pg.integer_lattice(1), 64), 2.0, "dirichlet"),
-    "integer_lattice(2) R=6": lambda: pg.Representation(pg.ball(pg.integer_lattice(2), 6), 2.0, "dirichlet"),
-    "integer_lattice(2) R=20": lambda: pg.Representation(pg.ball(pg.integer_lattice(2), 20), 2.0, "dirichlet"),
+    "symmetric(5)": lambda: pg.Representation(pg.full_ball(pg.symmetric_group(5)), 2.0),
+    "dihedral(5)": lambda: pg.Representation(pg.full_ball(pg.dihedral_group(5)), 2.0),
+    "free(2) R=2": lambda: pg.Representation(pg.ball(pg.free_group(2), 2), 2.0),
+    "free(2) R=6": lambda: pg.Representation(pg.ball(pg.free_group(2), 6), 2.0),
+    "free(3) R=3": lambda: pg.Representation(pg.ball(pg.free_group(3), 3), 2.0),
+    "integer_lattice(1) R=16": lambda: pg.Representation(pg.ball(pg.integer_lattice(1), 16), 2.0),
+    "integer_lattice(1) R=64": lambda: pg.Representation(pg.ball(pg.integer_lattice(1), 64), 2.0),
+    "integer_lattice(2) R=6": lambda: pg.Representation(pg.ball(pg.integer_lattice(2), 6), 2.0),
+    "integer_lattice(2) R=20": lambda: pg.Representation(pg.ball(pg.integer_lattice(2), 20), 2.0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LANCZOS_INSTANCES))
 def test_lanczos_c2_matches_the_dense_solve(name):
     domain = default_domain(LANCZOS_INSTANCES[name]())
-    report = pg.equivalence_report(domain, options=GapOptions(starts=1, iters=20, seed=3))
+    report = pg.equivalence_report(domain.rep, options=GapOptions(starts=1, iters=20, seed=3))
     assert report.methods["C_r"] == report.methods["C_grad"] == "exact-eigen"
     assert report.constants["C_r"] == pytest.approx(dense_gap_constant(domain), rel=1e-11, abs=0.0)
 
@@ -601,7 +557,7 @@ def test_eigen_certificates_lie_in_the_domain_and_attain_their_values(name):
 
 CERTIFIED_INSTANCES = {
     "free(2) R=6": LANCZOS_INSTANCES["free(2) R=6"],
-    "integer_lattice(2) R=8": lambda: pg.Representation(pg.ball(pg.integer_lattice(2), 8), 2.0, "dirichlet"),
+    "integer_lattice(2) R=8": lambda: pg.Representation(pg.ball(pg.integer_lattice(2), 8), 2.0),
 }
 
 
@@ -617,7 +573,7 @@ def test_certified_c_disp_runs_no_multistart(monkeypatch, name, r):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(gaps, "multistart_minimize", counting)
-    report = pg.equivalence_report(default_domain(rep), r, GapOptions(starts=2, iters=150, seed=11))
+    report = pg.equivalence_report(rep, r, GapOptions(starts=2, iters=150, seed=11))
     assert calls == []
     assert set(report.methods.values()) == {"exact-eigen"}
     c = report.constants
@@ -633,7 +589,7 @@ def test_uncertified_c_disp_is_polished_from_the_multistart_seeds():
     # is a saddle of the max, and a polish from it alone stalls above 1.1
     rep = LANCZOS_INSTANCES["dihedral(5)"]()
     opts = GapOptions(starts=2, iters=150, seed=11)
-    report = pg.equivalence_report(default_domain(rep), 2.0, opts)
+    report = pg.equivalence_report(rep, 2.0, opts)
     assert report.methods["C_disp"] == "multistart"
     assert report.methods["C_r"] == "exact-eigen"
     assert report.constants["C_disp"] < 1.1
@@ -651,8 +607,8 @@ def test_c_p_from_the_oracle_saves_the_run_at_r_equal_p(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(gaps, "multistart_minimize", counting)
-    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 2.0, "full")
-    report = pg.equivalence_report(default_domain(rep), 3.0, GapOptions(starts=2, iters=150, seed=11))
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 2.0)
+    report = pg.equivalence_report(rep, 3.0, GapOptions(starts=2, iters=150, seed=11))
     assert len(calls) == 1  # the run at r = 3; C_2 comes from the oracle
     assert report.methods["C_grad"] == "exact-eigen"
     assert report.methods["C_r"] == report.methods["C_disp"] == "multistart"
@@ -660,7 +616,7 @@ def test_c_p_from_the_oracle_saves_the_run_at_r_equal_p(monkeypatch):
 
 
 def test_lanczos_oracle_builds_no_square_array():
-    domain = default_domain(pg.Representation(pg.ball(pg.free_group(2), 7), 2.0, "dirichlet"))
+    domain = default_domain(pg.Representation(pg.ball(pg.free_group(2), 7), 2.0))
     tracemalloc.start()
     try:
         gaps.eigen_exact_constants(domain, seed=0)
@@ -684,11 +640,11 @@ def test_c_disp_spread_is_over_the_polish_runs_only():
     # symmetric(4) at p = 2: C_2 is exact, and C_disp's seed runs (final
     # values of F_2) are counted without their finals beside the polish
     # runs (final values of F_inf)
-    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 2.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 2.0)
     domain = default_domain(rep)
     opts = GapOptions(starts=2, iters=150, seed=11)
     oracle = gaps._guarded_oracle(domain, opts)
-    est_disp, _ = pg.displacement_constant(domain, 2.0, opts, oracle=oracle)
+    est_disp, _ = pg.displacement_constant(domain.rep, 2.0, opts, oracle=oracle)
     d = est_disp.diagnostics
     assert d["trajectories"] == 4
     act = pg.AffineAction.linear(rep)
@@ -711,7 +667,7 @@ BRACKET_INSTANCES = {
 
 
 def dirichlet_domain(handle, radius, p):
-    return default_domain(pg.Representation(pg.ball(handle, radius), p, "dirichlet"))
+    return default_domain(pg.Representation(pg.ball(handle, radius), p))
 
 
 @pytest.mark.parametrize("name", sorted(BRACKET_INSTANCES))
@@ -765,7 +721,7 @@ def test_a_bracketed_report_runs_one_trajectory_and_no_polish(monkeypatch):
     monkeypatch.setattr(gaps, "multistart_minimize", counting_multistart)
     monkeypatch.setattr(gaps, "sphere_minimize", counting_sphere)
     domain = dirichlet_domain(pg.free_group(2), 6, 3.0)
-    report = pg.equivalence_report(domain, options=GapOptions(starts=2, iters=150, seed=11))
+    report = pg.equivalence_report(domain.rep, options=GapOptions(starts=2, iters=150, seed=11))
     assert calls == {"multistart": 0, "sphere": 1}
     assert set(report.methods.values()) == {"bracketed"}
     for d in report.diagnostics.values():
@@ -794,7 +750,7 @@ def test_the_fallback_keeps_the_ritz_end_point_in_the_pool(monkeypatch):
 
     monkeypatch.setattr(gaps, "bracketed_constants", recorded)
     domain = dirichlet_domain(pg.free_group(2), 4, 1.5)
-    report = pg.equivalence_report(domain, options=GapOptions(starts=2, iters=60, seed=5))
+    report = pg.equivalence_report(domain.rep, options=GapOptions(starts=2, iters=60, seed=5))
     [oracle] = oracles
     assert oracle.estimates == {}  # 60 iterations do not close the bracket
     [end] = oracle.vectors
@@ -839,7 +795,7 @@ def test_bounds_propagate_to_every_exponent(r):
     # p = 3 on free(2) R = 5: C_disp and C_p are bracketed; r = 2 < p is a
     # multistart bounded by m_min^(1/r) L, and r = inf is C_disp itself
     domain = dirichlet_domain(pg.free_group(2), 5, 3.0)
-    report = pg.equivalence_report(domain, r, GapOptions(starts=2, iters=150, seed=11))
+    report = pg.equivalence_report(domain.rep, r, GapOptions(starts=2, iters=150, seed=11))
     lower = {key: b["lower"] for key, b in report.bounds.items()}
     L = lower["C_grad"]
     assert report.methods["C_grad"] == report.methods["C_disp"] == "bracketed"
@@ -853,10 +809,10 @@ def test_bounds_propagate_to_every_exponent(r):
 
 def test_bounds_are_exact_values_or_unknown():
     # exact estimates bound themselves; a mean-zero multistart has no bound
-    exact = pg.equivalence_report(default_domain(full_rep(pg.cyclic_group(8))), options=GapOptions(starts=2, iters=50))
+    exact = pg.equivalence_report(full_rep(pg.cyclic_group(8)), options=GapOptions(starts=2, iters=50))
     assert {key: b["lower"] for key, b in exact.bounds.items()} == exact.constants
     rep = full_rep(pg.symmetric_group(4), 3.0)
-    multi = pg.equivalence_report(default_domain(rep), options=GapOptions(starts=2, iters=60, seed=5))
+    multi = pg.equivalence_report(rep, options=GapOptions(starts=2, iters=60, seed=5))
     assert all(b["lower"] is None for b in multi.bounds.values())
     assert multi.chain["lower <= value"] is None
     assert multi.chain["bracket width <= BRACKET_RTOL"] is None
@@ -867,7 +823,7 @@ def test_lower_bound_check_catches_an_overstated_bound(monkeypatch):
     original = gaps.barta_lower_bound
     monkeypatch.setattr(gaps, "barta_lower_bound", lambda domain, phi: 1.01 * original(domain, phi))
     domain = dirichlet_domain(pg.free_group(2), 4, 3.0)
-    report = pg.equivalence_report(domain, options=GapOptions(starts=2, iters=150, seed=1))
+    report = pg.equivalence_report(domain.rep, options=GapOptions(starts=2, iters=150, seed=1))
     assert report.chain["lower <= value"] is False
 
 
@@ -914,7 +870,7 @@ def test_kesten_bound_holds_under_the_bracket(p):
 def test_kesten_check_needs_the_standard_generators(monkeypatch):
     domain = dirichlet_domain(pg.free_group(2), 4, 3.0)
     monkeypatch.setattr(gaps, "kesten_bound", lambda rank, p: 1.0)
-    report = pg.equivalence_report(domain, options=GapOptions(starts=2, iters=150, seed=1))
+    report = pg.equivalence_report(domain.rep, options=GapOptions(starts=2, iters=150, seed=1))
     assert report.chain["C_r >= kesten(p)"] is False
     other = pg.free_group(2, generators=[[1], [1, 2]], weights=[0.25, 0.25])
     assert gaps._default_free_rank(other) is None

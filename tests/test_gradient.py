@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pgaplab as pg
-from pgaplab.action import FullDomain, MeanZeroDomain, default_domain
+from pgaplab.action import MeanZeroDomain, default_domain, norm_minimising_shift
 from pgaplab.errors import (
     AtFixedPoint,
     NonsmoothPoint,
@@ -18,7 +18,7 @@ from test_energy import alternating_vector
 
 @pytest.fixture(scope="module")
 def linear_c4(cyclic4):
-    rep = pg.Representation(cyclic4, 2.0, "full")
+    rep = pg.Representation(cyclic4, 2.0)
     return pg.AffineAction.linear(rep)
 
 
@@ -45,7 +45,7 @@ def test_gradient_forms_cross_check(sym3):
     # gathers forward along the steepest direction, and must attain it
     rng = np.random.default_rng(1)
     for p in (1.5, 2.0, 3.0):
-        rep = pg.Representation(sym3, p, "full")
+        rep = pg.Representation(sym3, p)
         act = pg.AffineAction.linear(rep)
         for _ in range(20):
             v = unit_vector(rep, rng)
@@ -55,7 +55,7 @@ def test_gradient_forms_cross_check(sym3):
 
 
 def test_gradient_p2_matches_laplacian_ratio(cyclic8):
-    rep = pg.Representation(cyclic8, 2.0, "full")
+    rep = pg.Representation(cyclic8, 2.0)
     act = pg.AffineAction.linear(rep)
     rng = np.random.default_rng(2)
     for _ in range(10):
@@ -69,7 +69,7 @@ def test_gradient_eigen_oracle_cyclic5():
     # p = 2 linear case diagonalizes: the infimum over the mean-zero sphere
     # is sqrt(2 mu_min) and pointwise values never go below it
     h = pg.cyclic_group(5)
-    rep = pg.Representation(pg.full_ball(h), 2.0, "full")
+    rep = pg.Representation(pg.full_ball(h), 2.0)
     act = pg.AffineAction.linear(rep)
     dom = default_domain(rep)
     oracle = dense_gap_constant(dom)
@@ -93,7 +93,7 @@ def test_at_fixed_point_raises(linear_c4, cyclic4):
 def test_universal_and_scaling_bounds(sym3):
     rng = np.random.default_rng(4)
     for p in (1.5, 2.0, 3.0):
-        rep = pg.Representation(sym3, p, "full")
+        rep = pg.Representation(sym3, p)
         act = pg.AffineAction.linear(rep)
         for _ in range(300):
             v = unit_vector(rep, rng)
@@ -109,7 +109,7 @@ def test_universal_and_scaling_bounds(sym3):
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_directional_derivative_matches_central_differences(p, sym3):
     rng = np.random.default_rng(5)
-    rep = pg.Representation(sym3, p, "full")
+    rep = pg.Representation(sym3, p)
     act = pg.AffineAction.linear(rep)
     for _ in range(25):
         v = unit_vector(rep, rng)
@@ -122,7 +122,7 @@ def test_directional_derivative_matches_central_differences(p, sym3):
 def test_directional_derivative_toward_origin(cyclic8):
     # moving a linear action's argument toward 0 descends at rate F(v)/|v|
     rng = np.random.default_rng(6)
-    rep = pg.Representation(cyclic8, 2.0, "full")
+    rep = pg.Representation(cyclic8, 2.0)
     act = pg.AffineAction.linear(rep)
     v = 1.7 * unit_vector(rep, rng)
     u = (-1.0 / power_norm(v, 2.0)) * v
@@ -133,7 +133,7 @@ def test_directional_derivative_toward_origin(cyclic8):
 def test_directional_derivative_along_steepest_attains_gradient(sym3):
     rng = np.random.default_rng(7)
     for p in (1.5, 2.0, 3.0):
-        rep = pg.Representation(sym3, p, "full")
+        rep = pg.Representation(sym3, p)
         act = pg.AffineAction.linear(rep)
         for _ in range(10):
             v = unit_vector(rep, rng)
@@ -144,7 +144,7 @@ def test_directional_derivative_along_steepest_attains_gradient(sym3):
 
 def test_directional_derivative_orthogonal_direction_p2(cyclic8):
     rng = np.random.default_rng(8)
-    rep = pg.Representation(cyclic8, 2.0, "full")
+    rep = pg.Representation(cyclic8, 2.0)
     act = pg.AffineAction.linear(rep)
     v = unit_vector(rep, rng)
     xi = pg.gradient_field(act, v)
@@ -163,7 +163,7 @@ def nonsmooth_point(sym3):
 
 
 def test_nonsmooth_point_falls_back_to_finite_differences(sym3):
-    rep = pg.Representation(sym3, 2.0, "full")
+    rep = pg.Representation(sym3, 2.0)
     act = pg.AffineAction.linear(rep)
     v = nonsmooth_point(sym3)
     disp = [np.linalg.norm(d) for d in act.displacements(v)]
@@ -182,7 +182,7 @@ def test_nonsmooth_point_falls_back_to_finite_differences(sym3):
 
 def test_sampled_gradient_at_fixed_point_is_zero(cyclic8):
     rng = np.random.default_rng(10)
-    rep = pg.Representation(cyclic8, 2.0, "full")
+    rep = pg.Representation(cyclic8, 2.0)
     f0 = unit_vector(rep, rng, mean_zero=True)
     act = pg.AffineAction.from_potential(rep, f0)
     est = pg.abs_gradient_sampled(act, -1.0 * f0, budget=64, seed=0)
@@ -199,7 +199,7 @@ def test_sampled_gradient_meets_closed_form(linear_c4, cyclic4):
 def test_sampled_is_lower_bound_and_close(sym3):
     rng = np.random.default_rng(11)
     for p in (1.5, 2.0, 3.0):
-        rep = pg.Representation(sym3, p, "full")
+        rep = pg.Representation(sym3, p)
         act = pg.AffineAction.linear(rep)
         for i in range(10):
             v = unit_vector(rep, rng)
@@ -211,7 +211,7 @@ def test_sampled_is_lower_bound_and_close(sym3):
 
 def test_sampled_gradient_respects_universal_bound(sym3):
     rng = np.random.default_rng(12)
-    rep = pg.Representation(sym3, 2.0, "full")
+    rep = pg.Representation(sym3, 2.0)
     act = pg.AffineAction.linear(rep)
     for i in range(20):
         v = 3.0 * unit_vector(rep, rng)
@@ -221,7 +221,7 @@ def test_sampled_gradient_respects_universal_bound(sym3):
 
 def test_sampled_gradient_uses_known_fixed_point(cyclic8):
     rng = np.random.default_rng(13)
-    rep = pg.Representation(cyclic8, 2.0, "full")
+    rep = pg.Representation(cyclic8, 2.0)
     f0 = unit_vector(rep, rng, mean_zero=True)
     act = pg.AffineAction.from_potential(rep, f0)
     v = unit_vector(rep, rng, mean_zero=True)
@@ -232,17 +232,34 @@ def test_sampled_gradient_uses_known_fixed_point(cyclic8):
     assert with_fp >= f_v / power_norm(v - (-1.0 * f0), 2.0) - 1e-12
 
 
+def test_sampled_ray_toward_a_fixed_point_off_the_domain_is_projected():
+    # on symmetric(3) at p = 3 the fixed points of a coboundary action are
+    # the line -f0 + c 1; the one nearest v in l^3 is off the mean-zero
+    # space, and the quotient along the unprojected ray read up to 0.58 %
+    # above the restricted slope it bounds below
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(3)), 3.0)
+    domain = default_domain(rep)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        f0, v = domain.random_unit(rng), domain.random_unit(rng)
+        act = pg.AffineAction.from_potential(rep, f0)
+        fixed_point = -f0 + norm_minimising_shift(v + f0, 3.0)
+        sampled = pg.abs_gradient_sampled(
+            act, v, budget=1, fixed_point=fixed_point, include_steepest=False
+        )
+        assert sampled <= restricted_slope(act, v, domain)[0] * (1.0 + 1e-12)
+
+
 # --- descent -----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_descent_recovers_constructed_fixed_point(p, cyclic8):
     rng = np.random.default_rng(14)
-    rep = pg.Representation(cyclic8, p, "full")
+    rep = pg.Representation(cyclic8, p)
     f0 = unit_vector(rep, rng, mean_zero=True)
     act = pg.AffineAction.from_potential(rep, f0)
-    dom = default_domain(rep)
-    trace = pg.descend(act, rep.zero(), domain=dom)
+    trace = pg.descend(act, rep.zero())
     assert trace.reason == "f_tol"
     assert trace.final_energy <= 1e-6
     assert power_norm(trace.terminal - (-1.0 * f0), p) <= 1e-4
@@ -250,11 +267,10 @@ def test_descent_recovers_constructed_fixed_point(p, cyclic8):
 
 def test_descent_on_linear_action_slides_to_origin(cyclic8):
     rng = np.random.default_rng(15)
-    rep = pg.Representation(cyclic8, 2.0, "full")
+    rep = pg.Representation(cyclic8, 2.0)
     act = pg.AffineAction.linear(rep)
-    dom = default_domain(rep)
     v0 = unit_vector(rep, rng, mean_zero=True)
-    trace = pg.descend(act, v0, domain=dom)
+    trace = pg.descend(act, v0)
     assert trace.reason == "f_tol"
     assert trace.final_energy <= 1e-8
     assert power_norm(trace.terminal, 2.0) <= 1e-6  # only the origin is fixed
@@ -262,7 +278,7 @@ def test_descent_on_linear_action_slides_to_origin(cyclic8):
 
 def test_descent_free_group_dirichlet_p3():
     rng = np.random.default_rng(16)
-    rep = pg.Representation(pg.ball(pg.free_group(2), 4), 3.0, "dirichlet")
+    rep = pg.Representation(pg.ball(pg.free_group(2), 4), 3.0)
     f0 = unit_vector(rep, rng)
     act = pg.AffineAction.from_potential(rep, f0)
     trace = pg.descend(act, rep.zero(), pg.DescentOptions(abs_tol=1e-7))
@@ -274,30 +290,28 @@ def test_descent_free_group_dirichlet_p3():
 
 def test_descent_energy_monotone(cyclic8):
     rng = np.random.default_rng(17)
-    rep = pg.Representation(cyclic8, 2.0, "full")
+    rep = pg.Representation(cyclic8, 2.0)
     f0 = unit_vector(rep, rng, mean_zero=True)
     act = pg.AffineAction.from_potential(rep, f0)
-    trace = pg.descend(act, rep.zero(), domain=default_domain(rep))
+    trace = pg.descend(act, rep.zero())
     energies = [row[1] for row in trace.rows]
     assert all(a >= b for a, b in zip(energies, energies[1:]))
 
 
 def test_descent_defaults_to_the_space_of_the_gap_constants():
-    # a mean-zero potential on symmetric(4), p = 3: descent in the mean-zero
-    # space takes 42 iterations, in the full space 38; the default is the
-    # space gap's constants live on, so it is the former
-    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0, "full")
+    # a mean-zero potential on symmetric(4), p = 3: descent takes its slopes
+    # in the space gap's constants live on, the mean-zero space, and stays
+    # in it
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0)
     vals = np.random.default_rng(0).standard_normal(24)
     act = pg.AffineAction.from_potential(rep, vals - vals.mean())
-    default = pg.descend(act, rep.zero())
-    mean_zero = pg.descend(act, rep.zero(), domain=MeanZeroDomain(rep))
-    assert default.rows == mean_zero.rows
-    assert np.array_equal(default.terminal, mean_zero.terminal)
-    assert pg.descend(act, rep.zero(), domain=FullDomain(rep)).rows != default.rows
+    trace = pg.descend(act, rep.zero())
+    assert trace.rows[0][2] == restricted_slope(act, rep.zero(), MeanZeroDomain(rep))[0]
+    assert abs(trace.terminal.mean()) <= 1e-15
 
 
 def test_descent_zero_start_at_fixed_point(cyclic8):
-    rep = pg.Representation(cyclic8, 2.0, "full")
+    rep = pg.Representation(cyclic8, 2.0)
     act = pg.AffineAction.linear(rep)
     trace = pg.descend(act, rep.zero())
     assert trace.reason == "f_tol"
@@ -307,10 +321,10 @@ def test_descent_zero_start_at_fixed_point(cyclic8):
 
 def test_descent_trace_csv(tmp_path, cyclic8):
     rng = np.random.default_rng(18)
-    rep = pg.Representation(cyclic8, 2.0, "full")
+    rep = pg.Representation(cyclic8, 2.0)
     f0 = unit_vector(rep, rng, mean_zero=True)
     act = pg.AffineAction.from_potential(rep, f0)
-    trace = pg.descend(act, rep.zero(), domain=default_domain(rep))
+    trace = pg.descend(act, rep.zero())
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -320,7 +334,7 @@ def test_descent_trace_csv(tmp_path, cyclic8):
 
 def test_capped_descent_reports_energy_at_terminal():
     rng = np.random.default_rng(19)
-    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0)
     f0 = unit_vector(rep, rng, mean_zero=True)
     act = pg.AffineAction.from_potential(rep, f0)
     trace = pg.descend(act, rep.zero(), pg.DescentOptions(max_iters=5))
@@ -332,7 +346,7 @@ def test_capped_descent_reports_energy_at_terminal():
 
 def test_descent_evaluates_each_trial_point_once(monkeypatch):
     rng = np.random.default_rng(20)
-    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), 3.0)
     act = pg.AffineAction.from_potential(rep, unit_vector(rep, rng, mean_zero=True))
     calls = []
     original = pg.gradient.displacement_energy
@@ -375,17 +389,8 @@ def test_descent_evaluates_each_trial_point_once(monkeypatch):
         assert pos == len(calls)
 
 
-def test_descent_off_the_dirichlet_support_raises():
-    # the unrestricted domain steps onto the boundary layer, where the
-    # truncated action is not defined; the accepted step is rejected
-    rep = pg.Representation(pg.ball(pg.free_group(2), 3), 2.0, "dirichlet")
-    act = pg.AffineAction.from_potential(rep, rep.random_admissible(np.random.default_rng(1)))
-    with pytest.raises(SupportViolation):
-        pg.descend(act, rep.zero(), domain=FullDomain(rep))
-
-
 def test_descent_rejects_a_malformed_start():
-    rep = pg.Representation(pg.ball(pg.free_group(2), 3), 3.0, "dirichlet")
+    rep = pg.Representation(pg.ball(pg.free_group(2), 3), 3.0)
     act = pg.AffineAction.linear(rep)
     for v0 in (np.zeros(52), np.zeros((1, 53)), np.full(53, np.nan)):
         with pytest.raises(ValidationError):
@@ -400,14 +405,12 @@ def test_descent_on_symmetric6_takes_no_null_steps():
     # the benchmark's fixed potential; an inexact restricted dual used to
     # double the slope near the fixed point, after which Armijo accepted only
     # steps too small to move v (F stuck at 7.07e-7 until the cap)
-    rep = pg.Representation(pg.full_ball(pg.symmetric_group(6)), 3.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(6)), 3.0)
     f = np.random.default_rng(0).standard_normal(720)
     f -= f.mean()
     f /= power_norm(f, 3.0)
     act = pg.AffineAction.from_potential(rep, f)
-    trace = pg.descend(
-        act, rep.zero(), pg.DescentOptions(max_iters=350), domain=default_domain(rep)
-    )
+    trace = pg.descend(act, rep.zero(), pg.DescentOptions(max_iters=350))
     assert trace.reason != "stalled"
     assert min(step for _, _, _, step in trace.rows if step > 0.0) >= 1e-15
     assert trace.final_energy < 7e-7
@@ -417,19 +420,19 @@ def test_descent_on_symmetric6_reaches_f_tol_in_few_evaluations():
     # the benchmark's fixed potential again: restarting every line search at
     # F/2 took 1344 energy evaluations over 460 iterations to reach f_tol;
     # starting from twice the last accepted step takes about half as many
-    rep = pg.Representation(pg.full_ball(pg.symmetric_group(6)), 3.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(6)), 3.0)
     f = np.random.default_rng(0).standard_normal(720)
     f -= f.mean()
     f /= power_norm(f, 3.0)
     act = pg.AffineAction.from_potential(rep, f)
-    trace = pg.descend(act, rep.zero(), domain=default_domain(rep))
+    trace = pg.descend(act, rep.zero())
     assert trace.reason == "f_tol"
     assert trace.energy_evals <= 750
 
 
 def _symmetric6_benchmark_action():
     # the benchmark's fixed potential on symmetric(6), p = 3
-    rep = pg.Representation(pg.full_ball(pg.symmetric_group(6)), 3.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(6)), 3.0)
     f = np.random.default_rng(0).standard_normal(720)
     f -= f.mean()
     f /= power_norm(f, 3.0)
@@ -439,7 +442,7 @@ def _symmetric6_benchmark_action():
 def test_descent_on_symmetric6_reaches_f_tol_in_100_evaluations():
     # steepest descent alone took 692 energy evaluations over 346 iterations
     act = _symmetric6_benchmark_action()
-    trace = pg.descend(act, act.rep.zero(), domain=default_domain(act.rep))
+    trace = pg.descend(act, act.rep.zero())
     assert trace.reason == "f_tol"
     assert trace.energy_evals <= 100
 
@@ -448,7 +451,7 @@ def test_descent_on_the_lattice_leg_reaches_f_tol_within_400_iterations():
     # the benchmark's lattice leg: its fixed potential (seed 0) on the
     # interior of integer_lattice(2) R = 20, of unit l^3 norm; steepest
     # descent stopped at the 400-iteration cap with F = 6.4e-4
-    rep = pg.Representation(pg.ball(pg.integer_lattice(2), 20), 3.0, "dirichlet")
+    rep = pg.Representation(pg.ball(pg.integer_lattice(2), 20), 3.0)
     f = np.random.default_rng(0).standard_normal(rep.ball.size)
     f[~rep.admissible_mask] = 0.0
     f /= power_norm(f, 3.0)
@@ -461,14 +464,14 @@ def test_descent_on_the_lattice_leg_reaches_f_tol_within_400_iterations():
 def _free2_values_action(p):
     # generator values with no potential: an action that need not have a
     # fixed point in the domain
-    rep = pg.Representation(pg.ball(pg.free_group(2), 4), p, "dirichlet")
+    rep = pg.Representation(pg.ball(pg.free_group(2), 4), p)
     rng = np.random.default_rng(21)
     make = lambda: np.where(rep.admissible_mask, rng.standard_normal(rep.ball.size), 0.0)
     return pg.AffineAction(rep, pg.Cocycle.from_generator_values(rep, {"a": make(), "b": make()}))
 
 
 def _symmetric4_potential_action(p):
-    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), p, "full")
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(4)), p)
     return pg.AffineAction.from_potential(rep, unit_vector(rep, np.random.default_rng(22), mean_zero=True))
 
 

@@ -1,8 +1,10 @@
 """Every name a module imports is used in that module, no module reads the
-environment, every exception type is raised somewhere, and only the
-commands that need scipy load it."""
+environment, every exception type is raised somewhere, no argument selects
+a representation's mode or space, and only the commands that need scipy
+load it."""
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 import pgaplab.moduli
+from pgaplab import action, gaps, gradient
 
 PACKAGE = Path(__file__).parent.parent / "src" / "pgaplab"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -124,6 +127,30 @@ def test_no_function_takes_a_rep_beside_a_domain(path):
         and {"rep", "domain"} <= {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
     ]
     assert not both, f"{path.name} has functions that take both rep and domain: {both}"
+
+
+def test_the_ball_is_the_only_mode_and_space_selector():
+    """Representation reads its mode off the ball, and the estimators,
+    descent and the sampler build `default_domain(rep)` themselves, so no
+    caller can hand them another space."""
+    assert list(inspect.signature(action.Representation).parameters) == ["ball", "p"]
+    for func in (
+        gaps.equivalence_report,
+        gaps.displacement_constant,
+        gaps.gap_sweep,
+        gradient.descend,
+        gradient.abs_gradient_sampled,
+    ):
+        assert "domain" not in inspect.signature(func).parameters, func.__name__
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "Representation" and len(node.args) + len(node.keywords) > 2:
+                found.append(f"{path.name} line {node.lineno}")
+    assert not found, f"Representation built with a third argument: {found}"
 
 
 def _import_time_imports(node):

@@ -193,7 +193,7 @@ def test_csv_reader_rejects_a_repeated_index(ball8, tmp_path):
 
 
 def test_nonfinite_entries_rejected(ball8, tmp_path):
-    reps = [pg.Representation(ball8, 2.0), pg.Representation(pg.ball(pg.free_group(2), 2), 2.0, "dirichlet")]
+    reps = [pg.Representation(ball8, 2.0), pg.Representation(pg.ball(pg.free_group(2), 2), 2.0)]
     for bad in (np.nan, np.inf, -np.inf):
         vals = np.zeros(8)
         vals[3] = bad

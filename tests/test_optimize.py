@@ -18,8 +18,8 @@ from pgaplab.lpspace import same_point
 
 
 def instances():
-    sym3 = pg.Representation(pg.full_ball(pg.symmetric_group(3)), 3.0, "full")
-    free2 = pg.Representation(pg.ball(pg.free_group(2), 3), 1.5, "dirichlet")
+    sym3 = pg.Representation(pg.full_ball(pg.symmetric_group(3)), 3.0)
+    free2 = pg.Representation(pg.ball(pg.free_group(2), 3), 1.5)
     return [sym3, free2]
 
 
@@ -115,7 +115,7 @@ def test_stalled_trajectory_matches_the_recomputing_descent():
     # the max is not smooth, so descent on it stalls: the trajectory stops at
     # its first failed line search, where the recomputing descent repeats it
     # three times, and both end on the same point
-    rep = pg.Representation(pg.full_ball(pg.symmetric_group(3)), 3.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(3)), 3.0)
     action = pg.AffineAction.linear(rep)
     objective = make_energy_ratio_objective(action, np.inf)
     domain = default_domain(rep)
@@ -129,7 +129,7 @@ def test_stalled_trajectory_matches_the_recomputing_descent():
 
 
 def test_zero_gradient_stop_and_no_iterations_budget():
-    rep = pg.Representation(pg.full_ball(pg.cyclic_group(4)), 2.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.cyclic_group(4)), 2.0)
     domain = default_domain(rep)
     flat = lambda values: (1.0, lambda: np.zeros_like(values))
     v0 = domain.project(np.arange(4.0))
@@ -139,7 +139,7 @@ def test_zero_gradient_stop_and_no_iterations_budget():
 
 def test_sphere_minimize_ends_on_the_unit_sphere_of_the_domains_exponent():
     # p = 3 is read off the domain: the point is a unit vector in l^3, not l^2
-    rep = pg.Representation(pg.full_ball(pg.symmetric_group(3)), 3.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(3)), 3.0)
     domain = default_domain(rep)
     objective = make_energy_ratio_objective(pg.AffineAction.linear(rep), 3.0)
     v0 = domain.project(np.random.default_rng(4).standard_normal(rep.ball.size))
@@ -151,30 +151,31 @@ def test_sphere_minimize_ends_on_the_unit_sphere_of_the_domains_exponent():
 
 
 def test_multistart_pool_carries_trajectories_and_summary():
-    rep = pg.Representation(pg.full_ball(pg.symmetric_group(3)), 3.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(3)), 3.0)
     action = pg.AffineAction.linear(rep)
     domain = default_domain(rep)
     zero_start = np.ones(rep.ball.size)  # projects to zero on the mean-zero domain
+    objective = make_energy_ratio_objective(action, 3.0)
     pool = multistart_minimize(
-        make_energy_ratio_objective(action, 3.0),
-        domain,
-        starts=3,
-        iters=40,
-        seed=2,
-        extra_starts=(zero_start,),
+        objective, domain, starts=3, iters=40, seed=2, extra_starts=(zero_start,)
     )
-    tags = [entry[0] for entry in pool]
-    assert tags == ["seed0", "seed1", "seed2", "start0"]
-    assert all(isinstance(entry[3], Trajectory) for entry in pool[:3])
-    assert pool[3][1] == np.inf and pool[3][3] is None
-    summary = trajectory_summary((val, tr) for (_tag, val, _vec, tr) in pool)
-    trajs = [entry[3] for entry in pool[:3]]
+    assert [len(entry) for entry in pool] == [3, 3, 3, 3]
+    # the seeded runs come first, in seed order, then the user start
+    for entry, ss in zip(pool, np.random.SeedSequence(2).spawn(3)):
+        start = np.random.default_rng(ss).standard_normal(rep.ball.size)
+        val, vec, traj = sphere_minimize(objective, domain, domain.project(start), 40)
+        assert entry[0] == val and np.array_equal(entry[1], vec) and entry[2] == traj
+    assert all(isinstance(entry[2], Trajectory) for entry in pool[:3])
+    assert pool[3][0] == np.inf and pool[3][2] is None
+    assert np.array_equal(pool[3][1], np.zeros(rep.ball.size))
+    summary = trajectory_summary((val, tr) for (val, _vec, tr) in pool)
+    trajs = [entry[2] for entry in pool[:3]]
     assert summary["trajectories"] == 3
     assert summary["iterations"] == sum(t.iterations for t in trajs)
     assert summary["valueEvals"] == sum(t.value_evals for t in trajs)
     assert summary["gradientEvals"] == sum(t.gradient_evals for t in trajs)
     assert sum(summary["stops"].values()) == 3
-    finals = [entry[1] for entry in pool[:3]]
+    finals = [entry[0] for entry in pool[:3]]
     assert summary["finalSpread"] == max(finals) - min(finals)
     assert 1 <= summary["reachedBest"] <= 3
 
@@ -188,7 +189,7 @@ def test_same_point_compares_values_not_bits():
 
 
 def test_multistart_with_no_usable_start_raises():
-    rep = pg.Representation(pg.full_ball(pg.symmetric_group(3)), 3.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.symmetric_group(3)), 3.0)
     action = pg.AffineAction.linear(rep)
     with pytest.raises(ValueError, match="no multistart trajectory"):
         multistart_minimize(

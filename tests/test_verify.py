@@ -9,27 +9,27 @@ from pgaplab.verify import SUITES, run_suites
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_all_suites_pass_on_cyclic6(p):
-    rep = pg.Representation(pg.full_ball(pg.cyclic_group(6)), p, "full")
+    rep = pg.Representation(pg.full_ball(pg.cyclic_group(6)), p)
     rows = run_suites(rep, SUITES, seed=0)
     failures = [r for r in rows if not r.passed]
     assert failures == [], [f"{r.suite}.{r.name}: {r.detail}" for r in failures]
 
 
 def test_suites_pass_on_free2_dirichlet():
-    rep = pg.Representation(pg.ball(pg.free_group(2), 3), 2.0, "dirichlet")
+    rep = pg.Representation(pg.ball(pg.free_group(2), 3), 2.0)
     rows = run_suites(rep, SUITES, seed=1)
     failures = [r for r in rows if not r.passed]
     assert failures == [], [f"{r.suite}.{r.name}: {r.detail}" for r in failures]
 
 
 def test_unknown_suite_rejected():
-    rep = pg.Representation(pg.full_ball(pg.cyclic_group(4)), 2.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.cyclic_group(4)), 2.0)
     with pytest.raises(PgapError):
         run_suites(rep, ["nope"])
 
 
 def test_corrupted_ball_is_caught():
-    rep = pg.Representation(pg.ball(pg.free_group(2), 3), 2.0, "dirichlet")
+    rep = pg.Representation(pg.ball(pg.free_group(2), 3), 2.0)
     rep.ball.translate[0][0] = -1
     rows = run_suites(rep, ["ball"], seed=0)
     bad = [r for r in rows if r.name == "ball_invariants"]
@@ -38,7 +38,7 @@ def test_corrupted_ball_is_caught():
 
 
 def test_deterministic_given_seed():
-    rep = pg.Representation(pg.full_ball(pg.cyclic_group(5)), 2.0, "full")
+    rep = pg.Representation(pg.full_ball(pg.cyclic_group(5)), 2.0)
     a = [r.to_dict() for r in run_suites(rep, ["lp", "energy"], seed=9)]
     b = [r.to_dict() for r in run_suites(rep, ["lp", "energy"], seed=9)]
     assert a == b
@@ -56,9 +56,9 @@ def test_deterministic_given_seed():
 )
 def test_descent_check_measures_distance_to_fixed_points(monkeypatch, group, radius, shift, passes):
     if radius is None:
-        rep = pg.Representation(pg.full_ball(group), 2.0, "full")
+        rep = pg.Representation(pg.full_ball(group), 2.0)
     else:
-        rep = pg.Representation(pg.ball(group, radius), 2.0, "dirichlet")
+        rep = pg.Representation(pg.ball(group, radius), 2.0)
     real_descend = verify.descend
 
     def moved(action, v0, options):
@@ -75,8 +75,8 @@ def test_descent_check_measures_distance_to_fixed_points(monkeypatch, group, rad
 
 
 SLOPE_CASES = [
-    pytest.param(lambda: pg.Representation(pg.full_ball(pg.cyclic_group(6)), 1.5, "full"), id="cyclic6-p1.5"),
-    pytest.param(lambda: pg.Representation(pg.ball(pg.free_group(2), 3), 3.0, "dirichlet"), id="free2-p3"),
+    pytest.param(lambda: pg.Representation(pg.full_ball(pg.cyclic_group(6)), 1.5), id="cyclic6-p1.5"),
+    pytest.param(lambda: pg.Representation(pg.ball(pg.free_group(2), 3), 3.0), id="free2-p3"),
 ]
 
 
@@ -130,7 +130,7 @@ def test_gradient_suite_never_samples(monkeypatch):
     monkeypatch.setattr(pg.gradient, "abs_gradient_sampled", refuse)
     monkeypatch.setattr(pg, "abs_gradient_sampled", refuse)
     monkeypatch.setattr(verify, "abs_gradient_sampled", refuse, raising=False)
-    rep = pg.Representation(pg.ball(pg.free_group(2), 3), 3.0, "dirichlet")
+    rep = pg.Representation(pg.ball(pg.free_group(2), 3), 3.0)
     rows = run_suites(rep, ["gradient"], seed=0)
     assert all(r.passed for r in rows), [f"{r.name}: {r.detail}" for r in rows if not r.passed]
 
@@ -149,6 +149,6 @@ def test_gradient_suite_energy_evaluation_count(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, "displacement_energy", counting)
-    rep = pg.Representation(pg.ball(pg.free_group(2), 3), 3.0, "dirichlet")
+    rep = pg.Representation(pg.ball(pg.free_group(2), 3), 3.0)
     run_suites(rep, ["gradient"], seed=0)
     assert len(calls) <= 200
